@@ -7,7 +7,6 @@ Subcommands:
 * ``switch-search``  grid-search the manual hand-over epoch
 * ``plot``           render aggregate files to a self-contained SVG
 * ``gen-data``       write a synthetic dataset in LIBSVM format
-* ``check``          run the built-in invariant suites
 
 Flags override config-file keys.  The ``VRKIT_JOBS`` environment variable
 sets the default parallelism for seed execution.
@@ -19,14 +18,9 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bench
 from .bench import RunConfig, config_from_mapping, parse_config_text
-from .data import SyntheticSpec, gen_separable, parse_libsvm, save_libsvm, serialize_libsvm
-from .optimizers import PrecondVariant, StepSizeRule, adasvrg_fixed
-from .precond import PrecondState
-from .problems import Dataset, Problem
+from .data import SyntheticSpec, gen_separable, save_libsvm
 from .svgplot import emit_plot
 
 _LOSS_CHOICES = ("logistic", "squared", "huber", "squared-hinge")
@@ -150,108 +144,6 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    failures = 0
-    for name, fn in (
-        ("gradient finite differences", _check_gradients),
-        ("variance-reduced direction unbiased", _check_unbiasedness),
-        ("preconditioner trace bound", _check_trace_bound),
-        ("dataset round-trip", _check_roundtrip),
-        ("seeded determinism", _check_determinism),
-    ):
-        try:
-            fn()
-            print(f"PASS {name}")
-        except Exception as exc:  # noqa: BLE001 - report and continue
-            failures += 1
-            print(f"FAIL {name}: {exc}")
-    return 1 if failures else 0
-
-
-def _random_problem(loss: str, seed: int, n: int = 24, d: int = 6) -> Problem:
-    rng = np.random.default_rng(seed)
-    feats = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.7)
-    labels = rng.choice([-1.0, 1.0], size=n)
-    import scipy.sparse as sp
-
-    dataset = Dataset(features=sp.csr_matrix(feats), labels=labels)
-    return Problem(dataset=dataset, loss=loss, l2_reg=0.1)
-
-
-def _check_gradients() -> None:
-    h = 1e-6
-    for loss in ("logistic", "squared", "huber", "squared_hinge"):
-        problem = _random_problem(loss, seed=11)
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            w = rng.standard_normal(problem.d)
-            grad = problem.grad_full(w)
-            approx = np.empty_like(grad)
-            for j in range(problem.d):
-                e = np.zeros(problem.d)
-                e[j] = h
-                approx[j] = (problem.loss_value(w + e) - problem.loss_value(w - e)) / (2 * h)
-            rel = np.linalg.norm(grad - approx) / max(np.linalg.norm(grad), 1e-12)
-            if rel >= 1e-5:
-                raise AssertionError(f"{loss}: relative error {rel:.2e}")
-
-
-def _check_unbiasedness() -> None:
-    problem = _random_problem("logistic", seed=3, n=16, d=5)
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal(problem.d)
-    w = rng.standard_normal(problem.d)
-    gfull_w = problem.grad_full(w)
-    directions = [
-        problem.grad_batch(x, np.array([i])) - problem.grad_batch(w, np.array([i])) + gfull_w
-        for i in range(problem.n)
-    ]
-    mean = np.mean(directions, axis=0)
-    err = np.abs(mean - problem.grad_full(x)).max()
-    if err >= 1e-12:
-        raise AssertionError(f"max coordinate error {err:.2e}")
-
-
-def _check_trace_bound() -> None:
-    problem = _random_problem("squared", seed=9, n=32, d=5)
-    for kind in ("scalar", "diagonal", "full_matrix"):
-        variant = PrecondVariant(kind=kind, delta=1e-8)
-        result = adasvrg_fixed(
-            problem, np.zeros(problem.d), 3, 20,
-            variant=variant, step=StepSizeRule(kind="constant", eta=0.5), seed=2,
-        )
-        for weighted, trace_a in result.notes["precond_checks"]:
-            if weighted > 2.0 * trace_a + 1e-6:
-                raise AssertionError(f"{kind}: {weighted:.6g} > 2 * {trace_a:.6g}")
-
-
-def _check_roundtrip() -> None:
-    rng = np.random.default_rng(123)
-    for _ in range(200):
-        n = int(rng.integers(1, 12))
-        d = int(rng.integers(1, 9))
-        dense = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.5)
-        import scipy.sparse as sp
-
-        dataset = Dataset(
-            features=sp.csr_matrix(dense),
-            labels=rng.choice([-1.0, 1.0], size=n),
-        )
-        again = parse_libsvm(serialize_libsvm(dataset), d=d)
-        if not dataset.equals(again):
-            raise AssertionError("round-trip mismatch")
-
-
-def _check_determinism() -> None:
-    spec = SyntheticSpec(n=64, d=6, mislabel_fraction=0.1, seed=1)
-    dataset, _ = gen_separable(spec)
-    problem = Problem(dataset=dataset, loss="logistic", l2_reg=1.0 / dataset.n)
-    first = adasvrg_fixed(problem, np.zeros(problem.d), 2, batch_size=4, seed=0)
-    second = adasvrg_fixed(problem, np.zeros(problem.d), 2, batch_size=4, seed=0)
-    if first.trace.to_csv() != second.trace.to_csv():
-        raise AssertionError("same seed produced different traces")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="vrkit",
@@ -288,9 +180,6 @@ def main(argv: list[str] | None = None) -> int:
     gen_p.add_argument("--seed", type=int, default=0)
     gen_p.add_argument("--out", required=True)
     gen_p.set_defaults(fn=_cmd_gen_data)
-
-    check_p = sub.add_parser("check", help="run the built-in invariant suites")
-    check_p.set_defaults(fn=_cmd_check)
 
     args = parser.parse_args(argv)
     return args.fn(args)

@@ -218,11 +218,20 @@ class PhaseTestState:
         self.history[t] = trace_g
         if t % 2 != 0 or t < self.burn_in_threshold:
             return False
-        half = self.history[t // 2]
-        if not np.isfinite(half) or half <= 0:
+        ratio = _growth_ratio(self.history, t)
+        if ratio is None:
             return False
-        self.last_R = (trace_g - half) / half
+        self.last_R = ratio
         return self.last_R >= self.theta
+
+
+def _growth_ratio(history: np.ndarray, t: int) -> float | None:
+    """(history[t] - history[t/2]) / history[t/2], or None when the
+    comparison value is not finite and positive."""
+    half = history[t // 2]
+    if not np.isfinite(half) or half <= 0:
+        return None
+    return (history[t] - half) / half
 
 
 def phase_ratio(history: np.ndarray, t: int) -> float:
@@ -238,10 +247,10 @@ def phase_ratio(history: np.ndarray, t: int) -> float:
         raise ValueError("phase ratio is defined only at even iterations")
     if t >= history.shape[0] or t // 2 < 1:
         raise ValueError(f"history does not cover iterations {t // 2} and {t}")
-    half = history[t // 2]
-    if not np.isfinite(half) or half <= 0:
+    ratio = _growth_ratio(history, t)
+    if ratio is None:
         raise ValueError("comparison value is zero; ratio undefined")
-    return float((history[t] - half) / half)
+    return float(ratio)
 
 
 def estimate_sigma2(
@@ -302,20 +311,15 @@ def two_phase_slope_fit(
     if burn_in % 2 != 0:
         burn_in += 1
 
-    knee = None
-    for t in range(burn_in, length + 1, 2):
-        half = sq[t // 2]
-        if half > 0 and (sq[t] - half) / half >= theta:
-            knee = t
-            break
+    ratios = {t: _growth_ratio(sq, t) for t in range(burn_in, length + 1, 2)}
+    knee = next((t for t, r in ratios.items() if r is not None and r >= theta), None)
     if knee is None:
         knee = _best_split(series)
 
     phase1_growth = 0.0
     for t in range(burn_in, min(knee, length + 1), 2):
-        half = sq[t // 2]
-        if half > 0:
-            phase1_growth = max(phase1_growth, float((sq[t] - half) / half))
+        if ratios[t] is not None:
+            phase1_growth = max(phase1_growth, float(ratios[t]))
 
     ts = np.arange(knee + 1, length + 1)
     vals = sq[knee + 1 :] ** 0.5

@@ -10,7 +10,8 @@ All optimizers share the same conventions:
 * mini-batches drawn uniformly without replacement within a batch,
   independently across steps;
 * a divergence guard that stops a run and flags the trace once the
-  objective is non-finite or grows past 1e3 * f(w0) + 1.
+  objective is non-finite or grows past 1e3 * f(w0) + 1, or once a step
+  raises ``FloatingPointError`` (a non-finite preconditioned iterate).
 
 The variance-reduced methods form the direction
 
@@ -18,6 +19,14 @@ The variance-reduced methods form the direction
 
 which is an unbiased estimate of the exact gradient at x_t; at the first
 inner step x_1 = w_k it equals grad_full(w_k) for every sampled batch.
+
+Every optimizer is a thin wrapper around one loop, :func:`_engine`, set by
+four choices: the direction (plain, snapshot-anchored as above, or
+recursive as in SARAH), the metric (none, meaning the Euclidean update
+x - eta * g, or a :class:`~vrkit.precond.PrecondState`), the step rule
+(constant, heuristic or Barzilai-Borwein) and the loop rule (fixed length,
+growth test, coin-flip snapshot refresh, or doubling stages with one engine
+call per stage).  Seeded output is pinned byte for byte by ``tests/golden``.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from .diagnostics import PhaseTestState, Trace, TraceRecorder, TraceRow
 from .precond import PrecondState, PrecondVariant, ProjectionSpec
 from .problems import GradOracleCounters, Problem
 
-TERMINATION_REASONS = ("budget", "target_reached", "adaptive_stop", "diverged")
+TERMINATION_REASONS = ("budget", "diverged")
 
 SNAPSHOT_MODES = ("last", "average")
 
@@ -59,19 +68,16 @@ class StepSizeRule:
 
 @dataclass(frozen=True)
 class InnerLoopPolicy:
-    """Fixed-length inner loops, or growth-test termination up to a cap."""
+    """Growth-test termination of inner loops, up to a cap."""
 
-    kind: str = "fixed"
-    m: int | None = None
+    kind: str = "adaptive"
     theta: float = 0.5
     max_inner: int | None = None
     burn_in: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("fixed", "adaptive"):
+        if self.kind != "adaptive":
             raise ValueError(f"unknown inner-loop policy {self.kind!r}")
-        if self.kind == "fixed" and self.m is not None and self.m < 1:
-            raise ValueError("fixed inner-loop length must be >= 1")
         if self.theta <= 0:
             raise ValueError("theta must be > 0")
 
@@ -90,7 +96,10 @@ class RunResult:
 
 
 class _Run:
-    """Shared per-run context: counters, RNG, trace recording, divergence."""
+    """Shared per-run context: counters, RNG, trace recording, divergence.
+
+    The starting point is recorded as the first trace row.
+    """
 
     def __init__(self, problem: Problem, w0: np.ndarray, seed: int):
         self.problem = problem
@@ -100,6 +109,7 @@ class _Run:
         f0 = problem.loss_value(w0)
         self.diverge_limit = 1e3 * f0 + 1.0
         self.diverged = False
+        self.record(w0, force=True)
 
     @property
     def passes(self) -> float:
@@ -159,64 +169,76 @@ class _Run:
             )
         )
 
-    def result(self, x, *, averaged=None, g_star_steps=None, notes=None, reason=None) -> RunResult:
+    def result(self, x, *, outer=None, averaged=None, g_star_steps=None, notes=None) -> RunResult:
+        """Finish the run at ``x``; with ``outer``, ``x`` is first recorded
+        as the closing trace row."""
+        if outer is not None:
+            self.record(x, outer=outer, force=True)
         return RunResult(
             final_iterate=x,
             trace=self.recorder.trace,
             counters=self.counters,
-            termination_reason="diverged" if self.diverged else (reason or "budget"),
+            termination_reason="diverged" if self.diverged else "budget",
             averaged_iterate=averaged,
             g_norm_star_steps=g_star_steps,
             notes=notes or {},
         )
 
 
-class _HeuristicStepSize:
-    """Tuning-free outer-loop step-size from gradient geometry.
+class _StepRule:
+    """Per-run step-size state for one :class:`StepSizeRule` kind.
 
-    Keeps the previous full-gradient point to form the local smoothness
-    estimate L = ||dg|| / ||dw||, tracks the running maximum, and sets
+    ``constant`` returns ``eta``.  ``heuristic`` keeps the previous
+    full-gradient point to form the local smoothness estimate
+    L = ||dg|| / ||dw||, tracks the running maximum, and sets
     eta = ||grad|| / (sqrt(2) * max L).  On the first call it probes a
     random nearby point (one extra charged full gradient) to seed the
     estimate.  Degenerate updates reuse the previous value (or 1.0).
+    ``bb`` needs the inner-loop length ``inner``, which only :func:`svrg_bb`
+    supplies.  It starts from ``eta`` and from the second call on sets
+    eta = ||dw||^2 / (inner * <dw, dg>) from consecutive points and full
+    gradients; a non-positive curvature denominator keeps the previous
+    value and appends the outer index to ``fallbacks``.
     """
 
-    def __init__(self):
+    def __init__(self, kind: str, eta: float, inner: int | None = None):
+        if kind == "bb" and inner is None:
+            raise ValueError("the bb rule applies only to svrg_bb")
+        self.kind = kind
+        self.eta = 1.0 if kind == "heuristic" else eta
+        self.inner = inner
         self.lmax = 0.0
         self.prev_point: np.ndarray | None = None
         self.prev_grad: np.ndarray | None = None
-        self.prev_eta: float | None = None
+        self.fallbacks: list[int] = []
 
-    def step_size(self, run: _Run, w: np.ndarray, gfull: np.ndarray) -> float:
-        if self.prev_point is None:
+    def __call__(self, run: _Run, w: np.ndarray, gfull: np.ndarray, outer: int) -> float:
+        if self.kind == "constant":
+            return self.eta
+        if self.kind == "heuristic" and self.prev_point is None:
             u = run.rng.standard_normal(w.shape[0])
             u *= 1e-3 * (1.0 + float(np.linalg.norm(w))) / float(np.linalg.norm(u))
-            probe = w + u
-            self.prev_point = probe
-            self.prev_grad = run.problem.grad_full(probe, run.counters)
-        dw = w - self.prev_point
-        dg = gfull - self.prev_grad
-        dw_norm = float(np.linalg.norm(dw))
-        g_norm = float(np.linalg.norm(gfull))
-        if dw_norm > 0:
-            self.lmax = max(self.lmax, float(np.linalg.norm(dg)) / dw_norm)
-        if dw_norm == 0 or g_norm == 0 or self.lmax == 0:
-            eta = self.prev_eta if self.prev_eta is not None else 1.0
-        else:
-            eta = g_norm / (math.sqrt(2.0) * self.lmax)
+            self.prev_point = w + u
+            self.prev_grad = run.problem.grad_full(self.prev_point, run.counters)
+        if self.prev_point is not None:
+            dw = w - self.prev_point
+            dg = gfull - self.prev_grad
+            if self.kind == "bb":
+                denom = float(dw @ dg)
+                if denom > 0:
+                    self.eta = float(dw @ dw) / (self.inner * denom)
+                else:
+                    self.fallbacks.append(outer)
+            else:
+                dw_norm = float(np.linalg.norm(dw))
+                g_norm = float(np.linalg.norm(gfull))
+                if dw_norm > 0:
+                    self.lmax = max(self.lmax, float(np.linalg.norm(dg)) / dw_norm)
+                if dw_norm != 0 and g_norm != 0 and self.lmax != 0:
+                    self.eta = g_norm / (math.sqrt(2.0) * self.lmax)
         self.prev_point = w
         self.prev_grad = gfull
-        self.prev_eta = eta
-        return float(eta)
-
-
-def _resolve_eta(rule: StepSizeRule, heur: _HeuristicStepSize | None, run: _Run,
-                 w: np.ndarray, gfull: np.ndarray) -> float:
-    if rule.kind == "constant":
-        return rule.eta
-    if rule.kind == "heuristic":
-        return heur.step_size(run, w, gfull)
-    raise ValueError("the bb rule applies only to svrg_bb")
+        return self.eta
 
 
 def _validate_common(problem: Problem, w0: np.ndarray, batch_size: int, snapshot: str) -> np.ndarray:
@@ -230,90 +252,136 @@ def _validate_common(problem: Problem, w0: np.ndarray, batch_size: int, snapshot
     return w0
 
 
-def _adasvrg_engine(
+@dataclass
+class _Phase:
+    """What one engine call leaves: the last snapshot, the mean of the
+    snapshots, the number of outer loops that ran, the outer indices the
+    growth test stopped, per-loop (sum ||g||^2_{A^-1}, trace A) pairs for
+    the runtime trace-bound check, ||G_t||_* after every step, and the
+    number of coin-flip snapshot refreshes."""
+
+    w: np.ndarray
+    averaged: np.ndarray | None = None
+    completed: int = 0
+    stops: list[int] = field(default_factory=list)
+    checks: list[tuple[float, float]] = field(default_factory=list)
+    g_stars: list[float] = field(default_factory=list)
+    refreshes: int = 0
+
+
+def _engine(
     run: _Run,
     w: np.ndarray,
     outer_loops: int,
-    inner_max: int,
-    variant: PrecondVariant,
-    proj: ProjectionSpec,
+    inner: int,
     batch_size: int,
-    snapshot: str,
-    rule: StepSizeRule,
-    heur: _HeuristicStepSize | None,
+    rule: _StepRule,
+    *,
+    direction: str = "vr",
+    variant: PrecondVariant | None = None,
+    proj: ProjectionSpec | None = None,
+    snapshot: str = "last",
     theta: float | None = None,
     burn_in: int = 0,
+    event: str = "adaptive_stop",
+    p: float | None = None,
     outer_offset: int = 0,
-):
-    """Outer/inner loop engine shared by the preconditioned VR variants.
+) -> _Phase:
+    """The optimizer loop: ``outer_loops`` outer loops of up to ``inner`` steps.
 
-    Passing ``theta`` activates the growth-ratio termination test on the
-    inner loop (checked at even steps past ``burn_in``, before the iterate
-    update, as the accumulator already includes the current gradient).
-    Returns the last snapshot, the running average of snapshots, the outer
-    indices that stopped adaptively, and per-loop (sum ||g||^2_{A^-1},
-    trace A) pairs for the runtime trace-bound check.
+    ``direction`` is ``plain`` (grad_B(x)), ``vr`` (anchored at the
+    snapshot) or ``recursive`` (anchored at the previous iterate plus the
+    previous direction, each outer loop starting from the exact full
+    gradient without sampling).  Anchored directions take a charged full
+    gradient and a step-size from ``rule`` at each snapshot, which is a
+    forced trace row unless ``p`` is given; then each step first refreshes
+    the snapshot with probability p.  With the plain direction a
+    non-constant rule re-estimates the step-size every n/b steps.
+    ``variant=None`` takes the Euclidean step; otherwise a fresh accumulator
+    per outer loop steps (and projects) once it has signal.  With ``theta``
+    the growth test, checked before the update since the accumulator already
+    holds the current gradient, ends an inner loop and records ``event``.
+    The next snapshot is the last iterate or, with ``snapshot='average'``,
+    the mean of the iterates the inner loop stepped from.  A record that
+    flags divergence, or a ``FloatingPointError`` from a step, ends the run.
     """
     problem = run.problem
     d = problem.d
+    period = max(1, problem.n // batch_size)
+    average = snapshot == "average"
     snap_sum = np.zeros(d)
-    completed = 0
-    adaptive_stops: list[int] = []
-    precond_checks: list[tuple[float, float]] = []
+    out = _Phase(w)
+    eta = rule.eta
 
     for k in range(outer_loops):
         if run.diverged:
             break
         outer = outer_offset + k
-        gfull = problem.grad_full(w, run.counters)
-        eta = _resolve_eta(rule, heur, run, w, gfull)
-        run.record(w, outer=outer, eta=eta, grad_norm=float(np.linalg.norm(gfull)), force=True)
-        if run.diverged:
-            break
-
-        state = PrecondState(variant, d)
+        anchor, base = w, None
+        if direction != "plain":
+            base = problem.grad_full(w, run.counters)
+            eta = rule(run, w, base, outer)
+            if p is None:
+                run.record(w, outer=outer, eta=eta, grad_norm=float(np.linalg.norm(base)),
+                           force=True)
+                if run.diverged:
+                    break
+        state = PrecondState(variant, d) if variant is not None else None
         test = (
-            PhaseTestState(theta=theta, burn_in_threshold=burn_in, capacity=inner_max)
+            PhaseTestState(theta=theta, burn_in_threshold=burn_in, capacity=inner)
             if theta is not None
             else None
         )
         x = w.copy()
         x_sum = np.zeros(d)
-        m_k = inner_max
+        t = 0
         try:
-            for t in range(1, inner_max + 1):
-                batch = run.sample(batch_size)
-                g = (
-                    problem.grad_batch(x, batch, run.counters)
-                    - problem.grad_batch(w, batch, run.counters)
-                    + gfull
-                )
-                x_sum += x
-                state.accumulate(g)
-                if test is not None and test.observe(t, state.trace_G()):
-                    m_k = t
-                    adaptive_stops.append(outer)
-                    run.record(
-                        x, outer=outer, eta=eta, g_star=state.g_norm_star(),
-                        event="adaptive_stop", force=True,
-                    )
-                    break
-                if state.has_signal():
-                    x = state.step(x, g, eta, proj)
-                run.record(x, outer=outer, eta=eta, g_star=state.g_norm_star())
+            for t in range(1, inner + 1):
+                if p is not None and run.rng.random() < p:
+                    anchor = x.copy()
+                    base = problem.grad_full(anchor, run.counters)
+                    out.refreshes += 1
+                if direction == "plain" and rule.kind != "constant" and (t - 1) % period == 0:
+                    eta = rule(run, x, problem.grad_full(x, run.counters), outer)
+                if direction == "recursive" and t == 1:
+                    g = base
+                else:
+                    batch = run.sample(batch_size)
+                    g = problem.grad_batch(x, batch, run.counters)
+                    if direction != "plain":
+                        g = g - problem.grad_batch(anchor, batch, run.counters) + base
+                if direction == "recursive":
+                    anchor, base = x, g
+                if average:
+                    x_sum += x
+                g_star = None
+                if state is None:
+                    x = x - eta * g
+                else:
+                    state.accumulate(g)
+                    g_star = state.g_norm_star()
+                    out.g_stars.append(g_star)
+                    if test is not None and test.observe(t, state.trace_G()):
+                        out.stops.append(outer)
+                        run.record(x, outer=outer, eta=eta, g_star=g_star, event=event,
+                                   force=True)
+                        break
+                    if state.has_signal():
+                        x = state.step(x, g, eta, proj)
+                run.record(x, outer=outer, eta=eta, g_star=g_star)
                 if run.diverged:
-                    m_k = t
                     break
         except FloatingPointError:
             run.mark_diverged(x, outer=outer, eta=eta)
-            m_k = max(1, state.t)
-        precond_checks.append((state.weighted_grad_sq_sum, state.trace_A()))
-        w = x_sum / m_k if snapshot == "average" else x
+        if state is not None:
+            out.checks.append((state.weighted_grad_sq_sum, state.trace_A()))
+        w = x_sum / t if average else x
         snap_sum += w
-        completed += 1
+        out.completed += 1
 
-    averaged = snap_sum / completed if completed else w.copy()
-    return w, averaged, adaptive_stops, precond_checks, completed
+    out.w = w
+    out.averaged = snap_sum / out.completed if out.completed else w.copy()
+    return out
 
 
 def adasvrg_fixed(
@@ -345,18 +413,16 @@ def adasvrg_fixed(
     inner = inner_loops if inner_loops is not None else max(1, problem.n // batch_size)
     if inner < 1:
         raise ValueError("inner_loops must be >= 1")
+    rule = _StepRule(step.kind, step.eta)
 
     run = _Run(problem, w0, seed)
-    run.record(w0, force=True)
-    heur = _HeuristicStepSize() if step.kind == "heuristic" else None
-    w, averaged, _, checks, completed = _adasvrg_engine(
-        run, w0, outer_loops, inner, variant, proj, batch_size, snapshot, step, heur
-    )
-    run.record(w, outer=max(0, outer_loops - 1), force=True)
+    out = _engine(run, w0, outer_loops, inner, batch_size, rule,
+                  variant=variant, proj=proj, snapshot=snapshot)
     return run.result(
-        w,
-        averaged=averaged if (snapshot == "average" and completed) else None,
-        notes={"precond_checks": checks},
+        out.w,
+        outer=max(0, outer_loops - 1),
+        averaged=out.averaged if (snapshot == "average" and out.completed) else None,
+        notes={"precond_checks": out.checks},
     )
 
 
@@ -387,9 +453,8 @@ def adasvrg_multistage(
         raise ValueError("multistage runs need at least 3 outer loops per stage")
 
     stages = math.ceil(math.log2(1.0 / epsilon))
+    rule = _StepRule(step.kind, step.eta)
     run = _Run(problem, w0, seed)
-    run.record(w0, force=True)
-    heur = _HeuristicStepSize() if step.kind == "heuristic" else None
 
     w = w0
     schedule: list[int] = []
@@ -397,13 +462,11 @@ def adasvrg_multistage(
     offset = 0
     for i in range(1, stages + 1):
         m_i = 2 ** (i + 1)
-        _, averaged, _, stage_checks, _ = _adasvrg_engine(
-            run, w, outer_loops, m_i, variant, proj, batch_size, "average", step, heur,
-            outer_offset=offset,
-        )
-        w = averaged
+        stage = _engine(run, w, outer_loops, m_i, batch_size, rule, variant=variant,
+                        proj=proj, snapshot="average", outer_offset=offset)
+        w = stage.averaged
         schedule.append(m_i)
-        checks.extend(stage_checks)
+        checks.extend(stage.checks)
         offset += outer_loops
         run.record(w, outer=offset - 1, event="stage_boundary", force=True)
         if run.diverged:
@@ -442,27 +505,21 @@ def adasvrg_adaptive(
     if outer_loops < 0:
         raise ValueError("outer_loops must be >= 0")
     n_over_b = max(1, problem.n // batch_size)
-    if policy is None:
-        policy = InnerLoopPolicy(kind="adaptive")
-    if policy.kind != "adaptive":
-        raise ValueError("adasvrg_adaptive requires an adaptive inner-loop policy")
+    policy = policy or InnerLoopPolicy()
     max_inner = policy.max_inner if policy.max_inner is not None else 10 * n_over_b
     burn_in = policy.burn_in if policy.burn_in is not None else n_over_b
     if max_inner < burn_in:
         raise ValueError("max_inner must be at least the burn-in threshold")
+    rule = _StepRule(step.kind, step.eta)
 
     run = _Run(problem, w0, seed)
-    run.record(w0, force=True)
-    heur = _HeuristicStepSize() if step.kind == "heuristic" else None
-    w, averaged, stops, checks, completed = _adasvrg_engine(
-        run, w0, outer_loops, max_inner, variant, proj, batch_size, snapshot, step, heur,
-        theta=policy.theta, burn_in=burn_in,
-    )
-    run.record(w, outer=max(0, outer_loops - 1), force=True)
+    out = _engine(run, w0, outer_loops, max_inner, batch_size, rule, variant=variant,
+                  proj=proj, snapshot=snapshot, theta=policy.theta, burn_in=burn_in)
     return run.result(
-        w,
-        averaged=averaged if (snapshot == "average" and completed) else None,
-        notes={"adaptive_stops": stops, "precond_checks": checks},
+        out.w,
+        outer=max(0, outer_loops - 1),
+        averaged=out.averaged if (snapshot == "average" and out.completed) else None,
+        notes={"adaptive_stops": out.stops, "precond_checks": out.checks},
     )
 
 
@@ -498,45 +555,15 @@ def hybrid_adagrad_adasvrg(
     if total_steps < 0:
         raise ValueError("total_steps must be >= 0")
     n_over_b = max(1, problem.n // batch_size)
-    burn = 2 * n_over_b
     if max_inner is None:
         max_inner = 10 * n_over_b
 
     run = _Run(problem, x1, seed)
-    run.record(x1, force=True)
-    heur = _HeuristicStepSize() if step.kind == "heuristic" else None
-    state = PrecondState(variant, problem.d)
-    test = PhaseTestState(theta=theta, burn_in_threshold=burn, capacity=total_steps)
-    x = x1.copy()
-    eta = step.eta if step.kind == "constant" else None
-    g_stars = np.empty(total_steps)
-    steps_done = 0
-    switch_step: int | None = None
-
-    try:
-        for t in range(1, total_steps + 1):
-            if run.diverged:
-                break
-            if step.kind == "heuristic" and (t - 1) % n_over_b == 0:
-                gfull = problem.grad_full(x, run.counters)
-                eta = heur.step_size(run, x, gfull)
-            batch = run.sample(batch_size)
-            g = problem.grad_batch(x, batch, run.counters)
-            state.accumulate(g)
-            g_stars[t - 1] = state.g_norm_star()
-            steps_done = t
-            if test.observe(t, state.trace_G()):
-                switch_step = t
-                run.record(
-                    x, outer=0, eta=eta, g_star=state.g_norm_star(),
-                    event="switch", force=True,
-                )
-                break
-            if state.has_signal():
-                x = state.step(x, g, eta, proj)
-            run.record(x, outer=0, eta=eta, g_star=state.g_norm_star())
-    except FloatingPointError:
-        run.mark_diverged(x, outer=0, eta=eta)
+    phase1 = _engine(run, x1, 1, total_steps, batch_size, _StepRule(step.kind, step.eta),
+                     direction="plain", variant=variant, proj=proj, theta=theta,
+                     burn_in=2 * n_over_b, event="switch")
+    x = phase1.w
+    switch_step = len(phase1.g_stars) if phase1.stops else None
 
     notes: dict = {
         "switched": switch_step is not None,
@@ -547,15 +574,14 @@ def hybrid_adagrad_adasvrg(
         k2 = (total_steps - switch_step) // n_over_b
         notes["phase2_outer_loops"] = k2
         if k2 >= 1:
-            heur2 = _HeuristicStepSize() if step.kind == "heuristic" else None
-            x, _, stops, checks, _ = _adasvrg_engine(
-                run, x, k2, max_inner, variant, proj, batch_size, "last", step, heur2,
-                theta=theta, burn_in=n_over_b, outer_offset=1,
-            )
-            notes["adaptive_stops"] = stops
-            notes["precond_checks"] = checks
-    run.record(x, outer=0 if switch_step is None else notes["phase2_outer_loops"], force=True)
-    return run.result(x, g_star_steps=g_stars[:steps_done], notes=notes)
+            phase2 = _engine(run, x, k2, max_inner, batch_size, _StepRule(step.kind, step.eta),
+                             variant=variant, proj=proj, theta=theta, burn_in=n_over_b,
+                             outer_offset=1)
+            x = phase2.w
+            notes["adaptive_stops"] = phase2.stops
+            notes["precond_checks"] = phase2.checks
+    return run.result(x, outer=0 if switch_step is None else notes["phase2_outer_loops"],
+                      g_star_steps=np.array(phase1.g_stars), notes=notes)
 
 
 def svrg(
@@ -573,32 +599,9 @@ def svrg(
     w0 = _validate_common(problem, w0, batch_size, snapshot)
     inner = inner_loops if inner_loops is not None else max(1, problem.n // batch_size)
     run = _Run(problem, w0, seed)
-    run.record(w0, force=True)
-    w = w0
-    for k in range(outer_loops):
-        if run.diverged:
-            break
-        gfull = problem.grad_full(w, run.counters)
-        run.record(w, outer=k, eta=eta, grad_norm=float(np.linalg.norm(gfull)), force=True)
-        if run.diverged:
-            break
-        x = w.copy()
-        x_sum = np.zeros(problem.d)
-        for t in range(inner):
-            batch = run.sample(batch_size)
-            g = (
-                problem.grad_batch(x, batch, run.counters)
-                - problem.grad_batch(w, batch, run.counters)
-                + gfull
-            )
-            x_sum += x
-            x = x - eta * g
-            run.record(x, outer=k, eta=eta)
-            if run.diverged:
-                break
-        w = x_sum / inner if snapshot == "average" else x
-    run.record(w, outer=max(0, outer_loops - 1), force=True)
-    return run.result(w)
+    out = _engine(run, w0, outer_loops, inner, batch_size, _StepRule("constant", eta),
+                  snapshot=snapshot)
+    return run.result(out.w, outer=max(0, outer_loops - 1))
 
 
 def loopless_svrg(
@@ -622,28 +625,8 @@ def loopless_svrg(
     if not 0.0 < p <= 1.0:
         raise ValueError("p must be in (0, 1]")
     run = _Run(problem, w0, seed)
-    run.record(w0, force=True)
-    snap = w0.copy()
-    gfull = problem.grad_full(snap, run.counters)
-    x = w0.copy()
-    refreshes = 0
-    for _ in range(total_steps):
-        if run.diverged:
-            break
-        if run.rng.random() < p:
-            snap = x.copy()
-            gfull = problem.grad_full(snap, run.counters)
-            refreshes += 1
-        batch = run.sample(batch_size)
-        g = (
-            problem.grad_batch(x, batch, run.counters)
-            - problem.grad_batch(snap, batch, run.counters)
-            + gfull
-        )
-        x = x - eta * g
-        run.record(x, outer=0, eta=eta)
-    run.record(x, outer=0, force=True)
-    return run.result(x, notes={"snapshot_refreshes": refreshes})
+    out = _engine(run, w0, 1, total_steps, batch_size, _StepRule("constant", eta), p=p)
+    return run.result(out.w, outer=0, notes={"snapshot_refreshes": out.refreshes})
 
 
 def sarah(
@@ -664,33 +647,10 @@ def sarah(
     w0 = _validate_common(problem, w0, batch_size, "last")
     inner = inner_loops if inner_loops is not None else max(1, problem.n // batch_size)
     run = _Run(problem, w0, seed)
-    run.record(w0, force=True)
-    w = w0
-    for k in range(outer_loops):
-        if run.diverged:
-            break
-        v = problem.grad_full(w, run.counters)
-        run.record(w, outer=k, eta=eta, grad_norm=float(np.linalg.norm(v)), force=True)
-        if run.diverged:
-            break
-        x_prev = w.copy()
-        x = w - eta * v
-        run.record(x, outer=k, eta=eta)
-        for t in range(1, inner):
-            if run.diverged:
-                break
-            batch = run.sample(batch_size)
-            v = (
-                problem.grad_batch(x, batch, run.counters)
-                - problem.grad_batch(x_prev, batch, run.counters)
-                + v
-            )
-            x_prev = x
-            x = x - eta * v
-            run.record(x, outer=k, eta=eta)
-        w = x
-    run.record(w, outer=max(0, outer_loops - 1), force=True)
-    return run.result(w)
+    # the first, exact-gradient update always runs
+    out = _engine(run, w0, outer_loops, max(1, inner), batch_size,
+                  _StepRule("constant", eta), direction="recursive")
+    return run.result(out.w, outer=max(0, outer_loops - 1))
 
 
 def svrg_bb(
@@ -712,46 +672,11 @@ def svrg_bb(
     """
     w0 = _validate_common(problem, w0, batch_size, snapshot)
     inner = inner_loops if inner_loops is not None else max(1, problem.n // batch_size)
+    rule = _StepRule("bb", float(eta0), inner)
     run = _Run(problem, w0, seed)
-    run.record(w0, force=True)
-    w = w0
-    eta = float(eta0)
-    prev_w: np.ndarray | None = None
-    prev_g: np.ndarray | None = None
-    fallbacks: list[int] = []
-    for k in range(outer_loops):
-        if run.diverged:
-            break
-        gfull = problem.grad_full(w, run.counters)
-        if prev_w is not None:
-            dw = w - prev_w
-            dg = gfull - prev_g
-            denom = float(dw @ dg)
-            if denom > 0:
-                eta = float(dw @ dw) / (inner * denom)
-            else:
-                fallbacks.append(k)
-        prev_w, prev_g = w, gfull
-        run.record(w, outer=k, eta=eta, grad_norm=float(np.linalg.norm(gfull)), force=True)
-        if run.diverged:
-            break
-        x = w.copy()
-        x_sum = np.zeros(problem.d)
-        for t in range(inner):
-            batch = run.sample(batch_size)
-            g = (
-                problem.grad_batch(x, batch, run.counters)
-                - problem.grad_batch(w, batch, run.counters)
-                + gfull
-            )
-            x_sum += x
-            x = x - eta * g
-            run.record(x, outer=k, eta=eta)
-            if run.diverged:
-                break
-        w = x_sum / inner if snapshot == "average" else x
-    run.record(w, outer=max(0, outer_loops - 1), force=True)
-    return run.result(w, notes={"bb_fallbacks": fallbacks})
+    out = _engine(run, w0, outer_loops, inner, batch_size, rule, snapshot=snapshot)
+    return run.result(out.w, outer=max(0, outer_loops - 1),
+                      notes={"bb_fallbacks": rule.fallbacks})
 
 
 def adagrad(
@@ -774,27 +699,9 @@ def adagrad(
     proj = proj or ProjectionSpec()
     x1 = _validate_common(problem, x1, batch_size, "last")
     run = _Run(problem, x1, seed)
-    run.record(x1, force=True)
-    state = PrecondState(variant, problem.d)
-    x = x1.copy()
-    g_stars = np.empty(total_steps)
-    steps_done = 0
-    try:
-        for t in range(1, total_steps + 1):
-            if run.diverged:
-                break
-            batch = run.sample(batch_size)
-            g = problem.grad_batch(x, batch, run.counters)
-            state.accumulate(g)
-            g_stars[t - 1] = state.g_norm_star()
-            steps_done = t
-            if state.has_signal():
-                x = state.step(x, g, eta, proj)
-            run.record(x, outer=0, eta=eta, g_star=state.g_norm_star())
-    except FloatingPointError:
-        run.mark_diverged(x, outer=0, eta=eta)
-    run.record(x, outer=0, force=True)
-    return run.result(x, g_star_steps=g_stars[:steps_done])
+    out = _engine(run, x1, 1, total_steps, batch_size, _StepRule("constant", eta),
+                  direction="plain", variant=variant, proj=proj)
+    return run.result(out.w, outer=0, g_star_steps=np.array(out.g_stars))
 
 
 def sgd(
@@ -809,17 +716,9 @@ def sgd(
     """Plain constant step-size stochastic gradient descent."""
     x1 = _validate_common(problem, x1, batch_size, "last")
     run = _Run(problem, x1, seed)
-    run.record(x1, force=True)
-    x = x1.copy()
-    for _ in range(total_steps):
-        if run.diverged:
-            break
-        batch = run.sample(batch_size)
-        g = problem.grad_batch(x, batch, run.counters)
-        x = x - eta * g
-        run.record(x, outer=0, eta=eta)
-    run.record(x, outer=0, force=True)
-    return run.result(x)
+    out = _engine(run, x1, 1, total_steps, batch_size, _StepRule("constant", eta),
+                  direction="plain")
+    return run.result(out.w, outer=0)
 
 
 def _armijo_max_step_1d(x: float, component: int, a: float, c: float, eta_max: float) -> float:

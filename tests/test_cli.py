@@ -107,10 +107,3 @@ class TestSwitchSearchCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "never switch" in out and "best:" in out
-
-
-class TestCheckCommand:
-    def test_all_suites_pass(self, capsys):
-        assert main(["check"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 5 and "FAIL" not in out

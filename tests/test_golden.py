@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("bless_goldens", ROOT / "scripts" / "bless_goldens.py")
+_spec = importlib.util.spec_from_file_location(
+    "bless_goldens", ROOT / "scripts" / "bless_goldens.py"
+)
 bless_goldens = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bless_goldens)
 

@@ -244,9 +244,7 @@ class TestAdaptiveTermination:
     def test_policy_validation(self):
         problem = small_synthetic()
         with pytest.raises(ValueError):
-            adasvrg_adaptive(
-                problem, np.zeros(problem.d), 1, InnerLoopPolicy(kind="fixed", m=4),
-            )
+            InnerLoopPolicy(kind="fixed")
         with pytest.raises(ValueError):
             adasvrg_adaptive(
                 problem, np.zeros(problem.d), 1,
