@@ -136,10 +136,10 @@ def _direct_cases() -> dict:
             small, z6, 3, variant=diag, step=StepSizeRule(kind="constant", eta=2.0),
             proj=ProjectionSpec(kind="l2_ball", radius=0.3), batch_size=4, seed=9),
         "adasvrg-adaptive-diagonal-constant": lambda: adasvrg_adaptive(
-            noisy, z4, 3, InnerLoopPolicy(kind="adaptive", theta=0.05), variant=diag,
+            noisy, z4, 3, InnerLoopPolicy(theta=0.05), variant=diag,
             step=const, batch_size=8, seed=10),
         "adasvrg-adaptive-full-average": lambda: adasvrg_adaptive(
-            noisy, z4, 2, InnerLoopPolicy(kind="adaptive", theta=0.5, max_inner=60),
+            noisy, z4, 2, InnerLoopPolicy(theta=0.5, max_inner=60),
             variant=full, step=heur, batch_size=8, snapshot="average", seed=11),
         "adasvrg-multistage-diagonal-constant": lambda: adasvrg_multistage(
             small, z6, 3, 1.0 / 8.0, variant=diag, step=const, batch_size=4, seed=12),

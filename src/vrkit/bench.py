@@ -13,9 +13,8 @@ is a pure function of those traces and regenerates byte-identically.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +22,7 @@ import numpy as np
 from .data import SyntheticSpec, gen_separable, load_libsvm
 from .diagnostics import Trace
 from .optimizers import (
+    SNAPSHOT_MODES,
     InnerLoopPolicy,
     PrecondVariant,
     ProjectionSpec,
@@ -39,7 +39,7 @@ from .optimizers import (
     svrg,
     svrg_bb,
 )
-from .problems import Problem
+from .problems import LOSS_NAMES, Problem
 
 ALGORITHMS = (
     "sgd",
@@ -58,7 +58,9 @@ _VARIANT_NAMES = {"scalar": "scalar", "diag": "diagonal", "full": "full_matrix"}
 
 DEFAULT_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 
-JOBS_ENV_VAR = "VRKIT_JOBS"
+# Config-file key ``synthetic_<key>`` -> the SyntheticSpec field it sets.
+SYNTHETIC_KEYS = {"n": "n", "d": "d", "mislabel": "mislabel_fraction", "margin": "margin",
+                  "seed": "seed"}
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,8 @@ class RunConfig:
     ``l2 = None`` resolves to 1/n.  ``eta = None`` means the tuning-free
     heuristic for the adaptive methods and is an error for baselines that
     need a constant step-size.  ``seeds`` may be given as a count (int) or
-    an explicit tuple of seeds.
+    an explicit tuple of seeds.  ``loss`` may spell underscores as hyphens
+    (``squared-hinge``).
     """
 
     dataset: str | None = None
@@ -87,31 +90,55 @@ class RunConfig:
     epsilon: float = 0.01
     p: float | None = None
     snapshot: str = "last"
-    inner_loops: int | None = None
-    outer_loops: int | None = None
     grid: tuple[float, ...] = DEFAULT_GRID
     out: str | None = None
     jobs: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "loss", self.loss.replace("-", "_"))
+        if self.loss not in LOSS_NAMES:
+            raise ValueError(f"unknown loss {self.loss!r}; expected one of {LOSS_NAMES}")
         if self.algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algo!r}; expected one of {ALGORITHMS}")
         if self.variant not in _VARIANT_NAMES:
             raise ValueError(f"unknown variant {self.variant!r}; expected scalar/diag/full")
+        if self.snapshot not in SNAPSHOT_MODES:
+            raise ValueError(f"unknown snapshot {self.snapshot!r}; expected last/average")
         if self.dataset is None and self.synthetic is None:
             raise ValueError("config needs a dataset path or a synthetic spec")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if isinstance(self.seeds, int):
-            object.__setattr__(self, "seeds", tuple(range(self.seeds)))
-        else:
-            object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        seeds = range(self.seeds) if isinstance(self.seeds, int) else self.seeds
+        object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
         if not self.seeds:
             raise ValueError("at least one seed required")
 
 
-_CONFIG_FLOAT_KEYS = {"l2", "huber_delta", "delta", "eta", "theta", "epsilon", "p"}
-_CONFIG_INT_KEYS = {"batch_size", "epochs", "inner_loops", "outer_loops", "jobs"}
+def config_keys() -> dict[str, str]:
+    """Every config-file key, each also a CLI flag, with the type annotation
+    of the RunConfig or SyntheticSpec field it sets."""
+    keys = {f.name: f.type for f in fields(RunConfig) if f.name != "synthetic"}
+    spec = {f.name: f.type for f in fields(SyntheticSpec)}
+    keys.update((f"synthetic_{key}", spec[name]) for key, name in SYNTHETIC_KEYS.items())
+    return keys
+
+
+_SCALARS = {"str": str, "int": int, "float": float}
+
+
+def _coerce(annotation: str, value):
+    """Parse a string (or already native) value as a field of type
+    ``annotation``.  Tuples take comma-separated items, and a single integer
+    is a seed count, which RunConfig expands."""
+    kind = annotation.removesuffix(" | None")
+    if not kind.startswith("tuple["):
+        return _SCALARS[kind](value)
+    item = _SCALARS[kind.removeprefix("tuple[").partition(",")[0]]
+    if isinstance(value, str) and "," in value:
+        value = [part for part in value.split(",") if part.strip()]
+    if isinstance(value, (str, int, float)):
+        return int(value) if item is int else (float(value),)
+    return tuple(item(v) for v in value)
 
 
 def parse_config_text(text: str) -> dict:
@@ -129,73 +156,45 @@ def parse_config_text(text: str) -> dict:
 
 
 def config_from_mapping(mapping: dict) -> RunConfig:
-    """Build a config from flat string-or-native values (file or CLI)."""
+    """Build a config from flat string-or-native values (file or CLI).
+
+    ``dataset = synthetic`` is a placeholder for the ``synthetic_*`` keys,
+    of which ``synthetic_n`` and ``synthetic_d`` are required.
+    """
+    keys = config_keys()
     kwargs: dict = {}
     synth: dict = {}
     for key, value in mapping.items():
+        if key not in keys:
+            raise ValueError(f"unknown config key {key!r}")
+        value = _coerce(keys[key], value)
         if key.startswith("synthetic_"):
-            synth[key.removeprefix("synthetic_")] = value
-            continue
-        if value is None:
-            continue
-        if key in _CONFIG_FLOAT_KEYS:
-            kwargs[key] = float(value)
-        elif key in _CONFIG_INT_KEYS:
-            kwargs[key] = int(value)
-        elif key == "seeds":
-            kwargs[key] = _parse_seeds(value)
-        elif key == "grid":
-            if isinstance(value, str):
-                kwargs[key] = tuple(float(v) for v in value.split(",") if v.strip())
-            else:
-                kwargs[key] = tuple(float(v) for v in value)
+            synth[SYNTHETIC_KEYS[key.removeprefix("synthetic_")]] = value
         else:
             kwargs[key] = value
-    if synth:
-        kwargs["synthetic"] = SyntheticSpec(
-            n=int(synth.get("n", 1000)),
-            d=int(synth.get("d", 20)),
-            mislabel_fraction=float(synth.get("mislabel", 0.0)),
-            margin=float(synth.get("margin", 0.1)),
-            seed=int(synth.get("seed", 0)),
-        )
     if kwargs.get("dataset") == "synthetic":
-        kwargs.pop("dataset")
-        if "synthetic" not in kwargs:
-            raise ValueError("dataset = synthetic requires synthetic_* keys")
+        del kwargs["dataset"]
+    if synth:
+        if "n" not in synth or "d" not in synth:
+            raise ValueError("synthetic data needs synthetic_n and synthetic_d")
+        kwargs["synthetic"] = SyntheticSpec(**synth)
     return RunConfig(**kwargs)
-
-
-def _parse_seeds(value) -> tuple[int, ...]:
-    if isinstance(value, int):
-        return tuple(range(value))
-    if isinstance(value, str):
-        parts = [v for v in value.split(",") if v.strip()]
-        if len(parts) == 1:
-            return tuple(range(int(parts[0])))
-        return tuple(int(v) for v in parts)
-    return tuple(int(v) for v in value)
 
 
 def config_to_text(config: RunConfig) -> str:
     """Stable flat echo of the resolved config (for provenance files)."""
     lines = []
-    for key in sorted(config.__dataclass_fields__):
+    for key in sorted(f.name for f in fields(config)):
         value = getattr(config, key)
         if value is None:
             continue
         if key == "synthetic":
-            for sub, attr in (
-                ("n", "n"),
-                ("d", "d"),
-                ("mislabel", "mislabel_fraction"),
-                ("margin", "margin"),
-                ("seed", "seed"),
-            ):
-                lines.append(f"synthetic_{sub} = {getattr(value, attr)!r}")
+            lines += [f"synthetic_{sub} = {getattr(value, name)!r}"
+                      for sub, name in SYNTHETIC_KEYS.items()]
             continue
         if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
+            # a trailing comma keeps a single seed from reading back as a count
+            value = ",".join(str(v) for v in value) + ("," if len(value) == 1 else "")
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
@@ -205,9 +204,8 @@ def resolve_problem(config: RunConfig) -> Problem:
         dataset = load_libsvm(config.dataset)
     else:
         dataset, _ = gen_separable(config.synthetic)
-    loss = config.loss.replace("-", "_")
     l2 = config.l2 if config.l2 is not None else 1.0 / dataset.n
-    return Problem(dataset=dataset, loss=loss, l2_reg=l2, huber_delta=config.huber_delta)
+    return Problem(dataset=dataset, loss=config.loss, l2_reg=l2, huber_delta=config.huber_delta)
 
 
 def _require_eta(config: RunConfig) -> float:
@@ -228,11 +226,11 @@ def execute_seed(problem: Problem, config: RunConfig, seed: int) -> RunResult:
         if config.eta is not None
         else StepSizeRule(kind="heuristic")
     )
-    outer = config.outer_loops if config.outer_loops is not None else budget // 3
+    outer = budget // 3
     steps_per_pass = max(1, n // b)
     algo = config.algo
 
-    if budget == 0 and config.outer_loops is None:
+    if budget == 0:
         # zero-pass budget: record the initial point and do no work,
         # regardless of algorithm
         return sgd(problem, w0, 0, 1.0, batch_size=b, seed=seed)
@@ -243,28 +241,25 @@ def execute_seed(problem: Problem, config: RunConfig, seed: int) -> RunResult:
         return adagrad(problem, w0, budget * steps_per_pass, _require_eta(config),
                        variant=variant, proj=proj, batch_size=b, seed=seed)
     if algo == "svrg":
-        return svrg(problem, w0, outer, config.inner_loops, _require_eta(config),
-                    batch_size=b, snapshot=config.snapshot, seed=seed)
+        return svrg(problem, w0, outer, eta=_require_eta(config), batch_size=b,
+                    snapshot=config.snapshot, seed=seed)
     if algo == "lsvrg":
         return loopless_svrg(problem, w0, budget * steps_per_pass // 3,
                              _require_eta(config), p=config.p, batch_size=b, seed=seed)
     if algo == "sarah":
-        return sarah(problem, w0, outer, config.inner_loops, _require_eta(config),
-                     batch_size=b, seed=seed)
+        return sarah(problem, w0, outer, eta=_require_eta(config), batch_size=b, seed=seed)
     if algo == "svrg-bb":
-        return svrg_bb(problem, w0, outer, config.inner_loops,
-                       config.eta if config.eta is not None else 0.1,
+        return svrg_bb(problem, w0, outer, eta0=config.eta if config.eta is not None else 0.1,
                        batch_size=b, snapshot=config.snapshot, seed=seed)
     if algo == "adasvrg":
-        return adasvrg_fixed(problem, w0, outer, config.inner_loops, variant=variant,
-                             step=step, proj=proj, batch_size=b,
-                             snapshot=config.snapshot, seed=seed)
+        return adasvrg_fixed(problem, w0, outer, variant=variant, step=step, proj=proj,
+                             batch_size=b, snapshot=config.snapshot, seed=seed)
     if algo == "adasvrg-ms":
         return adasvrg_multistage(problem, w0, max(3, outer), config.epsilon,
                                   variant=variant, step=step, proj=proj,
                                   batch_size=b, seed=seed)
     if algo == "adasvrg-at":
-        policy = InnerLoopPolicy(kind="adaptive", theta=config.theta)
+        policy = InnerLoopPolicy(theta=config.theta)
         return adasvrg_adaptive(problem, w0, outer, policy, variant=variant, step=step,
                                 proj=proj, batch_size=b, snapshot=config.snapshot,
                                 seed=seed)
@@ -296,10 +291,6 @@ class BenchOutput:
         return True
 
 
-def _seed_job(problem: Problem, config: RunConfig, seed: int) -> RunResult:
-    return execute_seed(problem, config, seed)
-
-
 def run(config: RunConfig, out_dir: str | Path | None = None) -> BenchOutput:
     """Execute all seeds of a config, optionally persisting traces.
 
@@ -307,10 +298,9 @@ def run(config: RunConfig, out_dir: str | Path | None = None) -> BenchOutput:
     and ``aggregate.csv`` under ``out_dir`` (defaults to ``config.out``).
     """
     problem = resolve_problem(config)
-    jobs = config.jobs or int(os.environ.get(JOBS_ENV_VAR, "1"))
-    if jobs > 1 and len(config.seeds) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_seed_job, problem, config, s) for s in config.seeds]
+    if (config.jobs or 1) > 1 and len(config.seeds) > 1:
+        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+            futures = [pool.submit(execute_seed, problem, config, s) for s in config.seeds]
             results = [f.result() for f in futures]
     else:
         results = [execute_seed(problem, config, s) for s in config.seeds]
@@ -345,24 +335,37 @@ def aggregate(traces: list[Trace]) -> list[tuple]:
     if not traces:
         raise ValueError("no traces to aggregate")
     last_common = math.floor(min(t.rows[-1].passes for t in traces))
+    objs = zip(*(_values_per_pass(t, "objective", last_common) for t in traces))
+    grads = zip(*(_values_per_pass(t, "grad_norm", last_common) for t in traces))
     rows = []
-    for p in range(last_common + 1):
-        objs = [_value_or_inf(t, p, "objective") for t in traces]
-        grads = [_value_or_inf(t, p, "grad_norm") for t in traces]
+    for p, obj, grad in zip(range(last_common + 1), objs, grads):
         rows.append(
             (
                 float(p),
-                float(np.median(objs)),
-                float(np.std(objs)),
-                float(np.median(grads)),
-                float(np.std(grads)),
+                float(np.median(obj)),
+                float(np.std(obj)),
+                float(np.median(grad)),
+                float(np.std(grad)),
             )
         )
     return rows
 
 
-def _value_or_inf(trace: Trace, p: float, attr: str) -> float:
-    value = trace.value_at_pass(p, attr)
+def _values_per_pass(trace: Trace, attr: str, last: int) -> list[float]:
+    """``_metric(trace.value_at_pass(p, attr))`` for p = 0..last, in one
+    forward scan of the rows."""
+    values, value, rows, i = [], None, trace.rows, 0
+    for p in range(last + 1):
+        while i < len(rows) and rows[i].passes <= p:
+            if getattr(rows[i], attr) is not None:
+                value = getattr(rows[i], attr)
+            i += 1
+        values.append(_metric(value))
+    return values
+
+
+def _metric(value: float | None) -> float:
+    """A trace value as aggregated: missing or non-finite counts as inf."""
     if value is None or not np.isfinite(value):
         return np.inf
     return float(value)
@@ -394,7 +397,7 @@ def regenerate_aggregate(trace_paths: list[str | Path]) -> str:
 def final_metric(traces: list[Trace]) -> float:
     """Median full-gradient norm at the last pass common to all seeds."""
     last_common = math.floor(min(t.rows[-1].passes for t in traces))
-    vals = [_value_or_inf(t, last_common, "grad_norm") for t in traces]
+    vals = [_metric(t.value_at_pass(last_common, "grad_norm")) for t in traces]
     return float(np.median(vals))
 
 
@@ -432,20 +435,17 @@ def grid_search(
     return best_eta, results
 
 
-def manual_switch_search(
-    config: RunConfig,
-    candidates: list[int] | None = None,
-) -> tuple[int | None, dict]:
-    """Grid-search the epoch at which to hand over from the stochastic
-    phase to variance reduction; also evaluates never switching.
+def manual_switch_search(config: RunConfig) -> tuple[int | None, dict]:
+    """Grid-search the epoch (1 to ``config.epochs``) at which to hand over
+    from the stochastic phase to variance reduction; also evaluates never
+    switching.
 
     Returns the best candidate (``None`` means never switch) by median
     final loss across seeds.  The first-phase step-size is ``config.eta``
     (default 1.0); the second phase uses the tuning-free rule.
     """
     budget = config.epochs
-    if candidates is None:
-        candidates = list(range(1, budget + 1))
+    candidates = range(1, budget + 1)
     problem = resolve_problem(config)
     w0 = np.zeros(problem.d)
     b = config.batch_size

@@ -8,8 +8,8 @@ Subcommands:
 * ``plot``           render aggregate files to a self-contained SVG
 * ``gen-data``       write a synthetic dataset in LIBSVM format
 
-Flags override config-file keys.  The ``VRKIT_JOBS`` environment variable
-sets the default parallelism for seed execution.
+Every config-file key is also a flag (``batch_size`` is ``--batch-size``),
+and flags override the keys of a ``--config`` file.
 """
 
 from __future__ import annotations
@@ -23,39 +23,11 @@ from .bench import RunConfig, config_from_mapping, parse_config_text
 from .data import SyntheticSpec, gen_separable, save_libsvm
 from .svgplot import emit_plot
 
-_LOSS_CHOICES = ("logistic", "squared", "huber", "squared-hinge")
-
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--dataset", help="LIBSVM file path, or 'synthetic'")
-    parser.add_argument("--loss", choices=_LOSS_CHOICES)
-    parser.add_argument("--algo", choices=bench.ALGORITHMS)
-    parser.add_argument("--variant", choices=("scalar", "diag", "full"))
-    parser.add_argument("--batch-size", type=int, dest="batch_size")
-    parser.add_argument("--epochs", type=int, help="budget in effective passes")
-    parser.add_argument("--seeds", help="count, or comma-separated explicit seeds")
-    parser.add_argument("--eta", type=float, help="constant step-size")
-    parser.add_argument("--theta", type=float, help="termination-test threshold")
-    parser.add_argument("--epsilon", type=float, help="multistage target accuracy")
-    parser.add_argument("--l2", type=float, help="L2 coefficient (default 1/n)")
-    parser.add_argument("--p", type=float, help="loopless snapshot probability")
-    parser.add_argument("--snapshot", choices=("last", "average"))
-    parser.add_argument("--jobs", type=int)
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--synthetic-n", type=int, dest="synthetic_n")
-    parser.add_argument("--synthetic-d", type=int, dest="synthetic_d")
-    parser.add_argument("--synthetic-mislabel", type=float, dest="synthetic_mislabel")
-    parser.add_argument("--synthetic-margin", type=float, dest="synthetic_margin")
-    parser.add_argument("--synthetic-seed", type=int, dest="synthetic_seed")
-
-
-_FLAG_KEYS = (
-    "dataset", "loss", "algo", "variant", "batch_size", "epochs", "seeds", "eta",
-    "theta", "epsilon", "l2", "p", "snapshot", "jobs", "out",
-    "synthetic_n", "synthetic_d", "synthetic_mislabel", "synthetic_margin",
-    "synthetic_seed",
-)
+    for key, kind in bench.config_keys().items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, help=kind)
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -63,17 +35,13 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             mapping.update(parse_config_text(handle.read()))
-    for key in _FLAG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            mapping[key] = value
-    if "loss" in mapping and isinstance(mapping["loss"], str):
-        mapping["loss"] = mapping["loss"].replace("-", "_")
+    for key in bench.config_keys():
+        if getattr(args, key) is not None:
+            mapping[key] = getattr(args, key)
     return config_from_mapping(mapping)
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    config = _build_config(args)
+def _cmd_run(config: RunConfig) -> int:
     output = bench.run(config)
     metric = bench.final_metric(output.traces)
     where = f" -> {output.out_dir}" if output.out_dir else ""
@@ -85,8 +53,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if output.consistent() else 1
 
 
-def _cmd_grid(args: argparse.Namespace) -> int:
-    config = _build_config(args)
+def _cmd_grid(config: RunConfig) -> int:
     best_eta, results = bench.grid_search(config)
     for eta in sorted(results):
         entry = results[eta]
@@ -96,8 +63,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_switch_search(args: argparse.Namespace) -> int:
-    config = _build_config(args)
+def _cmd_switch_search(config: RunConfig) -> int:
     best, results = bench.manual_switch_search(config)
     never = results[None]
     print(f"  never switch: final median loss {never:.6g}")
@@ -151,17 +117,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="execute one config over its seeds")
-    _add_config_flags(run_p)
-    run_p.set_defaults(fn=_cmd_run)
-
-    grid_p = sub.add_parser("grid", help="step-size grid search")
-    _add_config_flags(grid_p)
-    grid_p.set_defaults(fn=_cmd_grid)
-
-    switch_p = sub.add_parser("switch-search", help="manual hand-over epoch search")
-    _add_config_flags(switch_p)
-    switch_p.set_defaults(fn=_cmd_switch_search)
+    for name, fn, text in (
+        ("run", _cmd_run, "execute one config over its seeds"),
+        ("grid", _cmd_grid, "step-size grid search"),
+        ("switch-search", _cmd_switch_search, "manual hand-over epoch search"),
+    ):
+        config_p = sub.add_parser(name, help=text)
+        _add_config_flags(config_p)
+        config_p.set_defaults(fn=fn)
 
     plot_p = sub.add_parser("plot", help="render aggregate CSVs to SVG")
     plot_p.add_argument("inputs", nargs="+", help="aggregate.csv files")
@@ -182,7 +145,13 @@ def main(argv: list[str] | None = None) -> int:
     gen_p.set_defaults(fn=_cmd_gen_data)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    if "config" not in args:  # plot and gen-data take no run config
+        return args.fn(args)
+    try:
+        config = _build_config(args)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return args.fn(config)
 
 
 if __name__ == "__main__":

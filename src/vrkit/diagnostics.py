@@ -20,15 +20,14 @@ approaches one once gradient noise dominates, at which point the growth of
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .problems import Problem
 
 TRACE_EVENTS = ("switch", "adaptive_stop", "stage_boundary", "diverged")
-
-CSV_HEADER = "pass,objective,grad_norm,g_norm_star,step_size,outer,event"
 
 
 @dataclass
@@ -40,6 +39,15 @@ class TraceRow:
     step_size: float | None = None
     outer: int = 0
     event: str | None = None
+
+
+# The serialized columns are the TraceRow fields in order; JSON lines and the
+# CSV header name ``passes`` as ``pass``.
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
+_JSON_KEYS = tuple("pass" if name == "passes" else name for name in TRACE_COLUMNS)
+CSV_HEADER = ",".join(_JSON_KEYS)
+_row_values = operator.attrgetter(*TRACE_COLUMNS)
+_json_values = operator.itemgetter(*_JSON_KEYS)
 
 
 @dataclass
@@ -83,20 +91,8 @@ class Trace:
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
-        for row in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(row.passes),
-                        _fmt(row.objective),
-                        _fmt(row.grad_norm),
-                        _fmt(row.g_norm_star),
-                        _fmt(row.step_size),
-                        str(int(row.outer)),
-                        row.event or "",
-                    ]
-                )
-            )
+        for *floats, outer, event in map(_row_values, self.rows):
+            lines.append(",".join([*map(_fmt, floats), str(int(outer)), event or ""]))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -107,57 +103,20 @@ class Trace:
         rows = []
         for line in lines[1:]:
             parts = line.split(",")
-            if len(parts) != 7:
+            if len(parts) != len(TRACE_COLUMNS):
                 raise ValueError(f"malformed trace CSV row: {line!r}")
-            rows.append(
-                TraceRow(
-                    passes=float(parts[0]),
-                    objective=float(parts[1]),
-                    grad_norm=_parse(parts[2]),
-                    g_norm_star=_parse(parts[3]),
-                    step_size=_parse(parts[4]),
-                    outer=int(parts[5]),
-                    event=parts[6] or None,
-                )
-            )
+            passes, objective, *optional, outer, event = parts
+            rows.append(TraceRow(float(passes), float(objective), *map(_parse, optional),
+                                 int(outer), event or None))
         return cls(rows=rows)
 
     def to_jsonl(self) -> str:
-        lines = []
-        for row in self.rows:
-            lines.append(
-                json.dumps(
-                    {
-                        "pass": row.passes,
-                        "objective": row.objective,
-                        "grad_norm": row.grad_norm,
-                        "g_norm_star": row.g_norm_star,
-                        "step_size": row.step_size,
-                        "outer": row.outer,
-                        "event": row.event,
-                    }
-                )
-            )
+        lines = [json.dumps(dict(zip(_JSON_KEYS, _row_values(row)))) for row in self.rows]
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
-        rows = []
-        for line in text.splitlines():
-            if not line:
-                continue
-            obj = json.loads(line)
-            rows.append(
-                TraceRow(
-                    passes=obj["pass"],
-                    objective=obj["objective"],
-                    grad_norm=obj["grad_norm"],
-                    g_norm_star=obj["g_norm_star"],
-                    step_size=obj["step_size"],
-                    outer=obj["outer"],
-                    event=obj["event"],
-                )
-            )
+        rows = [TraceRow(*_json_values(json.loads(line))) for line in text.splitlines() if line]
         return cls(rows=rows)
 
 

@@ -10,8 +10,9 @@ All optimizers share the same conventions:
 * mini-batches drawn uniformly without replacement within a batch,
   independently across steps;
 * a divergence guard that stops a run and flags the trace once the
-  objective is non-finite or grows past 1e3 * f(w0) + 1, or once a step
-  raises ``FloatingPointError`` (a non-finite preconditioned iterate).
+  objective is non-finite or grows past 1e3 * f(w0) + 1, once a step
+  raises ``FloatingPointError`` (a non-finite preconditioned iterate), or
+  once a full-matrix accumulator overflows and its eigendecomposition fails.
 
 The variance-reduced methods form the direction
 
@@ -51,16 +52,14 @@ class StepSizeRule:
 
     ``constant`` uses ``eta`` as-is.  ``heuristic`` estimates the distance
     to the optimum from the full-gradient norm and a running maximum of
-    local smoothness estimates; it needs no tuning.  ``bb`` marks the
-    Barzilai-Borwein rule and is accepted only by :func:`svrg_bb`, where
-    ``eta`` seeds the first outer loop.
+    local smoothness estimates; it needs no tuning.
     """
 
     kind: str = "heuristic"
     eta: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "heuristic", "bb"):
+        if self.kind not in ("constant", "heuristic"):
             raise ValueError(f"unknown step-size rule {self.kind!r}")
         if self.eta <= 0:
             raise ValueError("eta must be > 0")
@@ -70,14 +69,11 @@ class StepSizeRule:
 class InnerLoopPolicy:
     """Growth-test termination of inner loops, up to a cap."""
 
-    kind: str = "adaptive"
     theta: float = 0.5
     max_inner: int | None = None
     burn_in: int | None = None
 
     def __post_init__(self):
-        if self.kind != "adaptive":
-            raise ValueError(f"unknown inner-loop policy {self.kind!r}")
         if self.theta <= 0:
             raise ValueError("theta must be > 0")
 
@@ -186,7 +182,7 @@ class _Run:
 
 
 class _StepRule:
-    """Per-run step-size state for one :class:`StepSizeRule` kind.
+    """Per-run step-size state: a :class:`StepSizeRule` kind, or ``bb``.
 
     ``constant`` returns ``eta``.  ``heuristic`` keeps the previous
     full-gradient point to form the local smoothness estimate
@@ -194,16 +190,15 @@ class _StepRule:
     eta = ||grad|| / (sqrt(2) * max L).  On the first call it probes a
     random nearby point (one extra charged full gradient) to seed the
     estimate.  Degenerate updates reuse the previous value (or 1.0).
-    ``bb`` needs the inner-loop length ``inner``, which only :func:`svrg_bb`
-    supplies.  It starts from ``eta`` and from the second call on sets
+    ``bb`` is the Barzilai-Borwein rule of :func:`svrg_bb`, which supplies
+    the inner-loop length ``inner``.  It starts from ``eta`` and from the
+    second call on sets
     eta = ||dw||^2 / (inner * <dw, dg>) from consecutive points and full
     gradients; a non-positive curvature denominator keeps the previous
     value and appends the outer index to ``fallbacks``.
     """
 
     def __init__(self, kind: str, eta: float, inner: int | None = None):
-        if kind == "bb" and inner is None:
-            raise ValueError("the bb rule applies only to svrg_bb")
         self.kind = kind
         self.eta = 1.0 if kind == "heuristic" else eta
         self.inner = inner
@@ -303,7 +298,8 @@ def _engine(
     holds the current gradient, ends an inner loop and records ``event``.
     The next snapshot is the last iterate or, with ``snapshot='average'``,
     the mean of the iterates the inner loop stepped from.  A record that
-    flags divergence, or a ``FloatingPointError`` from a step, ends the run.
+    flags divergence, a ``FloatingPointError`` from a step, or a
+    ``LinAlgError`` from an overflowed full-matrix accumulator ends the run.
     """
     problem = run.problem
     d = problem.d
@@ -371,7 +367,7 @@ def _engine(
                 run.record(x, outer=outer, eta=eta, g_star=g_star)
                 if run.diverged:
                     break
-        except FloatingPointError:
+        except (FloatingPointError, np.linalg.LinAlgError):
             run.mark_diverged(x, outer=outer, eta=eta)
         if state is not None:
             out.checks.append((state.weighted_grad_sq_sum, state.trace_A()))

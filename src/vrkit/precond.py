@@ -134,10 +134,7 @@ class PrecondState:
                 )
         else:
             self.G += np.outer(g, g)
-            evals, evecs = np.linalg.eigh(self.G)
-            # Guard float asymmetry: G >= delta * I holds exactly in theory.
-            evals = np.maximum(evals, self.variant.delta / 2.0)
-            self._eig = (evals, evecs)
+            evals, evecs = self._eigdecomp(refresh=True)
             ainv_g = evecs @ ((evecs.T @ g) / np.sqrt(evals))
             self.weighted_grad_sq_sum += float(g @ ainv_g)
         self.t += 1
@@ -165,11 +162,13 @@ class PrecondState:
         evals, _ = self._eigdecomp()
         return float(np.sqrt(evals).sum())
 
-    def _eigdecomp(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._eig is None:
+    def _eigdecomp(self, refresh: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Cached eigendecomposition of G; ``refresh`` recomputes it after G
+        changed.  A failed decomposition leaves the cache as it was."""
+        if refresh or self._eig is None:
             evals, evecs = np.linalg.eigh(self.G)
-            evals = np.maximum(evals, self.variant.delta / 2.0)
-            self._eig = (evals, evecs)
+            # Guard float asymmetry: G >= delta * I holds exactly in theory.
+            self._eig = (np.maximum(evals, self.variant.delta / 2.0), evecs)
         return self._eig
 
     def has_signal(self) -> bool:

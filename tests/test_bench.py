@@ -1,13 +1,20 @@
+import math
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from vrkit import SyntheticSpec, Trace, TraceRow
 from vrkit.bench import (
     RunConfig,
+    _metric,
+    _values_per_pass,
     aggregate,
     aggregate_from_csv,
     aggregate_to_csv,
     config_from_mapping,
+    config_keys,
     config_to_text,
     final_metric,
     grid_search,
@@ -17,6 +24,8 @@ from vrkit.bench import (
     run,
 )
 from vrkit.svgplot import emit_plot
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def synthetic_config(**overrides) -> RunConfig:
@@ -73,10 +82,21 @@ class TestConfig:
             synthetic_config(seeds=())
 
     def test_echo_roundtrip(self):
-        config = synthetic_config()
-        text = config_to_text(config)
-        again = config_from_mapping(parse_config_text(text))
-        assert again == config
+        every_key = RunConfig(
+            dataset="data.libsvm",
+            synthetic=SyntheticSpec(n=50, d=3, mislabel_fraction=0.2, margin=0.3, seed=4),
+            loss="huber", l2=0.01, huber_delta=0.5, algo="svrg", variant="diag",
+            delta=1e-6, batch_size=16, epochs=9, seeds=(2, 7), eta=0.25, theta=0.7,
+            epsilon=0.05, p=0.1, snapshot="average", grid=(0.1, 1.0), out="results",
+            jobs=2,
+        )
+        echoed = {line.partition(" = ")[0] for line in config_to_text(every_key).splitlines()}
+        assert echoed == set(config_keys())
+        # one explicit seed must not read back as a seed count
+        for config in (synthetic_config(), every_key,
+                       replace(every_key, seeds=(3,), grid=(0.5,))):
+            again = config_from_mapping(parse_config_text(config_to_text(config)))
+            assert again == config
 
 
 class TestRun:
@@ -107,18 +127,6 @@ class TestRun:
                 tmp_path / "parallel" / name
             ).read_bytes()
 
-    def test_jobs_env_var_honored(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("VRKIT_JOBS", "2")
-        config = synthetic_config(seeds=(0, 1))  # jobs unset in the config
-        parallel = run(config, out_dir=tmp_path / "env")
-        monkeypatch.delenv("VRKIT_JOBS")
-        serial = run(config, out_dir=tmp_path / "serial")
-        for seed in (0, 1):
-            name = f"seed{seed}.trace.csv"
-            assert (tmp_path / "env" / name).read_bytes() == (
-                tmp_path / "serial" / name
-            ).read_bytes()
-
     def test_every_algorithm_runs(self):
         for algo in ("sgd", "adagrad", "svrg", "lsvrg", "sarah", "svrg-bb",
                      "adasvrg", "adasvrg-ms", "adasvrg-at", "hybrid"):
@@ -145,6 +153,14 @@ class TestAggregate:
         traces = [self._trace([1, 1, 1, 1]), self._trace([2, 2])]
         rows = aggregate(traces)
         assert [r[0] for r in rows] == [0.0, 1.0]
+
+    def test_forward_scan_matches_value_at_pass(self):
+        for path in sorted(GOLDEN_DIR.glob("*.csv")):
+            trace = Trace.from_csv(path.read_text(encoding="utf-8"))
+            last = math.floor(trace.rows[-1].passes) + 2
+            for attr in ("objective", "grad_norm"):
+                expected = [_metric(trace.value_at_pass(p, attr)) for p in range(last + 1)]
+                assert _values_per_pass(trace, attr, last) == expected, path.name
 
     def test_csv_roundtrip(self):
         traces = [self._trace([3.0, 1.5]), self._trace([4.0, 2.5])]

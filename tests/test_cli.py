@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from vrkit import load_libsvm
 from vrkit.cli import main
@@ -53,6 +54,15 @@ class TestRunCommand:
         code = main(["run", "--config", str(cfg), "--algo", "sgd", "--epochs", "3"])
         assert code == 0
         assert "sgd" in capsys.readouterr().out
+
+
+class TestBadConfigValue:
+    @pytest.mark.parametrize("flag, value", [("--algo", "newton"), ("--loss", "nope")])
+    def test_exits_with_usage_error(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--dataset", "data.libsvm", flag, value])
+        assert exc.value.code == 2
+        assert value in capsys.readouterr().err
 
 
 class TestRunExitCode:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vrkit import (
+    Dataset,
     InnerLoopPolicy,
     Problem,
     PrecondVariant,
@@ -33,6 +34,7 @@ def small_synthetic(n=64, d=6, mislabel=0.1, seed=3, loss="logistic"):
 
 
 CONSTANT_HALF = StepSizeRule(kind="constant", eta=0.5)
+FULL = PrecondVariant(kind="full_matrix", delta=1e-8)
 
 
 class TestVarianceReducedDirection:
@@ -215,7 +217,7 @@ class TestAdaptiveTermination:
     def test_tiny_threshold_stops_at_first_check(self):
         n, b = 6400, 64
         problem = small_synthetic(n=n, d=4, mislabel=0.2, seed=2)
-        policy = InnerLoopPolicy(kind="adaptive", theta=1e-12)
+        policy = InnerLoopPolicy(theta=1e-12)
         result = adasvrg_adaptive(
             problem, np.zeros(problem.d), 1, policy, step=CONSTANT_HALF, batch_size=b, seed=0,
         )
@@ -225,7 +227,7 @@ class TestAdaptiveTermination:
 
     def test_huge_threshold_runs_to_cap(self):
         problem = small_synthetic(n=64, d=4)
-        policy = InnerLoopPolicy(kind="adaptive", theta=1e12, max_inner=40)
+        policy = InnerLoopPolicy(theta=1e12, max_inner=40)
         result = adasvrg_adaptive(
             problem, np.zeros(problem.d), 2, policy, step=CONSTANT_HALF, batch_size=8, seed=0,
         )
@@ -234,7 +236,7 @@ class TestAdaptiveTermination:
 
     def test_stop_event_recorded(self):
         problem = small_synthetic(n=256, d=4, mislabel=0.2)
-        policy = InnerLoopPolicy(kind="adaptive", theta=0.05)
+        policy = InnerLoopPolicy(theta=0.05)
         result = adasvrg_adaptive(
             problem, np.zeros(problem.d), 2, policy, step=CONSTANT_HALF, batch_size=8, seed=0,
         )
@@ -244,11 +246,9 @@ class TestAdaptiveTermination:
     def test_policy_validation(self):
         problem = small_synthetic()
         with pytest.raises(ValueError):
-            InnerLoopPolicy(kind="fixed")
-        with pytest.raises(ValueError):
             adasvrg_adaptive(
                 problem, np.zeros(problem.d), 1,
-                InnerLoopPolicy(kind="adaptive", max_inner=2, burn_in=10),
+                InnerLoopPolicy(max_inner=2, burn_in=10),
             )
 
 
@@ -304,6 +304,32 @@ class TestSVRG:
         result = svrg(quadratic_1d, np.array([1.0]), 50, 10, eta=3.0, seed=0)
         assert result.termination_reason == "diverged"
         assert result.trace.rows[-1].event == "diverged"
+        result.trace.validate()
+
+
+class TestFullMatrixDivergence:
+    """An overflowing full-matrix accumulator makes its eigendecomposition
+    fail; the run ends flagged diverged instead of raising."""
+
+    @staticmethod
+    def _problem() -> Problem:
+        rng = np.random.default_rng(0)
+        dataset = Dataset(features=rng.standard_normal((32, 4)), labels=rng.standard_normal(32))
+        return Problem(dataset=dataset, loss="squared", l2_reg=0.0)
+
+    def test_adagrad(self):
+        with np.errstate(all="ignore"):
+            result = adagrad(self._problem(), np.zeros(4), 200, 1e300, variant=FULL,
+                             batch_size=4, seed=0)
+        assert result.termination_reason == "diverged"
+        result.trace.validate()
+
+    def test_adasvrg_fixed(self):
+        with np.errstate(all="ignore"):
+            result = adasvrg_fixed(self._problem(), np.zeros(4), 5, variant=FULL,
+                                   step=StepSizeRule(kind="constant", eta=1e300),
+                                   batch_size=4, seed=0)
+        assert result.termination_reason == "diverged"
         result.trace.validate()
 
 
