@@ -23,11 +23,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from vrkit import (
-    InnerLoopPolicy,
     PrecondVariant,
     Problem,
     ProjectionSpec,
-    StepSizeRule,
     SyntheticSpec,
     adagrad,
     adasvrg_adaptive,
@@ -112,8 +110,6 @@ def _direct_cases() -> dict:
     small = _synthetic(64, 6, 0.1, 3)
     noisy = _synthetic(256, 4, 0.2, 3)
     z6, z4 = np.zeros(6), np.zeros(4)
-    const = StepSizeRule(kind="constant", eta=0.5)
-    heur = StepSizeRule(kind="heuristic")
     diag = PrecondVariant(kind="diagonal", delta=1e-8)
     full = PrecondVariant(kind="full_matrix", delta=1e-8)
     return {
@@ -127,26 +123,26 @@ def _direct_cases() -> dict:
         "lsvrg-p025": lambda: loopless_svrg(small, z6, 60, 0.1, p=0.25, batch_size=4, seed=4),
         "sgd-b1": lambda: sgd(small, z6, 150, 0.05, batch_size=1, seed=5),
         "adasvrg-fixed-average-heuristic": lambda: adasvrg_fixed(
-            small, z6, 3, step=heur, batch_size=4, snapshot="average", seed=6),
+            small, z6, 3, eta=None, batch_size=4, snapshot="average", seed=6),
         "adasvrg-fixed-diagonal-constant": lambda: adasvrg_fixed(
-            small, z6, 3, 10, variant=diag, step=const, batch_size=4, seed=7),
+            small, z6, 3, 10, variant=diag, eta=0.5, batch_size=4, seed=7),
         "adasvrg-fixed-full-heuristic": lambda: adasvrg_fixed(
-            small, z6, 3, variant=full, step=heur, batch_size=4, seed=8),
+            small, z6, 3, variant=full, eta=None, batch_size=4, seed=8),
         "adasvrg-fixed-diagonal-ball": lambda: adasvrg_fixed(
-            small, z6, 3, variant=diag, step=StepSizeRule(kind="constant", eta=2.0),
+            small, z6, 3, variant=diag, eta=2.0,
             proj=ProjectionSpec(kind="l2_ball", radius=0.3), batch_size=4, seed=9),
         "adasvrg-adaptive-diagonal-constant": lambda: adasvrg_adaptive(
-            noisy, z4, 3, InnerLoopPolicy(theta=0.05), variant=diag,
-            step=const, batch_size=8, seed=10),
+            noisy, z4, 3, theta=0.05, variant=diag,
+            eta=0.5, batch_size=8, seed=10),
         "adasvrg-adaptive-full-average": lambda: adasvrg_adaptive(
-            noisy, z4, 2, InnerLoopPolicy(theta=0.5, max_inner=60),
-            variant=full, step=heur, batch_size=8, snapshot="average", seed=11),
+            noisy, z4, 2, theta=0.5, max_inner=60,
+            variant=full, eta=None, batch_size=8, snapshot="average", seed=11),
         "adasvrg-multistage-diagonal-constant": lambda: adasvrg_multistage(
-            small, z6, 3, 1.0 / 8.0, variant=diag, step=const, batch_size=4, seed=12),
+            small, z6, 3, 1.0 / 8.0, variant=diag, eta=0.5, batch_size=4, seed=12),
         "hybrid-constant": lambda: hybrid_adagrad_adasvrg(
-            noisy, z4, 256, max_inner=64, step=const, batch_size=8, seed=13),
+            noisy, z4, 256, max_inner=64, eta=0.5, batch_size=8, seed=13),
         "hybrid-diagonal-heuristic": lambda: hybrid_adagrad_adasvrg(
-            noisy, z4, 256, max_inner=64, variant=diag, step=heur,
+            noisy, z4, 256, max_inner=64, variant=diag, eta=None,
             batch_size=8, seed=14),
         "adagrad-diagonal": lambda: adagrad(small, z6, 80, 0.5, variant=diag,
                                             batch_size=4, seed=15),

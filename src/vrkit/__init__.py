@@ -11,9 +11,7 @@ from .diagnostics import (
     two_phase_slope_fit,
 )
 from .optimizers import (
-    InnerLoopPolicy,
     RunResult,
-    StepSizeRule,
     adagrad,
     adasvrg_adaptive,
     adasvrg_fixed,
@@ -34,14 +32,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset",
     "GradOracleCounters",
-    "InnerLoopPolicy",
     "PhaseTestState",
     "PrecondState",
     "PrecondVariant",
     "Problem",
     "ProjectionSpec",
     "RunResult",
-    "StepSizeRule",
     "SyntheticSpec",
     "Trace",
     "TraceRow",

@@ -23,11 +23,8 @@ from .data import SyntheticSpec, gen_separable, load_libsvm
 from .diagnostics import Trace
 from .optimizers import (
     SNAPSHOT_MODES,
-    InnerLoopPolicy,
     PrecondVariant,
-    ProjectionSpec,
     RunResult,
-    StepSizeRule,
     adagrad,
     adasvrg_adaptive,
     adasvrg_fixed,
@@ -69,9 +66,10 @@ class RunConfig:
 
     ``l2 = None`` resolves to 1/n.  ``eta = None`` means the tuning-free
     heuristic for the adaptive methods and is an error for baselines that
-    need a constant step-size.  ``seeds`` may be given as a count (int) or
-    an explicit tuple of seeds.  ``loss`` may spell underscores as hyphens
-    (``squared-hinge``).
+    need a constant step-size; a given ``eta`` and every ``grid`` value must
+    be finite and > 0, and ``theta`` must be > 0.  ``seeds`` may be given as
+    a count (int) or an explicit tuple of seeds.  ``loss`` may spell
+    underscores as hyphens (``squared-hinge``).
     """
 
     dataset: str | None = None
@@ -108,6 +106,11 @@ class RunConfig:
             raise ValueError("config needs a dataset path or a synthetic spec")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        for eta in (self.eta, *self.grid):
+            if eta is not None and not (math.isfinite(eta) and eta > 0):
+                raise ValueError(f"step sizes (eta, grid) must be finite and > 0, got {eta!r}")
+        if not self.theta > 0:
+            raise ValueError(f"theta must be > 0, got {self.theta!r}")
         seeds = range(self.seeds) if isinstance(self.seeds, int) else self.seeds
         object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
         if not self.seeds:
@@ -208,24 +211,13 @@ def resolve_problem(config: RunConfig) -> Problem:
     return Problem(dataset=dataset, loss=config.loss, l2_reg=l2, huber_delta=config.huber_delta)
 
 
-def _require_eta(config: RunConfig) -> float:
-    if config.eta is None:
-        raise ValueError(f"algorithm {config.algo!r} needs a constant step-size (eta)")
-    return config.eta
-
-
 def execute_seed(problem: Problem, config: RunConfig, seed: int) -> RunResult:
     """Run one (config, seed) work item from the zero initial point."""
     w0 = np.zeros(problem.d)
     n, b = problem.n, config.batch_size
     budget = config.epochs
     variant = PrecondVariant(kind=_VARIANT_NAMES[config.variant], delta=config.delta)
-    proj = ProjectionSpec()
-    step = (
-        StepSizeRule(kind="constant", eta=config.eta)
-        if config.eta is not None
-        else StepSizeRule(kind="heuristic")
-    )
+    eta = config.eta
     outer = budget // 3
     steps_per_pass = max(1, n // b)
     algo = config.algo
@@ -235,38 +227,35 @@ def execute_seed(problem: Problem, config: RunConfig, seed: int) -> RunResult:
         # regardless of algorithm
         return sgd(problem, w0, 0, 1.0, batch_size=b, seed=seed)
     if algo == "sgd":
-        return sgd(problem, w0, budget * steps_per_pass, _require_eta(config),
+        return sgd(problem, w0, budget * steps_per_pass, eta,
                    batch_size=b, seed=seed)
     if algo == "adagrad":
-        return adagrad(problem, w0, budget * steps_per_pass, _require_eta(config),
-                       variant=variant, proj=proj, batch_size=b, seed=seed)
+        return adagrad(problem, w0, budget * steps_per_pass, eta,
+                       variant=variant, batch_size=b, seed=seed)
     if algo == "svrg":
-        return svrg(problem, w0, outer, eta=_require_eta(config), batch_size=b,
+        return svrg(problem, w0, outer, eta=eta, batch_size=b,
                     snapshot=config.snapshot, seed=seed)
     if algo == "lsvrg":
         return loopless_svrg(problem, w0, budget * steps_per_pass // 3,
-                             _require_eta(config), p=config.p, batch_size=b, seed=seed)
+                             eta, p=config.p, batch_size=b, seed=seed)
     if algo == "sarah":
-        return sarah(problem, w0, outer, eta=_require_eta(config), batch_size=b, seed=seed)
+        return sarah(problem, w0, outer, eta=eta, batch_size=b, seed=seed)
     if algo == "svrg-bb":
-        return svrg_bb(problem, w0, outer, eta0=config.eta if config.eta is not None else 0.1,
+        return svrg_bb(problem, w0, outer, eta0=0.1 if eta is None else eta,
                        batch_size=b, snapshot=config.snapshot, seed=seed)
     if algo == "adasvrg":
-        return adasvrg_fixed(problem, w0, outer, variant=variant, step=step, proj=proj,
-                             batch_size=b, snapshot=config.snapshot, seed=seed)
+        return adasvrg_fixed(problem, w0, outer, variant=variant, eta=eta, batch_size=b,
+                             snapshot=config.snapshot, seed=seed)
     if algo == "adasvrg-ms":
         return adasvrg_multistage(problem, w0, max(3, outer), config.epsilon,
-                                  variant=variant, step=step, proj=proj,
-                                  batch_size=b, seed=seed)
+                                  variant=variant, eta=eta, batch_size=b, seed=seed)
     if algo == "adasvrg-at":
-        policy = InnerLoopPolicy(theta=config.theta)
-        return adasvrg_adaptive(problem, w0, outer, policy, variant=variant, step=step,
-                                proj=proj, batch_size=b, snapshot=config.snapshot,
-                                seed=seed)
+        return adasvrg_adaptive(problem, w0, outer, theta=config.theta, variant=variant,
+                                eta=eta, batch_size=b, snapshot=config.snapshot, seed=seed)
     if algo == "hybrid":
         return hybrid_adagrad_adasvrg(problem, w0, budget * steps_per_pass,
-                                      theta=config.theta, variant=variant, step=step,
-                                      proj=proj, batch_size=b, seed=seed)
+                                      theta=config.theta, variant=variant, eta=eta,
+                                      batch_size=b, seed=seed)
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
@@ -334,41 +323,30 @@ def aggregate(traces: list[Trace]) -> list[tuple]:
     grid common to all seeds (step-function alignment)."""
     if not traces:
         raise ValueError("no traces to aggregate")
-    last_common = math.floor(min(t.rows[-1].passes for t in traces))
-    objs = zip(*(_values_per_pass(t, "objective", last_common) for t in traces))
-    grads = zip(*(_values_per_pass(t, "grad_norm", last_common) for t in traces))
-    rows = []
-    for p, obj, grad in zip(range(last_common + 1), objs, grads):
-        rows.append(
-            (
-                float(p),
-                float(np.median(obj)),
-                float(np.std(obj)),
-                float(np.median(grad)),
-                float(np.std(grad)),
-            )
-        )
-    return rows
+    obj, grad = _per_pass(traces, "objective"), _per_pass(traces, "grad_norm")
+    columns = (np.median(obj, axis=1), np.std(obj, axis=1),
+               np.median(grad, axis=1), np.std(grad, axis=1))
+    return [(float(p), *map(float, row)) for p, row in enumerate(zip(*columns))]
 
 
-def _values_per_pass(trace: Trace, attr: str, last: int) -> list[float]:
-    """``_metric(trace.value_at_pass(p, attr))`` for p = 0..last, in one
-    forward scan of the rows."""
-    values, value, rows, i = [], None, trace.rows, 0
-    for p in range(last + 1):
-        while i < len(rows) and rows[i].passes <= p:
-            if getattr(rows[i], attr) is not None:
-                value = getattr(rows[i], attr)
-            i += 1
-        values.append(_metric(value))
-    return values
-
-
-def _metric(value: float | None) -> float:
-    """A trace value as aggregated: missing or non-finite counts as inf."""
-    if value is None or not np.isfinite(value):
-        return np.inf
-    return float(value)
+def _per_pass(traces: list[Trace], attr: str) -> np.ndarray:
+    """(passes x seeds) array of ``trace.value_at_pass(p, attr)`` on the
+    integer pass grid common to all traces, with a missing or non-finite
+    value counted as inf.  Each trace is sampled with one ``searchsorted``
+    over its forward-filled values; each row is C-contiguous, so reductions
+    along ``axis=1`` match those of the per-pass value lists bit for bit."""
+    grid = np.arange(math.floor(min(t.rows[-1].passes for t in traces)) + 1)
+    out = np.empty((grid.size, len(traces)))
+    for j, trace in enumerate(traces):
+        values = [getattr(row, attr) for row in trace.rows]
+        # latest[k]: 1 + index of the last present value among the first k rows, 0 if none
+        latest = np.maximum.accumulate([0] + [i if v is not None else 0
+                                              for i, v in enumerate(values, 1)])
+        filled = np.array([np.inf] + [np.inf if v is None else v for v in values])[latest]
+        passes = np.array([row.passes for row in trace.rows])
+        out[:, j] = filled[np.searchsorted(passes, grid, side="right")]
+    out[~np.isfinite(out)] = np.inf
+    return out
 
 
 def aggregate_to_csv(rows: list[tuple]) -> str:
@@ -396,9 +374,7 @@ def regenerate_aggregate(trace_paths: list[str | Path]) -> str:
 
 def final_metric(traces: list[Trace]) -> float:
     """Median full-gradient norm at the last pass common to all seeds."""
-    last_common = math.floor(min(t.rows[-1].passes for t in traces))
-    vals = [_metric(t.value_at_pass(last_common, "grad_norm")) for t in traces]
-    return float(np.median(vals))
+    return float(np.median(_per_pass(traces, "grad_norm")[-1]))
 
 
 def grid_search(
@@ -424,10 +400,11 @@ def grid_search(
         sub = replace(config, eta=float(eta), out=None)
         target = base_out / f"eta_{eta:g}" if base_out is not None else None
         output = run(sub, out_dir=target)
-        metric = final_metric(output.traces)
+        rows = aggregate(output.traces)
+        metric = rows[-1][3]
         results[float(eta)] = {
             "metric": metric,
-            "aggregate": aggregate(output.traces),
+            "aggregate": rows,
             "diverged": [r.termination_reason == "diverged" for r in output.results],
         }
         if metric < best_metric:
@@ -465,8 +442,7 @@ def manual_switch_search(config: RunConfig) -> tuple[int | None, dict]:
         if k2 == 0:
             return phase1.trace.final().objective
         phase2 = adasvrg_fixed(problem, phase1.final_iterate, k2, variant=variant,
-                               step=StepSizeRule(kind="heuristic"), batch_size=b,
-                               seed=seed + 1)
+                               batch_size=b, seed=seed + 1)
         return phase2.trace.final().objective
 
     results: dict = {}

@@ -56,9 +56,11 @@ def parse_libsvm(source: str | IO[str] | Iterable[str], d: int | None = None) ->
 
     The feature dimension is the maximum observed index unless an explicit
     ``d`` override pads it.  Raises ``ValueError`` on malformed tokens,
-    non-increasing indices within a row, or an empty dataset.
+    non-increasing indices within a row, a non-finite label or feature value,
+    or an empty dataset.
     """
     labels: list[float] = []
+    linenos: list[int] = []
     indptr = [0]
     indices: list[int] = []
     values: list[float] = []
@@ -73,6 +75,7 @@ def parse_libsvm(source: str | IO[str] | Iterable[str], d: int | None = None) ->
             labels.append(float(tokens[0]))
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric label {tokens[0]!r}") from None
+        linenos.append(lineno)
         prev_idx = 0
         for token in tokens[1:]:
             head, sep, tail = token.partition(":")
@@ -101,15 +104,23 @@ def parse_libsvm(source: str | IO[str] | Iterable[str], d: int | None = None) ->
     if dim < max_index:
         raise ValueError(f"explicit dimension {dim} smaller than max index {max_index}")
 
+    data = np.asarray(values, dtype=np.float64)
+    raw_labels = np.asarray(labels, dtype=np.float64)
+    # one vectorised check after parsing; the first bad row names its line
+    bad = ~np.isfinite(raw_labels)
+    bad[np.searchsorted(indptr, np.flatnonzero(~np.isfinite(data)), side="right") - 1] = True
+    if bad.any():
+        row = int(np.argmax(bad))
+        what = "feature value" if np.isfinite(raw_labels[row]) else "label"
+        raise ValueError(f"line {linenos[row]}: non-finite {what}")
     matrix = sp.csr_matrix(
         (
-            np.asarray(values, dtype=np.float64),
+            data,
             np.asarray(indices, dtype=np.int32),
             np.asarray(indptr, dtype=np.int32),
         ),
         shape=(len(labels), dim),
     )
-    raw_labels = np.asarray(labels, dtype=np.float64)
     mapped, mapping = _recode_labels(raw_labels)
     return Dataset(features=matrix, labels=mapped, label_mapping=mapping)
 

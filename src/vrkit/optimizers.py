@@ -28,6 +28,14 @@ x - eta * g, or a :class:`~vrkit.precond.PrecondState`), the step rule
 (constant, heuristic or Barzilai-Borwein) and the loop rule (fixed length,
 growth test, coin-flip snapshot refresh, or doubling stages with one engine
 call per stage).  Seeded output is pinned byte for byte by ``tests/golden``.
+
+Each setting has one spelling and one check.  A step size is ``eta`` (or
+``eta0`` for :func:`svrg_bb`), checked finite and > 0 by :class:`_StepRule`;
+on the adaptive methods ``eta=None`` is the tuning-free heuristic, while the
+baselines require a number.  Loop and step counts are checked by
+:func:`_validate_common`.  The growth test takes keywords: ``theta`` (> 0,
+checked by :func:`_engine`) and ``max_inner``, plus ``burn_in`` on
+:func:`adasvrg_adaptive`.
 """
 
 from __future__ import annotations
@@ -44,38 +52,6 @@ from .problems import GradOracleCounters, Problem
 TERMINATION_REASONS = ("budget", "diverged")
 
 SNAPSHOT_MODES = ("last", "average")
-
-
-@dataclass(frozen=True)
-class StepSizeRule:
-    """How outer-loop step-sizes are chosen.
-
-    ``constant`` uses ``eta`` as-is.  ``heuristic`` estimates the distance
-    to the optimum from the full-gradient norm and a running maximum of
-    local smoothness estimates; it needs no tuning.
-    """
-
-    kind: str = "heuristic"
-    eta: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "heuristic"):
-            raise ValueError(f"unknown step-size rule {self.kind!r}")
-        if self.eta <= 0:
-            raise ValueError("eta must be > 0")
-
-
-@dataclass(frozen=True)
-class InnerLoopPolicy:
-    """Growth-test termination of inner loops, up to a cap."""
-
-    theta: float = 0.5
-    max_inner: int | None = None
-    burn_in: int | None = None
-
-    def __post_init__(self):
-        if self.theta <= 0:
-            raise ValueError("theta must be > 0")
 
 
 @dataclass
@@ -182,25 +158,30 @@ class _Run:
 
 
 class _StepRule:
-    """Per-run step-size state: a :class:`StepSizeRule` kind, or ``bb``.
+    """Per-run step-size state, its kind worked out from ``eta``.
 
-    ``constant`` returns ``eta``.  ``heuristic`` keeps the previous
-    full-gradient point to form the local smoothness estimate
-    L = ||dg|| / ||dw||, tracks the running maximum, and sets
-    eta = ||grad|| / (sqrt(2) * max L).  On the first call it probes a
-    random nearby point (one extra charged full gradient) to seed the
-    estimate.  Degenerate updates reuse the previous value (or 1.0).
-    ``bb`` is the Barzilai-Borwein rule of :func:`svrg_bb`, which supplies
-    the inner-loop length ``inner``.  It starts from ``eta`` and from the
-    second call on sets
-    eta = ||dw||^2 / (inner * <dw, dg>) from consecutive points and full
-    gradients; a non-positive curvature denominator keeps the previous
+    This is the one check of a step size: a number must be finite and > 0.
+    ``eta=None`` is the tuning-free ``heuristic``, unless ``required`` (the
+    baselines), when it is an error.  It keeps the previous full-gradient
+    point to form the local smoothness estimate L = ||dg|| / ||dw||, tracks
+    the running maximum, and sets eta = ||grad|| / (sqrt(2) * max L).  On
+    the first call it probes a random nearby point (one extra charged full
+    gradient) to seed the estimate.  Degenerate updates reuse the previous
+    value (or 1.0).  A number is a ``constant`` step, or, given the
+    inner-loop length ``inner``, the starting value of ``bb``, the
+    Barzilai-Borwein rule of :func:`svrg_bb`.  From the second call on that
+    sets eta = ||dw||^2 / (inner * <dw, dg>) from consecutive points and
+    full gradients; a non-positive curvature denominator keeps the previous
     value and appends the outer index to ``fallbacks``.
     """
 
-    def __init__(self, kind: str, eta: float, inner: int | None = None):
-        self.kind = kind
-        self.eta = 1.0 if kind == "heuristic" else eta
+    def __init__(self, eta: float | None, inner: int | None = None, *, required: bool = False):
+        if eta is None and required:
+            raise ValueError("this method needs a constant step size eta")
+        if eta is not None and not (math.isfinite(eta) and eta > 0):
+            raise ValueError(f"step size must be finite and > 0, got {eta!r}")
+        self.kind = "heuristic" if eta is None else "constant" if inner is None else "bb"
+        self.eta = 1.0 if eta is None else eta
         self.inner = inner
         self.lmax = 0.0
         self.prev_point: np.ndarray | None = None
@@ -236,7 +217,17 @@ class _StepRule:
         return self.eta
 
 
-def _validate_common(problem: Problem, w0: np.ndarray, batch_size: int, snapshot: str) -> np.ndarray:
+def _validate_common(
+    problem: Problem,
+    w0: np.ndarray,
+    batch_size: int,
+    snapshot: str,
+    loops: int,
+    inner_loops: int | None = None,
+) -> tuple[np.ndarray, int]:
+    """The one check of the arguments the optimizers share, ``loops`` being
+    the outer-loop or step count.  Returns ``w0`` as a flat float array and
+    the inner-loop length: ``inner_loops``, by default n // batch_size."""
     w0 = np.asarray(w0, dtype=np.float64).ravel()
     if w0.shape[0] != problem.d:
         raise ValueError(f"w0 has dimension {w0.shape[0]}, expected {problem.d}")
@@ -244,7 +235,13 @@ def _validate_common(problem: Problem, w0: np.ndarray, batch_size: int, snapshot
         raise ValueError(f"batch_size must be in [1, {problem.n}]")
     if snapshot not in SNAPSHOT_MODES:
         raise ValueError(f"snapshot must be one of {SNAPSHOT_MODES}")
-    return w0
+    if loops < 0:
+        raise ValueError(f"outer_loops and total_steps must be >= 0, got {loops}")
+    if inner_loops is None:
+        return w0, max(1, problem.n // batch_size)
+    if inner_loops < 1:
+        raise ValueError(f"inner_loops must be >= 1, got {inner_loops}")
+    return w0, inner_loops
 
 
 @dataclass
@@ -294,13 +291,16 @@ def _engine(
     non-constant rule re-estimates the step-size every n/b steps.
     ``variant=None`` takes the Euclidean step; otherwise a fresh accumulator
     per outer loop steps (and projects) once it has signal.  With ``theta``
-    the growth test, checked before the update since the accumulator already
-    holds the current gradient, ends an inner loop and records ``event``.
+    (> 0) the growth test, checked before the update since the accumulator
+    already holds the current gradient, ends an inner loop and records
+    ``event``.
     The next snapshot is the last iterate or, with ``snapshot='average'``,
     the mean of the iterates the inner loop stepped from.  A record that
     flags divergence, a ``FloatingPointError`` from a step, or a
     ``LinAlgError`` from an overflowed full-matrix accumulator ends the run.
     """
+    if theta is not None and not theta > 0:
+        raise ValueError(f"theta must be > 0, got {theta!r}")
     problem = run.problem
     d = problem.d
     period = max(1, problem.n // batch_size)
@@ -387,7 +387,7 @@ def adasvrg_fixed(
     inner_loops: int | None = None,
     *,
     variant: PrecondVariant | None = None,
-    step: StepSizeRule | None = None,
+    eta: float | None = None,
     proj: ProjectionSpec | None = None,
     batch_size: int = 1,
     snapshot: str = "last",
@@ -396,20 +396,14 @@ def adasvrg_fixed(
     """Variance reduction with an adaptive-metric inner loop of fixed length.
 
     Each outer loop computes the full gradient at the snapshot, picks a
-    step-size, resets the accumulator, and runs ``inner_loops`` steps
+    step-size (the constant ``eta``, or the tuning-free heuristic when
+    ``eta`` is None), resets the accumulator, and runs ``inner_loops`` steps
     (default n // batch_size).  ``snapshot='average'`` also returns the
     running average of snapshots in ``averaged_iterate``.
     """
     variant = variant or PrecondVariant()
-    step = step or StepSizeRule()
-    proj = proj or ProjectionSpec()
-    w0 = _validate_common(problem, w0, batch_size, snapshot)
-    if outer_loops < 0:
-        raise ValueError("outer_loops must be >= 0")
-    inner = inner_loops if inner_loops is not None else max(1, problem.n // batch_size)
-    if inner < 1:
-        raise ValueError("inner_loops must be >= 1")
-    rule = _StepRule(step.kind, step.eta)
+    w0, inner = _validate_common(problem, w0, batch_size, snapshot, outer_loops, inner_loops)
+    rule = _StepRule(eta)
 
     run = _Run(problem, w0, seed)
     out = _engine(run, w0, outer_loops, inner, batch_size, rule,
@@ -429,7 +423,7 @@ def adasvrg_multistage(
     epsilon: float,
     *,
     variant: PrecondVariant | None = None,
-    step: StepSizeRule | None = None,
+    eta: float | None = None,
     proj: ProjectionSpec | None = None,
     batch_size: int = 1,
     seed: int = 0,
@@ -438,18 +432,17 @@ def adasvrg_multistage(
 
     Runs ceil(log2(1/epsilon)) stages; stage i uses inner loops of length
     2^(i+1) and starts from the averaged output of the previous stage.
+    ``eta`` is as in :func:`adasvrg_fixed`.
     """
     variant = variant or PrecondVariant()
-    step = step or StepSizeRule()
-    proj = proj or ProjectionSpec()
-    w0 = _validate_common(problem, w0, batch_size, "average")
+    w0, _ = _validate_common(problem, w0, batch_size, "average", outer_loops)
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
     if outer_loops < 3:
         raise ValueError("multistage runs need at least 3 outer loops per stage")
 
     stages = math.ceil(math.log2(1.0 / epsilon))
-    rule = _StepRule(step.kind, step.eta)
+    rule = _StepRule(eta)
     run = _Run(problem, w0, seed)
 
     w = w0
@@ -478,10 +471,12 @@ def adasvrg_adaptive(
     problem: Problem,
     w0: np.ndarray,
     outer_loops: int,
-    policy: InnerLoopPolicy | None = None,
     *,
+    theta: float = 0.5,
+    max_inner: int | None = None,
+    burn_in: int | None = None,
     variant: PrecondVariant | None = None,
-    step: StepSizeRule | None = None,
+    eta: float | None = None,
     proj: ProjectionSpec | None = None,
     batch_size: int = 1,
     snapshot: str = "last",
@@ -491,26 +486,21 @@ def adasvrg_adaptive(
 
     Each inner loop runs up to ``max_inner`` steps (default 10n/b); at even
     steps past the burn-in (default n/b) the relative growth ratio of
-    ||G||_*^2 over a doubling window is compared against theta, and the
-    loop stops once gradient noise dominates.
+    ||G||_*^2 over a doubling window is compared against ``theta`` (> 0),
+    and the loop stops once gradient noise dominates.  ``eta`` is as in
+    :func:`adasvrg_fixed`.
     """
     variant = variant or PrecondVariant()
-    step = step or StepSizeRule()
-    proj = proj or ProjectionSpec()
-    w0 = _validate_common(problem, w0, batch_size, snapshot)
-    if outer_loops < 0:
-        raise ValueError("outer_loops must be >= 0")
-    n_over_b = max(1, problem.n // batch_size)
-    policy = policy or InnerLoopPolicy()
-    max_inner = policy.max_inner if policy.max_inner is not None else 10 * n_over_b
-    burn_in = policy.burn_in if policy.burn_in is not None else n_over_b
+    w0, n_over_b = _validate_common(problem, w0, batch_size, snapshot, outer_loops)
+    max_inner = max_inner if max_inner is not None else 10 * n_over_b
+    burn_in = burn_in if burn_in is not None else n_over_b
     if max_inner < burn_in:
         raise ValueError("max_inner must be at least the burn-in threshold")
-    rule = _StepRule(step.kind, step.eta)
+    rule = _StepRule(eta)
 
     run = _Run(problem, w0, seed)
     out = _engine(run, w0, outer_loops, max_inner, batch_size, rule, variant=variant,
-                  proj=proj, snapshot=snapshot, theta=policy.theta, burn_in=burn_in)
+                  proj=proj, snapshot=snapshot, theta=theta, burn_in=burn_in)
     return run.result(
         out.w,
         outer=max(0, outer_loops - 1),
@@ -527,7 +517,7 @@ def hybrid_adagrad_adasvrg(
     max_inner: int | None = None,
     theta: float = 0.5,
     variant: PrecondVariant | None = None,
-    step: StepSizeRule | None = None,
+    eta: float | None = None,
     proj: ProjectionSpec | None = None,
     batch_size: int = 1,
     seed: int = 0,
@@ -541,21 +531,17 @@ def hybrid_adagrad_adasvrg(
     (total_steps - t) // (n // b).  If the test never fires (the
     interpolation regime), phase 1 consumes the whole budget.
 
-    With the heuristic rule, the phase-1 step-size is recomputed from a full
-    gradient every n/b steps; a constant rule uses ``step.eta`` throughout.
+    With ``eta=None``, the tuning-free heuristic, the phase-1 step-size is
+    recomputed from a full gradient every n/b steps; a number is used
+    throughout.  ``theta`` (> 0) is the growth-test threshold of both phases.
     """
     variant = variant or PrecondVariant()
-    step = step or StepSizeRule()
-    proj = proj or ProjectionSpec()
-    x1 = _validate_common(problem, x1, batch_size, "last")
-    if total_steps < 0:
-        raise ValueError("total_steps must be >= 0")
-    n_over_b = max(1, problem.n // batch_size)
+    x1, n_over_b = _validate_common(problem, x1, batch_size, "last", total_steps)
     if max_inner is None:
         max_inner = 10 * n_over_b
 
     run = _Run(problem, x1, seed)
-    phase1 = _engine(run, x1, 1, total_steps, batch_size, _StepRule(step.kind, step.eta),
+    phase1 = _engine(run, x1, 1, total_steps, batch_size, _StepRule(eta),
                      direction="plain", variant=variant, proj=proj, theta=theta,
                      burn_in=2 * n_over_b, event="switch")
     x = phase1.w
@@ -570,7 +556,7 @@ def hybrid_adagrad_adasvrg(
         k2 = (total_steps - switch_step) // n_over_b
         notes["phase2_outer_loops"] = k2
         if k2 >= 1:
-            phase2 = _engine(run, x, k2, max_inner, batch_size, _StepRule(step.kind, step.eta),
+            phase2 = _engine(run, x, k2, max_inner, batch_size, _StepRule(eta),
                              variant=variant, proj=proj, theta=theta, burn_in=n_over_b,
                              outer_offset=1)
             x = phase2.w
@@ -592,11 +578,10 @@ def svrg(
     seed: int = 0,
 ) -> RunResult:
     """Classic variance reduction with Euclidean constant-step updates."""
-    w0 = _validate_common(problem, w0, batch_size, snapshot)
-    inner = inner_loops if inner_loops is not None else max(1, problem.n // batch_size)
+    w0, inner = _validate_common(problem, w0, batch_size, snapshot, outer_loops, inner_loops)
+    rule = _StepRule(eta, required=True)
     run = _Run(problem, w0, seed)
-    out = _engine(run, w0, outer_loops, inner, batch_size, _StepRule("constant", eta),
-                  snapshot=snapshot)
+    out = _engine(run, w0, outer_loops, inner, batch_size, rule, snapshot=snapshot)
     return run.result(out.w, outer=max(0, outer_loops - 1))
 
 
@@ -615,13 +600,14 @@ def loopless_svrg(
     Each step first refreshes the snapshot (and its full gradient) with
     probability ``p`` (default batch_size / n), then takes a VR step.
     """
-    w0 = _validate_common(problem, w0, batch_size, "last")
+    w0, _ = _validate_common(problem, w0, batch_size, "last", total_steps)
     if p is None:
         p = batch_size / problem.n
     if not 0.0 < p <= 1.0:
         raise ValueError("p must be in (0, 1]")
+    rule = _StepRule(eta, required=True)
     run = _Run(problem, w0, seed)
-    out = _engine(run, w0, 1, total_steps, batch_size, _StepRule("constant", eta), p=p)
+    out = _engine(run, w0, 1, total_steps, batch_size, rule, p=p)
     return run.result(out.w, outer=0, notes={"snapshot_refreshes": out.refreshes})
 
 
@@ -640,12 +626,10 @@ def sarah(
     iterate; each outer loop performs ``inner_loops`` updates, the first
     with the exact full gradient.
     """
-    w0 = _validate_common(problem, w0, batch_size, "last")
-    inner = inner_loops if inner_loops is not None else max(1, problem.n // batch_size)
+    w0, inner = _validate_common(problem, w0, batch_size, "last", outer_loops, inner_loops)
+    rule = _StepRule(eta, required=True)
     run = _Run(problem, w0, seed)
-    # the first, exact-gradient update always runs
-    out = _engine(run, w0, outer_loops, max(1, inner), batch_size,
-                  _StepRule("constant", eta), direction="recursive")
+    out = _engine(run, w0, outer_loops, inner, batch_size, rule, direction="recursive")
     return run.result(out.w, outer=max(0, outer_loops - 1))
 
 
@@ -666,9 +650,8 @@ def svrg_bb(
     snapshots and full gradients.  A non-positive curvature denominator
     reuses the previous step-size and is noted rather than fatal.
     """
-    w0 = _validate_common(problem, w0, batch_size, snapshot)
-    inner = inner_loops if inner_loops is not None else max(1, problem.n // batch_size)
-    rule = _StepRule("bb", float(eta0), inner)
+    w0, inner = _validate_common(problem, w0, batch_size, snapshot, outer_loops, inner_loops)
+    rule = _StepRule(eta0, inner, required=True)
     run = _Run(problem, w0, seed)
     out = _engine(run, w0, outer_loops, inner, batch_size, rule, snapshot=snapshot)
     return run.result(out.w, outer=max(0, outer_loops - 1),
@@ -692,11 +675,11 @@ def adagrad(
     ``g_norm_star_steps`` so growth-curve diagnostics can run offline.
     """
     variant = variant or PrecondVariant()
-    proj = proj or ProjectionSpec()
-    x1 = _validate_common(problem, x1, batch_size, "last")
+    x1, _ = _validate_common(problem, x1, batch_size, "last", total_steps)
+    rule = _StepRule(eta, required=True)
     run = _Run(problem, x1, seed)
-    out = _engine(run, x1, 1, total_steps, batch_size, _StepRule("constant", eta),
-                  direction="plain", variant=variant, proj=proj)
+    out = _engine(run, x1, 1, total_steps, batch_size, rule, direction="plain",
+                  variant=variant, proj=proj)
     return run.result(out.w, outer=0, g_star_steps=np.array(out.g_stars))
 
 
@@ -710,10 +693,10 @@ def sgd(
     seed: int = 0,
 ) -> RunResult:
     """Plain constant step-size stochastic gradient descent."""
-    x1 = _validate_common(problem, x1, batch_size, "last")
+    x1, _ = _validate_common(problem, x1, batch_size, "last", total_steps)
+    rule = _StepRule(eta, required=True)
     run = _Run(problem, x1, seed)
-    out = _engine(run, x1, 1, total_steps, batch_size, _StepRule("constant", eta),
-                  direction="plain")
+    out = _engine(run, x1, 1, total_steps, batch_size, rule, direction="plain")
     return run.result(out.w, outer=0)
 
 

@@ -51,7 +51,8 @@ class GradOracleCounters:
 class Dataset:
     """Sparse feature rows plus one label per row.
 
-    ``features`` is an n x d CSR matrix with sorted column indices.
+    ``features`` is an n x d CSR matrix with sorted column indices; features
+    and labels must be finite.
     ``label_mapping`` records any label recoding applied during parsing
     (e.g. {0, 1} -> {-1, +1}); ``None`` means labels are unmodified.
     """
@@ -71,6 +72,8 @@ class Dataset:
             raise ValueError(
                 f"labels length {labels.shape[0]} != number of rows {feats.shape[0]}"
             )
+        if not (np.isfinite(feats.data).all() and np.isfinite(labels).all()):
+            raise ValueError("non-finite feature value or label")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
 

@@ -13,7 +13,6 @@ import pytest
 from scipy.optimize import minimize
 
 from vrkit import (
-    InnerLoopPolicy,
     PrecondVariant,
     Problem,
     SyntheticSpec,

@@ -64,6 +64,17 @@ class TestBadConfigValue:
         assert exc.value.code == 2
         assert value in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, shown", [
+        (["run", "--algo", "svrg", "--eta", "-1"], "-1.0"),
+        (["grid", "--grid=-0.1,0.1"], "-0.1"),
+        (["run", "--algo", "adasvrg-at", "--theta", "0"], "theta"),
+    ], ids=["run-eta", "grid-grid", "run-theta"])
+    def test_bad_step_size_or_theta_exits_with_usage_error(self, argv, shown, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--dataset", "data.libsvm"])
+        assert exc.value.code == 2
+        assert shown in capsys.readouterr().err
+
 
 class TestRunExitCode:
     def test_flagged_divergence_still_exits_zero(self, tmp_path, capsys):

@@ -66,6 +66,17 @@ class TestParse:
         with pytest.raises(ValueError, match="1-based"):
             parse_libsvm("+1 0:1")
 
+    def test_non_finite_label_names_its_line(self):
+        with pytest.raises(ValueError, match="line 3: non-finite label"):
+            parse_libsvm("+1 1:1\n\nnan 1:1\n-inf 1:2\n")
+
+    def test_non_finite_feature_names_its_line(self):
+        with pytest.raises(ValueError, match="line 1: non-finite feature value"):
+            parse_libsvm("+1 1:nan 2:1\n")
+        # the first bad line wins, label or feature
+        with pytest.raises(ValueError, match="line 3: non-finite feature value"):
+            parse_libsvm("# c\n+1\n-1 1:2 2:inf\ninf 1:1\n")
+
     def test_dimension_override_pads(self):
         dataset = parse_libsvm("+1 1:1", d=10)
         assert dataset.d == 10

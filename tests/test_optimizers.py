@@ -5,10 +5,8 @@ import pytest
 
 from vrkit import (
     Dataset,
-    InnerLoopPolicy,
     Problem,
     PrecondVariant,
-    StepSizeRule,
     SyntheticSpec,
     adagrad,
     adasvrg_adaptive,
@@ -33,7 +31,6 @@ def small_synthetic(n=64, d=6, mislabel=0.1, seed=3, loss="logistic"):
     return Problem(dataset=dataset, loss=loss, l2_reg=1.0 / n)
 
 
-CONSTANT_HALF = StepSizeRule(kind="constant", eta=0.5)
 FULL = PrecondVariant(kind="full_matrix", delta=1e-8)
 
 
@@ -71,7 +68,7 @@ class TestAdaSVRGFixed:
         problem = single_example_problem([1.0], 0.0)
         result = adasvrg_fixed(
             problem, np.array([1.0]), 1, 1,
-            step=StepSizeRule(kind="constant", eta=1.0), snapshot="last", seed=0,
+            eta=1.0, snapshot="last", seed=0,
         )
         np.testing.assert_allclose(result.final_iterate, [0.0], atol=1e-15)
         assert result.counters.full_grad_evals == 1
@@ -81,7 +78,7 @@ class TestAdaSVRGFixed:
         problem = single_example_problem([1.0], 0.0)
         result = adasvrg_fixed(
             problem, np.array([1.0]), 1, 2,
-            step=StepSizeRule(kind="constant", eta=1.0), snapshot="average", seed=0,
+            eta=1.0, snapshot="average", seed=0,
         )
         # iterates are x1 = 1, x2 = 0 (and x3 = 0); snapshot = mean(x1, x2)
         np.testing.assert_allclose(result.final_iterate, [0.5], atol=1e-15)
@@ -89,7 +86,7 @@ class TestAdaSVRGFixed:
 
         last = adasvrg_fixed(
             problem, np.array([1.0]), 1, 2,
-            step=StepSizeRule(kind="constant", eta=1.0), snapshot="last", seed=0,
+            eta=1.0, snapshot="last", seed=0,
         )
         np.testing.assert_allclose(last.final_iterate, [0.0], atol=1e-15)
         assert last.averaged_iterate is None
@@ -99,7 +96,7 @@ class TestAdaSVRGFixed:
         K, m, b = 3, 10, 4
         result = adasvrg_fixed(
             problem, np.zeros(problem.d), K, m,
-            step=CONSTANT_HALF, batch_size=b, seed=0,
+            eta=0.5, batch_size=b, seed=0,
         )
         assert result.counters.full_grad_evals == K
         assert result.counters.per_example_grad_evals == 2 * b * m * K
@@ -109,7 +106,7 @@ class TestAdaSVRGFixed:
         K = 4
         result = adasvrg_fixed(
             problem, np.zeros(problem.d), K, 8,
-            step=StepSizeRule(kind="heuristic"), batch_size=4, seed=0,
+            eta=None, batch_size=4, seed=0,
         )
         assert result.counters.full_grad_evals == K + 1
         etas = {row.step_size for row in result.trace.rows if row.step_size is not None}
@@ -117,7 +114,7 @@ class TestAdaSVRGFixed:
 
     def test_scalar_and_diagonal_coincide_for_d1_delta0(self):
         problem = single_example_problem([2.0], 1.0)
-        kwargs = dict(step=StepSizeRule(kind="constant", eta=0.8), seed=5)
+        kwargs = dict(eta=0.8, seed=5)
         scalar = adasvrg_fixed(
             problem, np.array([3.0]), 3, 4,
             variant=PrecondVariant(kind="scalar"), **kwargs,
@@ -135,21 +132,21 @@ class TestAdaSVRGFixed:
             result = adasvrg_fixed(
                 problem, np.zeros(problem.d), 4,
                 variant=PrecondVariant(kind=kind, delta=1e-8),
-                step=StepSizeRule(kind="heuristic"), batch_size=4, seed=1,
+                eta=None, batch_size=4, seed=1,
             )
             assert problem.loss_value(result.final_iterate) < f0
 
     def test_default_inner_length_tracks_batch_size(self):
         problem = small_synthetic(n=64)
         result = adasvrg_fixed(
-            problem, np.zeros(problem.d), 1, step=CONSTANT_HALF, batch_size=16, seed=0,
+            problem, np.zeros(problem.d), 1, eta=0.5, batch_size=16, seed=0,
         )
         # default m = n/b = 4 inner steps at 2*b each
         assert result.counters.per_example_grad_evals == 2 * 16 * 4
 
     def test_zero_outer_loops_gives_initial_row_only(self):
         problem = small_synthetic()
-        result = adasvrg_fixed(problem, np.zeros(problem.d), 0, step=CONSTANT_HALF, seed=0)
+        result = adasvrg_fixed(problem, np.zeros(problem.d), 0, eta=0.5, seed=0)
         assert len(result.trace.rows) == 1
         assert result.trace.rows[0].passes == 0.0
 
@@ -173,14 +170,14 @@ class TestMultistage:
     def test_stage_schedule_eighth(self):
         problem = small_synthetic()
         result = adasvrg_multistage(
-            problem, np.zeros(problem.d), 3, 1.0 / 8.0, step=CONSTANT_HALF, batch_size=4, seed=0,
+            problem, np.zeros(problem.d), 3, 1.0 / 8.0, eta=0.5, batch_size=4, seed=0,
         )
         assert result.notes["stage_inner_sizes"] == [4, 8, 16]
 
     def test_stage_schedule_half(self):
         problem = small_synthetic()
         result = adasvrg_multistage(
-            problem, np.zeros(problem.d), 3, 0.5, step=CONSTANT_HALF, batch_size=4, seed=0,
+            problem, np.zeros(problem.d), 3, 0.5, eta=0.5, batch_size=4, seed=0,
         )
         assert result.notes["stage_inner_sizes"] == [4]
 
@@ -189,7 +186,7 @@ class TestMultistage:
         K, b = 3, 1
         for eps, stages in ((1.0 / 8.0, 3), (1.0 / 32.0, 5)):
             result = adasvrg_multistage(
-                problem, np.zeros(problem.d), K, eps, step=CONSTANT_HALF, batch_size=b, seed=0,
+                problem, np.zeros(problem.d), K, eps, eta=0.5, batch_size=b, seed=0,
             )
             schedule = result.notes["stage_inner_sizes"]
             assert len(schedule) == stages
@@ -200,7 +197,7 @@ class TestMultistage:
     def test_stage_boundaries_recorded(self):
         problem = small_synthetic()
         result = adasvrg_multistage(
-            problem, np.zeros(problem.d), 3, 1.0 / 8.0, step=CONSTANT_HALF, batch_size=4, seed=0,
+            problem, np.zeros(problem.d), 3, 1.0 / 8.0, eta=0.5, batch_size=4, seed=0,
         )
         boundaries = [e for _, e in result.trace.events() if e == "stage_boundary"]
         assert len(boundaries) == 3
@@ -217,9 +214,8 @@ class TestAdaptiveTermination:
     def test_tiny_threshold_stops_at_first_check(self):
         n, b = 6400, 64
         problem = small_synthetic(n=n, d=4, mislabel=0.2, seed=2)
-        policy = InnerLoopPolicy(theta=1e-12)
         result = adasvrg_adaptive(
-            problem, np.zeros(problem.d), 1, policy, step=CONSTANT_HALF, batch_size=b, seed=0,
+            problem, np.zeros(problem.d), 1, theta=1e-12, eta=0.5, batch_size=b, seed=0,
         )
         # first check at t = n/b = 100, comparing against the stored value at t = 50
         assert result.notes["adaptive_stops"] == [0]
@@ -227,18 +223,17 @@ class TestAdaptiveTermination:
 
     def test_huge_threshold_runs_to_cap(self):
         problem = small_synthetic(n=64, d=4)
-        policy = InnerLoopPolicy(theta=1e12, max_inner=40)
         result = adasvrg_adaptive(
-            problem, np.zeros(problem.d), 2, policy, step=CONSTANT_HALF, batch_size=8, seed=0,
+            problem, np.zeros(problem.d), 2, theta=1e12, max_inner=40, eta=0.5, batch_size=8,
+            seed=0,
         )
         assert result.notes["adaptive_stops"] == []
         assert result.counters.per_example_grad_evals == 2 * 8 * 40 * 2
 
     def test_stop_event_recorded(self):
         problem = small_synthetic(n=256, d=4, mislabel=0.2)
-        policy = InnerLoopPolicy(theta=0.05)
         result = adasvrg_adaptive(
-            problem, np.zeros(problem.d), 2, policy, step=CONSTANT_HALF, batch_size=8, seed=0,
+            problem, np.zeros(problem.d), 2, theta=0.05, eta=0.5, batch_size=8, seed=0,
         )
         if result.notes["adaptive_stops"]:
             assert any(e == "adaptive_stop" for _, e in result.trace.events())
@@ -246,10 +241,7 @@ class TestAdaptiveTermination:
     def test_policy_validation(self):
         problem = small_synthetic()
         with pytest.raises(ValueError):
-            adasvrg_adaptive(
-                problem, np.zeros(problem.d), 1,
-                InnerLoopPolicy(max_inner=2, burn_in=10),
-            )
+            adasvrg_adaptive(problem, np.zeros(problem.d), 1, max_inner=2, burn_in=10)
 
 
 class TestHybrid:
@@ -258,7 +250,7 @@ class TestHybrid:
         problem = small_synthetic(n=n, d=4, mislabel=0.2)
         result = hybrid_adagrad_adasvrg(
             problem, np.zeros(problem.d), (2 * n // b) - 1,
-            step=CONSTANT_HALF, batch_size=b, seed=0,
+            eta=0.5, batch_size=b, seed=0,
         )
         assert result.notes["switched"] is False
         assert result.termination_reason == "budget"
@@ -269,7 +261,7 @@ class TestHybrid:
         problem = small_synthetic(n=n, d=4, mislabel=0.2)
         result = hybrid_adagrad_adasvrg(
             problem, np.zeros(problem.d), 20 * n // b,
-            step=CONSTANT_HALF, batch_size=b, seed=0,
+            eta=0.5, batch_size=b, seed=0,
         )
         assert result.notes["switched"] is True
         assert result.notes["phase2_outer_loops"] >= 1
@@ -280,7 +272,7 @@ class TestHybrid:
     def test_phase1_history_exposed(self):
         problem = small_synthetic(n=64, d=4)
         result = hybrid_adagrad_adasvrg(
-            problem, np.zeros(problem.d), 30, step=CONSTANT_HALF, batch_size=8, seed=0,
+            problem, np.zeros(problem.d), 30, eta=0.5, batch_size=8, seed=0,
         )
         assert result.g_norm_star_steps is not None
         assert np.all(np.diff(result.g_norm_star_steps) >= -1e-12)
@@ -288,10 +280,10 @@ class TestHybrid:
 
 class TestSVRG:
     def test_zero_step_is_stationary(self):
+        # a zero step would leave the iterate in place; it is rejected instead
         problem = make_problem(seed=4)
-        w0 = np.ones(problem.d)
-        result = svrg(problem, w0, 3, 5, eta=0.0, seed=0)
-        np.testing.assert_array_equal(result.final_iterate, w0)
+        with pytest.raises(ValueError, match="step size"):
+            svrg(problem, np.ones(problem.d), 3, 5, eta=0.0, seed=0)
 
     def test_single_example_collapses_to_gradient_descent(self, quadratic_1d):
         # n = 1 makes the correction exact: x <- (1 - eta) x on f(x) = x^2/2
@@ -327,7 +319,7 @@ class TestFullMatrixDivergence:
     def test_adasvrg_fixed(self):
         with np.errstate(all="ignore"):
             result = adasvrg_fixed(self._problem(), np.zeros(4), 5, variant=FULL,
-                                   step=StepSizeRule(kind="constant", eta=1e300),
+                                   eta=1e300,
                                    batch_size=4, seed=0)
         assert result.termination_reason == "diverged"
         result.trace.validate()
@@ -345,10 +337,10 @@ class TestLooplessSVRG:
         np.testing.assert_allclose(result.final_iterate, w, atol=1e-12)
 
     def test_zero_step_is_stationary(self):
+        # a zero step would leave the iterate in place; it is rejected instead
         problem = make_problem(seed=6)
-        w0 = np.ones(problem.d)
-        result = loopless_svrg(problem, w0, 20, 0.0, p=0.5, seed=0)
-        np.testing.assert_array_equal(result.final_iterate, w0)
+        with pytest.raises(ValueError, match="step size"):
+            loopless_svrg(problem, np.ones(problem.d), 20, 0.0, p=0.5, seed=0)
 
     def test_refresh_count_binomial_concentration(self):
         problem = small_synthetic(n=64, d=4)
@@ -377,10 +369,10 @@ class TestSARAH:
         np.testing.assert_allclose(result.final_iterate, [expected], rtol=1e-12)
 
     def test_zero_step_is_stationary(self):
+        # a zero step would leave the iterate in place; it is rejected instead
         problem = make_problem(seed=2)
-        w0 = np.ones(problem.d)
-        result = sarah(problem, w0, 2, 4, eta=0.0, seed=0)
-        np.testing.assert_array_equal(result.final_iterate, w0)
+        with pytest.raises(ValueError, match="step size"):
+            sarah(problem, np.ones(problem.d), 2, 4, eta=0.0, seed=0)
 
     def test_first_update_matches_svrg(self):
         problem = make_problem(seed=12)
@@ -460,10 +452,10 @@ class TestAdaGrad:
 
 class TestSGD:
     def test_zero_step_is_stationary(self):
+        # a zero step would leave the iterate in place; it is rejected instead
         problem = make_problem(seed=3)
-        w0 = np.ones(problem.d)
-        result = sgd(problem, w0, 10, 0.0, seed=0)
-        np.testing.assert_array_equal(result.final_iterate, w0)
+        with pytest.raises(ValueError, match="step size"):
+            sgd(problem, np.ones(problem.d), 10, 0.0, seed=0)
 
     def test_single_example_equals_gradient_descent(self, quadratic_1d):
         eta, T = 0.4, 6
@@ -509,6 +501,37 @@ class TestArmijoCounterExample:
             svrg_inner_armijo_1d(0.5, 1.0, 1.0, 0.5, 10)
         with pytest.raises(ValueError):
             svrg_inner_armijo_1d(-1.0, 1.0, 1.0, 0.5, 10)
+
+
+class TestSingleChecks:
+    """Every public optimizer rejects a bad count, step size or growth-test
+    threshold with the same check."""
+
+    OPTIMIZERS = (adasvrg_fixed, adasvrg_multistage, adasvrg_adaptive, hybrid_adagrad_adasvrg,
+                  svrg, svrg_bb, sarah, loopless_svrg, adagrad, sgd)
+
+    @staticmethod
+    def _call(fn, count=3, **kwargs):
+        problem = small_synthetic(n=16, d=3)
+        args = (0.5,) if fn is adasvrg_multistage else ()
+        kwargs["eta0" if fn is svrg_bb else "eta"] = kwargs.pop("eta", 0.1)
+        return fn(problem, np.zeros(problem.d), count, *args, batch_size=4, seed=0, **kwargs)
+
+    @pytest.mark.parametrize("fn", OPTIMIZERS, ids=lambda fn: fn.__name__)
+    def test_each_setting_checked(self, fn):
+        assert self._call(fn).termination_reason == "budget"
+        bad = [({"count": -1}, "must be >= 0")]
+        bad += [({"eta": eta}, "step size") for eta in (0.0, -1.0, math.nan)]
+        if fn in (svrg, svrg_bb, sarah, adasvrg_fixed):
+            bad.append(({"inner_loops": 0}, "inner_loops"))
+        if fn in (adasvrg_adaptive, hybrid_adagrad_adasvrg):
+            bad.append(({"theta": 0.0}, "theta"))
+        if fn in (svrg, svrg_bb, sarah, loopless_svrg, adagrad, sgd):
+            # eta=None is the heuristic only on the adaptive methods
+            bad.append(({"eta": None}, "needs a constant step size"))
+        for kwargs, message in bad:
+            with pytest.raises(ValueError, match=message):
+                self._call(fn, **kwargs)
 
 
 class TestTraceShape:

@@ -207,3 +207,12 @@ class TestValidation:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             Dataset(features=sp.csr_matrix((0, 4)), labels=np.array([]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        features = np.eye(2)
+        features[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset(features=sp.csr_matrix(features), labels=np.array([1.0, -1.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset(features=sp.csr_matrix(np.eye(2)), labels=np.array([1.0, bad]))
