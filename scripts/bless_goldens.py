@@ -130,7 +130,7 @@ def _direct_cases() -> dict:
             small, z6, 3, variant=full, eta=None, batch_size=4, seed=8),
         "adasvrg-fixed-diagonal-ball": lambda: adasvrg_fixed(
             small, z6, 3, variant=diag, eta=2.0,
-            proj=ProjectionSpec(kind="l2_ball", radius=0.3), batch_size=4, seed=9),
+            proj=ProjectionSpec(radius=0.3), batch_size=4, seed=9),
         "adasvrg-adaptive-diagonal-constant": lambda: adasvrg_adaptive(
             noisy, z4, 3, theta=0.05, variant=diag,
             eta=0.5, batch_size=8, seed=10),

@@ -2,14 +2,7 @@
 minimization, with datasets, diagnostics and a benchmark harness."""
 
 from .data import SyntheticSpec, gen_separable, load_libsvm, parse_libsvm, save_libsvm, serialize_libsvm
-from .diagnostics import (
-    PhaseTestState,
-    Trace,
-    TraceRow,
-    estimate_sigma2,
-    phase_ratio,
-    two_phase_slope_fit,
-)
+from .diagnostics import PhaseTestState, Trace, TraceRow, two_phase_slope_fit
 from .optimizers import (
     RunResult,
     adagrad,
@@ -45,13 +38,11 @@ __all__ = [
     "adasvrg_adaptive",
     "adasvrg_fixed",
     "adasvrg_multistage",
-    "estimate_sigma2",
     "gen_separable",
     "hybrid_adagrad_adasvrg",
     "load_libsvm",
     "loopless_svrg",
     "parse_libsvm",
-    "phase_ratio",
     "project",
     "sarah",
     "save_libsvm",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -67,9 +67,11 @@ class RunConfig:
     ``l2 = None`` resolves to 1/n.  ``eta = None`` means the tuning-free
     heuristic for the adaptive methods and is an error for baselines that
     need a constant step-size; a given ``eta`` and every ``grid`` value must
-    be finite and > 0, and ``theta`` must be > 0.  ``seeds`` may be given as
-    a count (int) or an explicit tuple of seeds.  ``loss`` may spell
-    underscores as hyphens (``squared-hinge``).
+    be finite and > 0, ``theta`` > 0, ``batch_size`` >= 1, ``l2`` >= 0,
+    ``huber_delta`` > 0, ``epsilon`` in (0, 1), a given ``p`` in (0, 1], and
+    ``variant`` and ``delta`` a valid :class:`PrecondVariant`.  ``seeds``
+    may be given as a count (int) or an explicit tuple of seeds.  ``loss``
+    may spell underscores as hyphens (``squared-hinge``).
     """
 
     dataset: str | None = None
@@ -111,10 +113,25 @@ class RunConfig:
                 raise ValueError(f"step sizes (eta, grid) must be finite and > 0, got {eta!r}")
         if not self.theta > 0:
             raise ValueError(f"theta must be > 0, got {self.theta!r}")
+        if not self.batch_size >= 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size!r}")
+        if self.l2 is not None and not self.l2 >= 0:
+            raise ValueError(f"l2 must be >= 0, got {self.l2!r}")
+        if not self.huber_delta > 0:
+            raise ValueError(f"huber_delta must be > 0, got {self.huber_delta!r}")
+        if not 0.0 < self.epsilon < 1.0:
+            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon!r}")
+        if self.p is not None and not 0.0 < self.p <= 1.0:
+            raise ValueError(f"p must be in (0, 1], got {self.p!r}")
+        self.precond_variant  # PrecondVariant checks delta against the variant
         seeds = range(self.seeds) if isinstance(self.seeds, int) else self.seeds
         object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
         if not self.seeds:
             raise ValueError("at least one seed required")
+
+    @property
+    def precond_variant(self) -> PrecondVariant:
+        return PrecondVariant(kind=_VARIANT_NAMES[self.variant], delta=self.delta)
 
 
 def config_keys() -> dict[str, str]:
@@ -170,18 +187,26 @@ def config_from_mapping(mapping: dict) -> RunConfig:
     for key, value in mapping.items():
         if key not in keys:
             raise ValueError(f"unknown config key {key!r}")
-        value = _coerce(keys[key], value)
         if key.startswith("synthetic_"):
-            synth[SYNTHETIC_KEYS[key.removeprefix("synthetic_")]] = value
+            synth[key.removeprefix("synthetic_")] = value
         else:
-            kwargs[key] = value
+            kwargs[key] = _coerce(keys[key], value)
     if kwargs.get("dataset") == "synthetic":
         del kwargs["dataset"]
     if synth:
-        if "n" not in synth or "d" not in synth:
-            raise ValueError("synthetic data needs synthetic_n and synthetic_d")
-        kwargs["synthetic"] = SyntheticSpec(**synth)
+        kwargs["synthetic"] = synthetic_spec(synth)
     return RunConfig(**kwargs)
+
+
+def synthetic_spec(values: dict) -> SyntheticSpec:
+    """Build a SyntheticSpec from ``SYNTHETIC_KEYS`` keys with string-or-native
+    values (the ``synthetic_<key>`` config keys, or ``gen-data``'s flags).
+    ``n`` and ``d`` are required; the rest keep the dataclass defaults."""
+    if "n" not in values or "d" not in values:
+        raise ValueError("synthetic data needs n and d (synthetic_n and synthetic_d)")
+    keys = config_keys()
+    return SyntheticSpec(**{SYNTHETIC_KEYS[key]: _coerce(keys[f"synthetic_{key}"], value)
+                            for key, value in values.items()})
 
 
 def config_to_text(config: RunConfig) -> str:
@@ -216,7 +241,7 @@ def execute_seed(problem: Problem, config: RunConfig, seed: int) -> RunResult:
     w0 = np.zeros(problem.d)
     n, b = problem.n, config.batch_size
     budget = config.epochs
-    variant = PrecondVariant(kind=_VARIANT_NAMES[config.variant], delta=config.delta)
+    variant = config.precond_variant
     eta = config.eta
     outer = budget // 3
     steps_per_pass = max(1, n // b)
@@ -264,7 +289,6 @@ class BenchOutput:
     config: RunConfig
     results: list[RunResult]
     out_dir: Path | None = None
-    trace_paths: list[Path] = field(default_factory=list)
 
     @property
     def traces(self) -> list[Trace]:
@@ -301,10 +325,8 @@ def run(config: RunConfig, out_dir: str | Path | None = None) -> BenchOutput:
         out.mkdir(parents=True, exist_ok=True)
         _write(out / "config.txt", config_to_text(config))
         for seed, result in zip(config.seeds, results):
-            csv_path = out / f"seed{seed}.trace.csv"
-            _write(csv_path, result.trace.to_csv())
+            _write(out / f"seed{seed}.trace.csv", result.trace.to_csv())
             _write(out / f"seed{seed}.trace.jsonl", result.trace.to_jsonl())
-            output.trace_paths.append(csv_path)
         _write(out / "aggregate.csv", aggregate_to_csv(aggregate(output.traces)))
         output.out_dir = out
     return output
@@ -363,15 +385,6 @@ def aggregate_from_csv(text: str) -> list[tuple]:
     return [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
 
 
-def regenerate_aggregate(trace_paths: list[str | Path]) -> str:
-    """Rebuild the aggregate CSV from persisted per-seed trace files."""
-    traces = []
-    for path in sorted(Path(p) for p in trace_paths):
-        with open(path, "r", encoding="utf-8") as handle:
-            traces.append(Trace.from_csv(handle.read()))
-    return aggregate_to_csv(aggregate(traces))
-
-
 def final_metric(traces: list[Trace]) -> float:
     """Median full-gradient norm at the last pass common to all seeds."""
     return float(np.median(_per_pass(traces, "grad_norm")[-1]))
@@ -428,7 +441,7 @@ def manual_switch_search(config: RunConfig) -> tuple[int | None, dict]:
     b = config.batch_size
     steps_per_pass = max(1, problem.n // b)
     eta = config.eta if config.eta is not None else 1.0
-    variant = PrecondVariant(kind=_VARIANT_NAMES[config.variant], delta=config.delta)
+    variant = config.precond_variant
 
     def final_loss_never(seed: int) -> float:
         result = adagrad(problem, w0, budget * steps_per_pass, eta,

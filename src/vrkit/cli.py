@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import bench
 from .bench import RunConfig, config_from_mapping, parse_config_text
-from .data import SyntheticSpec, gen_separable, save_libsvm
+from .data import gen_separable, save_libsvm
 from .svgplot import emit_plot
 
 
@@ -97,14 +97,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
-    spec = SyntheticSpec(
-        n=args.n,
-        d=args.d,
-        mislabel_fraction=args.mislabel,
-        margin=args.margin,
-        seed=args.seed,
-    )
-    dataset, _ = gen_separable(spec)
+    dataset, _ = gen_separable(args.spec)
     save_libsvm(dataset, args.out)
     print(f"wrote {args.out} (n={dataset.n}, d={dataset.d})")
     return 0
@@ -135,23 +128,24 @@ def main(argv: list[str] | None = None) -> int:
     plot_p.add_argument("--log-x", action="store_true", dest="log_x")
     plot_p.set_defaults(fn=_cmd_plot)
 
-    gen_p = sub.add_parser("gen-data", help="write a synthetic LIBSVM dataset")
-    gen_p.add_argument("--n", type=int, required=True)
-    gen_p.add_argument("--d", type=int, required=True)
-    gen_p.add_argument("--mislabel", type=float, default=0.0)
-    gen_p.add_argument("--margin", type=float, default=0.1)
-    gen_p.add_argument("--seed", type=int, default=0)
+    # one flag per SYNTHETIC_KEYS entry; flags left out keep the SyntheticSpec defaults
+    gen_p = sub.add_parser("gen-data", help="write a synthetic LIBSVM dataset",
+                           argument_default=argparse.SUPPRESS)
+    for key in bench.SYNTHETIC_KEYS:
+        gen_p.add_argument("--" + key, help=bench.config_keys()[f"synthetic_{key}"])
     gen_p.add_argument("--out", required=True)
     gen_p.set_defaults(fn=_cmd_gen_data)
 
     args = parser.parse_args(argv)
-    if "config" not in args:  # plot and gen-data take no run config
-        return args.fn(args)
     try:
-        config = _build_config(args)
+        # run, grid and switch-search take a RunConfig; plot and gen-data the arguments
+        setting = _build_config(args) if "config" in args else args
+        if args.command == "gen-data":
+            args.spec = bench.synthetic_spec(
+                {key: getattr(args, key) for key in bench.SYNTHETIC_KEYS if key in args})
     except ValueError as exc:
         parser.error(str(exc))
-    return args.fn(config)
+    return args.fn(setting)
 
 
 if __name__ == "__main__":

@@ -121,22 +121,15 @@ def parse_libsvm(source: str | IO[str] | Iterable[str], d: int | None = None) ->
         ),
         shape=(len(labels), dim),
     )
-    mapped, mapping = _recode_labels(raw_labels)
-    return Dataset(features=matrix, labels=mapped, label_mapping=mapping)
+    return Dataset(features=matrix, labels=_recode_labels(raw_labels))
 
 
-def _recode_labels(labels: np.ndarray) -> tuple[np.ndarray, dict | None]:
+def _recode_labels(labels: np.ndarray) -> np.ndarray:
     distinct = set(np.unique(labels).tolist())
-    if distinct <= {-1.0, 1.0}:
-        return labels, None
-    if distinct <= {0.0, 1.0}:
-        mapping = {0.0: -1.0, 1.0: 1.0}
-    elif distinct <= {1.0, 2.0}:
-        mapping = {1.0: -1.0, 2.0: 1.0}
-    else:
-        return labels, None
-    mapped = np.array([mapping[v] for v in labels], dtype=np.float64)
-    return mapped, mapping
+    for pair in ({-1.0, 1.0}, {0.0, 1.0}, {1.0, 2.0}):
+        if distinct <= pair:  # the smaller label becomes -1, the larger +1
+            return np.where(labels == min(pair), -1.0, 1.0)
+    return labels
 
 
 def load_libsvm(path, d: int | None = None) -> Dataset:

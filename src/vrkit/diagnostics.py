@@ -25,8 +25,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .problems import Problem
-
 TRACE_EVENTS = ("switch", "adaptive_stop", "stage_boundary", "diverged")
 
 
@@ -55,9 +53,6 @@ class Trace:
     """Per-run time series; rows are strictly increasing in passes."""
 
     rows: list[TraceRow] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
     def validate(self) -> None:
         passes = [row.passes for row in self.rows]
@@ -191,57 +186,6 @@ def _growth_ratio(history: np.ndarray, t: int) -> float | None:
     if not np.isfinite(half) or half <= 0:
         return None
     return (history[t] - half) / half
-
-
-def phase_ratio(history: np.ndarray, t: int) -> float:
-    """Relative growth of ||G||_*^2 between iterations t/2 and t.
-
-    ``history`` is indexed so that ``history[s]`` is the value at iteration
-    s (entry 0 is ignored).  Raises ``ValueError`` when t is odd, out of
-    range, or the comparison value is zero (callers treat that as "no
-    decision").
-    """
-    history = np.asarray(history, dtype=np.float64)
-    if t % 2 != 0:
-        raise ValueError("phase ratio is defined only at even iterations")
-    if t >= history.shape[0] or t // 2 < 1:
-        raise ValueError(f"history does not cover iterations {t // 2} and {t}")
-    ratio = _growth_ratio(history, t)
-    if ratio is None:
-        raise ValueError("comparison value is zero; ratio undefined")
-    return float(ratio)
-
-
-def estimate_sigma2(
-    problem: Problem,
-    w: np.ndarray,
-    exhaustive: bool = True,
-    sample_size: int = 2048,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Mean squared deviation of per-example gradients from the full gradient.
-
-    Returns ``(value, std_error)``; the error is exactly zero in exhaustive
-    mode.  Exhaustive enumeration is capped at n <= 10**4.
-    """
-    n = problem.n
-    if exhaustive:
-        if n > 10**4:
-            raise ValueError("exhaustive enumeration capped at n <= 10**4")
-        grads = problem.per_example_gradients(w)
-        mean = grads.mean(axis=0)
-        sq = ((grads - mean) ** 2).sum(axis=1)
-        return float(sq.mean()), 0.0
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=sample_size)
-    full = problem.grad_full(w)
-    sq = np.empty(sample_size)
-    for j, i in enumerate(idx):
-        gi = problem.grad_batch(w, np.array([i]))
-        sq[j] = float(((gi - full) ** 2).sum())
-    value = float(sq.mean())
-    stderr = float(sq.std(ddof=1) / np.sqrt(sample_size))
-    return value, stderr
 
 
 def two_phase_slope_fit(

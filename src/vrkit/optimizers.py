@@ -33,9 +33,10 @@ Each setting has one spelling and one check.  A step size is ``eta`` (or
 ``eta0`` for :func:`svrg_bb`), checked finite and > 0 by :class:`_StepRule`;
 on the adaptive methods ``eta=None`` is the tuning-free heuristic, while the
 baselines require a number.  Loop and step counts are checked by
-:func:`_validate_common`.  The growth test takes keywords: ``theta`` (> 0,
-checked by :func:`_engine`) and ``max_inner``, plus ``burn_in`` on
-:func:`adasvrg_adaptive`.
+:func:`_validate_common`, and inner-loop lengths by :func:`_check_inner`.
+The growth test takes keywords: ``theta`` (> 0, checked by :func:`_engine`)
+and ``max_inner`` (at least 1 and at least the burn-in), plus ``burn_in``
+on :func:`adasvrg_adaptive`.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ import numpy as np
 from .diagnostics import PhaseTestState, Trace, TraceRecorder, TraceRow
 from .precond import PrecondState, PrecondVariant, ProjectionSpec
 from .problems import GradOracleCounters, Problem
-
-TERMINATION_REASONS = ("budget", "diverged")
 
 SNAPSHOT_MODES = ("last", "average")
 
@@ -239,9 +238,18 @@ def _validate_common(
         raise ValueError(f"outer_loops and total_steps must be >= 0, got {loops}")
     if inner_loops is None:
         return w0, max(1, problem.n // batch_size)
-    if inner_loops < 1:
-        raise ValueError(f"inner_loops must be >= 1, got {inner_loops}")
-    return w0, inner_loops
+    return w0, _check_inner(inner_loops)
+
+
+def _check_inner(inner: int, burn_in: int = 0) -> int:
+    """The one check of an inner-loop length, ``inner_loops`` or the growth
+    test's cap ``max_inner``: at least 1, and at least the test's burn-in."""
+    if inner < 1:
+        raise ValueError(f"inner loop length (inner_loops, max_inner) must be >= 1, got {inner}")
+    if inner < burn_in:
+        raise ValueError(f"max_inner must be at least the burn-in threshold {burn_in}, "
+                         f"got {inner}")
+    return inner
 
 
 @dataclass
@@ -492,10 +500,8 @@ def adasvrg_adaptive(
     """
     variant = variant or PrecondVariant()
     w0, n_over_b = _validate_common(problem, w0, batch_size, snapshot, outer_loops)
-    max_inner = max_inner if max_inner is not None else 10 * n_over_b
     burn_in = burn_in if burn_in is not None else n_over_b
-    if max_inner < burn_in:
-        raise ValueError("max_inner must be at least the burn-in threshold")
+    max_inner = _check_inner(max_inner if max_inner is not None else 10 * n_over_b, burn_in)
     rule = _StepRule(eta)
 
     run = _Run(problem, w0, seed)
@@ -528,8 +534,10 @@ def hybrid_adagrad_adasvrg(
     with the growth-ratio test, burn-in 2n/b, checks at even steps.  When the
     test fires at step t, phase 2 runs the adaptively-terminated VR method
     from the current iterate with an outer-loop budget of
-    (total_steps - t) // (n // b).  If the test never fires (the
-    interpolation regime), phase 1 consumes the whole budget.
+    (total_steps - t) // (n // b), each inner loop capped at ``max_inner``
+    steps (default 10n/b; it must be at least the phase-2 burn-in n/b).  If
+    the test never fires (the interpolation regime), phase 1 consumes the
+    whole budget.
 
     With ``eta=None``, the tuning-free heuristic, the phase-1 step-size is
     recomputed from a full gradient every n/b steps; a number is used
@@ -537,8 +545,7 @@ def hybrid_adagrad_adasvrg(
     """
     variant = variant or PrecondVariant()
     x1, n_over_b = _validate_common(problem, x1, batch_size, "last", total_steps)
-    if max_inner is None:
-        max_inner = 10 * n_over_b
+    max_inner = _check_inner(max_inner if max_inner is not None else 10 * n_over_b, n_over_b)
 
     run = _Run(problem, x1, seed)
     phase1 = _engine(run, x1, 1, total_steps, batch_size, _StepRule(eta),

@@ -1,4 +1,5 @@
-"""Adaptive gradient preconditioning: accumulator state, step, projection.
+"""Adaptive gradient preconditioning: accumulator state, step, and
+projection onto an l2 ball.
 
 The accumulator G grows monotonically with squared gradients (a scalar sum,
 a per-coordinate sum, or a matrix of outer products) and the step metric is
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 VARIANT_KINDS = ("scalar", "diagonal", "full_matrix")
-PROJECTION_KINDS = ("none", "l2_ball", "box")
 
 # Full-matrix steps cost an O(d^3) eigendecomposition each iteration; warn
 # beyond this dimension.
@@ -46,43 +46,17 @@ class PrecondVariant:
 
 @dataclass(frozen=True)
 class ProjectionSpec:
-    """Feasible set for the preconditioned step.
-
-    ``none`` is the default.  ``l2_ball`` needs a radius; ``box`` needs
-    coordinatewise bounds.  ``tolerance`` controls the root-find in the
-    metric-weighted ball projection.
+    """Feasible set for the preconditioned step: the l2 ball of ``radius``
+    (> 0) around the origin.  ``tolerance`` controls the root-find in the
+    metric-weighted projection.  ``proj=None`` means unconstrained.
     """
 
-    kind: str = "none"
-    radius: float | None = None
-    lo: np.ndarray | None = None
-    hi: np.ndarray | None = None
+    radius: float
     tolerance: float = 1e-10
 
     def __post_init__(self):
-        if self.kind not in PROJECTION_KINDS:
-            raise ValueError(f"unknown projection {self.kind!r}")
-        if self.kind == "l2_ball":
-            if self.radius is None or self.radius <= 0:
-                raise ValueError("l2_ball projection requires radius > 0")
-        if self.kind == "box":
-            if self.lo is None or self.hi is None:
-                raise ValueError("box projection requires lo and hi")
-            lo = np.asarray(self.lo, dtype=np.float64)
-            hi = np.asarray(self.hi, dtype=np.float64)
-            if lo.shape != hi.shape or np.any(lo > hi):
-                raise ValueError("box bounds must satisfy lo <= hi elementwise")
-            object.__setattr__(self, "lo", lo)
-            object.__setattr__(self, "hi", hi)
-
-    @property
-    def diameter(self) -> float:
-        """Euclidean diameter of the feasible set (inf when unconstrained)."""
-        if self.kind == "l2_ball":
-            return 2.0 * self.radius
-        if self.kind == "box":
-            return float(np.linalg.norm(self.hi - self.lo))
-        return np.inf
+        if not self.radius > 0:
+            raise ValueError(f"projection radius must be > 0, got {self.radius!r}")
 
 
 class PrecondState:
@@ -96,7 +70,6 @@ class PrecondState:
     def __init__(self, variant: PrecondVariant, d: int):
         self.variant = variant
         self.d = int(d)
-        self.t = 0
         self.weighted_grad_sq_sum = 0.0
         kind = variant.kind
         if kind == "scalar":
@@ -115,7 +88,7 @@ class PrecondState:
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
 
     def accumulate(self, g: np.ndarray) -> "PrecondState":
-        """Add one gradient to the accumulator and advance the step counter."""
+        """Add one gradient to the accumulator."""
         g = np.asarray(g, dtype=np.float64).ravel()
         if g.shape[0] != self.d:
             raise ValueError(f"gradient has dimension {g.shape[0]}, expected {self.d}")
@@ -137,7 +110,6 @@ class PrecondState:
             evals, evecs = self._eigdecomp(refresh=True)
             ainv_g = evecs @ ((evecs.T @ g) / np.sqrt(evals))
             self.weighted_grad_sq_sum += float(g @ ainv_g)
-        self.t += 1
         return self
 
     def trace_G(self) -> float:
@@ -207,7 +179,7 @@ class PrecondState:
             evals, evecs = self._eigdecomp()
             ainv_g = evecs @ ((evecs.T @ g) / np.sqrt(evals))
             y = x - eta * ainv_g
-        if proj is not None and proj.kind != "none":
+        if proj is not None:
             y = project(proj, self, y)
         if not np.all(np.isfinite(y)):
             raise FloatingPointError("preconditioned step produced a non-finite iterate")
@@ -215,22 +187,15 @@ class PrecondState:
 
 
 def project(proj: ProjectionSpec, state: PrecondState, y: np.ndarray) -> np.ndarray:
-    """Project ``y`` onto the feasible set in the metric induced by A.
+    """Project ``y`` onto the ball in the metric induced by A.
 
-    Box projections with separable (scalar/diagonal) metrics clip exactly.
-    The ball projection under a diagonal metric solves for the Lagrange
-    multiplier by bisection; under a scalar metric it reduces to radial
-    rescaling.  Full-matrix metrics do not support projection.
+    Under a scalar metric this is radial rescaling; under a diagonal metric
+    it solves for the Lagrange multiplier by bisection.  Full-matrix metrics
+    do not support projection.
     """
-    if proj.kind == "none":
-        return y
     if state.variant.kind == "full_matrix":
         raise NotImplementedError("projection is not supported for the full_matrix variant")
     y = np.asarray(y, dtype=np.float64)
-    if proj.kind == "box":
-        return np.clip(y, proj.lo, proj.hi)
-
-    # l2_ball
     radius = float(proj.radius)
     norm = float(np.linalg.norm(y))
     if norm <= radius:

@@ -12,8 +12,7 @@ are never charged; they are used for monitoring only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,13 +52,10 @@ class Dataset:
 
     ``features`` is an n x d CSR matrix with sorted column indices; features
     and labels must be finite.
-    ``label_mapping`` records any label recoding applied during parsing
-    (e.g. {0, 1} -> {-1, +1}); ``None`` means labels are unmodified.
     """
 
     features: sp.csr_matrix
     labels: np.ndarray
-    label_mapping: dict | None = None
 
     def __post_init__(self):
         feats = sp.csr_matrix(self.features)
@@ -84,11 +80,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.features.shape[1]
-
-    @cached_property
-    def max_row_sq_norm(self) -> float:
-        sq = self.features.multiply(self.features).sum(axis=1)
-        return float(np.asarray(sq).max())
 
     def equals(self, other: "Dataset") -> bool:
         """Exact structural equality (indices and float values bit-for-bit)."""
@@ -206,23 +197,3 @@ class Problem:
         if counters is not None:
             counters.charge_batch(batch.size)
         return np.asarray(g)
-
-    def per_example_gradients(self, w: np.ndarray) -> np.ndarray:
-        """Dense n x d matrix of per-example gradients (L2 term included).
-
-        Measurement helper for diagnostics and tests; never charged.
-        """
-        w = self._check_dim(w)
-        z = self.dataset.features @ w
-        coeffs = self._loss_derivs(z, self.dataset.labels)
-        grads = self.dataset.features.multiply(coeffs[:, None]).toarray()
-        return grads + self.l2_reg * w[None, :]
-
-    def smoothness_bound(self) -> float:
-        """Analytic upper bound on the worst per-example smoothness constant.
-
-        Used by test harnesses and for anchoring baseline step-size grids;
-        the adaptive methods never consume it.
-        """
-        factor = {"logistic": 0.25, "squared": 1.0, "huber": 1.0, "squared_hinge": 2.0}
-        return factor[self.loss] * self.dataset.max_row_sq_norm + self.l2_reg

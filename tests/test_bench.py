@@ -18,7 +18,6 @@ from vrkit.bench import (
     grid_search,
     manual_switch_search,
     parse_config_text,
-    regenerate_aggregate,
     run,
 )
 from vrkit.svgplot import emit_plot
@@ -190,9 +189,10 @@ class TestAggregate:
 
     def test_regeneration_is_byte_identical(self, tmp_path):
         config = synthetic_config()
-        output = run(config, out_dir=tmp_path)
-        regenerated = regenerate_aggregate(output.trace_paths)
-        assert regenerated == (tmp_path / "aggregate.csv").read_text()
+        run(config, out_dir=tmp_path)
+        paths = sorted(tmp_path.glob("seed*.trace.csv"))
+        traces = [Trace.from_csv(path.read_text()) for path in paths]
+        assert aggregate_to_csv(aggregate(traces)) == (tmp_path / "aggregate.csv").read_text()
 
 
 class TestGridSearch:

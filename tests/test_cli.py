@@ -68,12 +68,27 @@ class TestBadConfigValue:
         (["run", "--algo", "svrg", "--eta", "-1"], "-1.0"),
         (["grid", "--grid=-0.1,0.1"], "-0.1"),
         (["run", "--algo", "adasvrg-at", "--theta", "0"], "theta"),
-    ], ids=["run-eta", "grid-grid", "run-theta"])
+        (["run", "--algo", "adasvrg-ms", "--epsilon", "2"], "epsilon"),
+        (["run", "--algo", "adasvrg-ms", "--epsilon", "nan"], "epsilon"),
+        (["run", "--algo", "lsvrg", "--eta", "0.1", "--p", "0"], "p must"),
+        (["run", "--batch-size", "0"], "batch_size"),
+        (["run", "--l2", "-1"], "l2"),
+        (["run", "--loss", "huber", "--huber-delta", "0"], "huber_delta"),
+        (["run", "--delta", "-1"], "delta"),
+        (["run", "--variant", "full", "--delta", "0"], "delta > 0"),
+    ], ids=["run-eta", "grid-grid", "run-theta", "run-epsilon", "run-epsilon-nan", "run-p",
+            "run-batch-size", "run-l2", "run-huber-delta", "run-delta", "run-full-delta"])
     def test_bad_step_size_or_theta_exits_with_usage_error(self, argv, shown, capsys):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--dataset", "data.libsvm"])
         assert exc.value.code == 2
         assert shown in capsys.readouterr().err
+
+    def test_bad_synthetic_spec_exits_with_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-data", "--n", "1", "--d", "3", "--out", str(tmp_path / "x.libsvm")])
+        assert exc.value.code == 2
+        assert "n must be >= 2" in capsys.readouterr().err
 
 
 class TestRunExitCode:

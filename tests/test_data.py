@@ -38,19 +38,15 @@ class TestParse:
     def test_label_recoding(self):
         zero_one = parse_libsvm("0 1:1\n1 1:2")
         np.testing.assert_array_equal(zero_one.labels, [-1.0, 1.0])
-        assert zero_one.label_mapping == {0.0: -1.0, 1.0: 1.0}
 
         one_two = parse_libsvm("1 1:1\n2 1:2")
         np.testing.assert_array_equal(one_two.labels, [-1.0, 1.0])
-        assert one_two.label_mapping == {1.0: -1.0, 2.0: 1.0}
 
         keep = parse_libsvm("+1 1:1\n-1 1:2")
         np.testing.assert_array_equal(keep.labels, [1.0, -1.0])
-        assert keep.label_mapping is None
 
         regression = parse_libsvm("0.25 1:1\n-3.5 1:2")
         np.testing.assert_array_equal(regression.labels, [0.25, -3.5])
-        assert regression.label_mapping is None
 
     def test_malformed_inputs_raise(self):
         with pytest.raises(ValueError, match="label"):

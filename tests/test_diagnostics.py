@@ -1,64 +1,10 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vrkit import (
-    Dataset,
-    PhaseTestState,
-    Problem,
-    SyntheticSpec,
-    Trace,
-    TraceRow,
-    estimate_sigma2,
-    gen_separable,
-    phase_ratio,
-    two_phase_slope_fit,
-)
+from vrkit import PhaseTestState, Trace, TraceRow, two_phase_slope_fit
 from vrkit.diagnostics import TraceRecorder
-
-from conftest import make_problem
-
-
-class TestPhaseRatio:
-    def test_constant_history_gives_zero(self):
-        history = np.full(101, 5.0)
-        assert phase_ratio(history, 60) == 0.0
-
-    def test_linear_history_gives_one(self):
-        history = np.arange(0, 101, dtype=float)
-        for t in (10, 60, 100):
-            assert phase_ratio(history, t) == pytest.approx(1.0)
-
-    def test_sqrt_history_stays_below_half(self):
-        # sublinear growth of the squared norms does not trigger at 0.5
-        history = np.sqrt(np.arange(0, 201, dtype=float))
-        for t in (50, 100, 200):
-            assert phase_ratio(history, t) == pytest.approx(np.sqrt(2.0) - 1.0)
-        assert phase_ratio(history, 100) < 0.5
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        scale=st.floats(min_value=1e-6, max_value=1e6),
-        seed=st.integers(min_value=0, max_value=999),
-        t=st.sampled_from([10, 40, 80]),
-    )
-    def test_scale_invariance(self, scale, seed, t):
-        rng = np.random.default_rng(seed)
-        history = np.cumsum(rng.random(81) + 0.01)
-        base = phase_ratio(history, t)
-        scaled = phase_ratio(history * scale, t)
-        assert scaled == pytest.approx(base, rel=1e-9)
-
-    def test_errors(self):
-        history = np.arange(0, 20, dtype=float)
-        with pytest.raises(ValueError):
-            phase_ratio(history, 7)  # odd
-        with pytest.raises(ValueError):
-            phase_ratio(history, 40)  # out of range
-        with pytest.raises(ValueError):
-            phase_ratio(np.zeros(20), 10)  # zero comparison value
 
 
 class TestPhaseTestState:
@@ -75,56 +21,49 @@ class TestPhaseTestState:
         assert not state.observe(2, 5.0)  # comparison value is zero
         assert state.last_R is None
 
+    @staticmethod
+    def _ratios(history: np.ndarray) -> tuple[dict, list]:
+        """Observe history[t] for t >= 1 with theta = 0.5; returns last_R at
+        each even t and the steps at which the test fired."""
+        state = PhaseTestState(theta=0.5, burn_in_threshold=2, capacity=len(history) - 1)
+        ratios, fired = {}, []
+        for t in range(1, len(history)):
+            if state.observe(t, history[t]):
+                fired.append(t)
+            if t % 2 == 0:
+                ratios[t] = state.last_R
+        return ratios, fired
 
-class TestEstimateSigma2:
-    def test_single_example_is_zero(self):
-        problem = make_problem(n=1, d=4, seed=0, loss="squared", classification=False)
-        value, err = estimate_sigma2(problem, np.ones(4))
-        assert value == 0.0 and err == 0.0
+    def test_constant_history_gives_zero(self):
+        ratios, fired = self._ratios(np.full(101, 5.0))
+        assert set(ratios.values()) == {0.0}
+        assert fired == []
 
-    def test_interpolating_point_is_zero(self):
-        dataset, w_star = gen_separable(
-            SyntheticSpec(n=100, d=8, mislabel_fraction=0.0, margin=0.5, seed=2)
-        )
-        problem = Problem(dataset=dataset, loss="squared_hinge", l2_reg=0.0)
-        value, _ = estimate_sigma2(problem, w_star / 0.5)
-        assert value == pytest.approx(0.0, abs=1e-20)
+    def test_linear_history_gives_one(self):
+        ratios, fired = self._ratios(np.arange(0, 101, dtype=float))
+        for t in (10, 60, 100):
+            assert ratios[t] == pytest.approx(1.0)
+        assert fired == list(range(2, 101, 2))
 
-    def test_two_opposed_gradients_give_unit_variance(self):
-        # squared loss rows engineered to produce per-example gradients +1, -1
-        dataset = Dataset(
-            features=sp.csr_matrix(np.array([[1.0], [1.0]])),
-            labels=np.array([-1.0, 1.0]),
-        )
-        problem = Problem(dataset=dataset, loss="squared", l2_reg=0.0)
-        value, err = estimate_sigma2(problem, np.array([0.0]))
-        assert value == pytest.approx(1.0)
-        assert err == 0.0
+    def test_sqrt_history_stays_below_half(self):
+        # sublinear growth of the squared norms does not trigger at 0.5
+        ratios, fired = self._ratios(np.sqrt(np.arange(0, 201, dtype=float)))
+        for t in (50, 100, 200):
+            assert ratios[t] == pytest.approx(np.sqrt(2.0) - 1.0)
+        assert fired == []
 
-    def test_exhaustive_is_seed_independent(self):
-        problem = make_problem(n=30, d=5, seed=7)
-        w = np.random.default_rng(1).standard_normal(5)
-        a, _ = estimate_sigma2(problem, w, exhaustive=True, seed=0)
-        b, _ = estimate_sigma2(problem, w, exhaustive=True, seed=999)
-        assert a == b
-
-    def test_sampling_mode_reports_error_and_converges(self):
-        problem = make_problem(n=40, d=5, seed=3)
-        w = np.random.default_rng(2).standard_normal(5)
-        exact, _ = estimate_sigma2(problem, w, exhaustive=True)
-        approx, stderr = estimate_sigma2(problem, w, exhaustive=False, sample_size=4000, seed=5)
-        assert stderr > 0
-        assert abs(approx - exact) <= 5 * stderr
-
-    def test_exhaustive_cap(self):
-        n = 10**4 + 1
-        dataset = Dataset(
-            features=sp.csr_matrix((np.ones(n), (np.arange(n), np.zeros(n, dtype=int))), shape=(n, 1)),
-            labels=np.zeros(n),
-        )
-        problem = Problem(dataset=dataset, loss="squared", l2_reg=0.0)
-        with pytest.raises(ValueError, match="capped"):
-            estimate_sigma2(problem, np.zeros(1), exhaustive=True)
+    @settings(max_examples=50, deadline=None)
+    @given(
+        scale=st.floats(min_value=1e-6, max_value=1e6),
+        seed=st.integers(min_value=0, max_value=999),
+        t=st.sampled_from([10, 40, 80]),
+    )
+    def test_scale_invariance(self, scale, seed, t):
+        rng = np.random.default_rng(seed)
+        history = np.cumsum(rng.random(81) + 0.01)
+        base, _ = self._ratios(history)
+        scaled, _ = self._ratios(history * scale)
+        assert scaled[t] == pytest.approx(base[t], rel=1e-9)
 
 
 class TestTwoPhaseSlopeFit:

@@ -525,7 +525,11 @@ class TestSingleChecks:
         if fn in (svrg, svrg_bb, sarah, adasvrg_fixed):
             bad.append(({"inner_loops": 0}, "inner_loops"))
         if fn in (adasvrg_adaptive, hybrid_adagrad_adasvrg):
-            bad.append(({"theta": 0.0}, "theta"))
+            # n/b = 4 is the burn-in of adasvrg_adaptive and of the hybrid's phase 2
+            bad += [({"theta": 0.0}, "theta"), ({"max_inner": 0}, "max_inner.*>= 1"),
+                    ({"max_inner": 3}, "burn-in")]
+        if fn is adasvrg_adaptive:
+            bad.append(({"max_inner": 0, "burn_in": 0}, "max_inner.*>= 1"))
         if fn in (svrg, svrg_bb, sarah, loopless_svrg, adagrad, sgd):
             # eta=None is the heuristic only on the adaptive methods
             bad.append(({"eta": None}, "needs a constant step size"))
