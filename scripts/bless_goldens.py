@@ -74,6 +74,33 @@ def _gaussian_squared() -> Problem:
     return _problem(rng.standard_normal((32, 4)), rng.standard_normal(32), "squared", 1.0 / 32)
 
 
+def _sparse_rows(loss: str) -> Problem:
+    """40 x 12 CSR rows of 0 to 6 nonzeros (some rows empty), l2 = 0.05;
+    +-1 labels for squared_hinge, real targets for huber."""
+    rng = np.random.default_rng(21)
+    n, d = 40, 12
+    lengths = rng.integers(0, 7, size=n)
+    lengths[[3, 17, 30]] = 0
+    indices = np.concatenate([np.sort(rng.choice(d, size=k, replace=False)) for k in lengths])
+    data = rng.standard_normal(indices.size)
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    labels = rng.choice([-1.0, 1.0], size=n) if loss == "squared_hinge" else rng.standard_normal(n)
+    return _problem(sp.csr_matrix((data, indices, indptr), shape=(n, d)), labels, loss, 0.05)
+
+
+def _sparse_cases() -> dict:
+    z12 = np.zeros(12)
+    diag = PrecondVariant(kind="diagonal", delta=1e-8)
+    return {
+        "sparse-svrg-squared_hinge-b1": lambda: svrg(
+            _sparse_rows("squared_hinge"), z12, 3, None, 0.1, batch_size=1, seed=17),
+        "sparse-adasvrg-fixed-huber-b4": lambda: adasvrg_fixed(
+            _sparse_rows("huber"), z12, 3, variant=diag, eta=0.5, batch_size=4, seed=18),
+        "sparse-adagrad-diagonal-squared_hinge-b4": lambda: adagrad(
+            _sparse_rows("squared_hinge"), z12, 60, 0.5, variant=diag, batch_size=4, seed=19),
+    }
+
+
 @functools.cache
 def _bundled(path: str) -> Problem:
     return bench.resolve_problem(RunConfig(dataset=path))
@@ -153,7 +180,7 @@ def _direct_cases() -> dict:
 
 def cases() -> dict:
     """Case name -> zero-argument callable returning a RunResult."""
-    return {**_bench_cases(), **_diverging_cases(), **_direct_cases()}
+    return {**_bench_cases(), **_diverging_cases(), **_direct_cases(), **_sparse_cases()}
 
 
 def _hex(value):
