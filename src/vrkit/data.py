@@ -10,6 +10,7 @@ is kept verbatim.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -18,6 +19,11 @@ import scipy.sparse as sp
 
 from .problems import Dataset
 
+# gen_separable keeps a standard-normal candidate row with probability
+# erfc(margin / sqrt 2); a margin that needs more candidates than this per
+# kept row on average is rejected (it would stall the draw).
+MAX_CANDIDATES_PER_ROW = 1000
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -25,7 +31,9 @@ class SyntheticSpec:
 
     ``mislabel_fraction`` flips exactly ``floor(fraction * n)`` labels at
     distinct uniformly chosen positions; 0 keeps the data separable with
-    the requested margin.
+    the requested margin.  ``margin`` must be finite, > 0, and reachable:
+    its acceptance rate erfc(margin / sqrt 2) must be at least
+    1 / ``MAX_CANDIDATES_PER_ROW`` (a margin of about 3.29 at most).
     """
 
     n: int
@@ -41,8 +49,12 @@ class SyntheticSpec:
             raise ValueError("d must be >= 1")
         if not 0.0 <= self.mislabel_fraction <= 1.0:
             raise ValueError("mislabel_fraction must be in [0, 1]")
-        if self.margin <= 0:
-            raise ValueError("margin must be > 0")
+        if not (math.isfinite(self.margin) and self.margin > 0):
+            raise ValueError(f"margin must be finite and > 0, got {self.margin!r}")
+        if math.erfc(self.margin / math.sqrt(2.0)) * MAX_CANDIDATES_PER_ROW < 1.0:
+            raise ValueError(
+                f"margin {self.margin!r} keeps fewer than 1 in {MAX_CANDIDATES_PER_ROW} "
+                "standard-normal candidate rows; use a smaller margin")
 
 
 def _iter_lines(source: str | IO[str] | Iterable[str]) -> Iterable[str]:

@@ -20,6 +20,8 @@ The variance-reduced methods form the direction
 
 which is an unbiased estimate of the exact gradient at x_t; at the first
 inner step x_1 = w_k it equals grad_full(w_k) for every sampled batch.
+Both batch gradients come from one stacked ``grad_batch`` call on
+(x_t, w_k), which gathers the batch's rows once and is charged 2b.
 
 Every optimizer is a thin wrapper around one loop, :func:`_engine`, set by
 four choices: the direction (plain, snapshot-anchored as above, or
@@ -351,9 +353,11 @@ def _engine(
                     g = base
                 else:
                     batch = run.sample(batch_size)
-                    g = problem.grad_batch(x, batch, run.counters)
-                    if direction != "plain":
-                        g = g - problem.grad_batch(anchor, batch, run.counters) + base
+                    if direction == "plain":
+                        g = problem.grad_batch(x, batch, run.counters)
+                    else:
+                        gx, ga = problem.grad_batch(np.stack((x, anchor)), batch, run.counters)
+                        g = gx - ga + base
                 if direction == "recursive":
                     anchor, base = x, g
                 if average:

@@ -38,9 +38,9 @@ class PrecondVariant:
     def __post_init__(self):
         if self.kind not in VARIANT_KINDS:
             raise ValueError(f"unknown variant {self.kind!r}; expected one of {VARIANT_KINDS}")
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
-        if self.kind == "full_matrix" and self.delta <= 0:
+        if not self.delta >= 0:
+            raise ValueError(f"delta must be >= 0, got {self.delta!r}")
+        if self.kind == "full_matrix" and not self.delta > 0:
             raise ValueError("full_matrix variant requires delta > 0")
 
 

@@ -8,11 +8,24 @@ an L2 penalty:
 Gradient oracles charge a per-run :class:`GradOracleCounters` so benchmark
 traces can report work in effective passes over the data.  Loss evaluations
 are never charged; they are used for monitoring only.
+
+The mini-batch oracle :meth:`Problem.grad_batch` reads the batch's rows
+straight from the CSR arrays ``indptr/indices/data`` and takes one point or
+a (k, d) stack of points; a stack shares one row gather and is charged k
+times the batch size, so the variance-reduced direction costs one call.
+Its sums keep scipy's order, which the seeded golden traces rely on bit for
+bit: each prediction is 0.0 + a_0 w_0 + a_1 w_1 + ... over a row's stored
+entries in order (``csr_matvec``), and each gradient coordinate is 0.0 plus
+the row terms in batch draw order (``csc_matvec`` on the transposed rows).
+``np.bincount`` adds in exactly that order.  ``np.sum``, ``np.add.reduce``
+and ``@`` add pairwise, in an order that depends on the array layout, and
+would change the last bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,6 +93,12 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.features.shape[1]
+
+    @cached_property
+    def row_nnz(self) -> np.ndarray:
+        """Stored entries per row, ``indptr[i + 1] - indptr[i]``; computed on
+        first use."""
+        return np.diff(self.features.indptr)
 
     def equals(self, other: "Dataset") -> bool:
         """Exact structural equality (indices and float values bit-for-bit)."""
@@ -183,17 +202,45 @@ class Problem:
         batch: np.ndarray,
         counters: GradOracleCounters | None = None,
     ) -> np.ndarray:
-        """Mean gradient over a nonempty set of example indices, plus the L2 term."""
-        w = self._check_dim(w)
+        """Mean gradient over a nonempty set of example indices, plus the L2 term.
+
+        ``w`` is one point of dimension d, or a (k, d) stack of points; a
+        stack returns the k gradients as a (k, d) array from one gather of
+        the batch's rows and is charged k * batch size.  Sums run in the
+        order of scipy's CSR products (see the module docstring), so each
+        gradient is bit for bit ``rows.T @ (phi'(rows @ w) / b) + l2 * w``
+        with ``rows = features[batch]``.
+        """
+        w = np.asarray(w, dtype=np.float64)
+        points = w if w.ndim == 2 else w.reshape(1, -1)
+        if points.shape[1] != self.d:
+            raise ValueError(f"iterate has dimension {points.shape[1]}, expected {self.d}")
         batch = np.asarray(batch, dtype=np.intp).ravel()
         if batch.size == 0:
             raise ValueError("empty batch")
         if batch.min() < 0 or batch.max() >= self.n:
             raise IndexError(f"batch index out of range [0, {self.n})")
-        rows = self.dataset.features[batch]
-        z = rows @ w
-        coeffs = self._loss_derivs(z, self.dataset.labels[batch]) / batch.size
-        g = rows.T @ coeffs + self.l2_reg * w
+        feats = self.dataset.features
+        b, d, k = batch.size, self.d, points.shape[0]
+        lengths = self.dataset.row_nnz[batch]
+        starts = feats.indptr[batch]
+        # positions of the batch's stored entries, row by row in draw order
+        ends = np.cumsum(lengths)
+        pos = np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
+        row_of = np.repeat(np.arange(b), lengths)
+        cols = feats.indices[pos]
+        vals = feats.data[pos]
+        # z_bin / g_bin: flat (point, row) and (point, column) slot of each
+        # entry; bincount adds each slot's weights in array order, from 0.0
+        point = np.arange(k)[:, None]
+        z_bin = (row_of + b * point).ravel()
+        g_bin = (cols + d * point).ravel()
+        products = points.ravel()[g_bin].reshape(k, -1) * vals
+        z = np.bincount(z_bin, weights=products.ravel(), minlength=k * b).reshape(k, b)
+        coeffs = self._loss_derivs(z, self.dataset.labels[batch]) / b
+        terms = coeffs.ravel()[z_bin].reshape(k, -1) * vals
+        g = np.bincount(g_bin, weights=terms.ravel(), minlength=k * d).reshape(k, d)
+        g = g + self.l2_reg * points
         if counters is not None:
-            counters.charge_batch(batch.size)
-        return np.asarray(g)
+            counters.charge_batch(k * b)
+        return g if w.ndim == 2 else g[0]

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -76,8 +78,10 @@ class TestBadConfigValue:
         (["run", "--loss", "huber", "--huber-delta", "0"], "huber_delta"),
         (["run", "--delta", "-1"], "delta"),
         (["run", "--variant", "full", "--delta", "0"], "delta > 0"),
+        (["run", "--variant", "diag", "--delta", "nan"], "delta"),
     ], ids=["run-eta", "grid-grid", "run-theta", "run-epsilon", "run-epsilon-nan", "run-p",
-            "run-batch-size", "run-l2", "run-huber-delta", "run-delta", "run-full-delta"])
+            "run-batch-size", "run-l2", "run-huber-delta", "run-delta", "run-full-delta",
+            "run-diag-delta-nan"])
     def test_bad_step_size_or_theta_exits_with_usage_error(self, argv, shown, capsys):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--dataset", "data.libsvm"])
@@ -89,6 +93,18 @@ class TestBadConfigValue:
             main(["gen-data", "--n", "1", "--d", "3", "--out", str(tmp_path / "x.libsvm")])
         assert exc.value.code == 2
         assert "n must be >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("margin", ["nan", "inf", "50"])
+    def test_unreachable_margin_exits_with_usage_error(self, margin, tmp_path, capsys):
+        # such a margin used to spin gen_separable's rejection loop forever
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-data", "--n", "10", "--d", "3", "--margin", margin,
+                  "--out", str(tmp_path / "x.libsvm")])
+        assert exc.value.code == 2
+        assert "margin" in capsys.readouterr().err
+        assert time.perf_counter() - start < 1.0
+        assert not (tmp_path / "x.libsvm").exists()
 
 
 class TestRunExitCode:

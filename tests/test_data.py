@@ -143,8 +143,14 @@ class TestSyntheticData:
             SyntheticSpec(n=10, d=0)
         with pytest.raises(ValueError):
             SyntheticSpec(n=10, d=5, mislabel_fraction=1.5)
-        with pytest.raises(ValueError):
-            SyntheticSpec(n=10, d=5, margin=0.0)
+        for margin in (0.0, -1.0, float("nan"), float("inf"), 3.3, 50.0):
+            with pytest.raises(ValueError, match="margin"):
+                SyntheticSpec(n=10, d=5, margin=margin)
+
+    def test_largest_reachable_margin_still_draws(self):
+        spec = SyntheticSpec(n=20, d=3, margin=3.2, seed=2)
+        dataset, w_star = gen_separable(spec)
+        assert (dataset.labels * (dataset.features @ w_star)).min() >= 3.2
 
     def test_separable_by_construction(self):
         spec = SyntheticSpec(n=200, d=10, mislabel_fraction=0.0, margin=0.25, seed=4)

@@ -36,8 +36,14 @@ class TestAccumulate:
         np.testing.assert_allclose(state.G, [[5.0]])
 
     def test_full_requires_positive_delta(self):
-        with pytest.raises(ValueError):
-            PrecondVariant(kind="full_matrix", delta=0.0)
+        for delta in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                PrecondVariant(kind="full_matrix", delta=delta)
+
+    @pytest.mark.parametrize("kind", ["scalar", "diagonal"])
+    def test_nan_delta_rejected(self, kind):
+        with pytest.raises(ValueError, match="delta"):
+            PrecondVariant(kind=kind, delta=float("nan"))
 
     def test_psd_monotone(self):
         rng = np.random.default_rng(0)

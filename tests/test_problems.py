@@ -89,10 +89,87 @@ class TestGradients:
 
     def test_empty_batch_and_bad_index_raise(self):
         problem = make_problem()
-        with pytest.raises(ValueError):
-            problem.grad_batch(np.zeros(problem.d), np.array([], dtype=int))
-        with pytest.raises(IndexError):
-            problem.grad_batch(np.zeros(problem.d), np.array([problem.n]))
+        for lead in ((), (2,)):  # one point, and a stack of two
+            w = np.zeros((*lead, problem.d))
+            with pytest.raises(ValueError):
+                problem.grad_batch(w, np.array([], dtype=int))
+            with pytest.raises(IndexError):
+                problem.grad_batch(w, np.array([problem.n]))
+            with pytest.raises(IndexError):
+                problem.grad_batch(w, np.array([-1]))
+            with pytest.raises(ValueError, match="dimension"):
+                problem.grad_batch(np.zeros((*lead, problem.d + 1)), np.array([0]))
+
+
+def _scipy_grad_batch(problem: Problem, w: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """Reference batch oracle: scipy's CSR row slice and sparse products."""
+    rows = problem.dataset.features[batch]
+    coeffs = problem._loss_derivs(rows @ w, problem.dataset.labels[batch]) / batch.size
+    return np.asarray(rows.T @ coeffs + problem.l2_reg * w)
+
+
+def _random_rows_problem(loss: str, layout: str, seed: int) -> Problem:
+    """70 x 9 rows, dense or CSR with 0 to 9 stored entries per row (every
+    fifth row empty, some explicit zeros), values over six decades, l2 > 0."""
+    rng = np.random.default_rng(seed)
+    n, d = 70, 9
+    if layout == "dense":
+        features = sp.csr_matrix(rng.standard_normal((n, d)))
+    else:
+        lengths = rng.integers(0, d + 1, size=n)
+        lengths[::5] = 0
+        indices = np.concatenate(
+            [np.sort(rng.choice(d, size=k, replace=False)) for k in lengths])
+        data = rng.standard_normal(indices.size) * 10.0 ** rng.integers(-3, 4, indices.size)
+        data[::11] = 0.0
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        features = sp.csr_matrix((data, indices, indptr), shape=(n, d))
+    if loss in ("logistic", "squared_hinge"):
+        labels = rng.choice([-1.0, 1.0], size=n)
+    else:
+        labels = 3.0 * rng.standard_normal(n)
+    return Problem(dataset=Dataset(features=features, labels=labels), loss=loss, l2_reg=0.37)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    hexes = lambda v: [float(x).hex() for x in v.ravel()]  # noqa: E731
+    return np.array_equal(a, b) and hexes(a) == hexes(b)
+
+
+class TestBatchOracleMatchesScipy:
+    """The CSR-array oracle reproduces scipy's products bit for bit, which
+    the golden traces rely on."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 64, "n"])
+    @pytest.mark.parametrize("layout", ["sparse", "dense"])
+    @pytest.mark.parametrize("loss", ALL_LOSSES)
+    def test_bitwise_equal_to_scipy(self, loss, layout, size):
+        problem = _random_rows_problem(loss, layout, seed=ALL_LOSSES.index(loss))
+        rng = np.random.default_rng(7)
+        b = problem.n if size == "n" else size
+        for trial in range(20):
+            # odd trials draw with replacement, so indices repeat
+            batch = (rng.integers(problem.n, size=b) if trial % 2
+                     else rng.choice(problem.n, size=b, replace=False))
+            w = rng.standard_normal(problem.d) * 10.0 ** rng.integers(-2, 3)
+            got = problem.grad_batch(w, batch)
+            assert got.shape == (problem.d,)
+            assert _same_bits(got, _scipy_grad_batch(problem, w, batch)), (trial, batch)
+
+    @pytest.mark.parametrize("loss", ALL_LOSSES)
+    def test_stack_equals_single_calls_and_charges_each_point(self, loss):
+        problem = _random_rows_problem(loss, "sparse", seed=11)
+        rng = np.random.default_rng(12)
+        for b in (1, 2, 7, problem.n):
+            batch = rng.integers(problem.n, size=b)
+            points = rng.standard_normal((2, problem.d))
+            counters = GradOracleCounters()
+            stacked = problem.grad_batch(points, batch, counters)
+            assert stacked.shape == (2, problem.d)
+            assert counters.per_example_grad_evals == 2 * b
+            for point, got in zip(points, stacked):
+                assert _same_bits(got, problem.grad_batch(point, batch))
+                assert _same_bits(got, _scipy_grad_batch(problem, point, batch))
 
 
 class TestSmoothnessBound:
