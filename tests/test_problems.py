@@ -132,8 +132,9 @@ def _random_rows_problem(loss: str, layout: str, seed: int) -> Problem:
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    hexes = lambda v: [float(x).hex() for x in v.ravel()]  # noqa: E731
-    return np.array_equal(a, b) and hexes(a) == hexes(b)
+    """Equal values and equal ``float.hex`` spellings (which tell -0.0 from 0.0)."""
+    return np.array_equal(a, b) and (
+        [x.hex() for x in a.ravel().tolist()] == [x.hex() for x in b.ravel().tolist()])
 
 
 class TestBatchOracleMatchesScipy:
