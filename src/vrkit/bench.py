@@ -67,8 +67,8 @@ class RunConfig:
     ``l2 = None`` resolves to 1/n.  ``eta = None`` means the tuning-free
     heuristic for the adaptive methods and is an error for baselines that
     need a constant step-size; a given ``eta`` and every ``grid`` value must
-    be finite and > 0, ``theta`` > 0, ``batch_size`` >= 1, ``l2`` >= 0,
-    ``huber_delta`` > 0, ``epsilon`` in (0, 1), a given ``p`` in (0, 1], and
+    be finite and > 0, ``theta`` > 0, ``batch_size`` >= 1, ``l2`` finite
+    and >= 0, ``huber_delta`` finite and > 0, ``epsilon`` in (0, 1), a given ``p`` in (0, 1], and
     ``variant`` and ``delta`` a valid :class:`PrecondVariant`.  ``seeds``
     may be given as a count (int) or an explicit tuple of seeds.  ``loss``
     may spell underscores as hyphens (``squared-hinge``).
@@ -115,10 +115,10 @@ class RunConfig:
             raise ValueError(f"theta must be > 0, got {self.theta!r}")
         if not self.batch_size >= 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size!r}")
-        if self.l2 is not None and not self.l2 >= 0:
-            raise ValueError(f"l2 must be >= 0, got {self.l2!r}")
-        if not self.huber_delta > 0:
-            raise ValueError(f"huber_delta must be > 0, got {self.huber_delta!r}")
+        if self.l2 is not None and not (math.isfinite(self.l2) and self.l2 >= 0):
+            raise ValueError(f"l2 must be finite and >= 0, got {self.l2!r}")
+        if not (math.isfinite(self.huber_delta) and self.huber_delta > 0):
+            raise ValueError(f"huber_delta must be finite and > 0, got {self.huber_delta!r}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon!r}")
         if self.p is not None and not 0.0 < self.p <= 1.0:

@@ -12,7 +12,7 @@ All optimizers share the same conventions:
 * a divergence guard that stops a run and flags the trace once the
   objective is non-finite or grows past 1e3 * f(w0) + 1, once a step
   raises ``FloatingPointError`` (a non-finite preconditioned iterate), or
-  once a full-matrix accumulator overflows and its eigendecomposition fails.
+  once a full-matrix accumulator overflows (``np.linalg.LinAlgError``).
 
 The variance-reduced methods form the direction
 

@@ -6,20 +6,20 @@ a per-coordinate sum, or a matrix of outer products) and the step metric is
 A = G^{1/2}.  The state also tracks the running sum of ||g||^2 in the
 A^{-1}-norm, which is bounded by twice the trace of A along any trajectory;
 optimizers expose both so the bound can be checked at runtime.
+
+The full-matrix accumulator after t gradients is held as a thin factor,
+G = delta I + F^T F with F of r = min(t, d) orthogonal rows, so one update
+costs O(r^2 d + r^3) instead of a d x d eigendecomposition.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 VARIANT_KINDS = ("scalar", "diagonal", "full_matrix")
-
-# Full-matrix steps cost an O(d^3) eigendecomposition each iteration; warn
-# beyond this dimension.
-FULL_MATRIX_DIM_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,8 @@ class PrecondVariant:
     The scalar variant starts at G = 0 and requires a nonzero first gradient
     before stepping; diagonal and full-matrix start at delta * I.  Diagonal
     tolerates delta = 0 (coordinates with no signal simply do not move);
-    full-matrix requires delta > 0 to keep the metric invertible.
+    full-matrix requires delta > 0 to keep the metric invertible.  delta
+    must be finite.
     """
 
     kind: str = "scalar"
@@ -38,8 +39,8 @@ class PrecondVariant:
     def __post_init__(self):
         if self.kind not in VARIANT_KINDS:
             raise ValueError(f"unknown variant {self.kind!r}; expected one of {VARIANT_KINDS}")
-        if not self.delta >= 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta!r}")
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta!r}")
         if self.kind == "full_matrix" and not self.delta > 0:
             raise ValueError("full_matrix variant requires delta > 0")
 
@@ -65,6 +66,20 @@ class PrecondState:
     Call order per iteration: :meth:`accumulate` with the current gradient,
     then :meth:`step`.  ``accumulate`` must come first so the step metric
     already includes the gradient being applied.
+
+    The scalar and diagonal variants keep G itself.  The full-matrix variant
+    keeps G = delta I + F^T F through a factor F whose r rows are
+    sqrt(mu_i) v_i, with (mu_i, v_i) the eigenpairs of G - delta I.  Each
+    :meth:`accumulate` appends g to F and rotates it onto the eigenbasis of
+    the (r + 1) x (r + 1) Gram matrix, at O(r^2 d + r^3) cost with
+    r = min(t, d) after t gradients; once r would exceed d the row of the
+    smallest mu, zero up to rounding, is dropped.  Then
+
+        A^{-1} g = g / sqrt(delta) + F^T (c * (F g)),
+        c_i = -1 / (sqrt(delta) sqrt(delta + mu_i) (sqrt(delta) + sqrt(delta + mu_i))),
+
+    which never divides by mu_i.  :meth:`step` reuses the A^{-1} g that
+    ``accumulate`` computed for the same gradient.
     """
 
     def __init__(self, variant: PrecondVariant, d: int):
@@ -77,18 +92,17 @@ class PrecondState:
         elif kind == "diagonal":
             self.G = np.full(self.d, variant.delta, dtype=np.float64)
         else:
-            if self.d > FULL_MATRIX_DIM_CAP:
-                warnings.warn(
-                    f"full_matrix preconditioning is O(d^3) per step; d={self.d} "
-                    f"exceeds the desk-scale cap of {FULL_MATRIX_DIM_CAP}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            self.G = np.eye(self.d) * variant.delta
-        self._eig: tuple[np.ndarray, np.ndarray] | None = None
+            self._F = np.empty((0, self.d))
+            self._mu = np.empty(0)
+            self._grad_sq_sum = 0.0
+            self._last: tuple[np.ndarray, np.ndarray] | None = None  # (g, A^{-1} g)
 
     def accumulate(self, g: np.ndarray) -> "PrecondState":
-        """Add one gradient to the accumulator."""
+        """Add one gradient to the accumulator.
+
+        Raises ``np.linalg.LinAlgError``, leaving the state as it was, when
+        the full-matrix window is not finite.
+        """
         g = np.asarray(g, dtype=np.float64).ravel()
         if g.shape[0] != self.d:
             raise ValueError(f"gradient has dimension {g.shape[0]}, expected {self.d}")
@@ -106,11 +120,27 @@ class PrecondState:
                     np.sum(g[mask] ** 2 / np.sqrt(self.G[mask]))
                 )
         else:
-            self.G += np.outer(g, g)
-            evals, evecs = self._eigdecomp(refresh=True)
-            ainv_g = evecs @ ((evecs.T @ g) / np.sqrt(evals))
+            window = np.vstack((self._F, g))
+            gram = window @ window.T
+            if not np.all(np.isfinite(gram)):
+                raise np.linalg.LinAlgError("full-matrix accumulator is not finite")
+            mu, basis = np.linalg.eigh(gram)
+            if mu.shape[0] > self.d:
+                mu, basis = mu[1:], basis[:, 1:]
+            self._F = basis.T @ window
+            self._mu = np.maximum(mu, 0.0)
+            self._grad_sq_sum += float(gram[-1, -1])
+            ainv_g = self._inverse_root(g)
+            self._last = (g.copy(), ainv_g)
             self.weighted_grad_sq_sum += float(g @ ainv_g)
         return self
+
+    def _inverse_root(self, g: np.ndarray) -> np.ndarray:
+        """A^{-1} g for the full-matrix variant."""
+        root_delta = math.sqrt(self.variant.delta)
+        root = np.sqrt(self.variant.delta + self._mu)
+        c = -1.0 / (root_delta * root * (root_delta + root))
+        return g / root_delta + self._F.T @ (c * (self._F @ g))
 
     def trace_G(self) -> float:
         kind = self.variant.kind
@@ -118,7 +148,7 @@ class PrecondState:
             return float(self.G)
         if kind == "diagonal":
             return float(self.G.sum())
-        return float(np.trace(self.G))
+        return self.d * self.variant.delta + self._grad_sq_sum
 
     def g_norm_star(self) -> float:
         """The monitored accumulator magnitude, sqrt of the trace of G."""
@@ -131,17 +161,9 @@ class PrecondState:
             return float(np.sqrt(self.G))
         if kind == "diagonal":
             return float(np.sqrt(self.G).sum())
-        evals, _ = self._eigdecomp()
-        return float(np.sqrt(evals).sum())
-
-    def _eigdecomp(self, refresh: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """Cached eigendecomposition of G; ``refresh`` recomputes it after G
-        changed.  A failed decomposition leaves the cache as it was."""
-        if refresh or self._eig is None:
-            evals, evecs = np.linalg.eigh(self.G)
-            # Guard float asymmetry: G >= delta * I holds exactly in theory.
-            self._eig = (np.maximum(evals, self.variant.delta / 2.0), evecs)
-        return self._eig
+        delta = self.variant.delta
+        rank = self._mu.shape[0]
+        return float(np.sqrt(delta + self._mu).sum() + (self.d - rank) * math.sqrt(delta))
 
     def has_signal(self) -> bool:
         """Whether the metric is usable (scalar variant needs G > 0)."""
@@ -176,8 +198,11 @@ class PrecondState:
             direction = np.divide(g, root, out=np.zeros_like(g), where=root > 0)
             y = x - eta * direction
         else:
-            evals, evecs = self._eigdecomp()
-            ainv_g = evecs @ ((evecs.T @ g) / np.sqrt(evals))
+            last = self._last
+            if last is not None and np.array_equal(last[0], g):
+                ainv_g = last[1]
+            else:
+                ainv_g = self._inverse_root(g.ravel())
             y = x - eta * ainv_g
         if proj is not None:
             y = project(proj, self, y)

@@ -24,6 +24,7 @@ would change the last bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -128,10 +129,10 @@ class Problem:
     def __post_init__(self):
         if self.loss not in LOSS_NAMES:
             raise ValueError(f"unknown loss {self.loss!r}; expected one of {LOSS_NAMES}")
-        if self.l2_reg < 0:
-            raise ValueError("l2_reg must be >= 0")
-        if self.huber_delta <= 0:
-            raise ValueError("huber_delta must be > 0")
+        if not (math.isfinite(self.l2_reg) and self.l2_reg >= 0):
+            raise ValueError(f"l2_reg must be finite and >= 0, got {self.l2_reg!r}")
+        if not (math.isfinite(self.huber_delta) and self.huber_delta > 0):
+            raise ValueError(f"huber_delta must be finite and > 0, got {self.huber_delta!r}")
         if self.loss in _CLASSIFICATION_LOSSES:
             labels = self.dataset.labels
             if not np.all(np.isin(labels, (-1.0, 1.0))):

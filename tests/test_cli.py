@@ -79,9 +79,12 @@ class TestBadConfigValue:
         (["run", "--delta", "-1"], "delta"),
         (["run", "--variant", "full", "--delta", "0"], "delta > 0"),
         (["run", "--variant", "diag", "--delta", "nan"], "delta"),
+        (["run", "--variant", "diag", "--delta", "inf"], "delta"),
+        (["run", "--variant", "full", "--delta", "inf"], "delta"),
+        (["run", "--l2", "inf"], "l2"),
     ], ids=["run-eta", "grid-grid", "run-theta", "run-epsilon", "run-epsilon-nan", "run-p",
             "run-batch-size", "run-l2", "run-huber-delta", "run-delta", "run-full-delta",
-            "run-diag-delta-nan"])
+            "run-diag-delta-nan", "run-diag-delta-inf", "run-full-delta-inf", "run-l2-inf"])
     def test_bad_step_size_or_theta_exits_with_usage_error(self, argv, shown, capsys):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--dataset", "data.libsvm"])

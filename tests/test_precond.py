@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vrkit
 from vrkit import PrecondState, PrecondVariant, ProjectionSpec, project
 
 
@@ -30,11 +37,6 @@ class TestAccumulate:
         state.accumulate(np.array([1.0, 0.0]))
         np.testing.assert_allclose(state.G, [10.0, 16.0])
 
-    def test_full_adds_outer_products(self):
-        state = PrecondState(full_variant(delta=1.0), 1)
-        state.accumulate(np.array([2.0]))
-        np.testing.assert_allclose(state.G, [[5.0]])
-
     def test_full_requires_positive_delta(self):
         for delta in (0.0, float("nan")):
             with pytest.raises(ValueError):
@@ -45,15 +47,161 @@ class TestAccumulate:
         with pytest.raises(ValueError, match="delta"):
             PrecondVariant(kind=kind, delta=float("nan"))
 
-    def test_psd_monotone(self):
+    @pytest.mark.parametrize("kind", ["scalar", "diagonal", "full_matrix"])
+    @pytest.mark.parametrize("delta", [float("inf"), float("-inf")])
+    def test_infinite_delta_rejected(self, kind, delta):
+        with pytest.raises(ValueError, match="delta"):
+            PrecondVariant(kind=kind, delta=delta)
+
+
+def _window_cases():
+    cases = []
+    for d in (1, 6, 40):
+        for t in sorted({t for t in (1, 2, d - 1, d, d + 1, 3 * d) if t >= 1}):
+            for pattern in ("random", "zero_first", "repeated"):
+                cases.append((d, t, pattern))
+    return cases
+
+
+def _gradients(d: int, t: int, pattern: str, seed: int = 0) -> list[np.ndarray]:
+    rng = np.random.default_rng(seed)
+    if pattern == "repeated":
+        # a pool smaller than the window keeps G - delta I rank-deficient
+        pool = rng.standard_normal((max(1, d // 2), d))
+        return [pool[i] for i in rng.integers(len(pool), size=t)]
+    grads = [rng.standard_normal(d) for _ in range(t)]
+    if pattern == "zero_first":
+        grads[0] = np.zeros(d)
+    return grads
+
+
+class TestFullMatrixFactor:
+    """The thin factor against G = delta I + sum g g^T built from the raw
+    gradients and decomposed with a d x d eigh."""
+
+    # With delta = 0.5 and unit-scale gradients, ||G|| eps <= 1e-12 is far
+    # below delta, so the eigh reference is itself accurate to about 1e-13.
+    DELTA = 0.5
+    RTOL = 1e-10
+
+    @pytest.mark.parametrize("d, t, pattern", _window_cases())
+    def test_matches_dense_reference(self, d, t, pattern):
+        state = PrecondState(full_variant(self.DELTA), d)
+        G = self.DELTA * np.eye(d)
+        weighted = 0.0
+        for g in _gradients(d, t, pattern):
+            G += np.outer(g, g)
+            evals, evecs = np.linalg.eigh(G)
+            ainv_g = evecs @ ((evecs.T @ g) / np.sqrt(evals))
+            weighted += float(g @ ainv_g)
+            state.accumulate(g)
+            got = -state.step(np.zeros(d), g, eta=1.0)
+            np.testing.assert_allclose(got, ainv_g, rtol=self.RTOL,
+                                       atol=self.RTOL * np.abs(ainv_g).max())
+            assert state.trace_A() == pytest.approx(np.sqrt(evals).sum(), rel=self.RTOL)
+            assert state.trace_G() == pytest.approx(np.trace(G), rel=self.RTOL)
+            assert state.g_norm_star() == pytest.approx(np.sqrt(np.trace(G)), rel=self.RTOL)
+            assert state.weighted_grad_sq_sum == pytest.approx(weighted, rel=self.RTOL,
+                                                               abs=self.RTOL)
+
+    def test_step_with_other_gradient(self):
+        # step applies A^{-1} to the gradient it is given, not the cached one
+        rng = np.random.default_rng(1)
+        state = PrecondState(full_variant(self.DELTA), 5)
+        G = self.DELTA * np.eye(5)
+        for _ in range(3):
+            g = rng.standard_normal(5)
+            G += np.outer(g, g)
+            state.accumulate(g)
+        h = rng.standard_normal(5)
+        evals, evecs = np.linalg.eigh(G)
+        np.testing.assert_allclose(-state.step(np.zeros(5), h, eta=1.0),
+                                   evecs @ ((evecs.T @ h) / np.sqrt(evals)), rtol=self.RTOL)
+
+
+class TestFullMatrixClosedForms:
+    """delta = 1e-8 with ||g|| = 1e3: ||G|| eps is near delta, so a d x d
+    eigh is no reference.  The rounding of g / sqrt(delta) is amplified by
+    ||g|| / sqrt(delta) = 1e7 against an O(1) result, hence rtol = 1e-7."""
+
+    DELTA = 1e-8
+    RTOL = 1e-7
+    D = 40
+
+    def _unit(self, rng) -> np.ndarray:
+        v = rng.standard_normal(self.D)
+        return v / np.linalg.norm(v)
+
+    @pytest.mark.parametrize("repeats", [1, 2, 41, 120])
+    def test_repeated_gradient(self, repeats):
+        # G = delta I + k g g^T, so A^{-1} g = g / sqrt(delta + k ||g||^2)
+        g = 1e3 * self._unit(np.random.default_rng(2))
+        sq = float(g @ g)
+        state = PrecondState(full_variant(self.DELTA), self.D)
+        weighted = 0.0
+        for k in range(1, repeats + 1):
+            state.accumulate(g)
+            root = np.sqrt(self.DELTA + k * sq)
+            weighted += sq / root
+            np.testing.assert_allclose(-state.step(np.zeros(self.D), g, eta=1.0), g / root,
+                                       rtol=self.RTOL, atol=self.RTOL / np.sqrt(self.D))
+        assert state.trace_A() == pytest.approx(
+            root + (self.D - 1) * np.sqrt(self.DELTA), rel=self.RTOL)
+        assert state.trace_G() == pytest.approx(self.D * self.DELTA + repeats * sq, rel=1e-14)
+        assert state.weighted_grad_sq_sum == pytest.approx(weighted, rel=self.RTOL)
+
+    def test_two_orthogonal_gradients(self):
+        rng = np.random.default_rng(3)
+        g1 = 1e3 * self._unit(rng)
+        v = self._unit(rng)
+        g2 = 2e2 * (v - (v @ g1) / (g1 @ g1) * g1)
+        roots = [np.sqrt(self.DELTA + float(g @ g)) for g in (g1, g2)]
+        state = PrecondState(full_variant(self.DELTA), self.D)
+        for g, root in zip((g1, g2), roots):
+            state.accumulate(g)
+            np.testing.assert_allclose(-state.step(np.zeros(self.D), g, eta=1.0), g / root,
+                                       rtol=self.RTOL, atol=self.RTOL / np.sqrt(self.D))
+        assert state.trace_A() == pytest.approx(
+            sum(roots) + (self.D - 2) * np.sqrt(self.DELTA), rel=self.RTOL)
+        assert state.weighted_grad_sq_sum == pytest.approx(
+            sum(float(g @ g) / root for g, root in zip((g1, g2), roots)), rel=self.RTOL)
+
+
+_NON_FINITE_SCRIPT = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from vrkit import PrecondState, PrecondVariant
+
+    bad = float(sys.argv[1])
+    for finite_first in (0, 1, 7):
+        state = PrecondState(PrecondVariant(kind="full_matrix", delta=1e-8), 6)
         rng = np.random.default_rng(0)
-        state = PrecondState(full_variant(1e-6), 4)
-        prev = state.G.copy()
-        for _ in range(20):
-            state.accumulate(rng.standard_normal(4))
-            diff_eigs = np.linalg.eigvalsh(state.G - prev)
-            assert diff_eigs.min() >= -1e-12
-            prev = state.G.copy()
+        for _ in range(finite_first):
+            state.accumulate(rng.standard_normal(6))
+        before = (state.trace_A(), state.trace_G(), state.weighted_grad_sq_sum)
+        g = rng.standard_normal(6)
+        g[2] = bad
+        try:
+            state.accumulate(g)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            sys.exit(f"accumulate({bad}) did not raise after {finite_first} gradients")
+        after = (state.trace_A(), state.trace_G(), state.weighted_grad_sq_sum)
+        assert after == before, (before, after)
+    print("ok")
+""")
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "1e200"])
+def test_non_finite_window_raises_linalg_error(bad):
+    # In a subprocess with a timeout: an eigensolver that hangs on inf input
+    # fails this test instead of stalling the suite.
+    src = str(Path(vrkit.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", _NON_FINITE_SCRIPT, bad], capture_output=True,
+                          text=True, timeout=10, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
 
 
 class TestGNormStar:

@@ -271,6 +271,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             Problem(dataset=dataset, loss="huber", huber_delta=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("l2_reg", np.nan), ("l2_reg", np.inf),
+        ("huber_delta", np.nan), ("huber_delta", np.inf),
+    ])
+    def test_non_finite_parameters_rejected(self, field, value):
+        # nan slipped past the old `< 0` / `<= 0` comparisons
+        dataset = Dataset(features=sp.csr_matrix(np.eye(2)), labels=np.array([1.0, -1.0]))
+        with pytest.raises(ValueError, match=field):
+            Problem(dataset=dataset, loss="huber", **{field: value})
+
     def test_label_length_mismatch(self):
         with pytest.raises(ValueError):
             Dataset(features=sp.csr_matrix(np.eye(3)), labels=np.array([1.0, -1.0]))
