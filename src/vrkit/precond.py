@@ -122,12 +122,14 @@ class PrecondState:
         else:
             window = np.vstack((self._F, g))
             gram = window @ window.T
+            # Checked before the solver: LAPACK may hang rather than fail on inf.
             if not np.all(np.isfinite(gram)):
                 raise np.linalg.LinAlgError("full-matrix accumulator is not finite")
-            mu, basis = np.linalg.eigh(gram)
+            mu, basis = np.linalg.eigh(gram)  # ascending
             if mu.shape[0] > self.d:
                 mu, basis = mu[1:], basis[:, 1:]
             self._F = basis.T @ window
+            # G - delta I is PSD; rounding can leave mu slightly negative.
             self._mu = np.maximum(mu, 0.0)
             self._grad_sq_sum += float(gram[-1, -1])
             ainv_g = self._inverse_root(g)
