@@ -252,6 +252,36 @@ class TestCounters:
         assert counters.full_grad_evals == 0
 
 
+def _dense_inputs():
+    rng = np.random.default_rng(12)
+    sparse_rows = rng.standard_normal((50, 30)) * (rng.random((50, 30)) < 0.3)
+    sparse_rows[[4, 9]] = 0.0
+    signed_zero = np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, 0.0], [2.0, 0.0, -3.0]])
+    return {
+        "gaussian": rng.standard_normal((200, 16)),
+        "empty-rows": sparse_rows,
+        "signed-zero": signed_zero,
+        "all-zero": np.zeros((3, 4)),
+        "one-entry": np.ones((1, 1)),
+        "float32": rng.standard_normal((5, 3)).astype(np.float32),
+        "int": rng.integers(-2, 3, size=(7, 5)),
+        "fortran": np.asfortranarray(rng.standard_normal((6, 4))),
+    }
+
+
+class TestDenseInput:
+    @pytest.mark.parametrize("name", sorted(_dense_inputs()))
+    def test_same_csr_as_scipy(self, name):
+        dense = _dense_inputs()[name]
+        got = Dataset(features=dense, labels=np.ones(dense.shape[0])).features
+        want = sp.csr_matrix(dense)
+        assert got.shape == want.shape
+        for attr in ("data", "indices", "indptr"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype, attr
+            np.testing.assert_array_equal(a, b)
+
+
 class TestValidation:
     def test_classification_labels_enforced(self):
         dense = np.eye(3)
