@@ -68,10 +68,11 @@ class RunConfig:
     heuristic for the adaptive methods and is an error for baselines that
     need a constant step-size; a given ``eta`` and every ``grid`` value must
     be finite and > 0, ``theta`` > 0, ``batch_size`` >= 1, ``l2`` finite
-    and >= 0, ``huber_delta`` finite and > 0, ``epsilon`` in (0, 1), a given ``p`` in (0, 1], and
-    ``variant`` and ``delta`` a valid :class:`PrecondVariant`.  ``seeds``
-    may be given as a count (int) or an explicit tuple of seeds.  ``loss``
-    may spell underscores as hyphens (``squared-hinge``).
+    and >= 0, ``huber_delta`` finite and > 0, ``epsilon`` in (0, 1), a
+    given ``p`` in (0, 1], and ``variant`` and ``delta`` a valid
+    :class:`PrecondVariant`.  ``seeds`` may be given as a count (int) or an
+    explicit tuple of seeds.  ``loss`` may spell underscores as hyphens
+    (``squared-hinge``).
     """
 
     dataset: str | None = None
