@@ -55,7 +55,7 @@ REQUIRED_EVENTS = ("switch", "adaptive_stop", "stage_boundary", "diverged")
 
 
 def _problem(features, labels, loss: str, l2: float) -> Problem:
-    dataset = Dataset(features=sp.csr_matrix(features), labels=labels)
+    dataset = Dataset(features=features, labels=labels)
     return Problem(dataset=dataset, loss=loss, l2_reg=l2)
 
 
@@ -229,7 +229,7 @@ def main() -> int:
             if name.startswith("diverge-"):
                 assert result.termination_reason == "diverged", name
             if name == "diverge-adagrad-nonfinite-step":
-                # mark_diverged, unlike a trace record, stores no gradient norm
+                # a failed step's row, unlike a monitored row, stores no gradient norm
                 assert result.trace.final().grad_norm is None, name
             for suffix, text in render(result).items():
                 with open(GOLDEN_DIR / f"{name}{suffix}", "w", encoding="utf-8",

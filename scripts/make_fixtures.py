@@ -8,9 +8,8 @@ round-tripping exactly through the parser.
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
-from vrkit import Dataset, SyntheticSpec, gen_separable, save_libsvm
+from vrkit import Dataset, SyntheticSpec, gen_separable, serialize_libsvm
 
 FIXTURES = {
     "synth_a.libsvm": SyntheticSpec(n=1500, d=30, mislabel_fraction=0.05, margin=0.1, seed=101),
@@ -18,14 +17,20 @@ FIXTURES = {
 }
 
 
+def fixture_text(spec: SyntheticSpec) -> str:
+    """The LIBSVM text of the fixture drawn from ``spec``."""
+    dataset, _ = gen_separable(spec)
+    rounded = np.round(dataset.features.toarray(), 4)
+    return serialize_libsvm(Dataset(features=rounded, labels=dataset.labels))
+
+
 def main() -> None:
     out_dir = Path(__file__).resolve().parent.parent / "datasets"
     out_dir.mkdir(exist_ok=True)
     for name, spec in FIXTURES.items():
-        dataset, _ = gen_separable(spec)
-        rounded = sp.csr_matrix(np.round(dataset.features.toarray(), 4))
-        save_libsvm(Dataset(features=rounded, labels=dataset.labels), out_dir / name)
-        print(f"wrote {out_dir / name} (n={dataset.n}, d={dataset.d})")
+        with open(out_dir / name, "w", encoding="utf-8", newline="") as handle:
+            handle.write(fixture_text(spec))
+        print(f"wrote {out_dir / name}")
 
 
 if __name__ == "__main__":

@@ -69,10 +69,10 @@ class RunConfig:
     need a constant step-size; a given ``eta`` and every ``grid`` value must
     be finite and > 0, ``theta`` > 0, ``batch_size`` >= 1, ``l2`` finite
     and >= 0, ``huber_delta`` finite and > 0, ``epsilon`` in (0, 1), a
-    given ``p`` in (0, 1], and ``variant`` and ``delta`` a valid
-    :class:`PrecondVariant`.  ``seeds`` may be given as a count (int) or an
-    explicit tuple of seeds.  ``loss`` may spell underscores as hyphens
-    (``squared-hinge``).
+    given ``p`` in (0, 1], a given ``jobs`` >= 1, and ``variant`` and
+    ``delta`` a valid :class:`PrecondVariant`.  ``seeds`` may be given as a
+    count (int) or an explicit tuple of seeds.  ``loss`` may spell
+    underscores as hyphens (``squared-hinge``).
     """
 
     dataset: str | None = None
@@ -124,6 +124,8 @@ class RunConfig:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon!r}")
         if self.p is not None and not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must be in (0, 1], got {self.p!r}")
+        if self.jobs is not None and self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs!r}")
         self.precond_variant  # PrecondVariant checks delta against the variant
         seeds = range(self.seeds) if isinstance(self.seeds, int) else self.seeds
         object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))

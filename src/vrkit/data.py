@@ -219,5 +219,5 @@ def gen_separable(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
         positions = rng.choice(spec.n, size=flips, replace=False)
         labels[positions] *= -1.0
 
-    dataset = Dataset(features=sp.csr_matrix(rows), labels=labels)
+    dataset = Dataset(features=rows, labels=labels)
     return dataset, w_star

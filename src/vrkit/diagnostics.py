@@ -125,30 +125,6 @@ def _parse(text: str) -> float | None:
     return float(text) if text else None
 
 
-class TraceRecorder:
-    """Appends rows, merging consecutive records that land on the same pass
-    so the strictly-increasing invariant holds even when an event coincides
-    with a cadence row."""
-
-    def __init__(self):
-        self.trace = Trace()
-
-    @property
-    def last_passes(self) -> float | None:
-        return self.trace.rows[-1].passes if self.trace.rows else None
-
-    def record(self, row: TraceRow) -> None:
-        rows = self.trace.rows
-        if rows and row.passes == rows[-1].passes:
-            if row.event is None:
-                row.event = rows[-1].event
-            rows[-1] = row
-            return
-        if rows and row.passes < rows[-1].passes:
-            raise ValueError("trace passes went backwards")
-        rows.append(row)
-
-
 @dataclass
 class PhaseTestState:
     """State for the relative-growth termination test.

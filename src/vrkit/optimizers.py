@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import PhaseTestState, Trace, TraceRecorder, TraceRow
+from .diagnostics import PhaseTestState, Trace, TraceRow
 from .precond import PrecondState, PrecondVariant, ProjectionSpec
 from .problems import GradOracleCounters, Problem
 
@@ -69,20 +69,21 @@ class RunResult:
 
 
 class _Run:
-    """Shared per-run context: counters, RNG, trace recording, divergence.
+    """Shared per-run context: counters, RNG, the trace, divergence.
 
-    The starting point is recorded as the first trace row.
+    :meth:`record` is the one writer of trace rows.  The starting point is
+    the first row and :meth:`result` adds the closing row.
     """
 
     def __init__(self, problem: Problem, w0: np.ndarray, seed: int):
         self.problem = problem
         self.counters = GradOracleCounters()
         self.rng = np.random.default_rng(seed)
-        self.recorder = TraceRecorder()
+        self.trace = Trace()
         f0 = problem.loss_value(w0)
         self.diverge_limit = 1e3 * f0 + 1.0
         self.diverged = False
-        self.record(w0, force=True)
+        self.record(w0)
 
     @property
     def passes(self) -> float:
@@ -101,55 +102,38 @@ class _Run:
         force: bool = False,
         grad_norm: float | None = None,
     ) -> None:
+        """Record a row at ``x``, at most once per pass unless ``force`` or
+        an ``event`` is given.  A row on the previous row's pass replaces
+        it and keeps its event.  A non-finite or runaway objective flags the
+        row ``diverged`` and ends the run; so does ``event='diverged'``, a
+        failed step, whose row stores no gradient norms."""
         if self.diverged:
             return
+        rows = self.trace.rows
         passes = self.passes
-        last = self.recorder.last_passes
-        if not force and event is None and last is not None and passes - last < 1.0:
+        if not force and event is None and rows and passes - rows[-1].passes < 1.0:
             return
         objective = self.problem.loss_value(x)
-        if grad_norm is None:
+        if event == "diverged":
+            grad_norm = g_star = None
+        elif grad_norm is None:
             grad_norm = float(np.linalg.norm(self.problem.grad_full(x)))
         if not np.isfinite(objective) or objective > self.diverge_limit:
             event = "diverged"
-            self.diverged = True
-        self.recorder.record(
-            TraceRow(
-                passes=passes,
-                objective=objective,
-                grad_norm=grad_norm,
-                g_norm_star=g_star,
-                step_size=eta,
-                outer=outer,
-                event=event,
-            )
-        )
+        self.diverged = event == "diverged"
+        if rows and passes == rows[-1].passes:
+            merged = rows.pop()
+            event = event or merged.event
+        rows.append(TraceRow(passes=passes, objective=objective, grad_norm=grad_norm,
+                             g_norm_star=g_star, step_size=eta, outer=outer, event=event))
 
-    def mark_diverged(self, x: np.ndarray, outer: int, eta: float | None) -> None:
-        if self.diverged:
-            return
-        self.diverged = True
-        objective = self.problem.loss_value(x)
-        self.recorder.record(
-            TraceRow(
-                passes=self.passes,
-                objective=objective,
-                grad_norm=None,
-                g_norm_star=None,
-                step_size=eta,
-                outer=outer,
-                event="diverged",
-            )
-        )
-
-    def result(self, x, *, outer=None, averaged=None, g_star_steps=None, notes=None) -> RunResult:
-        """Finish the run at ``x``; with ``outer``, ``x`` is first recorded
-        as the closing trace row."""
-        if outer is not None:
-            self.record(x, outer=outer, force=True)
+    def result(self, x, *, averaged=None, g_star_steps=None, notes=None) -> RunResult:
+        """Finish the run at ``x``, recorded as the closing trace row with
+        the last row's outer index."""
+        self.record(x, outer=self.trace.rows[-1].outer, force=True)
         return RunResult(
             final_iterate=x,
-            trace=self.recorder.trace,
+            trace=self.trace,
             counters=self.counters,
             termination_reason="diverged" if self.diverged else "budget",
             averaged_iterate=averaged,
@@ -371,8 +355,7 @@ def _engine(
                     out.g_stars.append(g_star)
                     if test is not None and test.observe(t, state.trace_G()):
                         out.stops.append(outer)
-                        run.record(x, outer=outer, eta=eta, g_star=g_star, event=event,
-                                   force=True)
+                        run.record(x, outer=outer, eta=eta, g_star=g_star, event=event)
                         break
                     if state.has_signal():
                         x = state.step(x, g, eta, proj)
@@ -380,7 +363,7 @@ def _engine(
                 if run.diverged:
                     break
         except (FloatingPointError, np.linalg.LinAlgError):
-            run.mark_diverged(x, outer=outer, eta=eta)
+            run.record(x, outer=outer, eta=eta, event="diverged")
         if state is not None:
             out.checks.append((state.weighted_grad_sq_sum, state.trace_A()))
         w = x_sum / t if average else x
@@ -422,7 +405,6 @@ def adasvrg_fixed(
                   variant=variant, proj=proj, snapshot=snapshot)
     return run.result(
         out.w,
-        outer=max(0, outer_loops - 1),
         averaged=out.averaged if (snapshot == "average" and out.completed) else None,
         notes={"precond_checks": out.checks},
     )
@@ -469,7 +451,7 @@ def adasvrg_multistage(
         schedule.append(m_i)
         checks.extend(stage.checks)
         offset += outer_loops
-        run.record(w, outer=offset - 1, event="stage_boundary", force=True)
+        run.record(w, outer=offset - 1, event="stage_boundary")
         if run.diverged:
             break
     return run.result(
@@ -513,7 +495,6 @@ def adasvrg_adaptive(
                   proj=proj, snapshot=snapshot, theta=theta, burn_in=burn_in)
     return run.result(
         out.w,
-        outer=max(0, outer_loops - 1),
         averaged=out.averaged if (snapshot == "average" and out.completed) else None,
         notes={"adaptive_stops": out.stops, "precond_checks": out.checks},
     )
@@ -573,8 +554,7 @@ def hybrid_adagrad_adasvrg(
             x = phase2.w
             notes["adaptive_stops"] = phase2.stops
             notes["precond_checks"] = phase2.checks
-    return run.result(x, outer=0 if switch_step is None else notes["phase2_outer_loops"],
-                      g_star_steps=np.array(phase1.g_stars), notes=notes)
+    return run.result(x, g_star_steps=np.array(phase1.g_stars), notes=notes)
 
 
 def svrg(
@@ -593,7 +573,7 @@ def svrg(
     rule = _StepRule(eta, required=True)
     run = _Run(problem, w0, seed)
     out = _engine(run, w0, outer_loops, inner, batch_size, rule, snapshot=snapshot)
-    return run.result(out.w, outer=max(0, outer_loops - 1))
+    return run.result(out.w)
 
 
 def loopless_svrg(
@@ -619,7 +599,7 @@ def loopless_svrg(
     rule = _StepRule(eta, required=True)
     run = _Run(problem, w0, seed)
     out = _engine(run, w0, 1, total_steps, batch_size, rule, p=p)
-    return run.result(out.w, outer=0, notes={"snapshot_refreshes": out.refreshes})
+    return run.result(out.w, notes={"snapshot_refreshes": out.refreshes})
 
 
 def sarah(
@@ -641,7 +621,7 @@ def sarah(
     rule = _StepRule(eta, required=True)
     run = _Run(problem, w0, seed)
     out = _engine(run, w0, outer_loops, inner, batch_size, rule, direction="recursive")
-    return run.result(out.w, outer=max(0, outer_loops - 1))
+    return run.result(out.w)
 
 
 def svrg_bb(
@@ -665,8 +645,7 @@ def svrg_bb(
     rule = _StepRule(eta0, inner, required=True)
     run = _Run(problem, w0, seed)
     out = _engine(run, w0, outer_loops, inner, batch_size, rule, snapshot=snapshot)
-    return run.result(out.w, outer=max(0, outer_loops - 1),
-                      notes={"bb_fallbacks": rule.fallbacks})
+    return run.result(out.w, notes={"bb_fallbacks": rule.fallbacks})
 
 
 def adagrad(
@@ -691,7 +670,7 @@ def adagrad(
     run = _Run(problem, x1, seed)
     out = _engine(run, x1, 1, total_steps, batch_size, rule, direction="plain",
                   variant=variant, proj=proj)
-    return run.result(out.w, outer=0, g_star_steps=np.array(out.g_stars))
+    return run.result(out.w, g_star_steps=np.array(out.g_stars))
 
 
 def sgd(
@@ -708,7 +687,7 @@ def sgd(
     rule = _StepRule(eta, required=True)
     run = _Run(problem, x1, seed)
     out = _engine(run, x1, 1, total_steps, batch_size, rule, direction="plain")
-    return run.result(out.w, outer=0)
+    return run.result(out.w)
 
 
 def _armijo_max_step_1d(x: float, component: int, a: float, c: float, eta_max: float) -> float:

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,6 +15,13 @@ from vrkit import (
     parse_libsvm,
     serialize_libsvm,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "make_fixtures", ROOT / "scripts" / "make_fixtures.py"
+)
+make_fixtures = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_fixtures)
 
 
 class TestParse:
@@ -197,3 +207,10 @@ class TestSyntheticData:
         dataset, _ = gen_separable(spec)
         again = parse_libsvm(serialize_libsvm(dataset), d=spec.d)
         assert dataset.equals(again)
+
+
+@pytest.mark.parametrize("name", sorted(make_fixtures.FIXTURES))
+def test_bundled_fixture_regenerates_byte_for_byte(name):
+    # the goldens and the protocol benchmark are built on these files
+    text = make_fixtures.fixture_text(make_fixtures.FIXTURES[name])
+    assert text.encode("utf-8") == (ROOT / "datasets" / name).read_bytes()

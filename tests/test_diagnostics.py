@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vrkit import PhaseTestState, Trace, TraceRow, two_phase_slope_fit
-from vrkit.diagnostics import TraceRecorder
 
 
 class TestPhaseTestState:
@@ -148,21 +147,3 @@ class TestTraceSerialization:
         assert trace.value_at_pass(0.5, "objective") == pytest.approx(0.6931471805599453)
         assert trace.value_at_pass(2.5, "grad_norm") == pytest.approx(0.09)
         assert trace.value_at_pass(3.0, "grad_norm") == pytest.approx(0.07)
-
-
-class TestTraceRecorder:
-    def test_merges_rows_on_equal_pass(self):
-        rec = TraceRecorder()
-        rec.record(TraceRow(0.0, 1.0))
-        rec.record(TraceRow(1.0, 0.9, event="switch"))
-        rec.record(TraceRow(1.0, 0.8))
-        assert len(rec.trace.rows) == 2
-        assert rec.trace.rows[-1].objective == 0.8
-        assert rec.trace.rows[-1].event == "switch"
-        rec.trace.validate()
-
-    def test_rejects_backwards_passes(self):
-        rec = TraceRecorder()
-        rec.record(TraceRow(2.0, 1.0))
-        with pytest.raises(ValueError):
-            rec.record(TraceRow(1.0, 1.0))

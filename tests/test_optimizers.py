@@ -541,15 +541,28 @@ class TestSingleChecks:
 class TestTraceShape:
     def test_rows_strictly_increasing_and_validate(self):
         problem = small_synthetic()
+        switching = small_synthetic(n=256, d=4, mislabel=0.2)
+        multistage = adasvrg_multistage(problem, np.zeros(problem.d), 3, 1.0 / 8.0, eta=0.5,
+                                        batch_size=4, seed=0)
+        hybrid = hybrid_adagrad_adasvrg(switching, np.zeros(switching.d), 20 * 256 // 8,
+                                        eta=0.5, batch_size=8, seed=0)
+        # the closing row merges into the last stage boundary
+        assert multistage.trace.final().event == "stage_boundary"
+        assert hybrid.notes["switched"] is True
         for result in (
             adasvrg_fixed(problem, np.zeros(problem.d), 3, batch_size=4, seed=0),
             svrg(problem, np.zeros(problem.d), 3, eta=0.05, batch_size=4, seed=0),
             adagrad(problem, np.zeros(problem.d), 40, 0.5, batch_size=4, seed=0),
+            multistage,
+            hybrid,
         ):
             result.trace.validate()
-            passes = [r.passes for r in result.trace.rows]
+            rows = result.trace.rows
+            passes = [r.passes for r in rows]
             assert passes == sorted(passes)
             assert passes[0] == 0.0
+            assert rows[-1].step_size is None
+            assert rows[-1].outer == rows[-2].outer
 
     def test_trace_row_count_stays_linear_in_passes(self):
         problem = small_synthetic(n=128)
