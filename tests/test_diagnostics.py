@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vrkit import PhaseTestState, Trace, TraceRow, two_phase_slope_fit
+from vrkit.optimizers import _Run
+
+from conftest import make_problem
 
 
 class TestPhaseTestState:
@@ -100,6 +103,22 @@ class TestTwoPhaseSlopeFit:
             _, slope = two_phase_slope_fit(series)
             slopes.append(slope)
         assert np.median(slopes) == pytest.approx(0.5, abs=0.1)
+
+
+class TestTraceRecorder:
+    def test_merges_rows_on_equal_pass(self):
+        problem = make_problem()
+        w0 = np.zeros(problem.d)
+        run = _Run(problem, w0, seed=0)
+        run.counters.charge_full()
+        run.record(w0 + 0.1, event="switch")
+        w = w0 + 0.2
+        run.record(w, force=True)
+        rows = run.trace.rows
+        assert [row.passes for row in rows] == [0.0, 1.0]
+        assert rows[-1].objective == problem.loss_value(w)
+        assert rows[-1].event == "switch"
+        run.trace.validate()
 
 
 class TestTraceSerialization:
