@@ -67,7 +67,9 @@ class PrecondState:
     then :meth:`step`.  ``accumulate`` must come first so the step metric
     already includes the gradient being applied.
 
-    The scalar and diagonal variants keep G itself.  The full-matrix variant
+    The scalar and diagonal variants keep G itself; the diagonal one also
+    keeps sqrt(G), taken once per :meth:`accumulate` and read by
+    :meth:`step`.  The full-matrix variant
     keeps G = delta I + F^T F through a factor F whose r rows are
     sqrt(mu_i) v_i, with (mu_i, v_i) the eigenpairs of G - delta I.  Each
     :meth:`accumulate` appends g to F and rotates it onto the eigenbasis of
@@ -91,6 +93,7 @@ class PrecondState:
             self.G = 0.0
         elif kind == "diagonal":
             self.G = np.full(self.d, variant.delta, dtype=np.float64)
+            self._set_root()
         else:
             self._F = np.empty((0, self.d))
             self._mu = np.empty(0)
@@ -114,11 +117,13 @@ class PrecondState:
                 self.weighted_grad_sq_sum += sq / np.sqrt(self.G)
         elif kind == "diagonal":
             self.G += g * g
-            mask = self.G > 0
-            if mask.any():
-                self.weighted_grad_sq_sum += float(
-                    np.sum(g[mask] ** 2 / np.sqrt(self.G[mask]))
-                )
+            self._set_root()
+            if self._all_positive:
+                self.weighted_grad_sq_sum += float(np.sum(g**2 / self._root))
+            else:
+                mask = self._root > 0
+                if mask.any():
+                    self.weighted_grad_sq_sum += float(np.sum(g[mask] ** 2 / self._root[mask]))
         else:
             window = np.vstack((self._F, g))
             gram = window @ window.T
@@ -136,6 +141,13 @@ class PrecondState:
             self._last = (g.copy(), ainv_g)
             self.weighted_grad_sq_sum += float(g @ ainv_g)
         return self
+
+    def _set_root(self) -> None:
+        """sqrt(G) of the diagonal variant, and whether all of it is > 0
+        (sqrt(G) > 0 exactly where G > 0, nan included: a nan minimum is not
+        > 0); when it is, no coordinate needs masking."""
+        self._root = np.sqrt(self.G)
+        self._all_positive = bool(self._root.min() > 0)
 
     def _inverse_root(self, g: np.ndarray) -> np.ndarray:
         """A^{-1} g for the full-matrix variant."""
@@ -162,7 +174,7 @@ class PrecondState:
         if kind == "scalar":
             return float(np.sqrt(self.G))
         if kind == "diagonal":
-            return float(np.sqrt(self.G).sum())
+            return float(self._root.sum())
         delta = self.variant.delta
         rank = self._mu.shape[0]
         return float(np.sqrt(delta + self._mu).sum() + (self.d - rank) * math.sqrt(delta))
@@ -196,8 +208,11 @@ class PrecondState:
                 )
             y = x - (eta / np.sqrt(self.G)) * g
         elif kind == "diagonal":
-            root = np.sqrt(self.G)
-            direction = np.divide(g, root, out=np.zeros_like(g), where=root > 0)
+            if self._all_positive:
+                direction = g / self._root
+            else:
+                root = self._root
+                direction = np.divide(g, root, out=np.zeros_like(g), where=root > 0)
             y = x - eta * direction
         else:
             last = self._last
@@ -233,7 +248,7 @@ def project(proj: ProjectionSpec, state: PrecondState, y: np.ndarray) -> np.ndar
     # Diagonal metric: minimize ||x - y||_A^2 subject to ||x|| <= radius.
     # Stationarity gives x(lam) = a * y / (a + lam) coordinatewise with
     # a = sqrt(G); ||x(lam)|| decreases in lam, so bisect on the multiplier.
-    a = np.sqrt(state.G)
+    a = state._root
 
     def clipped(lam: float) -> np.ndarray:
         denom = a + lam

@@ -9,17 +9,30 @@ Gradient oracles charge a per-run :class:`GradOracleCounters` so benchmark
 traces can report work in effective passes over the data.  Loss evaluations
 are never charged; they are used for monitoring only.
 
-The mini-batch oracle :meth:`Problem.grad_batch` reads the batch's rows
-straight from the CSR arrays ``indptr/indices/data`` and takes one point or
-a (k, d) stack of points; a stack shares one row gather and is charged k
+The mini-batch oracle :meth:`Problem.grad_batch` takes one point or a
+(k, d) stack of points; a stack shares one row gather and is charged k
 times the batch size, so the variance-reduced direction costs one call.
-Its sums keep scipy's order, which the seeded golden traces rely on bit for
-bit: each prediction is 0.0 + a_0 w_0 + a_1 w_1 + ... over a row's stored
-entries in order (``csr_matvec``), and each gradient coordinate is 0.0 plus
-the row terms in batch draw order (``csc_matvec`` on the transposed rows).
-``np.bincount`` adds in exactly that order.  ``np.sum``, ``np.add.reduce``
-and ``@`` add pairwise, in an order that depends on the array layout, and
-would change the last bits.
+It has two paths, chosen by :attr:`Dataset.dense_rows`:
+
+* Dense rows (a dense copy costs no more memory than the CSR's ``data`` and
+  ``indices``): the batch's rows are one n x d row slice, and both products
+  are BLAS matrix products.  :meth:`Problem.grad_full` and
+  :meth:`Problem.loss_value` use the same matrix.  BLAS adds in its own
+  order, so results differ from the CSR path in the last bits and depend on
+  the BLAS build.  ``tests/test_problems.py`` holds each gradient
+  coordinate within (d + b + 8) eps times the magnitudes that enter it (a
+  first-order rounding bound) of the CSR result, and the objective within
+  a relative 1e-12.  The rows of a stack share every operation, so a stack
+  (x, x) gives two identical rows.
+* CSR rows: the batch's rows are read straight from the CSR arrays
+  ``indptr/indices/data``, and the sums keep scipy's order bit for bit:
+  each prediction is 0.0 + a_0 w_0 + a_1 w_1 + ... over a row's stored
+  entries in order (``csr_matvec``), and each gradient coordinate is 0.0
+  plus the row terms in batch draw order (``csc_matvec`` on the transposed
+  rows).  ``np.bincount`` adds in exactly that order.  ``np.sum``,
+  ``np.add.reduce`` and ``@`` add pairwise, in an order that depends on the
+  array layout, and would change the last bits.  This path is the exact
+  reference for the dense one.
 """
 
 from __future__ import annotations
@@ -70,13 +83,25 @@ def _dense_to_csr(dense: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((dense[nonzero], columns, indptr), shape=dense.shape)
 
 
+def _raise_repeated_column(feats: sp.csr_matrix) -> None:
+    """Raise the LIBSVM parser's error for the first row of a CSR with
+    sorted indices that stores one column twice."""
+    repeat = np.flatnonzero(np.diff(feats.indices) == 0)
+    # a repeat across a row boundary (last entry of one row equal to the
+    # first of the next) is not one
+    repeat = repeat[~np.isin(repeat + 1, feats.indptr)]
+    row = int(np.searchsorted(feats.indptr, repeat[0], side="right")) - 1
+    idx = int(feats.indices[repeat[0]]) + 1
+    raise ValueError(f"row {row}: non-increasing feature index {idx} after {idx}")
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Sparse feature rows plus one label per row.
 
-    ``features`` is an n x d CSR matrix with sorted column indices, or a
-    dense 2-D array that is converted to one; features and labels must be
-    finite.
+    ``features`` is an n x d CSR matrix, or a dense 2-D array that is
+    converted to one; column indices are sorted, a row must not repeat a
+    column (LIBSVM cannot store it), and features and labels must be finite.
     """
 
     features: sp.csr_matrix
@@ -85,10 +110,14 @@ class Dataset:
     def __post_init__(self):
         feats = self.features
         if isinstance(feats, np.ndarray) and feats.ndim == 2:
+            # canonical by construction: each row's columns ascend, once each
             feats = _dense_to_csr(np.asarray(feats))
-        feats = sp.csr_matrix(feats)
-        if not feats.has_sorted_indices:
-            feats.sort_indices()
+        else:
+            feats = sp.csr_matrix(feats)
+            if not feats.has_sorted_indices:
+                feats.sort_indices()
+            if not feats.has_canonical_format:
+                _raise_repeated_column(feats)
         labels = np.ascontiguousarray(self.labels, dtype=np.float64).ravel()
         if feats.shape[0] < 1:
             raise ValueError("empty dataset")
@@ -114,6 +143,19 @@ class Dataset:
         """Stored entries per row, ``indptr[i + 1] - indptr[i]``; computed on
         first use."""
         return np.diff(self.features.indptr)
+
+    @cached_property
+    def dense_rows(self) -> np.ndarray | None:
+        """The n x d feature matrix as a dense array, or None when it would
+        take more memory than the CSR's ``data`` and ``indices``; computed on
+        first use.  When every entry is stored it is a view of ``data``."""
+        feats = self.features
+        n, d = feats.shape
+        if n * d * feats.data.itemsize > feats.nnz * (feats.data.itemsize + feats.indices.itemsize):
+            return None
+        if feats.nnz == n * d:  # canonical rows: entry (i, j) is data[i * d + j]
+            return feats.data.reshape(n, d)
+        return feats.toarray()
 
     def equals(self, other: "Dataset") -> bool:
         """Exact structural equality (indices and float values bit-for-bit)."""
@@ -197,16 +239,22 @@ class Problem:
     def loss_value(self, w: np.ndarray) -> float:
         """Full objective including the L2 term.  Never charged."""
         w = self._check_dim(w)
-        z = self.dataset.features @ w
+        rows = self.dataset.dense_rows
+        z = (self.dataset.features if rows is None else rows) @ w
         value = float(self._loss_values(z, self.dataset.labels).mean())
         return value + 0.5 * self.l2_reg * float(w @ w)
 
     def grad_full(self, w: np.ndarray, counters: GradOracleCounters | None = None) -> np.ndarray:
         """Exact gradient of the full objective."""
         w = self._check_dim(w)
-        z = self.dataset.features @ w
-        coeffs = self._loss_derivs(z, self.dataset.labels) / self.n
-        g = self.dataset.features.T @ coeffs + self.l2_reg * w
+        rows = self.dataset.dense_rows
+        if rows is None:
+            z = self.dataset.features @ w
+            coeffs = self._loss_derivs(z, self.dataset.labels) / self.n
+            g = self.dataset.features.T @ coeffs + self.l2_reg * w
+        else:
+            coeffs = self._loss_derivs(rows @ w, self.dataset.labels) / self.n
+            g = coeffs @ rows + self.l2_reg * w
         if counters is not None:
             counters.charge_full()
         return np.asarray(g)
@@ -221,10 +269,11 @@ class Problem:
 
         ``w`` is one point of dimension d, or a (k, d) stack of points; a
         stack returns the k gradients as a (k, d) array from one gather of
-        the batch's rows and is charged k * batch size.  Sums run in the
-        order of scipy's CSR products (see the module docstring), so each
-        gradient is bit for bit ``rows.T @ (phi'(rows @ w) / b) + l2 * w``
-        with ``rows = features[batch]``.
+        the batch's rows and is charged k * batch size.  Each gradient is
+        ``(phi'(rows @ w) / b) @ rows + l2 * w`` with ``rows =
+        features[batch]``: through BLAS on :attr:`Dataset.dense_rows`, and
+        otherwise bit for bit in the order of scipy's CSR products (see the
+        module docstring).
         """
         w = np.asarray(w, dtype=np.float64)
         points = w if w.ndim == 2 else w.reshape(1, -1)
@@ -235,6 +284,20 @@ class Problem:
             raise ValueError("empty batch")
         if batch.min() < 0 or batch.max() >= self.n:
             raise IndexError(f"batch index out of range [0, {self.n})")
+        dense = self.dataset.dense_rows
+        if dense is None:
+            g = self._csr_grad_batch(points, batch)
+        else:
+            rows = dense[batch]
+            coeffs = self._loss_derivs(points @ rows.T, self.dataset.labels[batch]) / batch.size
+            g = coeffs @ rows + self.l2_reg * points
+        if counters is not None:
+            counters.charge_batch(points.shape[0] * batch.size)
+        return g if w.ndim == 2 else g[0]
+
+    def _csr_grad_batch(self, points: np.ndarray, batch: np.ndarray) -> np.ndarray:
+        """The (k, d) batch gradients of :meth:`grad_batch` from the CSR
+        arrays, summed in scipy's order; exact on any layout."""
         feats = self.dataset.features
         b, d, k = batch.size, self.d, points.shape[0]
         lengths = self.dataset.row_nnz[batch]
@@ -255,7 +318,4 @@ class Problem:
         coeffs = self._loss_derivs(z, self.dataset.labels[batch]) / b
         terms = coeffs.ravel()[z_bin].reshape(k, -1) * vals
         g = np.bincount(g_bin, weights=terms.ravel(), minlength=k * d).reshape(k, d)
-        g = g + self.l2_reg * points
-        if counters is not None:
-            counters.charge_batch(k * b)
-        return g if w.ndim == 2 else g[0]
+        return g + self.l2_reg * points

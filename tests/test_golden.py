@@ -2,6 +2,11 @@
 
 The cases and their rendering live in scripts/bless_goldens.py, which also
 writes the golden files.  A pure refactor must pass this test unchanged.
+
+Cases on dense rows (every case but the three ``sparse-*`` ones) take
+BLAS products in the batch and full gradient oracles, and the full-matrix
+cases an eigendecomposition, so their last bits depend on the BLAS build;
+the ``sparse-*`` cases use the CSR oracle, which sums in scipy's order.
 """
 
 import importlib.util

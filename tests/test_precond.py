@@ -250,6 +250,16 @@ class TestStep:
         x0 = np.array([1.0, -2.0, 0.5])
         np.testing.assert_array_equal(state.step(x0, np.zeros(3), eta=2.0), x0)
 
+    def test_diagonal_masks_zero_and_nan_coordinates(self):
+        # sqrt(G) > 0 exactly where G > 0, so a nan coordinate, like a zero
+        # one, adds nothing to the weighted sum and does not move
+        state = PrecondState(diag_variant(0.0), 3)
+        g = np.array([2.0, 0.0, np.nan])
+        state.accumulate(g)
+        assert state.weighted_grad_sq_sum == 2.0  # 2^2 / sqrt(4)
+        x = state.step(np.array([1.0, -2.0, 0.5]), g, eta=0.5)
+        np.testing.assert_array_equal(x, [0.5, -2.0, 0.5])
+
     def test_full_with_axis_aligned_gradients_matches_diagonal(self):
         # outer products of single-coordinate gradients keep G diagonal
         rng = np.random.default_rng(8)

@@ -7,10 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vrkit import Dataset, GradOracleCounters, Problem
+from vrkit.data import parse_libsvm, serialize_libsvm
 
 from conftest import central_difference_gradient, make_problem, single_example_problem
 
 ALL_LOSSES = ("logistic", "squared", "huber", "squared_hinge")
+
+# worst per-example curvature of each loss in the prediction z: the
+# Lipschitz constant of phi'
+CURVATURE = {"logistic": 0.25, "squared": 1.0, "huber": 1.0, "squared_hinge": 2.0}
 
 
 class TestLossValue:
@@ -137,23 +142,34 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
         [x.hex() for x in a.ravel().tolist()] == [x.hex() for x in b.ravel().tolist()])
 
 
+def _batches(n: int, b: int, trials: int, rng: np.random.Generator):
+    """``trials`` batches of size b; odd trials draw with replacement, so
+    indices repeat."""
+    for trial in range(trials):
+        yield (rng.integers(n, size=b) if trial % 2 else rng.choice(n, size=b, replace=False))
+
+
 class TestBatchOracleMatchesScipy:
     """The CSR-array oracle reproduces scipy's products bit for bit, which
-    the golden traces rely on."""
+    the golden traces of sparse rows rely on.  It is ``grad_batch`` itself on
+    sparse rows; on dense rows ``grad_batch`` takes BLAS products
+    (:class:`TestDenseRowOracle`), and the CSR oracle stays their exact
+    reference."""
 
     @pytest.mark.parametrize("size", [1, 2, 7, 64, "n"])
     @pytest.mark.parametrize("layout", ["sparse", "dense"])
     @pytest.mark.parametrize("loss", ALL_LOSSES)
     def test_bitwise_equal_to_scipy(self, loss, layout, size):
         problem = _random_rows_problem(loss, layout, seed=ALL_LOSSES.index(loss))
+        assert (problem.dataset.dense_rows is None) == (layout == "sparse")
         rng = np.random.default_rng(7)
         b = problem.n if size == "n" else size
-        for trial in range(20):
-            # odd trials draw with replacement, so indices repeat
-            batch = (rng.integers(problem.n, size=b) if trial % 2
-                     else rng.choice(problem.n, size=b, replace=False))
+        for trial, batch in enumerate(_batches(problem.n, b, 20, rng)):
             w = rng.standard_normal(problem.d) * 10.0 ** rng.integers(-2, 3)
-            got = problem.grad_batch(w, batch)
+            if layout == "sparse":
+                got = problem.grad_batch(w, batch)
+            else:
+                got = problem._csr_grad_batch(w[None], batch)[0]
             assert got.shape == (problem.d,)
             assert _same_bits(got, _scipy_grad_batch(problem, w, batch)), (trial, batch)
 
@@ -173,10 +189,111 @@ class TestBatchOracleMatchesScipy:
                 assert _same_bits(got, _scipy_grad_batch(problem, point, batch))
 
 
-class TestSmoothnessBound:
-    # worst per-example curvature of each loss in the prediction z
-    CURVATURE = {"logistic": 0.25, "squared": 1.0, "huber": 1.0, "squared_hinge": 2.0}
+def _rounding_bound(problem: Problem, w: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """Per-coordinate bound on how far two evaluations of one batch gradient
+    in different summation orders can differ: (d + b + 8) eps times the
+    magnitudes that enter the coordinate.  Each prediction sums d terms and
+    each coordinate b terms, within gamma_d and gamma_b of the exact sum in
+    any order (Higham, Accuracy and Stability, ch. 3); an error in z moves
+    phi' by at most the loss's curvature times it; phi', the division by b
+    and the l2 term add a few roundings."""
+    rows = abs(problem.dataset.features[batch].toarray())
+    b = batch.size
+    z = problem.dataset.features[batch] @ w
+    coeffs = abs(problem._loss_derivs(z, problem.dataset.labels[batch])) / b
+    reach = CURVATURE[problem.loss] * (rows @ abs(w)) / b
+    scale = rows.T @ (coeffs + reach) + problem.l2_reg * abs(w)
+    return (problem.d + b + 8) * np.finfo(np.float64).eps * scale
 
+
+class TestDenseRowOracle:
+    """On dense rows ``grad_batch``, ``grad_full`` and ``loss_value`` use BLAS
+    products, whose summation order is not scipy's.  They must agree with
+    the exact CSR reference within :func:`_rounding_bound`."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 64, "n"])
+    @pytest.mark.parametrize("loss", ALL_LOSSES)
+    def test_within_rounding_bound_of_scipy(self, loss, size):
+        problem = _random_rows_problem(loss, "dense", seed=ALL_LOSSES.index(loss))
+        assert problem.dataset.dense_rows is not None
+        rng = np.random.default_rng(8)
+        b = problem.n if size == "n" else size
+        for trial, batch in enumerate(_batches(problem.n, b, 30, rng)):
+            k = 1 + trial % 3  # one point, or a stack of two or three
+            points = rng.standard_normal((k, problem.d)) * 10.0 ** rng.integers(-2, 3, (k, 1))
+            got = problem.grad_batch(points if trial % 3 else points[0], batch)
+            for point, g in zip(points, np.atleast_2d(got)):
+                want = _scipy_grad_batch(problem, point, batch)
+                excess = abs(g - want) - _rounding_bound(problem, point, batch)
+                assert excess.max() <= 0.0, (trial, k, batch, excess)
+
+    @pytest.mark.parametrize("loss", ALL_LOSSES)
+    def test_full_oracles_within_rounding_bound(self, loss):
+        problem = _random_rows_problem(loss, "dense", seed=ALL_LOSSES.index(loss))
+        feats, labels = problem.dataset.features, problem.dataset.labels
+        everything = np.arange(problem.n)
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            w = rng.standard_normal(problem.d) * 10.0 ** rng.integers(-2, 3)
+            bound = _rounding_bound(problem, w, everything)
+            assert np.all(abs(problem.grad_full(w) - _scipy_grad_batch(problem, w, everything))
+                          <= bound)
+            want = problem._loss_values(feats @ w, labels).mean() + 0.5 * problem.l2_reg * (w @ w)
+            assert problem.loss_value(w) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("layout", ["sparse", "dense"])
+    @pytest.mark.parametrize("loss", ALL_LOSSES)
+    def test_stack_of_one_point_twice_gives_equal_rows(self, loss, layout):
+        # so the first direction of an inner loop, at x = w_k, is grad_full(w_k)
+        problem = _random_rows_problem(loss, layout, seed=13)
+        rng = np.random.default_rng(14)
+        for b in (1, 2, 7, 64, problem.n):
+            for batch in _batches(problem.n, b, 6, rng):
+                x = rng.standard_normal(problem.d) * 10.0 ** rng.integers(-2, 3)
+                gx, ga = problem.grad_batch(np.stack((x, x)), batch)
+                assert _same_bits(gx, ga), (b, batch)
+                base = problem.grad_full(x)
+                np.testing.assert_array_equal(gx - ga + base, base)
+
+
+class TestDenseRowSelection:
+    def test_fully_stored_rows_are_a_view_of_the_data(self):
+        dense = np.random.default_rng(0).standard_normal((50, 7))
+        dataset = Dataset(features=dense, labels=np.ones(50))
+        rows = dataset.dense_rows
+        assert np.shares_memory(rows, dataset.features.data)
+        np.testing.assert_array_equal(rows, dense)
+
+    def test_nearly_full_rows_are_a_dense_copy(self):
+        # the bundled sets: 99.99% of the entries stored
+        dense = np.random.default_rng(1).standard_normal((2000, 40))
+        dense[[3, 1500], [0, 17]] = 0.0
+        dataset = Dataset(features=dense, labels=np.ones(2000))
+        assert dataset.features.nnz == 2000 * 40 - 2
+        np.testing.assert_array_equal(dataset.dense_rows, dataset.features.toarray())
+        assert not np.shares_memory(dataset.dense_rows, dataset.features.data)
+
+    def test_sparse_rows_keep_the_csr_oracle(self):
+        # the sparse_b1 shape: 1500 x 12000 with 100 entries per row
+        rng = np.random.default_rng(2)
+        n, d, per_row = 1500, 12000, 100
+        indices = np.sort(rng.integers(0, d // per_row, (n, per_row))
+                          + np.arange(0, d, d // per_row), axis=1).ravel()
+        features = sp.csr_matrix((rng.standard_normal(n * per_row), indices,
+                                  np.arange(0, n * per_row + 1, per_row)), shape=(n, d))
+        assert Dataset(features=features, labels=np.ones(n)).dense_rows is None
+
+    def test_threshold_is_the_memory_of_data_and_indices(self):
+        # 3 x 3 float64 with int32 indices: 72 dense bytes against 12 per entry
+        for stored, dense in ((6, True), (5, False)):
+            values = np.zeros(9)
+            values[:stored] = 1.0
+            dataset = Dataset(features=values.reshape(3, 3), labels=np.ones(3))
+            assert dataset.features.indices.dtype == np.int32
+            assert (dataset.dense_rows is not None) == dense, stored
+
+
+class TestSmoothnessBound:
     @pytest.mark.parametrize("loss", ALL_LOSSES)
     def test_bound_dominates_observed_curvature(self, loss):
         # per-example gradients are Lipschitz with constant
@@ -184,7 +301,7 @@ class TestSmoothnessBound:
         problem = make_problem(loss=loss, seed=2, n=16, d=4)
         feats = problem.dataset.features
         max_row_sq = float(feats.multiply(feats).sum(axis=1).max())
-        bound = self.CURVATURE[loss] * max_row_sq + problem.l2_reg
+        bound = CURVATURE[loss] * max_row_sq + problem.l2_reg
         rng = np.random.default_rng(3)
         for _ in range(50):
             u = rng.standard_normal(problem.d)
@@ -310,6 +427,23 @@ class TestValidation:
         dataset = Dataset(features=sp.csr_matrix(np.eye(2)), labels=np.array([1.0, -1.0]))
         with pytest.raises(ValueError, match=field):
             Problem(dataset=dataset, loss="huber", **{field: value})
+
+    def test_repeated_column_rejected_like_the_parser(self):
+        # LIBSVM cannot store a column twice in a row, so save -> load would fail
+        features = sp.csr_matrix(([1.0, 2.0, 3.0], [0, 0, 1], [0, 2, 3]))
+        message = "non-increasing feature index 1 after 1"
+        with pytest.raises(ValueError, match=f"row 0: {message}"):
+            Dataset(features=features, labels=np.ones(1))
+        with pytest.raises(ValueError, match=f"line 1: {message}"):
+            parse_libsvm("+1 1:1.0 1:2.0 2:3.0\n")
+        # an unsorted row is sorted first, then its repeat found
+        unsorted = sp.csr_matrix(([1.0, 2.0, 3.0, 4.0], [0, 2, 1, 2], [0, 1, 4]), shape=(2, 3))
+        with pytest.raises(ValueError, match="row 1: non-increasing feature index 3 after 3"):
+            Dataset(features=unsorted, labels=np.ones(2))
+        # the same column ending one row and starting the next is no repeat
+        across = sp.csr_matrix(([1.0, 2.0, 3.0], [0, 1, 1], [0, 2, 3]), shape=(2, 2))
+        dataset = Dataset(features=across, labels=np.ones(2))
+        assert parse_libsvm(serialize_libsvm(dataset)).equals(dataset)
 
     def test_label_length_mismatch(self):
         with pytest.raises(ValueError):
