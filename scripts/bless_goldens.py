@@ -76,7 +76,7 @@ def _gaussian_squared() -> Problem:
 
 def _sparse_rows(loss: str) -> Problem:
     """40 x 12 CSR rows of 0 to 6 nonzeros (some rows empty), l2 = 0.05;
-    +-1 labels for squared_hinge, real targets for huber."""
+    +-1 labels for squared_hinge and logistic, real targets for huber."""
     rng = np.random.default_rng(21)
     n, d = 40, 12
     lengths = rng.integers(0, 7, size=n)
@@ -84,13 +84,15 @@ def _sparse_rows(loss: str) -> Problem:
     indices = np.concatenate([np.sort(rng.choice(d, size=k, replace=False)) for k in lengths])
     data = rng.standard_normal(indices.size)
     indptr = np.concatenate(([0], np.cumsum(lengths)))
-    labels = rng.choice([-1.0, 1.0], size=n) if loss == "squared_hinge" else rng.standard_normal(n)
+    labels = (rng.choice([-1.0, 1.0], size=n) if loss in ("squared_hinge", "logistic")
+              else rng.standard_normal(n))
     return _problem(sp.csr_matrix((data, indices, indptr), shape=(n, d)), labels, loss, 0.05)
 
 
 def _sparse_cases() -> dict:
     z12 = np.zeros(12)
     diag = PrecondVariant(kind="diagonal", delta=1e-8)
+    scalar = PrecondVariant(kind="scalar")
     return {
         "sparse-svrg-squared_hinge-b1": lambda: svrg(
             _sparse_rows("squared_hinge"), z12, 3, None, 0.1, batch_size=1, seed=17),
@@ -98,6 +100,12 @@ def _sparse_cases() -> dict:
             _sparse_rows("huber"), z12, 3, variant=diag, eta=0.5, batch_size=4, seed=18),
         "sparse-adagrad-diagonal-squared_hinge-b4": lambda: adagrad(
             _sparse_rows("squared_hinge"), z12, 60, 0.5, variant=diag, batch_size=4, seed=19),
+        "sparse-adasvrg-adaptive-logistic-b1": lambda: adasvrg_adaptive(
+            _sparse_rows("logistic"), z12, 3, eta=None, batch_size=1, seed=22),
+        "sparse-hybrid-logistic-b1": lambda: hybrid_adagrad_adasvrg(
+            _sparse_rows("logistic"), z12, 400, eta=None, batch_size=1, seed=23),
+        "sparse-adasvrg-fixed-scalar-huber-b4": lambda: adasvrg_fixed(
+            _sparse_rows("huber"), z12, 3, variant=scalar, eta=0.5, batch_size=4, seed=24),
     }
 
 
@@ -228,6 +236,8 @@ def main() -> int:
             bb_fallbacks += len(result.notes.get("bb_fallbacks", []))
             if name.startswith("diverge-"):
                 assert result.termination_reason == "diverged", name
+            if name.startswith("sparse-hybrid"):
+                assert result.notes["switched"], name
             if name == "diverge-adagrad-nonfinite-step":
                 # a failed step's row, unlike a monitored row, stores no gradient norm
                 assert result.trace.final().grad_norm is None, name

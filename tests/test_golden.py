@@ -3,7 +3,7 @@
 The cases and their rendering live in scripts/bless_goldens.py, which also
 writes the golden files.  A pure refactor must pass this test unchanged.
 
-Cases on dense rows (every case but the three ``sparse-*`` ones) take
+Cases on dense rows (every case but the ``sparse-*`` ones) take
 BLAS products in the batch and full gradient oracles, and the full-matrix
 cases an eigendecomposition, so their last bits depend on the BLAS build;
 the ``sparse-*`` cases use the CSR oracle, which sums in scipy's order.
