@@ -10,12 +10,20 @@ Re-bless only when a change is meant to alter seeded output, and say so in
 CHANGES.md:
 
     PYTHONPATH=src python3 scripts/bless_goldens.py
+
+``--compare`` writes nothing.  It prints, per case, whether the trace rows,
+their passes and events, and the oracle counters are identical to the golden
+files, whether every other non-float field is, and the largest relative
+deviation of any float:
+
+    PYTHONPATH=src python3 scripts/bless_goldens.py --compare
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -41,6 +49,7 @@ from vrkit import (
 )
 from vrkit import bench
 from vrkit.bench import RunConfig
+from vrkit.diagnostics import Trace
 from vrkit.problems import Dataset
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -223,7 +232,75 @@ def render(result) -> dict[str, str]:
     }
 
 
+def _relative_deviation(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _hex_float(value) -> float | None:
+    try:
+        return float.fromhex(value) if isinstance(value, str) else None
+    except ValueError:
+        return None
+
+
+def _json_diff(old, new) -> tuple[bool, float]:
+    """(non-float fields identical, largest relative float deviation) of two
+    manifests, walked in parallel."""
+    a, b = _hex_float(old), _hex_float(new)
+    if a is not None and b is not None:
+        return True, _relative_deviation(a, b)
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        pairs = [(old[k], new[k]) for k in old]
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        pairs = list(zip(old, new))
+    else:
+        return old == new, 0.0
+    same, worst = True, 0.0
+    for o, n in pairs:
+        s, w = _json_diff(o, n)
+        same, worst = same and s, max(worst, w)
+    return same, worst
+
+
+def compare() -> int:
+    """Print how each case's current output differs from its golden files."""
+    with np.errstate(all="ignore"):
+        for name, make in cases().items():
+            new = render(make())
+            old = {suffix: (GOLDEN_DIR / f"{name}{suffix}").read_text(encoding="utf-8")
+                   for suffix in new}
+            if new == old:
+                print(f"{name}: identical")
+                continue
+            rows_old, rows_new = Trace.from_csv(old[".csv"]).rows, Trace.from_csv(new[".csv"]).rows
+            manifest_old, manifest_new = json.loads(old[".json"]), json.loads(new[".json"])
+            counters_same = manifest_old.pop("counters") == manifest_new.pop("counters")
+            other_same, worst = _json_diff(manifest_old, manifest_new)
+            for row_old, row_new in zip(rows_old, rows_new):
+                other_same = other_same and row_old.outer == row_new.outer
+                for field in ("objective", "grad_norm", "g_norm_star", "step_size"):
+                    a, b = getattr(row_old, field), getattr(row_new, field)
+                    if a is None or b is None:
+                        other_same = other_same and a is b
+                    else:
+                        worst = max(worst, _relative_deviation(a, b))
+            same = {
+                "rows": len(rows_old) == len(rows_new),
+                "passes": [r.passes for r in rows_old] == [r.passes for r in rows_new],
+                "events": [r.event for r in rows_old] == [r.event for r in rows_new],
+                "counters": counters_same,
+                "other fields": other_same,
+            }
+            verdict = ", ".join(f"{key} {'same' if ok else 'DIFFER'}" for key, ok in same.items())
+            print(f"{name}: {verdict}; max relative deviation {worst:.2g}")
+    return 0
+
+
 def main() -> int:
+    if sys.argv[1:] == ["--compare"]:
+        return compare()
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for stale in GOLDEN_DIR.glob("*"):
         stale.unlink()
