@@ -2,7 +2,7 @@
 minimization, with datasets, diagnostics and a benchmark harness."""
 
 from .data import SyntheticSpec, gen_separable, load_libsvm, parse_libsvm, save_libsvm, serialize_libsvm
-from .diagnostics import PhaseTestState, Trace, TraceRow, two_phase_slope_fit
+from .diagnostics import PhaseTestState, Trace, TraceRow
 from .optimizers import (
     RunResult,
     adagrad,
@@ -15,7 +15,6 @@ from .optimizers import (
     sgd,
     svrg,
     svrg_bb,
-    svrg_inner_armijo_1d,
 )
 from .precond import PrecondState, PrecondVariant, ProjectionSpec, project
 from .problems import Dataset, GradOracleCounters, Problem
@@ -50,6 +49,4 @@ __all__ = [
     "sgd",
     "svrg",
     "svrg_bb",
-    "svrg_inner_armijo_1d",
-    "two_phase_slope_fit",
 ]

@@ -1,4 +1,4 @@
-"""Run traces, the stalling diagnostic, and growth-curve analysis.
+"""Run traces and the stalling diagnostic.
 
 A :class:`Trace` is a time series of per-run measurements keyed by effective
 passes over the data (per-example gradient evaluations divided by n).  Rows
@@ -162,82 +162,3 @@ def _growth_ratio(history: np.ndarray, t: int) -> float | None:
     if not np.isfinite(half) or half <= 0:
         return None
     return (history[t] - half) / half
-
-
-def two_phase_slope_fit(
-    g_norm_star: np.ndarray,
-    theta: float = 0.5,
-    burn_in: int = 4,
-) -> tuple[float, float]:
-    """Split an accumulator-growth series into flat and sqrt-growth phases.
-
-    ``g_norm_star`` holds ||G_t||_* for t = 1..len.  The knee is the first
-    even t >= burn_in where the relative growth ratio reaches ``theta``; if
-    it never does, the best two-piece log-log fit locates the split.
-    Returns ``(phase1_growth, phase2_exponent)``: the largest ratio observed
-    before the knee and the least-squares log-log slope of the series versus
-    (t - knee) after it.
-    """
-    series = np.asarray(g_norm_star, dtype=np.float64).ravel()
-    length = series.shape[0]
-    if length < 64:
-        raise ValueError("series too short; need at least 64 points")
-    sq = np.empty(length + 1)
-    sq[0] = np.nan
-    sq[1:] = series**2
-
-    burn_in = max(4, int(burn_in))
-    if burn_in % 2 != 0:
-        burn_in += 1
-
-    ratios = {t: _growth_ratio(sq, t) for t in range(burn_in, length + 1, 2)}
-    knee = next((t for t, r in ratios.items() if r is not None and r >= theta), None)
-    if knee is None:
-        knee = _best_split(series)
-
-    phase1_growth = 0.0
-    for t in range(burn_in, min(knee, length + 1), 2):
-        if ratios[t] is not None:
-            phase1_growth = max(phase1_growth, float(ratios[t]))
-
-    ts = np.arange(knee + 1, length + 1)
-    vals = sq[knee + 1 :] ** 0.5
-    mask = vals > 0
-    if mask.sum() < 2:
-        return phase1_growth, float("nan")
-    slope = _lstsq_slope(np.log(ts[mask] - knee), np.log(vals[mask]))
-    return phase1_growth, slope
-
-
-def _lstsq_slope(x: np.ndarray, y: np.ndarray) -> float:
-    x = x - x.mean()
-    denom = float(x @ x)
-    if denom == 0:
-        return 0.0
-    return float(x @ (y - y.mean()) / denom)
-
-
-def _best_split(series: np.ndarray) -> int:
-    """Knee of a two-piece log-log fit, minimizing total squared residual."""
-    length = series.shape[0]
-    ts = np.arange(1, length + 1, dtype=np.float64)
-    floor = max(series[series > 0].min() * 1e-3, 1e-300) if np.any(series > 0) else 1e-300
-    logy = np.log(np.maximum(series, floor))
-    logt = np.log(ts)
-    candidates = np.unique(
-        np.clip(np.geomspace(8, length - 8, num=33).astype(int), 8, length - 8)
-    )
-    best_k, best_res = candidates[0], np.inf
-    for k in candidates:
-        res = _fit_residual(logt[:k], logy[:k]) + _fit_residual(logt[k:], logy[k:])
-        if res < best_res:
-            best_k, best_res = int(k), res
-    return best_k
-
-
-def _fit_residual(x: np.ndarray, y: np.ndarray) -> float:
-    if x.shape[0] < 2:
-        return 0.0
-    slope = _lstsq_slope(x, y)
-    pred = y.mean() + slope * (x - x.mean())
-    return float(((y - pred) ** 2).sum())

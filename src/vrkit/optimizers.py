@@ -20,8 +20,10 @@ The variance-reduced methods form the direction
 
 which is an unbiased estimate of the exact gradient at x_t; at the first
 inner step x_1 = w_k it equals grad_full(w_k) for every sampled batch.
-Both batch gradients come from one stacked ``grad_batch`` call on
-(x_t, w_k), which gathers the batch's rows once and is charged 2b.
+Each step is charged 2b.  Both batch gradients come from one stacked
+``grad_batch`` call on (x_t, w_k), except on CSR rows, where the rule of
+:func:`_lazy_applies` may give the inner loop the O(nnz) just-in-time step
+of :class:`_LazyStep`, which matches the dense step to rounding.
 
 Every optimizer is a thin wrapper around one loop, :func:`_engine`, set by
 four choices: the direction (plain, snapshot-anchored as above, or
@@ -107,12 +109,10 @@ class _Run:
         it and keeps its event.  A non-finite or runaway objective flags the
         row ``diverged`` and ends the run; so does ``event='diverged'``, a
         failed step, whose row stores no gradient norms."""
-        if self.diverged:
+        if self.diverged or not (force or event is not None or self.due()):
             return
         rows = self.trace.rows
         passes = self.passes
-        if not force and event is None and rows and passes - rows[-1].passes < 1.0:
-            return
         objective = self.problem.loss_value(x)
         if event == "diverged":
             grad_norm = g_star = None
@@ -126,6 +126,12 @@ class _Run:
             event = event or merged.event
         rows.append(TraceRow(passes=passes, objective=objective, grad_norm=grad_norm,
                              g_norm_star=g_star, step_size=eta, outer=outer, event=event))
+
+    def due(self) -> bool:
+        """Whether :meth:`record` writes a row without ``force`` or an event:
+        no divergence, and a pass since the last row."""
+        rows = self.trace.rows
+        return not self.diverged and (not rows or self.passes - rows[-1].passes >= 1.0)
 
     def result(self, x, *, averaged=None, g_star_steps=None, notes=None) -> RunResult:
         """Finish the run at ``x``, recorded as the closing trace row with
@@ -255,6 +261,122 @@ class _Phase:
     refreshes: int = 0
 
 
+def _lazy_applies(problem: Problem, direction: str, variant: PrecondVariant | None,
+                  proj: ProjectionSpec | None, snapshot: str, p: float | None) -> bool:
+    """Whether an inner loop takes :class:`_LazyStep` rather than
+    :class:`_DenseStep`, the reference: a rule on the input, not an option."""
+    return (problem.dataset.dense_rows is None and direction in ("plain", "vr") and p is None
+            and (variant is None or variant.kind == "scalar") and proj is None
+            and snapshot == "last")
+
+
+class _DenseStep:
+    """The iterate x and the direction g held densely: g is grad_B(x), or,
+    given ``base``, grad_B(x) - grad_B(anchor) + base from one stacked call."""
+
+    def __init__(self, problem: Problem, x: np.ndarray, anchor: np.ndarray, base):
+        self.problem, self.x, self.anchor, self.base, self.g = problem, x, anchor, base, None
+
+    def point(self) -> np.ndarray:
+        return self.x
+
+    def direct(self, batch: np.ndarray, counters: GradOracleCounters) -> None:
+        if self.base is None:
+            self.g = self.problem.grad_batch(self.x, batch, counters)
+        else:
+            gx, ga = self.problem.grad_batch(np.stack((self.x, self.anchor)), batch, counters)
+            self.g = gx - ga + self.base
+
+    def accumulate(self, state: PrecondState) -> None:
+        state.accumulate(self.g)
+
+    def step(self, eta: float, state: PrecondState | None = None, proj=None) -> None:
+        """x - eta g, or the step of ``state``'s metric."""
+        self.x = self.x - eta * self.g if state is None else state.step(self.x, self.g, eta, proj)
+
+
+class _LazyStep:
+    """The just-in-time step on CSR rows, O(nnz) of the batch's rows.
+
+    With the anchor a and base = grad_full(a) fixed, the dense part of the
+    direction, l2 (x - a) + base, is an affine recurrence, so x is held as
+    a + c v - beta base.  A step of size eta sets c <- (1 - eta l2) c and
+    beta <- (1 - eta l2) beta + eta, and moves v only on the batch's columns,
+    by -eta s / c with s from :meth:`Problem.sparse_batch_part`.  A c outside
+    [1e-50, 1e50], 0 included, is folded into v.  The plain direction is
+    a = base = 0.  Running ||v||^2 and v.base give the scalar metric's
+    ||g||^2.  :meth:`point` builds x and restarts from it exactly.  A scalar
+    step whose iterate might overflow (a bound on |x| reaches 1e300) is taken
+    densely and raises ``FloatingPointError`` as :meth:`PrecondState.step` does.
+    """
+
+    def __init__(self, problem: Problem, w: np.ndarray, base: np.ndarray | None):
+        self.problem, self.l2 = problem, problem.l2_reg
+        if base is None:
+            self.a, self.base, self.anchor_derivs = np.zeros(problem.d), np.zeros(problem.d), None
+        else:
+            self.a, self.base, self.anchor_derivs = w, base, problem.margin_derivs(w)
+        self.base_sq = float(self.base @ self.base)
+        self.base_norm, self.a_max = math.sqrt(self.base_sq), float(np.abs(self.a).max(initial=0.0))
+        self._restart(w)
+
+    def _restart(self, x: np.ndarray) -> None:
+        self.x, self.v, self.c, self.beta = x, x - self.a, 1.0, 0.0
+        self.v_sq, self.v_base = float(self.v @ self.v), float(self.v @ self.base)
+
+    def point(self) -> np.ndarray:
+        if self.x is None:
+            self._restart(self.a + self.c * self.v - self.beta * self.base)
+        return self.x
+
+    def _gather(self, cols: np.ndarray) -> np.ndarray:
+        self.v_at, self.base_at = self.v[cols], self.base[cols]
+        return self.a[cols] + self.c * self.v_at - self.beta * self.base_at
+
+    def direct(self, batch: np.ndarray, counters: GradOracleCounters) -> None:
+        self.cols, s = self.problem.sparse_batch_part(batch, self._gather, self.anchor_derivs)
+        counters.charge_batch((1 if self.anchor_derivs is None else 2) * batch.size)
+        self.s, self.s_v, self.s_base = s, float(s @ self.v_at), float(s @ self.base_at)
+        self.s_sq = float(s @ s)
+
+    def accumulate(self, state: PrecondState) -> None:
+        # ||g||^2 for g = s + l2 c v + k base, k = 1 - l2 beta, s zero off cols
+        lc, k = self.l2 * self.c, 1.0 - self.l2 * self.beta
+        state.accumulate_sq_norm(max(0.0, lc * lc * self.v_sq + 2.0 * lc * k * self.v_base
+                                     + k * k * self.base_sq + self.s_sq
+                                     + 2.0 * (lc * self.s_v + k * self.s_base)))
+
+    def _dense_step(self, eta: float) -> None:
+        x = self.point()
+        y = x - eta * (self.l2 * (x - self.a) + self.base)
+        y[self.cols] -= eta * self.s
+        if not np.all(np.isfinite(y)):
+            raise FloatingPointError("preconditioned step produced a non-finite iterate")
+        self._restart(y)
+
+    def step(self, eta: float, state: PrecondState | None = None, proj=None) -> None:
+        """x - eta g, or with ``state`` the scalar step x - eta g / sqrt(G)."""
+        eta = eta if state is None else eta / np.sqrt(state.G)
+        r = 1.0 - eta * self.l2
+        if state is not None:
+            bound = (self.a_max + abs(r * self.c) * math.sqrt(max(self.v_sq, 0.0))
+                     + eta * math.sqrt(self.s_sq) + abs(r * self.beta + eta) * self.base_norm)
+            if not bound < 1e300:  # |x| after the step is at most bound
+                return self._dense_step(eta)
+        c, self.beta = r * self.c, r * self.beta + eta
+        self.x = None
+        if not 1e-50 <= abs(c) <= 1e50:
+            self.v *= c
+            self.v_sq, self.v_base = float(self.v @ self.v), float(self.v @ self.base)
+            self.s_v *= c
+            c = 1.0
+        self.c = c
+        f = -eta / c
+        self.v[self.cols] += f * self.s
+        self.v_sq += f * (2.0 * self.s_v + f * self.s_sq)
+        self.v_base += f * self.s_base
+
+
 def _engine(
     run: _Run,
     w: np.ndarray,
@@ -307,7 +429,7 @@ def _engine(
         if run.diverged:
             break
         outer = outer_offset + k
-        anchor, base = w, None
+        base = None
         if direction != "plain":
             base = problem.grad_full(w, run.counters)
             eta = rule(run, w, base, outer)
@@ -317,56 +439,53 @@ def _engine(
                 if run.diverged:
                     break
         state = PrecondState(variant, d) if variant is not None else None
-        test = (
-            PhaseTestState(theta=theta, burn_in_threshold=burn_in, capacity=inner)
-            if theta is not None
-            else None
-        )
-        x = w.copy()
+        test = (PhaseTestState(theta=theta, burn_in_threshold=burn_in, capacity=inner)
+                if theta is not None else None)
+        if _lazy_applies(problem, direction, variant, proj, snapshot, p):
+            it = _LazyStep(problem, w, base)
+        else:
+            it = _DenseStep(problem, w.copy(), w, base)
         x_sum = np.zeros(d)
         t = 0
         try:
             for t in range(1, inner + 1):
                 if p is not None and run.rng.random() < p:
-                    anchor = x.copy()
-                    base = problem.grad_full(anchor, run.counters)
+                    it.anchor = it.x.copy()
+                    it.base = problem.grad_full(it.anchor, run.counters)
                     out.refreshes += 1
                 if direction == "plain" and rule.kind != "constant" and (t - 1) % period == 0:
+                    x = it.point()
                     eta = rule(run, x, problem.grad_full(x, run.counters), outer)
                 if direction == "recursive" and t == 1:
-                    g = base
+                    it.g = it.base
                 else:
-                    batch = run.sample(batch_size)
-                    if direction == "plain":
-                        g = problem.grad_batch(x, batch, run.counters)
-                    else:
-                        gx, ga = problem.grad_batch(np.stack((x, anchor)), batch, run.counters)
-                        g = gx - ga + base
+                    it.direct(run.sample(batch_size), run.counters)
                 if direction == "recursive":
-                    anchor, base = x, g
+                    it.anchor, it.base = it.x, it.g
                 if average:
-                    x_sum += x
+                    x_sum += it.x
                 g_star = None
                 if state is None:
-                    x = x - eta * g
+                    it.step(eta)
                 else:
-                    state.accumulate(g)
+                    it.accumulate(state)
                     g_star = state.g_norm_star()
                     out.g_stars.append(g_star)
                     if test is not None and test.observe(t, state.trace_G()):
                         out.stops.append(outer)
-                        run.record(x, outer=outer, eta=eta, g_star=g_star, event=event)
+                        run.record(it.point(), outer=outer, eta=eta, g_star=g_star, event=event)
                         break
                     if state.has_signal():
-                        x = state.step(x, g, eta, proj)
-                run.record(x, outer=outer, eta=eta, g_star=g_star)
+                        it.step(eta, state, proj)
+                if run.due():
+                    run.record(it.point(), outer=outer, eta=eta, g_star=g_star)
                 if run.diverged:
                     break
         except (FloatingPointError, np.linalg.LinAlgError):
-            run.record(x, outer=outer, eta=eta, event="diverged")
+            run.record(it.point(), outer=outer, eta=eta, event="diverged")
         if state is not None:
             out.checks.append((state.weighted_grad_sq_sum, state.trace_A()))
-        w = x_sum / t if average else x
+        w = x_sum / t if average else it.point()
         snap_sum += w
         out.completed += 1
 
@@ -688,57 +807,3 @@ def sgd(
     run = _Run(problem, x1, seed)
     out = _engine(run, x1, 1, total_steps, batch_size, rule, direction="plain")
     return run.result(out.w)
-
-
-def _armijo_max_step_1d(x: float, component: int, a: float, c: float, eta_max: float) -> float:
-    """Largest step accepted by the per-component sufficient-decrease test
-    for the symmetric pair of 1-d quadratics 'a(x-1)^2' and 'a(x+1)^2',
-    searched along the VR direction 2*a*x.  Solved in closed form."""
-    ax = abs(x)
-    same_side = (component == 1 and x > 0) or (component == 2 and x < 0)
-    if same_side:
-        bound = (1.0 - 1.0 / ax - c) / a
-    else:
-        bound = (1.0 + 1.0 / ax - c) / a
-    return min(max(bound, 0.0), eta_max)
-
-
-def svrg_inner_armijo_1d(
-    a: float,
-    c: float,
-    eta_max: float,
-    x0: float,
-    steps: int,
-    seed: int = 0,
-) -> np.ndarray:
-    """Inner-loop line search on a symmetric two-term 1-d quadratic sum.
-
-    The objective is a*(x^2 + 1), the mean of a*(x-1)^2 and a*(x+1)^2 whose
-    minimizers sit symmetrically around the solution x = 0.  The VR
-    direction is 2*a*x for either sampled component, and the exact maximal
-    Armijo step is applied analytically.  Requires a >= 1/eta_max; under
-    that choice any iterate with |x| in (0, min(1/c, 1)) cannot move closer
-    to the solution, which this routine also asserts.  Returns |x_t| for
-    t = 0..steps.
-    """
-    if a <= 0 or c <= 0 or eta_max <= 0:
-        raise ValueError("a, c and eta_max must be positive")
-    if a * eta_max < 1.0:
-        raise ValueError("requires a >= 1/eta_max")
-    rng = np.random.default_rng(seed)
-    trace = np.empty(steps + 1)
-    x = float(x0)
-    trace[0] = abs(x)
-    lock = min(1.0 / c, 1.0)
-    for t in range(steps):
-        component = int(rng.integers(1, 3))
-        if x == 0.0:
-            trace[t + 1] = 0.0
-            continue
-        eta = _armijo_max_step_1d(x, component, a, c, eta_max)
-        x_next = (1.0 - 2.0 * a * eta) * x
-        if 0.0 < abs(x) < lock and abs(x_next) < abs(x) - 1e-15:
-            raise RuntimeError("non-expansion property violated near the solution")
-        x = x_next
-        trace[t + 1] = abs(x)
-    return trace

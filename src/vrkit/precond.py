@@ -111,10 +111,7 @@ class PrecondState:
             raise ValueError(f"gradient has dimension {g.shape[0]}, expected {self.d}")
         kind = self.variant.kind
         if kind == "scalar":
-            sq = float(g @ g)
-            self.G += sq
-            if self.G > 0:
-                self.weighted_grad_sq_sum += sq / np.sqrt(self.G)
+            self.accumulate_sq_norm(float(g @ g))
         elif kind == "diagonal":
             self.G += g * g
             self._set_root()
@@ -141,6 +138,12 @@ class PrecondState:
             self._last = (g.copy(), ainv_g)
             self.weighted_grad_sq_sum += float(g @ ainv_g)
         return self
+
+    def accumulate_sq_norm(self, sq: float) -> None:
+        """The scalar variant's :meth:`accumulate`, from sq = ||g||^2."""
+        self.G += sq
+        if self.G > 0:
+            self.weighted_grad_sq_sum += sq / np.sqrt(self.G)
 
     def _set_root(self) -> None:
         """sqrt(G) of the diagonal variant, and whether all of it is > 0

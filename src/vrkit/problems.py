@@ -33,6 +33,10 @@ It has two paths, chosen by :attr:`Dataset.dense_rows`:
   ``np.add.reduce`` and ``@`` add pairwise, in an order that depends on the
   array layout, and would change the last bits.  This path is the exact
   reference for the dense one.
+
+The row kernel :meth:`Problem.sparse_batch_part` reads the same arrays for
+the optimizers' just-in-time step: the batch gradient's data part on the
+batch's columns only, in O(nnz) of its rows.
 """
 
 from __future__ import annotations
@@ -100,8 +104,9 @@ class Dataset:
     """Sparse feature rows plus one label per row.
 
     ``features`` is an n x d CSR matrix, or a dense 2-D array that is
-    converted to one; column indices are sorted, a row must not repeat a
-    column (LIBSVM cannot store it), and features and labels must be finite.
+    converted to one; values are stored as float64, column indices are
+    sorted, a row must not repeat a column (LIBSVM cannot store it), and
+    features and labels must be finite.
     """
 
     features: sp.csr_matrix
@@ -111,9 +116,9 @@ class Dataset:
         feats = self.features
         if isinstance(feats, np.ndarray) and feats.ndim == 2:
             # canonical by construction: each row's columns ascend, once each
-            feats = _dense_to_csr(np.asarray(feats))
+            feats = _dense_to_csr(np.asarray(feats, dtype=np.float64))
         else:
-            feats = sp.csr_matrix(feats)
+            feats = sp.csr_matrix(feats, dtype=np.float64)
             if not feats.has_sorted_indices:
                 feats.sort_indices()
             if not feats.has_canonical_format:
@@ -295,19 +300,48 @@ class Problem:
             counters.charge_batch(points.shape[0] * batch.size)
         return g if w.ndim == 2 else g[0]
 
+    def margin_derivs(self, w: np.ndarray) -> np.ndarray:
+        """phi' at every example's prediction <a_i, w>.  Never charged."""
+        return self._loss_derivs(self.dataset.features @ self._check_dim(w), self.dataset.labels)
+
+    def sparse_batch_part(self, batch: np.ndarray, gather, anchor_derivs=None):
+        """``(cols, s)``: the distinct columns of the batch's CSR rows and, on
+        them, s = A_B^T (phi'(A_B x) - anchor_derivs[B]) / b, with x on
+        ``cols`` from ``gather(cols)`` and ``anchor_derivs`` from
+        :meth:`margin_derivs` (None for none).  Never charged."""
+        row_of, cols, vals = self._batch_entries(batch)
+        b = batch.size
+        inverse = None  # one row's columns are distinct
+        if b > 1:
+            cols, inverse = np.unique(cols, return_inverse=True)
+        x_at = gather(cols)
+        products = vals * (x_at if inverse is None else x_at[inverse])
+        coeffs = self._loss_derivs(np.bincount(row_of, weights=products, minlength=b),
+                                   self.dataset.labels[batch])
+        if anchor_derivs is not None:
+            coeffs = coeffs - anchor_derivs[batch]
+        terms = (coeffs / b)[row_of] * vals
+        if inverse is None:
+            return cols, terms
+        return cols, np.bincount(inverse, weights=terms, minlength=cols.size)
+
+    def _batch_entries(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stored entries of the batch's rows, row by row in draw order:
+        each entry's row in the batch, its column and its value."""
+        feats = self.dataset.features
+        if batch.size == 1:
+            row = slice(feats.indptr[batch[0]], feats.indptr[batch[0] + 1])
+            return np.zeros(row.stop - row.start, np.intp), feats.indices[row], feats.data[row]
+        lengths = self.dataset.row_nnz[batch]
+        ends = np.cumsum(lengths)
+        pos = np.arange(ends[-1]) + np.repeat(feats.indptr[batch] - (ends - lengths), lengths)
+        return np.repeat(np.arange(batch.size), lengths), feats.indices[pos], feats.data[pos]
+
     def _csr_grad_batch(self, points: np.ndarray, batch: np.ndarray) -> np.ndarray:
         """The (k, d) batch gradients of :meth:`grad_batch` from the CSR
         arrays, summed in scipy's order; exact on any layout."""
-        feats = self.dataset.features
         b, d, k = batch.size, self.d, points.shape[0]
-        lengths = self.dataset.row_nnz[batch]
-        starts = feats.indptr[batch]
-        # positions of the batch's stored entries, row by row in draw order
-        ends = np.cumsum(lengths)
-        pos = np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
-        row_of = np.repeat(np.arange(b), lengths)
-        cols = feats.indices[pos]
-        vals = feats.data[pos]
+        row_of, cols, vals = self._batch_entries(batch)
         # z_bin / g_bin: flat (point, row) and (point, column) slot of each
         # entry; bincount adds each slot's weights in array order, from 0.0
         point = np.arange(k)[:, None]

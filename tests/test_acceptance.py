@@ -23,13 +23,12 @@ from vrkit import (
     hybrid_adagrad_adasvrg,
     parse_libsvm,
     serialize_libsvm,
-    svrg_inner_armijo_1d,
-    two_phase_slope_fit,
 )
 from vrkit.bench import RunConfig, final_metric, grid_search, run
 from vrkit.problems import Dataset
 
 from conftest import central_difference_gradient, make_problem
+from criterion_helpers import svrg_inner_armijo_1d, two_phase_slope_fit
 
 DATASETS = Path(__file__).resolve().parent.parent / "datasets"
 

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vrkit import PhaseTestState, Trace, TraceRow, two_phase_slope_fit
+from vrkit import PhaseTestState, Trace, TraceRow
 from vrkit.optimizers import _Run
 
 from conftest import make_problem
+from criterion_helpers import two_phase_slope_fit
 
 
 class TestPhaseTestState:

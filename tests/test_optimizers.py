@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from vrkit import (
     Dataset,
     Problem,
     PrecondVariant,
+    ProjectionSpec,
     SyntheticSpec,
     adagrad,
     adasvrg_adaptive,
@@ -19,11 +21,11 @@ from vrkit import (
     sgd,
     svrg,
     svrg_bb,
-    svrg_inner_armijo_1d,
 )
-from vrkit.optimizers import _armijo_max_step_1d
+from vrkit import optimizers
 
 from conftest import make_problem, single_example_problem
+from criterion_helpers import _armijo_max_step_1d, svrg_inner_armijo_1d
 
 
 def small_synthetic(n=64, d=6, mislabel=0.1, seed=3, loss="logistic"):
@@ -569,3 +571,135 @@ class TestTraceShape:
         result = adagrad(problem, np.zeros(problem.d), 10 * 128, 0.5, batch_size=1, seed=0)
         final_pass = result.trace.final().passes
         assert len(result.trace.rows) <= final_pass + 3
+
+
+def _csr_rows(loss="logistic", l2=0.05, scale=1.0, seed=21):
+    """40 x 12 CSR rows of 0 to 6 nonzeros (rows 3, 17 and 30 empty): too
+    sparse for a dense copy, so the optimizers may take the lazy step."""
+    rng = np.random.default_rng(seed)
+    n, d = 40, 12
+    lengths = rng.integers(0, 7, size=n)
+    lengths[[3, 17, 30]] = 0
+    indices = np.concatenate([np.sort(rng.choice(d, size=k, replace=False)) for k in lengths])
+    data = scale * rng.standard_normal(indices.size)
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    labels = rng.choice([-1.0, 1.0], size=n) if loss == "logistic" else rng.standard_normal(n)
+    dataset = Dataset(features=sp.csr_matrix((data, indices, indptr), shape=(n, d)),
+                      labels=labels)
+    assert dataset.dense_rows is None
+    return Problem(dataset=dataset, loss=loss, l2_reg=l2)
+
+
+def _lazy_cases():
+    scalar = PrecondVariant(kind="scalar")
+    cases = {}
+    for b in (1, 4):
+        steps = 10 * 40 // b
+        cases.update({
+            f"svrg-b{b}": lambda b=b: svrg(_csr_rows(), np.zeros(12), 3, None, 0.3,
+                                           batch_size=b, seed=1),
+            f"adasvrg-fixed-b{b}": lambda b=b: adasvrg_fixed(
+                _csr_rows(), np.zeros(12), 3, variant=scalar, eta=0.5, batch_size=b, seed=2),
+            f"adasvrg-adaptive-b{b}": lambda b=b: adasvrg_adaptive(
+                _csr_rows(), np.zeros(12), 3, eta=None, batch_size=b, seed=3),
+            f"hybrid-b{b}": lambda b=b, steps=steps: hybrid_adagrad_adasvrg(
+                _csr_rows(), np.zeros(12), steps, eta=None, batch_size=b, seed=4),
+            f"sgd-b{b}": lambda b=b, steps=steps: sgd(_csr_rows(), np.zeros(12), steps, 0.3,
+                                                      batch_size=b, seed=5),
+            f"svrg-l2-0-b{b}": lambda b=b: svrg(_csr_rows("squared", l2=0.0), np.zeros(12), 3,
+                                                None, 0.1, batch_size=b, seed=6),
+            f"sgd-l2-0-b{b}": lambda b=b, steps=steps: sgd(
+                _csr_rows("squared", l2=0.0), np.zeros(12), steps, 0.1, batch_size=b, seed=7),
+            # eta * l2 == 1 exactly: the scale c of x = a + c v - beta base reaches 0
+            f"svrg-eta-l2-one-b{b}": lambda b=b: svrg(
+                _csr_rows(l2=0.5, scale=0.3), np.zeros(12), 3, None, 2.0, batch_size=b, seed=8),
+            f"sgd-eta-l2-one-b{b}": lambda b=b, steps=steps: sgd(
+                _csr_rows(l2=0.5, scale=0.3), np.zeros(12), steps, 2.0, batch_size=b, seed=9),
+        })
+    return cases
+
+
+class TestLazySparseStep:
+    """The O(nnz) step on CSR rows against the dense reference step, row by
+    row.  The dense step is forced by patching the one selection rule."""
+
+    # Rounding bound, fixed before this test first ran: each step adds a few
+    # ulps of the magnitudes in play, so after T steps the two paths may
+    # differ by 64 T eps relative to 1 + |value|.
+    @staticmethod
+    def _tol(result):
+        steps = result.counters.per_example_grad_evals + 40 * result.counters.full_grad_evals
+        return 64 * steps * np.finfo(float).eps
+
+    @staticmethod
+    def _both(monkeypatch, make):
+        calls = []
+        original = Problem.sparse_batch_part
+        monkeypatch.setattr(Problem, "sparse_batch_part",
+                            lambda self, *a: calls.append(1) or original(self, *a))
+        with np.errstate(all="ignore"):
+            lazy = make()
+            lazy_calls = len(calls)
+            monkeypatch.setattr(optimizers, "_lazy_applies", lambda *args: False)
+            dense = make()
+        assert lazy_calls > 0 and len(calls) == lazy_calls
+        return lazy, dense
+
+    @staticmethod
+    def _close(a, b, tol):
+        if a is None or b is None:
+            return a is b
+        return abs(a - b) <= tol * (1.0 + abs(b))
+
+    @pytest.mark.parametrize("name", sorted(_lazy_cases()))
+    def test_matches_dense_step(self, monkeypatch, name):
+        lazy, dense = self._both(monkeypatch, _lazy_cases()[name])
+        tol = self._tol(dense)
+        assert lazy.termination_reason == dense.termination_reason == "budget"
+        assert lazy.counters == dense.counters
+        for key in ("adaptive_stops", "switch_step", "switched", "phase2_outer_loops"):
+            assert lazy.notes.get(key) == dense.notes.get(key)
+        if name.startswith("hybrid"):
+            assert dense.notes["switched"]
+        assert len(lazy.trace.rows) == len(dense.trace.rows)
+        for got, want in zip(lazy.trace.rows, dense.trace.rows):
+            assert (got.passes, got.outer, got.event) == (want.passes, want.outer, want.event)
+            for field in ("objective", "grad_norm", "g_norm_star", "step_size"):
+                assert self._close(getattr(got, field), getattr(want, field), tol), field
+        scale = 1.0 + np.abs(dense.final_iterate).max()
+        assert np.abs(lazy.final_iterate - dense.final_iterate).max() <= tol * scale
+        if dense.g_norm_star_steps is not None:
+            np.testing.assert_allclose(lazy.g_norm_star_steps, dense.g_norm_star_steps,
+                                       rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("b", [1, 4])
+    def test_divergence_flagged_on_the_same_row(self, monkeypatch, b):
+        lazy, dense = self._both(monkeypatch, lambda: svrg(
+            _csr_rows(), np.zeros(12), 20, None, 60.0, batch_size=b, seed=10))
+        assert dense.termination_reason == lazy.termination_reason == "diverged"
+        # flagged by a monitored objective, which stores a gradient norm
+        assert dense.trace.final().grad_norm is not None
+        assert [(r.passes, r.event) for r in lazy.trace.rows] == \
+            [(r.passes, r.event) for r in dense.trace.rows]
+
+    @pytest.mark.parametrize("b", [1, 4])
+    def test_scalar_step_raises_on_the_same_row(self, monkeypatch, b):
+        lazy, dense = self._both(monkeypatch, lambda: adasvrg_fixed(
+            _csr_rows(), np.zeros(12), 3, variant=PrecondVariant(kind="scalar"), eta=1e308,
+            batch_size=b, seed=11))
+        assert dense.termination_reason == lazy.termination_reason == "diverged"
+        # a step that raised FloatingPointError: its row stores no gradient norm
+        assert dense.trace.final().grad_norm is None
+        assert lazy.trace.final().grad_norm is None
+        assert [(r.passes, r.event) for r in lazy.trace.rows] == \
+            [(r.passes, r.event) for r in dense.trace.rows]
+
+    @pytest.mark.parametrize("kwargs", [
+        {"variant": PrecondVariant(kind="diagonal")}, {"proj": ProjectionSpec(radius=1.0)},
+        {"snapshot": "average"}, {"direction": "recursive"}, {"p": 0.5}, {"dense": True},
+    ], ids=["diagonal", "projection", "average", "recursive", "coin-flip", "dense-rows"])
+    def test_selection_rule(self, kwargs):
+        problem = make_problem(density=1.0) if kwargs.pop("dense", False) else _csr_rows()
+        args = {"direction": "vr", "variant": None, "proj": None, "snapshot": "last", "p": None}
+        assert optimizers._lazy_applies(_csr_rows(), **args)
+        assert not optimizers._lazy_applies(problem, **{**args, **kwargs})

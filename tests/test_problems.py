@@ -391,7 +391,8 @@ class TestDenseInput:
     def test_same_csr_as_scipy(self, name):
         dense = _dense_inputs()[name]
         got = Dataset(features=dense, labels=np.ones(dense.shape[0])).features
-        want = sp.csr_matrix(dense)
+        # values are stored as float64 whatever the input's dtype
+        want = sp.csr_matrix(dense.astype(np.float64))
         assert got.shape == want.shape
         for attr in ("data", "indices", "indptr"):
             a, b = getattr(got, attr), getattr(want, attr)
