@@ -330,6 +330,7 @@ class _LazyStep:
         return self.x
 
     def _gather(self, cols: np.ndarray) -> np.ndarray:
+        # v and base on cols are kept for the running sums of this step
         self.v_at, self.base_at = self.v[cols], self.base[cols]
         return self.a[cols] + self.c * self.v_at - self.beta * self.base_at
 
@@ -439,8 +440,11 @@ def _engine(
                 if run.diverged:
                     break
         state = PrecondState(variant, d) if variant is not None else None
-        test = (PhaseTestState(theta=theta, burn_in_threshold=burn_in, capacity=inner)
-                if theta is not None else None)
+        test = (
+            PhaseTestState(theta=theta, burn_in_threshold=burn_in, capacity=inner)
+            if theta is not None
+            else None
+        )
         if _lazy_applies(problem, direction, variant, proj, snapshot, p):
             it = _LazyStep(problem, w, base)
         else:
