@@ -6,7 +6,9 @@ writes the golden files.  A pure refactor must pass this test unchanged.
 Cases on dense rows (every case but the ``sparse-*`` ones) take
 BLAS products in the batch and full gradient oracles, and the full-matrix
 cases an eigendecomposition, so their last bits depend on the BLAS build;
-the ``sparse-*`` cases use the CSR oracle, which sums in scipy's order.
+the ``sparse-*`` cases use the CSR oracle, which sums in scipy's order,
+or, with the Euclidean or scalar metric, the optimizers' just-in-time
+step on the CSR rows.
 """
 
 import importlib.util
