@@ -14,7 +14,8 @@ CHANGES.md:
 ``--compare`` writes nothing.  It prints, per case, whether the trace rows,
 their passes and events, and the oracle counters are identical to the golden
 files, whether every other non-float field is, and the largest relative
-deviation of any float:
+deviation of any float.  It exits 1 when any case differs from its golden
+files and 0 when every case is identical:
 
     PYTHONPATH=src python3 scripts/bless_goldens.py --compare
 """
@@ -265,7 +266,9 @@ def _json_diff(old, new) -> tuple[bool, float]:
 
 
 def compare() -> int:
-    """Print how each case's current output differs from its golden files."""
+    """Print how each case's current output differs from its golden files;
+    return 1 if any case differs, else 0."""
+    differs = False
     with np.errstate(all="ignore"):
         for name, make in cases().items():
             new = render(make())
@@ -274,6 +277,7 @@ def compare() -> int:
             if new == old:
                 print(f"{name}: identical")
                 continue
+            differs = True
             rows_old, rows_new = Trace.from_csv(old[".csv"]).rows, Trace.from_csv(new[".csv"]).rows
             manifest_old, manifest_new = json.loads(old[".json"]), json.loads(new[".json"])
             counters_same = manifest_old.pop("counters") == manifest_new.pop("counters")
@@ -295,7 +299,7 @@ def compare() -> int:
             }
             verdict = ", ".join(f"{key} {'same' if ok else 'DIFFER'}" for key, ok in same.items())
             print(f"{name}: {verdict}; max relative deviation {worst:.2g}")
-    return 0
+    return 1 if differs else 0
 
 
 def main() -> int:

@@ -43,8 +43,9 @@ def main() -> None:
                 synthetic=spec, loss="squared_hinge", l2=0.0, algo=algo,
                 batch_size=args.batch_size, epochs=args.epochs, seeds=args.seeds,
                 eta=args.eta if algo == "adagrad" else None,
+                out=str(out_root / f"mislabel_{mislabel:g}" / algo),
             )
-            output = run(config, out_dir=out_root / f"mislabel_{mislabel:g}" / algo)
+            output = run(config)
             rows = aggregate(output.traces)
             series[algo] = ([r[0] for r in rows], [r[3] for r in rows], [r[4] for r in rows])
             switched = [r.notes.get("switched") for r in output.results if r.notes]

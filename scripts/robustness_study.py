@@ -57,8 +57,8 @@ def main() -> None:
         for algo in TUNING_FREE:
             config = RunConfig(dataset=dataset, loss=args.loss, algo=algo,
                                batch_size=args.batch_size, epochs=args.epochs,
-                               seeds=args.seeds)
-            output = run(config, out_dir=out_root / name / algo)
+                               seeds=args.seeds, out=str(out_root / name / algo))
+            output = run(config)
             rows = aggregate(output.traces)
             curves[algo] = ([r[0] for r in rows], [r[3] for r in rows], [r[4] for r in rows])
             metric = final_metric(output.traces)

@@ -13,7 +13,6 @@ is a pure function of those traces and regenerates byte-identically.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -69,10 +68,12 @@ class RunConfig:
     need a constant step-size; a given ``eta`` and every ``grid`` value must
     be finite and > 0, ``theta`` > 0, ``batch_size`` >= 1, ``l2`` finite
     and >= 0, ``huber_delta`` finite and > 0, ``epsilon`` in (0, 1), a
-    given ``p`` in (0, 1], a given ``jobs`` >= 1, and ``variant`` and
-    ``delta`` a valid :class:`PrecondVariant`.  ``seeds`` may be given as a
-    count (int) or an explicit tuple of seeds.  ``loss`` may spell
-    underscores as hyphens (``squared-hinge``).
+    given ``p`` in (0, 1], and ``variant`` and ``delta`` a valid
+    :class:`PrecondVariant`.  ``seeds`` may be given as a count (int) or an
+    explicit tuple of seeds.  ``loss`` may spell underscores as hyphens
+    (``squared-hinge``).  ``grid`` is the step-size grid of
+    :func:`grid_search`, and ``out`` the one output directory of
+    :func:`run` and :func:`grid_search` (``None`` writes nothing).
     """
 
     dataset: str | None = None
@@ -93,7 +94,6 @@ class RunConfig:
     snapshot: str = "last"
     grid: tuple[float, ...] = DEFAULT_GRID
     out: str | None = None
-    jobs: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "loss", self.loss.replace("-", "_"))
@@ -124,8 +124,6 @@ class RunConfig:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon!r}")
         if self.p is not None and not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must be in (0, 1], got {self.p!r}")
-        if self.jobs is not None and self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs!r}")
         self.precond_variant  # PrecondVariant checks delta against the variant
         seeds = range(self.seeds) if isinstance(self.seeds, int) else self.seeds
         object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
@@ -291,7 +289,6 @@ def execute_seed(problem: Problem, config: RunConfig, seed: int) -> RunResult:
 class BenchOutput:
     config: RunConfig
     results: list[RunResult]
-    out_dir: Path | None = None
 
     @property
     def traces(self) -> list[Trace]:
@@ -307,31 +304,24 @@ class BenchOutput:
         return True
 
 
-def run(config: RunConfig, out_dir: str | Path | None = None) -> BenchOutput:
-    """Execute all seeds of a config, optionally persisting traces.
+def run(config: RunConfig) -> BenchOutput:
+    """Execute the seeds of a config one after another, persisting traces
+    when ``config.out`` is set.
 
     Writes ``seed<k>.trace.csv``, ``seed<k>.trace.jsonl``, ``config.txt``
-    and ``aggregate.csv`` under ``out_dir`` (defaults to ``config.out``).
+    and ``aggregate.csv`` under ``config.out``.
     """
     problem = resolve_problem(config)
-    if (config.jobs or 1) > 1 and len(config.seeds) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            futures = [pool.submit(execute_seed, problem, config, s) for s in config.seeds]
-            results = [f.result() for f in futures]
-    else:
-        results = [execute_seed(problem, config, s) for s in config.seeds]
-
+    results = [execute_seed(problem, config, s) for s in config.seeds]
     output = BenchOutput(config=config, results=results)
-    target = out_dir if out_dir is not None else config.out
-    if target is not None:
-        out = Path(target)
+    if config.out is not None:
+        out = Path(config.out)
         out.mkdir(parents=True, exist_ok=True)
         _write(out / "config.txt", config_to_text(config))
         for seed, result in zip(config.seeds, results):
             _write(out / f"seed{seed}.trace.csv", result.trace.to_csv())
             _write(out / f"seed{seed}.trace.jsonl", result.trace.to_jsonl())
         _write(out / "aggregate.csv", aggregate_to_csv(aggregate(output.traces)))
-        output.out_dir = out
     return output
 
 
@@ -393,29 +383,22 @@ def final_metric(traces: list[Trace]) -> float:
     return float(np.median(_per_pass(traces, "grad_norm")[-1]))
 
 
-def grid_search(
-    config: RunConfig,
-    grid: tuple[float, ...] | None = None,
-    out_dir: str | Path | None = None,
-) -> tuple[float, dict]:
-    """Best constant step-size by smallest final median gradient norm.
+def grid_search(config: RunConfig) -> tuple[float, dict]:
+    """Best constant step-size in ``config.grid`` by smallest final median
+    gradient norm.
 
     Ties break toward the smaller step-size.  Diverged runs keep their last
     recorded metric (infinity when nothing finite was recorded), so the
-    ordering is total even on an all-diverging grid.
+    ordering is total even on an all-diverging grid.  With ``config.out``
+    set, each step-size's run persists under ``<out>/eta_<eta>``.
     """
-    grid = tuple(grid if grid is not None else config.grid)
-    if not grid:
+    if not config.grid:
         raise ValueError("empty step-size grid")
     results: dict = {}
     best_eta, best_metric = None, np.inf
-    base_out = Path(out_dir) if out_dir is not None else (
-        Path(config.out) if config.out else None
-    )
-    for eta in sorted(grid):
-        sub = replace(config, eta=float(eta), out=None)
-        target = base_out / f"eta_{eta:g}" if base_out is not None else None
-        output = run(sub, out_dir=target)
+    for eta in sorted(config.grid):
+        out = str(Path(config.out) / f"eta_{eta:g}") if config.out else None
+        output = run(replace(config, eta=float(eta), out=out))
         rows = aggregate(output.traces)
         metric = rows[-1][3]
         results[float(eta)] = {

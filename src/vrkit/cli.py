@@ -44,7 +44,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 def _cmd_run(config: RunConfig) -> int:
     output = bench.run(config)
     metric = bench.final_metric(output.traces)
-    where = f" -> {output.out_dir}" if output.out_dir else ""
+    where = f" -> {config.out}" if config.out is not None else ""
     print(f"{config.algo}: final median gradient norm {metric:.6g} "
           f"over {len(config.seeds)} seed(s){where}")
     for seed, result in zip(config.seeds, output.results):

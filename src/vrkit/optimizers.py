@@ -39,8 +39,9 @@ on the adaptive methods ``eta=None`` is the tuning-free heuristic, while the
 baselines require a number.  Loop and step counts are checked by
 :func:`_validate_common`, and inner-loop lengths by :func:`_check_inner`.
 The growth test takes keywords: ``theta`` (> 0, checked by :func:`_engine`)
-and ``max_inner`` (at least 1 and at least the burn-in), plus ``burn_in``
-on :func:`adasvrg_adaptive`.
+and ``max_inner`` (at least 1 and at least the burn-in).  The burn-ins are
+fixed: n/b for :func:`adasvrg_adaptive` and hybrid phase 2, 2n/b for hybrid
+phase 1.
 """
 
 from __future__ import annotations
@@ -591,7 +592,6 @@ def adasvrg_adaptive(
     *,
     theta: float = 0.5,
     max_inner: int | None = None,
-    burn_in: int | None = None,
     variant: PrecondVariant | None = None,
     eta: float | None = None,
     proj: ProjectionSpec | None = None,
@@ -602,20 +602,19 @@ def adasvrg_adaptive(
     """Inner loops terminated by the accumulator growth test.
 
     Each inner loop runs up to ``max_inner`` steps (default 10n/b); at even
-    steps past the burn-in (default n/b) the relative growth ratio of
+    steps past the burn-in n/b the relative growth ratio of
     ||G||_*^2 over a doubling window is compared against ``theta`` (> 0),
     and the loop stops once gradient noise dominates.  ``eta`` is as in
     :func:`adasvrg_fixed`.
     """
     variant = variant or PrecondVariant()
     w0, n_over_b = _validate_common(problem, w0, batch_size, snapshot, outer_loops)
-    burn_in = burn_in if burn_in is not None else n_over_b
-    max_inner = _check_inner(max_inner if max_inner is not None else 10 * n_over_b, burn_in)
+    max_inner = _check_inner(max_inner if max_inner is not None else 10 * n_over_b, n_over_b)
     rule = _StepRule(eta)
 
     run = _Run(problem, w0, seed)
     out = _engine(run, w0, outer_loops, max_inner, batch_size, rule, variant=variant,
-                  proj=proj, snapshot=snapshot, theta=theta, burn_in=burn_in)
+                  proj=proj, snapshot=snapshot, theta=theta, burn_in=n_over_b)
     return run.result(
         out.w,
         averaged=out.averaged if (snapshot == "average" and out.completed) else None,
@@ -685,7 +684,7 @@ def svrg(
     w0: np.ndarray,
     outer_loops: int,
     inner_loops: int | None = None,
-    eta: float = 0.1,
+    eta: float | None = None,
     *,
     batch_size: int = 1,
     snapshot: str = "last",
@@ -730,7 +729,7 @@ def sarah(
     w0: np.ndarray,
     outer_loops: int,
     inner_loops: int | None = None,
-    eta: float = 0.1,
+    eta: float | None = None,
     *,
     batch_size: int = 1,
     seed: int = 0,
@@ -752,7 +751,7 @@ def svrg_bb(
     w0: np.ndarray,
     outer_loops: int,
     inner_loops: int | None = None,
-    eta0: float = 0.1,
+    eta0: float | None = None,
     *,
     batch_size: int = 1,
     snapshot: str = "last",

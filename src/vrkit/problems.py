@@ -162,17 +162,6 @@ class Dataset:
             return feats.data.reshape(n, d)
         return feats.toarray()
 
-    def equals(self, other: "Dataset") -> bool:
-        """Exact structural equality (indices and float values bit-for-bit)."""
-        a, b = self.features, other.features
-        return (
-            a.shape == b.shape
-            and np.array_equal(a.indptr, b.indptr)
-            and np.array_equal(a.indices, b.indices)
-            and np.array_equal(a.data, b.data)
-            and np.array_equal(self.labels, other.labels)
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class Problem:

@@ -1,15 +1,17 @@
-"""Helpers that only acceptance criteria 7 and 8 and their unit tests use.
+"""Helpers that only acceptance criteria 7, 8 and 11 and their unit tests use.
 
 ``svrg_inner_armijo_1d`` is the counter-example of criterion 7: an Armijo
 line search inside a variance-reduced inner loop cannot approach the
 solution.  ``two_phase_slope_fit`` fits the flat and sqrt-growth phases of
 an accumulator series for criterion 8; it shares the growth ratio of the
-library's stalling test.
+library's stalling test.  ``datasets_equal`` is the exact equality of
+criterion 11's parser round trip.
 """
 
 import numpy as np
 
 from vrkit.diagnostics import _growth_ratio
+from vrkit.problems import Dataset
 
 
 def _armijo_max_step_1d(x: float, component: int, a: float, c: float, eta_max: float) -> float:
@@ -143,3 +145,15 @@ def _fit_residual(x: np.ndarray, y: np.ndarray) -> float:
     slope = _lstsq_slope(x, y)
     pred = y.mean() + slope * (x - x.mean())
     return float(((y - pred) ** 2).sum())
+
+
+def datasets_equal(a: Dataset, b: Dataset) -> bool:
+    """Exact structural equality (indices and float values bit-for-bit)."""
+    fa, fb = a.features, b.features
+    return (
+        fa.shape == fb.shape
+        and np.array_equal(fa.indptr, fb.indptr)
+        and np.array_equal(fa.indices, fb.indices)
+        and np.array_equal(fa.data, fb.data)
+        and np.array_equal(a.labels, b.labels)
+    )

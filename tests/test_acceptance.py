@@ -6,6 +6,7 @@ deterministically in-process.
 """
 
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from vrkit.bench import RunConfig, final_metric, grid_search, run
 from vrkit.problems import Dataset
 
 from conftest import central_difference_gradient, make_problem
-from criterion_helpers import svrg_inner_armijo_1d, two_phase_slope_fit
+from criterion_helpers import datasets_equal, svrg_inner_armijo_1d, two_phase_slope_fit
 
 DATASETS = Path(__file__).resolve().parent.parent / "datasets"
 
@@ -314,7 +315,7 @@ def test_criterion_11_parser_round_trip():
             labels=rng.choice([-1.0, 1.0], size=n),
         )
         again = parse_libsvm(serialize_libsvm(dataset), d=d)
-        ok = ok and dataset.equals(again)
+        ok = ok and datasets_equal(dataset, again)
     _report(11, "serialize/parse identity on 1000 random datasets", ok, 5.0)
 
 
@@ -332,8 +333,8 @@ def test_criterion_12_determinism(tmp_path):
     ]
     ok = True
     for i, config in enumerate(configs):
-        first = run(config, out_dir=tmp_path / f"a{i}")
-        second = run(config, out_dir=tmp_path / f"b{i}")
+        first = run(replace(config, out=str(tmp_path / f"a{i}")))
+        second = run(replace(config, out=str(tmp_path / f"b{i}")))
         for seed in config.seeds:
             for suffix in ("csv", "jsonl"):
                 name = f"seed{seed}.trace.{suffix}"

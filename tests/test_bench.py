@@ -85,7 +85,6 @@ class TestConfig:
             loss="huber", l2=0.01, huber_delta=0.5, algo="svrg", variant="diag",
             delta=1e-6, batch_size=16, epochs=9, seeds=(2, 7), eta=0.25, theta=0.7,
             epsilon=0.05, p=0.1, snapshot="average", grid=(0.1, 1.0), out="results",
-            jobs=2,
         )
         echoed = {line.partition(" = ")[0] for line in config_to_text(every_key).splitlines()}
         assert echoed == set(config_keys())
@@ -99,8 +98,8 @@ class TestConfig:
 class TestRun:
     def test_deterministic_outputs(self, tmp_path):
         config = synthetic_config(seeds=(0,))
-        first = run(config, out_dir=tmp_path / "a")
-        second = run(config, out_dir=tmp_path / "b")
+        first = run(replace(config, out=str(tmp_path / "a")))
+        second = run(replace(config, out=str(tmp_path / "b")))
         for name in ("seed0.trace.csv", "seed0.trace.jsonl", "aggregate.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         assert first.consistent() and second.consistent()
@@ -112,17 +111,6 @@ class TestRun:
         assert len(trace.rows) == 1
         assert trace.rows[0].passes == 0.0
 
-    def test_parallel_seed_execution_matches_serial(self, tmp_path):
-        config = synthetic_config(seeds=(0, 1))
-        serial = run(config, out_dir=tmp_path / "serial")
-        parallel = run(
-            synthetic_config(seeds=(0, 1), jobs=2), out_dir=tmp_path / "parallel"
-        )
-        for seed in (0, 1):
-            name = f"seed{seed}.trace.csv"
-            assert (tmp_path / "serial" / name).read_bytes() == (
-                tmp_path / "parallel" / name
-            ).read_bytes()
 
     def test_every_algorithm_runs(self):
         for algo in ("sgd", "adagrad", "svrg", "lsvrg", "sarah", "svrg-bb",
@@ -189,7 +177,7 @@ class TestAggregate:
 
     def test_regeneration_is_byte_identical(self, tmp_path):
         config = synthetic_config()
-        run(config, out_dir=tmp_path)
+        run(replace(config, out=str(tmp_path)))
         paths = sorted(tmp_path.glob("seed*.trace.csv"))
         traces = [Trace.from_csv(path.read_text()) for path in paths]
         assert aggregate_to_csv(aggregate(traces)) == (tmp_path / "aggregate.csv").read_text()
@@ -198,7 +186,7 @@ class TestAggregate:
 class TestGridSearch:
     def test_singleton_grid_returns_it(self):
         config = synthetic_config(algo="svrg", seeds=(0,))
-        best, results = grid_search(config, grid=(0.25,))
+        best, results = grid_search(replace(config, grid=(0.25,)))
         assert best == 0.25
         assert set(results) == {0.25}
 
@@ -212,7 +200,7 @@ class TestGridSearch:
             batch_size=1, epochs=30, seeds=(0,),
         )
         grid = (0.5, 0.9, 1.5)
-        best, results = grid_search(config, grid=grid)
+        best, results = grid_search(replace(config, grid=grid))
         analytic = min(grid, key=lambda eta: abs(1 - eta))
         assert best == analytic
         metrics = {eta: results[eta]["metric"] for eta in grid}
@@ -222,13 +210,13 @@ class TestGridSearch:
         config = synthetic_config(algo="svrg", seeds=(0,))
         small = (0.01, 1.0)
         large = (0.01, 0.1, 1.0, 10.0)
-        best_small, res_small = grid_search(config, grid=small)
-        best_large, res_large = grid_search(config, grid=large)
+        best_small, res_small = grid_search(replace(config, grid=small))
+        best_large, res_large = grid_search(replace(config, grid=large))
         assert res_large[best_large]["metric"] <= res_small[best_small]["metric"]
 
     def test_all_diverging_grid_still_ordered(self):
         config = synthetic_config(algo="svrg", seeds=(0,), epochs=9)
-        best, results = grid_search(config, grid=(1e4, 1e6))
+        best, results = grid_search(replace(config, grid=(1e4, 1e6)))
         assert best in (1e4, 1e6)
         assert any(any(entry["diverged"]) for entry in results.values())
 
@@ -239,7 +227,7 @@ class TestGridSearch:
             dataset=str(data), loss="squared", l2=0.0, algo="svrg",
             batch_size=1, epochs=30, seeds=(0,),
         )
-        best, _ = grid_search(config, grid=(0.5, 1.5))  # same |1 - eta|
+        best, _ = grid_search(replace(config, grid=(0.5, 1.5)))  # same |1 - eta|
         assert best == 0.5
 
 

@@ -82,12 +82,11 @@ class TestBadConfigValue:
         (["run", "--variant", "diag", "--delta", "inf"], "delta"),
         (["run", "--variant", "full", "--delta", "inf"], "delta"),
         (["run", "--l2", "inf"], "l2"),
-        (["run", "--algo", "svrg", "--eta", "0.1", "--jobs", "0"], "jobs"),
-        (["run", "--algo", "svrg", "--eta", "0.1", "--jobs", "-3"], "jobs"),
+        (["run", "--algo", "svrg", "--eta", "0.1", "--jobs", "2"], "--jobs"),
     ], ids=["run-eta", "grid-grid", "run-theta", "run-epsilon", "run-epsilon-nan", "run-p",
             "run-batch-size", "run-l2", "run-huber-delta", "run-delta", "run-full-delta",
             "run-diag-delta-nan", "run-diag-delta-inf", "run-full-delta-inf", "run-l2-inf",
-            "run-jobs-0", "run-jobs-negative"])
+            "run-no-jobs"])
     def test_bad_step_size_or_theta_exits_with_usage_error(self, argv, shown, capsys):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--dataset", "data.libsvm"])

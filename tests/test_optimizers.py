@@ -243,7 +243,7 @@ class TestAdaptiveTermination:
     def test_policy_validation(self):
         problem = small_synthetic()
         with pytest.raises(ValueError):
-            adasvrg_adaptive(problem, np.zeros(problem.d), 1, max_inner=2, burn_in=10)
+            adasvrg_adaptive(problem, np.zeros(problem.d), 1, max_inner=2)
 
 
 class TestHybrid:
@@ -530,14 +530,17 @@ class TestSingleChecks:
             # n/b = 4 is the burn-in of adasvrg_adaptive and of the hybrid's phase 2
             bad += [({"theta": 0.0}, "theta"), ({"max_inner": 0}, "max_inner.*>= 1"),
                     ({"max_inner": 3}, "burn-in")]
-        if fn is adasvrg_adaptive:
-            bad.append(({"max_inner": 0, "burn_in": 0}, "max_inner.*>= 1"))
         if fn in (svrg, svrg_bb, sarah, loopless_svrg, adagrad, sgd):
             # eta=None is the heuristic only on the adaptive methods
             bad.append(({"eta": None}, "needs a constant step size"))
         for kwargs, message in bad:
             with pytest.raises(ValueError, match=message):
                 self._call(fn, **kwargs)
+        if fn in (svrg, svrg_bb, sarah):
+            # nor has their step size a default
+            problem = small_synthetic(n=16, d=3)
+            with pytest.raises(ValueError, match="needs a constant step size"):
+                fn(problem, np.zeros(problem.d), 3, batch_size=4, seed=0)
 
 
 class TestTraceShape:
