@@ -21,7 +21,6 @@ import numpy as np
 from .data import SyntheticSpec, gen_separable, load_libsvm
 from .diagnostics import Trace
 from .optimizers import (
-    SNAPSHOT_MODES,
     PrecondVariant,
     RunResult,
     adagrad,
@@ -66,32 +65,30 @@ class RunConfig:
     ``l2 = None`` resolves to 1/n.  ``eta = None`` means the tuning-free
     heuristic for the adaptive methods and is an error for baselines that
     need a constant step-size; a given ``eta`` and every ``grid`` value must
-    be finite and > 0, ``theta`` > 0, ``batch_size`` >= 1, ``l2`` finite
-    and >= 0, ``huber_delta`` finite and > 0, ``epsilon`` in (0, 1), a
-    given ``p`` in (0, 1], and ``variant`` and ``delta`` a valid
-    :class:`PrecondVariant`.  ``seeds`` may be given as a count (int) or an
+    be finite and > 0, ``grid`` non-empty, ``batch_size`` >= 1, and ``l2``
+    finite and >= 0.  ``seeds`` may be given as a count (int) or an
     explicit tuple of seeds.  ``loss`` may spell underscores as hyphens
     (``squared-hinge``).  ``grid`` is the step-size grid of
     :func:`grid_search`, and ``out`` the one output directory of
     :func:`run` and :func:`grid_search` (``None`` writes nothing).
+
+    Every other setting is the library default: growth-test theta 0.5,
+    refresh probability p = b/n, accumulator delta 1e-8, Huber delta 1 and
+    the last-iterate snapshot; :func:`execute_seed` fixes the protocol's
+    multistage accuracy epsilon = 0.01, and svrg-bb's eta0 = 0.1 when ``eta``
+    is None.
     """
 
     dataset: str | None = None
     synthetic: SyntheticSpec | None = None
     loss: str = "logistic"
     l2: float | None = None
-    huber_delta: float = 1.0
     algo: str = "adasvrg"
     variant: str = "scalar"
-    delta: float = 1e-8
     batch_size: int = 64
     epochs: int = 50
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     eta: float | None = None
-    theta: float = 0.5
-    epsilon: float = 0.01
-    p: float | None = None
-    snapshot: str = "last"
     grid: tuple[float, ...] = DEFAULT_GRID
     out: str | None = None
 
@@ -103,28 +100,19 @@ class RunConfig:
             raise ValueError(f"unknown algorithm {self.algo!r}; expected one of {ALGORITHMS}")
         if self.variant not in _VARIANT_NAMES:
             raise ValueError(f"unknown variant {self.variant!r}; expected scalar/diag/full")
-        if self.snapshot not in SNAPSHOT_MODES:
-            raise ValueError(f"unknown snapshot {self.snapshot!r}; expected last/average")
         if self.dataset is None and self.synthetic is None:
             raise ValueError("config needs a dataset path or a synthetic spec")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if not self.grid:
+            raise ValueError("empty step-size grid")
         for eta in (self.eta, *self.grid):
             if eta is not None and not (math.isfinite(eta) and eta > 0):
                 raise ValueError(f"step sizes (eta, grid) must be finite and > 0, got {eta!r}")
-        if not self.theta > 0:
-            raise ValueError(f"theta must be > 0, got {self.theta!r}")
         if not self.batch_size >= 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size!r}")
         if self.l2 is not None and not (math.isfinite(self.l2) and self.l2 >= 0):
             raise ValueError(f"l2 must be finite and >= 0, got {self.l2!r}")
-        if not (math.isfinite(self.huber_delta) and self.huber_delta > 0):
-            raise ValueError(f"huber_delta must be finite and > 0, got {self.huber_delta!r}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon!r}")
-        if self.p is not None and not 0.0 < self.p <= 1.0:
-            raise ValueError(f"p must be in (0, 1], got {self.p!r}")
-        self.precond_variant  # PrecondVariant checks delta against the variant
         seeds = range(self.seeds) if isinstance(self.seeds, int) else self.seeds
         object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
         if not self.seeds:
@@ -132,7 +120,7 @@ class RunConfig:
 
     @property
     def precond_variant(self) -> PrecondVariant:
-        return PrecondVariant(kind=_VARIANT_NAMES[self.variant], delta=self.delta)
+        return PrecondVariant(kind=_VARIANT_NAMES[self.variant])
 
 
 def config_keys() -> dict[str, str]:
@@ -234,7 +222,7 @@ def resolve_problem(config: RunConfig) -> Problem:
     else:
         dataset, _ = gen_separable(config.synthetic)
     l2 = config.l2 if config.l2 is not None else 1.0 / dataset.n
-    return Problem(dataset=dataset, loss=config.loss, l2_reg=l2, huber_delta=config.huber_delta)
+    return Problem(dataset=dataset, loss=config.loss, l2_reg=l2)
 
 
 def execute_seed(problem: Problem, config: RunConfig, seed: int) -> RunResult:
@@ -259,29 +247,27 @@ def execute_seed(problem: Problem, config: RunConfig, seed: int) -> RunResult:
         return adagrad(problem, w0, budget * steps_per_pass, eta,
                        variant=variant, batch_size=b, seed=seed)
     if algo == "svrg":
-        return svrg(problem, w0, outer, eta=eta, batch_size=b,
-                    snapshot=config.snapshot, seed=seed)
+        return svrg(problem, w0, outer, eta=eta, batch_size=b, seed=seed)
     if algo == "lsvrg":
         return loopless_svrg(problem, w0, budget * steps_per_pass // 3,
-                             eta, p=config.p, batch_size=b, seed=seed)
+                             eta, batch_size=b, seed=seed)
     if algo == "sarah":
         return sarah(problem, w0, outer, eta=eta, batch_size=b, seed=seed)
     if algo == "svrg-bb":
         return svrg_bb(problem, w0, outer, eta0=0.1 if eta is None else eta,
-                       batch_size=b, snapshot=config.snapshot, seed=seed)
+                       batch_size=b, seed=seed)
     if algo == "adasvrg":
         return adasvrg_fixed(problem, w0, outer, variant=variant, eta=eta, batch_size=b,
-                             snapshot=config.snapshot, seed=seed)
+                             seed=seed)
     if algo == "adasvrg-ms":
-        return adasvrg_multistage(problem, w0, max(3, outer), config.epsilon,
+        return adasvrg_multistage(problem, w0, max(3, outer), 0.01,
                                   variant=variant, eta=eta, batch_size=b, seed=seed)
     if algo == "adasvrg-at":
-        return adasvrg_adaptive(problem, w0, outer, theta=config.theta, variant=variant,
-                                eta=eta, batch_size=b, snapshot=config.snapshot, seed=seed)
+        return adasvrg_adaptive(problem, w0, outer, variant=variant, eta=eta,
+                                batch_size=b, seed=seed)
     if algo == "hybrid":
         return hybrid_adagrad_adasvrg(problem, w0, budget * steps_per_pass,
-                                      theta=config.theta, variant=variant, eta=eta,
-                                      batch_size=b, seed=seed)
+                                      variant=variant, eta=eta, batch_size=b, seed=seed)
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
@@ -379,31 +365,33 @@ def aggregate_from_csv(text: str) -> list[tuple]:
 
 
 def final_metric(traces: list[Trace]) -> float:
-    """Median full-gradient norm at the last pass common to all seeds."""
-    return float(np.median(_per_pass(traces, "grad_norm")[-1]))
+    """Median full-gradient norm at the last pass common to all seeds, the
+    earliest closing row's pass, with a missing or non-finite value counted
+    as inf."""
+    last = min(t.rows[-1].passes for t in traces)
+    values = [t.value_at_pass(last, "grad_norm") for t in traces]
+    return float(np.median([v if v is not None and math.isfinite(v) else np.inf
+                            for v in values]))
 
 
 def grid_search(config: RunConfig) -> tuple[float, dict]:
-    """Best constant step-size in ``config.grid`` by smallest final median
-    gradient norm.
+    """Best constant step-size in ``config.grid`` by smallest
+    :func:`final_metric`.
 
     Ties break toward the smaller step-size.  Diverged runs keep their last
     recorded metric (infinity when nothing finite was recorded), so the
     ordering is total even on an all-diverging grid.  With ``config.out``
     set, each step-size's run persists under ``<out>/eta_<eta>``.
     """
-    if not config.grid:
-        raise ValueError("empty step-size grid")
     results: dict = {}
     best_eta, best_metric = None, np.inf
     for eta in sorted(config.grid):
         out = str(Path(config.out) / f"eta_{eta:g}") if config.out else None
         output = run(replace(config, eta=float(eta), out=out))
-        rows = aggregate(output.traces)
-        metric = rows[-1][3]
+        metric = final_metric(output.traces)
         results[float(eta)] = {
             "metric": metric,
-            "aggregate": rows,
+            "aggregate": aggregate(output.traces),
             "diverged": [r.termination_reason == "diverged" for r in output.results],
         }
         if metric < best_metric:

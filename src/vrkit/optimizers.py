@@ -39,9 +39,9 @@ on the adaptive methods ``eta=None`` is the tuning-free heuristic, while the
 baselines require a number.  Loop and step counts are checked by
 :func:`_validate_common`, and inner-loop lengths by :func:`_check_inner`.
 The growth test takes keywords: ``theta`` (> 0, checked by :func:`_engine`)
-and ``max_inner`` (at least 1 and at least the burn-in).  The burn-ins are
-fixed: n/b for :func:`adasvrg_adaptive` and hybrid phase 2, 2n/b for hybrid
-phase 1.
+and ``max_inner`` (at least 1 and at least the burn-in).  The burn-in is no
+setting: :func:`_engine` takes 2n/b on the plain direction (hybrid phase 1)
+and n/b otherwise (:func:`adasvrg_adaptive` and hybrid phase 2).
 """
 
 from __future__ import annotations
@@ -72,7 +72,9 @@ class RunResult:
 
 
 class _Run:
-    """Shared per-run context: counters, RNG, the trace, divergence.
+    """Shared per-run context: counters, RNG, the trace, divergence and
+    ``next_outer``, the index of the next outer loop, which numbers outer
+    loops on across the :func:`_engine` calls of a run.
 
     :meth:`record` is the one writer of trace rows.  The starting point is
     the first row and :meth:`result` adds the closing row.
@@ -86,6 +88,7 @@ class _Run:
         f0 = problem.loss_value(w0)
         self.diverge_limit = 1e3 * f0 + 1.0
         self.diverged = False
+        self.next_outer = 0
         self.record(w0)
 
     @property
@@ -392,10 +395,7 @@ def _engine(
     proj: ProjectionSpec | None = None,
     snapshot: str = "last",
     theta: float | None = None,
-    burn_in: int = 0,
-    event: str = "adaptive_stop",
     p: float | None = None,
-    outer_offset: int = 0,
 ) -> _Phase:
     """The optimizer loop: ``outer_loops`` outer loops of up to ``inner`` steps.
 
@@ -410,8 +410,10 @@ def _engine(
     ``variant=None`` takes the Euclidean step; otherwise a fresh accumulator
     per outer loop steps (and projects) once it has signal.  With ``theta``
     (> 0) the growth test, checked before the update since the accumulator
-    already holds the current gradient, ends an inner loop and records
-    ``event``.
+    already holds the current gradient, ends an inner loop and records the
+    event ``switch`` on the plain direction, ``adaptive_stop`` otherwise;
+    its burn-in is 2n/b on the plain direction and n/b otherwise.  Outer
+    indices count on from the loops that earlier calls on ``run`` began.
     The next snapshot is the last iterate or, with ``snapshot='average'``,
     the mean of the iterates the inner loop stepped from.  A record that
     flags divergence, a ``FloatingPointError`` from a step, or a
@@ -422,15 +424,18 @@ def _engine(
     problem = run.problem
     d = problem.d
     period = max(1, problem.n // batch_size)
+    burn_in = 2 * period if direction == "plain" else period
+    event = "switch" if direction == "plain" else "adaptive_stop"
     average = snapshot == "average"
     snap_sum = np.zeros(d)
     out = _Phase(w)
     eta = rule.eta
 
-    for k in range(outer_loops):
+    for _ in range(outer_loops):
         if run.diverged:
             break
-        outer = outer_offset + k
+        outer = run.next_outer
+        run.next_outer += 1
         base = None
         if direction != "plain":
             base = problem.grad_full(w, run.counters)
@@ -566,16 +571,14 @@ def adasvrg_multistage(
     w = w0
     schedule: list[int] = []
     checks: list[tuple[float, float]] = []
-    offset = 0
     for i in range(1, stages + 1):
         m_i = 2 ** (i + 1)
         stage = _engine(run, w, outer_loops, m_i, batch_size, rule, variant=variant,
-                        proj=proj, snapshot="average", outer_offset=offset)
+                        proj=proj, snapshot="average")
         w = stage.averaged
         schedule.append(m_i)
         checks.extend(stage.checks)
-        offset += outer_loops
-        run.record(w, outer=offset - 1, event="stage_boundary")
+        run.record(w, outer=run.next_outer - 1, event="stage_boundary")
         if run.diverged:
             break
     return run.result(
@@ -614,7 +617,7 @@ def adasvrg_adaptive(
 
     run = _Run(problem, w0, seed)
     out = _engine(run, w0, outer_loops, max_inner, batch_size, rule, variant=variant,
-                  proj=proj, snapshot=snapshot, theta=theta, burn_in=n_over_b)
+                  proj=proj, snapshot=snapshot, theta=theta)
     return run.result(
         out.w,
         averaged=out.averaged if (snapshot == "average" and out.completed) else None,
@@ -656,8 +659,7 @@ def hybrid_adagrad_adasvrg(
 
     run = _Run(problem, x1, seed)
     phase1 = _engine(run, x1, 1, total_steps, batch_size, _StepRule(eta),
-                     direction="plain", variant=variant, proj=proj, theta=theta,
-                     burn_in=2 * n_over_b, event="switch")
+                     direction="plain", variant=variant, proj=proj, theta=theta)
     x = phase1.w
     switch_step = len(phase1.g_stars) if phase1.stops else None
 
@@ -671,8 +673,7 @@ def hybrid_adagrad_adasvrg(
         notes["phase2_outer_loops"] = k2
         if k2 >= 1:
             phase2 = _engine(run, x, k2, max_inner, batch_size, _StepRule(eta),
-                             variant=variant, proj=proj, theta=theta, burn_in=n_over_b,
-                             outer_offset=1)
+                             variant=variant, proj=proj, theta=theta)
             x = phase2.w
             notes["adaptive_stops"] = phase2.stops
             notes["precond_checks"] = phase2.checks

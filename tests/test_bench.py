@@ -23,6 +23,7 @@ from vrkit.bench import (
 from vrkit.svgplot import emit_plot
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+DATASETS = Path(__file__).resolve().parent.parent / "datasets"
 
 
 def synthetic_config(**overrides) -> RunConfig:
@@ -82,9 +83,8 @@ class TestConfig:
         every_key = RunConfig(
             dataset="data.libsvm",
             synthetic=SyntheticSpec(n=50, d=3, mislabel_fraction=0.2, margin=0.3, seed=4),
-            loss="huber", l2=0.01, huber_delta=0.5, algo="svrg", variant="diag",
-            delta=1e-6, batch_size=16, epochs=9, seeds=(2, 7), eta=0.25, theta=0.7,
-            epsilon=0.05, p=0.1, snapshot="average", grid=(0.1, 1.0), out="results",
+            loss="huber", l2=0.01, algo="svrg", variant="diag", batch_size=16, epochs=9,
+            seeds=(2, 7), eta=0.25, grid=(0.1, 1.0), out="results",
         )
         echoed = {line.partition(" = ")[0] for line in config_to_text(every_key).splitlines()}
         assert echoed == set(config_keys())
@@ -115,8 +115,7 @@ class TestRun:
     def test_every_algorithm_runs(self):
         for algo in ("sgd", "adagrad", "svrg", "lsvrg", "sarah", "svrg-bb",
                      "adasvrg", "adasvrg-ms", "adasvrg-at", "hybrid"):
-            config = synthetic_config(algo=algo, epochs=4, seeds=(0,), eta=0.1,
-                                      epsilon=0.5)
+            config = synthetic_config(algo=algo, epochs=4, seeds=(0,), eta=0.1)
             output = run(config)
             assert output.consistent()
             assert output.results[0].trace.rows[0].passes == 0.0
@@ -140,14 +139,15 @@ class TestAggregate:
         assert [r[0] for r in rows] == [0.0, 1.0]
 
     @staticmethod
-    def _reference_csv(traces) -> str:
+    def _metric(trace, p, attr):
+        value = trace.value_at_pass(p, attr)
+        return np.inf if value is None or not np.isfinite(value) else float(value)
+
+    @classmethod
+    def _reference_csv(cls, traces) -> str:
         """The aggregate as defined: per pass, median and std of each trace's
         ``value_at_pass``, with missing or non-finite values as inf."""
-
-        def metric(trace, p, attr):
-            value = trace.value_at_pass(p, attr)
-            return np.inf if value is None or not np.isfinite(value) else float(value)
-
+        metric = cls._metric
         last = math.floor(min(t.rows[-1].passes for t in traces))
         rows = []
         for p in range(last + 1):
@@ -167,7 +167,10 @@ class TestAggregate:
         with np.errstate(invalid="ignore"):
             for group in groups:
                 assert aggregate_to_csv(aggregate(group)) == self._reference_csv(group)
-                assert final_metric(group) == aggregate(group)[-1][3]
+                # the final metric reads at the earliest closing row, not on the integer grid
+                last = min(t.rows[-1].passes for t in group)
+                assert final_metric(group) == float(
+                    np.median([self._metric(t, last, "grad_norm") for t in group]))
 
     def test_csv_roundtrip(self):
         traces = [self._trace([3.0, 1.5]), self._trace([4.0, 2.5])]
@@ -230,6 +233,16 @@ class TestGridSearch:
         best, _ = grid_search(replace(config, grid=(0.5, 1.5)))  # same |1 - eta|
         assert best == 0.5
 
+    def test_closing_row_decides(self):
+        # 3 passes of svrg end between integer passes (rows at 0, 1, 2.02 and
+        # 2.96), so a read on the integer grid gives both step sizes the
+        # pass-1 snapshot row, the norm at w0
+        config = RunConfig(dataset=str(DATASETS / "synth_a.libsvm"), algo="svrg",
+                           epochs=3, seeds=2, grid=(0.1, 1.0))
+        best, results = grid_search(config)
+        assert best == 1.0
+        assert results[1.0]["metric"] < results[0.1]["metric"]
+
 
 class TestManualSwitchSearch:
     def test_argmin_contract(self):
@@ -264,6 +277,11 @@ class TestFinalMetric:
         t3 = Trace(rows=[TraceRow(0.0, 1.0, grad_norm=1.0), TraceRow(2.5, 0.9, grad_norm=0.9)])
         # last common pass = 2; step values there: 0.5, 1.0, 1.0
         assert final_metric([t1, t2, t3]) == 1.0
+        # t4 closes at 2.5, between integer passes: its closing row counts
+        t4 = Trace(rows=[TraceRow(0.0, 1.0, grad_norm=1.0), TraceRow(1.0, 0.8, grad_norm=0.8),
+                         TraceRow(2.5, 0.2, grad_norm=0.2)])
+        # last common pass = 2.5; step values there: 0.2, 1.0, 0.9
+        assert final_metric([t4, t2, t3]) == 0.9
 
 
 class TestSvgPlot:

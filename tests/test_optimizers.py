@@ -506,8 +506,9 @@ class TestArmijoCounterExample:
 
 
 class TestSingleChecks:
-    """Every public optimizer rejects a bad count, step size or growth-test
-    threshold with the same check."""
+    """Every public optimizer rejects a bad count, step size, growth-test
+    threshold, multistage accuracy, refresh probability or snapshot mode with
+    the same check."""
 
     OPTIMIZERS = (adasvrg_fixed, adasvrg_multistage, adasvrg_adaptive, hybrid_adagrad_adasvrg,
                   svrg, svrg_bb, sarah, loopless_svrg, adagrad, sgd)
@@ -515,7 +516,7 @@ class TestSingleChecks:
     @staticmethod
     def _call(fn, count=3, **kwargs):
         problem = small_synthetic(n=16, d=3)
-        args = (0.5,) if fn is adasvrg_multistage else ()
+        args = (kwargs.pop("epsilon", 0.5),) if fn is adasvrg_multistage else ()
         kwargs["eta0" if fn is svrg_bb else "eta"] = kwargs.pop("eta", 0.1)
         return fn(problem, np.zeros(problem.d), count, *args, batch_size=4, seed=0, **kwargs)
 
@@ -530,6 +531,12 @@ class TestSingleChecks:
             # n/b = 4 is the burn-in of adasvrg_adaptive and of the hybrid's phase 2
             bad += [({"theta": 0.0}, "theta"), ({"max_inner": 0}, "max_inner.*>= 1"),
                     ({"max_inner": 3}, "burn-in")]
+        if fn is adasvrg_multistage:
+            bad += [({"epsilon": epsilon}, "epsilon") for epsilon in (2.0, math.nan)]
+        if fn is loopless_svrg:
+            bad += [({"p": p}, "p must") for p in (1.5, math.nan)]
+        if fn in (svrg, svrg_bb, adasvrg_fixed, adasvrg_adaptive):
+            bad.append(({"snapshot": "first"}, "snapshot"))
         if fn in (svrg, svrg_bb, sarah, loopless_svrg, adagrad, sgd):
             # eta=None is the heuristic only on the adaptive methods
             bad.append(({"eta": None}, "needs a constant step size"))
