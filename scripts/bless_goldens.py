@@ -182,6 +182,9 @@ def _direct_cases() -> dict:
         "adasvrg-adaptive-full-average": lambda: adasvrg_adaptive(
             noisy, z4, 2, theta=0.5, max_inner=60,
             variant=full, eta=None, batch_size=8, snapshot="average", seed=11),
+        "adasvrg-adaptive-full": lambda: adasvrg_adaptive(
+            noisy, z4, 2, theta=0.5, max_inner=60,
+            variant=full, eta=None, batch_size=8, seed=11),
         "adasvrg-multistage-diagonal-constant": lambda: adasvrg_multistage(
             small, z6, 3, 1.0 / 8.0, variant=diag, eta=0.5, batch_size=4, seed=12),
         "hybrid-constant": lambda: hybrid_adagrad_adasvrg(
