@@ -14,8 +14,10 @@ CHANGES.md:
 ``--compare`` writes nothing.  It prints, per case, whether the trace rows,
 their passes and events, and the oracle counters are identical to the golden
 files, whether every other non-float field is, and the largest relative
-deviation of any float.  It exits 1 when any case differs from its golden
-files and 0 when every case is identical:
+deviation of any float.  It also prints ``<case>: no golden file`` for a case
+whose files are missing and ``<file>: no case`` for a golden file that no
+case writes.  It exits 1 when any of these turns up and 0 when every case is
+identical to its golden files:
 
     PYTHONPATH=src python3 scripts/bless_goldens.py --compare
 """
@@ -269,14 +271,21 @@ def _json_diff(old, new) -> tuple[bool, float]:
 
 
 def compare() -> int:
-    """Print how each case's current output differs from its golden files;
-    return 1 if any case differs, else 0."""
+    """Print how each case's current output differs from its golden files,
+    and name each case without golden files and each golden file without a
+    case; return 1 if any of these is found, else 0."""
     differs = False
+    expected: set[str] = set()
     with np.errstate(all="ignore"):
         for name, make in cases().items():
             new = render(make())
-            old = {suffix: (GOLDEN_DIR / f"{name}{suffix}").read_text(encoding="utf-8")
-                   for suffix in new}
+            paths = {suffix: GOLDEN_DIR / f"{name}{suffix}" for suffix in new}
+            expected.update(path.name for path in paths.values())
+            if not all(path.exists() for path in paths.values()):
+                differs = True
+                print(f"{name}: no golden file")
+                continue
+            old = {suffix: path.read_text(encoding="utf-8") for suffix, path in paths.items()}
             if new == old:
                 print(f"{name}: identical")
                 continue
@@ -302,6 +311,10 @@ def compare() -> int:
             }
             verdict = ", ".join(f"{key} {'same' if ok else 'DIFFER'}" for key, ok in same.items())
             print(f"{name}: {verdict}; max relative deviation {worst:.2g}")
+    for orphan in sorted(path.name for path in GOLDEN_DIR.iterdir()
+                         if path.name not in expected):
+        differs = True
+        print(f"{orphan}: no case")
     return 1 if differs else 0
 
 

@@ -40,3 +40,21 @@ def test_golden(name):
     for suffix, text in bless_goldens.render(result).items():
         golden = (bless_goldens.GOLDEN_DIR / f"{name}{suffix}").read_bytes()
         assert text.encode("utf-8") == golden, f"{name}{suffix} differs from its golden file"
+
+
+def test_compare_names_missing_and_orphan_files(tmp_path, monkeypatch, capsys):
+    kept, dropped = "sgd-b1", "svrg-bb-fallback"
+    with np.errstate(all="ignore"):
+        for suffix, text in bless_goldens.render(CASES[kept]()).items():
+            (tmp_path / f"{kept}{suffix}").write_text(text, encoding="utf-8")
+    (tmp_path / f"{dropped}.json").write_text("{}\n", encoding="utf-8")
+    (tmp_path / "deleted-case.csv").write_text("", encoding="utf-8")
+    monkeypatch.setattr(bless_goldens, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(bless_goldens, "cases",
+                        lambda: {name: CASES[name] for name in (kept, dropped)})
+    assert bless_goldens.compare() == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{kept}: identical",
+        f"{dropped}: no golden file",
+        "deleted-case.csv: no case",
+    ]
