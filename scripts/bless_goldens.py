@@ -160,10 +160,6 @@ def _direct_cases() -> dict:
     diag = PrecondVariant(kind="diagonal", delta=1e-8)
     full = PrecondVariant(kind="full_matrix", delta=1e-8)
     return {
-        "svrg-average": lambda: svrg(small, z6, 3, None, 0.1, batch_size=4,
-                                     snapshot="average", seed=1),
-        "svrg-bb-average": lambda: svrg_bb(small, z6, 4, None, 0.1, batch_size=4,
-                                           snapshot="average", seed=2),
         "svrg-bb-fallback": lambda: svrg_bb(_one_example(), np.array([1.0]), 3, 4,
                                             eta0=0.1, seed=0),
         "sarah-inner5": lambda: sarah(small, z6, 3, 5, 0.2, batch_size=2, seed=3),
@@ -181,9 +177,6 @@ def _direct_cases() -> dict:
         "adasvrg-adaptive-diagonal-constant": lambda: adasvrg_adaptive(
             noisy, z4, 3, theta=0.05, variant=diag,
             eta=0.5, batch_size=8, seed=10),
-        "adasvrg-adaptive-full-average": lambda: adasvrg_adaptive(
-            noisy, z4, 2, theta=0.5, max_inner=60,
-            variant=full, eta=None, batch_size=8, snapshot="average", seed=11),
         "adasvrg-adaptive-full": lambda: adasvrg_adaptive(
             noisy, z4, 2, theta=0.5, max_inner=60,
             variant=full, eta=None, batch_size=8, seed=11),

@@ -398,47 +398,3 @@ def grid_search(config: RunConfig) -> tuple[float, dict]:
             best_eta, best_metric = float(eta), metric
     return best_eta, results
 
-
-def manual_switch_search(config: RunConfig) -> tuple[int | None, dict]:
-    """Grid-search the epoch (1 to ``config.epochs``) at which to hand over
-    from the stochastic phase to variance reduction; also evaluates never
-    switching.
-
-    Returns the best candidate (``None`` means never switch) by median
-    final loss across seeds.  The first-phase step-size is ``config.eta``
-    (default 1.0); the second phase uses the tuning-free rule.
-    """
-    budget = config.epochs
-    candidates = range(1, budget + 1)
-    problem = resolve_problem(config)
-    w0 = np.zeros(problem.d)
-    b = config.batch_size
-    steps_per_pass = max(1, problem.n // b)
-    eta = config.eta if config.eta is not None else 1.0
-    variant = config.precond_variant
-
-    def final_loss_never(seed: int) -> float:
-        result = adagrad(problem, w0, budget * steps_per_pass, eta,
-                         variant=variant, batch_size=b, seed=seed)
-        return result.trace.final().objective
-
-    def final_loss_switch(s: int, seed: int) -> float:
-        phase1 = adagrad(problem, w0, s * steps_per_pass, eta,
-                         variant=variant, batch_size=b, seed=seed)
-        k2 = max(0, (budget - s) // 3)
-        if k2 == 0:
-            return phase1.trace.final().objective
-        phase2 = adasvrg_fixed(problem, phase1.final_iterate, k2, variant=variant,
-                               batch_size=b, seed=seed + 1)
-        return phase2.trace.final().objective
-
-    results: dict = {}
-    results[None] = float(np.median([final_loss_never(s) for s in config.seeds]))
-    for cand in candidates:
-        results[cand] = float(np.median([final_loss_switch(cand, s) for s in config.seeds]))
-
-    best_key, best_val = None, results[None]
-    for cand in candidates:
-        if results[cand] < best_val:
-            best_key, best_val = cand, results[cand]
-    return best_key, results

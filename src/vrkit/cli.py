@@ -2,14 +2,15 @@
 
 Subcommands:
 
-* ``run``            execute one config over its seeds, persist traces
-* ``grid``           step-size grid search for a tuned baseline
-* ``switch-search``  grid-search the manual hand-over epoch
-* ``plot``           render aggregate files to a self-contained SVG
-* ``gen-data``       write a synthetic dataset in LIBSVM format
+* ``run``       execute one config over its seeds, persist traces
+* ``grid``      step-size grid search for a tuned baseline
+* ``plot``      render aggregate files to a self-contained SVG
+* ``gen-data``  write a synthetic dataset in LIBSVM format
 
 Every config-file key is also a flag (``batch_size`` is ``--batch-size``),
-and flags override the keys of a ``--config`` file.
+and flags override the keys of a ``--config`` file.  A ``ValueError`` (the
+library's input checks) or ``OSError`` from any command, such as a batch
+size above n or a missing dataset file, exits 2 with a usage error.
 """
 
 from __future__ import annotations
@@ -63,16 +64,6 @@ def _cmd_grid(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_switch_search(config: RunConfig) -> int:
-    best, results = bench.manual_switch_search(config)
-    never = results[None]
-    print(f"  never switch: final median loss {never:.6g}")
-    for cand in sorted(k for k in results if k is not None):
-        print(f"  switch after epoch {cand}: final median loss {results[cand]:.6g}")
-    print("best: never switch" if best is None else f"best: switch after epoch {best}")
-    return 0
-
-
 def _cmd_plot(args: argparse.Namespace) -> int:
     series: dict[str, tuple] = {}
     labels = args.labels.split(",") if args.labels else None
@@ -113,7 +104,6 @@ def main(argv: list[str] | None = None) -> int:
     for name, fn, text in (
         ("run", _cmd_run, "execute one config over its seeds"),
         ("grid", _cmd_grid, "step-size grid search"),
-        ("switch-search", _cmd_switch_search, "manual hand-over epoch search"),
     ):
         config_p = sub.add_parser(name, help=text)
         _add_config_flags(config_p)
@@ -138,14 +128,13 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        # run, grid and switch-search take a RunConfig; plot and gen-data the arguments
-        setting = _build_config(args) if "config" in args else args
         if args.command == "gen-data":
             args.spec = bench.synthetic_spec(
                 {key: getattr(args, key) for key in bench.SYNTHETIC_KEYS if key in args})
-    except ValueError as exc:
+        # run and grid take a RunConfig; plot and gen-data the arguments
+        return args.fn(_build_config(args) if "config" in args else args)
+    except (ValueError, OSError) as exc:
         parser.error(str(exc))
-    return args.fn(setting)
 
 
 if __name__ == "__main__":

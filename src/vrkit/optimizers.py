@@ -38,8 +38,9 @@ Each setting has one spelling and one check.  A step size is ``eta`` (or
 on the adaptive methods ``eta=None`` is the tuning-free heuristic, while the
 baselines require a number.  Loop and step counts are checked by
 :func:`_validate_common`, and inner-loop lengths by :func:`_check_inner`.
-The growth test takes keywords: ``theta`` (> 0, checked by :func:`_engine`)
-and ``max_inner`` (at least 1 and at least the burn-in).  The burn-in is no
+Only :func:`adasvrg_fixed` takes and checks ``snapshot``.  The growth test
+takes keywords: ``theta`` (> 0, checked by :func:`_engine`) and
+``max_inner`` (at least 1 and at least the burn-in).  The burn-in is no
 setting: :func:`_engine` takes 2n/b on the plain direction (hybrid phase 1)
 and n/b otherwise (:func:`adasvrg_adaptive` and hybrid phase 2).
 """
@@ -216,20 +217,18 @@ def _validate_common(
     problem: Problem,
     w0: np.ndarray,
     batch_size: int,
-    snapshot: str,
     loops: int,
     inner_loops: int | None = None,
 ) -> tuple[np.ndarray, int]:
-    """The one check of the arguments the optimizers share, ``loops`` being
-    the outer-loop or step count.  Returns ``w0`` as a flat float array and
-    the inner-loop length: ``inner_loops``, by default n // batch_size."""
+    """The one check of the arguments every optimizer shares: the dimension
+    of ``w0``, ``batch_size`` in [1, n] and ``loops``, the outer-loop or step
+    count, >= 0.  Returns ``w0`` as a flat float array and the inner-loop
+    length: ``inner_loops``, by default n // batch_size."""
     w0 = np.asarray(w0, dtype=np.float64).ravel()
     if w0.shape[0] != problem.d:
         raise ValueError(f"w0 has dimension {w0.shape[0]}, expected {problem.d}")
     if not 1 <= batch_size <= problem.n:
         raise ValueError(f"batch_size must be in [1, {problem.n}]")
-    if snapshot not in SNAPSHOT_MODES:
-        raise ValueError(f"snapshot must be one of {SNAPSHOT_MODES}")
     if loops < 0:
         raise ValueError(f"outer_loops and total_steps must be >= 0, got {loops}")
     if inner_loops is None:
@@ -526,7 +525,9 @@ def adasvrg_fixed(
     running average of snapshots in ``averaged_iterate``.
     """
     variant = variant or PrecondVariant()
-    w0, inner = _validate_common(problem, w0, batch_size, snapshot, outer_loops, inner_loops)
+    w0, inner = _validate_common(problem, w0, batch_size, outer_loops, inner_loops)
+    if snapshot not in SNAPSHOT_MODES:
+        raise ValueError(f"snapshot must be one of {SNAPSHOT_MODES}")
     rule = _StepRule(eta)
 
     run = _Run(problem, w0, seed)
@@ -558,7 +559,7 @@ def adasvrg_multistage(
     ``eta`` is as in :func:`adasvrg_fixed`.
     """
     variant = variant or PrecondVariant()
-    w0, _ = _validate_common(problem, w0, batch_size, "average", outer_loops)
+    w0, _ = _validate_common(problem, w0, batch_size, outer_loops)
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
     if outer_loops < 3:
@@ -599,7 +600,6 @@ def adasvrg_adaptive(
     eta: float | None = None,
     proj: ProjectionSpec | None = None,
     batch_size: int = 1,
-    snapshot: str = "last",
     seed: int = 0,
 ) -> RunResult:
     """Inner loops terminated by the accumulator growth test.
@@ -607,22 +607,18 @@ def adasvrg_adaptive(
     Each inner loop runs up to ``max_inner`` steps (default 10n/b); at even
     steps past the burn-in n/b the relative growth ratio of
     ||G||_*^2 over a doubling window is compared against ``theta`` (> 0),
-    and the loop stops once gradient noise dominates.  ``eta`` is as in
-    :func:`adasvrg_fixed`.
+    and the loop stops once gradient noise dominates.  The next snapshot is
+    the last iterate.  ``eta`` is as in :func:`adasvrg_fixed`.
     """
     variant = variant or PrecondVariant()
-    w0, n_over_b = _validate_common(problem, w0, batch_size, snapshot, outer_loops)
+    w0, n_over_b = _validate_common(problem, w0, batch_size, outer_loops)
     max_inner = _check_inner(max_inner if max_inner is not None else 10 * n_over_b, n_over_b)
     rule = _StepRule(eta)
 
     run = _Run(problem, w0, seed)
     out = _engine(run, w0, outer_loops, max_inner, batch_size, rule, variant=variant,
-                  proj=proj, snapshot=snapshot, theta=theta)
-    return run.result(
-        out.w,
-        averaged=out.averaged if (snapshot == "average" and out.completed) else None,
-        notes={"adaptive_stops": out.stops, "precond_checks": out.checks},
-    )
+                  proj=proj, theta=theta)
+    return run.result(out.w, notes={"adaptive_stops": out.stops, "precond_checks": out.checks})
 
 
 def hybrid_adagrad_adasvrg(
@@ -654,7 +650,7 @@ def hybrid_adagrad_adasvrg(
     throughout.  ``theta`` (> 0) is the growth-test threshold of both phases.
     """
     variant = variant or PrecondVariant()
-    x1, n_over_b = _validate_common(problem, x1, batch_size, "last", total_steps)
+    x1, n_over_b = _validate_common(problem, x1, batch_size, total_steps)
     max_inner = _check_inner(max_inner if max_inner is not None else 10 * n_over_b, n_over_b)
 
     run = _Run(problem, x1, seed)
@@ -688,14 +684,13 @@ def svrg(
     eta: float | None = None,
     *,
     batch_size: int = 1,
-    snapshot: str = "last",
     seed: int = 0,
 ) -> RunResult:
-    """Classic variance reduction with Euclidean constant-step updates."""
-    w0, inner = _validate_common(problem, w0, batch_size, snapshot, outer_loops, inner_loops)
+    """Classic variance reduction: Euclidean constant steps, last-iterate snapshots."""
+    w0, inner = _validate_common(problem, w0, batch_size, outer_loops, inner_loops)
     rule = _StepRule(eta, required=True)
     run = _Run(problem, w0, seed)
-    out = _engine(run, w0, outer_loops, inner, batch_size, rule, snapshot=snapshot)
+    out = _engine(run, w0, outer_loops, inner, batch_size, rule)
     return run.result(out.w)
 
 
@@ -714,7 +709,7 @@ def loopless_svrg(
     Each step first refreshes the snapshot (and its full gradient) with
     probability ``p`` (default batch_size / n), then takes a VR step.
     """
-    w0, _ = _validate_common(problem, w0, batch_size, "last", total_steps)
+    w0, _ = _validate_common(problem, w0, batch_size, total_steps)
     if p is None:
         p = batch_size / problem.n
     if not 0.0 < p <= 1.0:
@@ -740,7 +735,7 @@ def sarah(
     iterate; each outer loop performs ``inner_loops`` updates, the first
     with the exact full gradient.
     """
-    w0, inner = _validate_common(problem, w0, batch_size, "last", outer_loops, inner_loops)
+    w0, inner = _validate_common(problem, w0, batch_size, outer_loops, inner_loops)
     rule = _StepRule(eta, required=True)
     run = _Run(problem, w0, seed)
     out = _engine(run, w0, outer_loops, inner, batch_size, rule, direction="recursive")
@@ -755,19 +750,19 @@ def svrg_bb(
     eta0: float | None = None,
     *,
     batch_size: int = 1,
-    snapshot: str = "last",
     seed: int = 0,
 ) -> RunResult:
     """SVRG with the Barzilai-Borwein outer-loop step-size.
 
     For k >= 1, eta_k = ||dw||^2 / (m * <dw, dg>) from consecutive
-    snapshots and full gradients.  A non-positive curvature denominator
-    reuses the previous step-size and is noted rather than fatal.
+    last-iterate snapshots and their full gradients.  A non-positive
+    curvature denominator reuses the previous step-size and is noted rather
+    than fatal.
     """
-    w0, inner = _validate_common(problem, w0, batch_size, snapshot, outer_loops, inner_loops)
+    w0, inner = _validate_common(problem, w0, batch_size, outer_loops, inner_loops)
     rule = _StepRule(eta0, inner, required=True)
     run = _Run(problem, w0, seed)
-    out = _engine(run, w0, outer_loops, inner, batch_size, rule, snapshot=snapshot)
+    out = _engine(run, w0, outer_loops, inner, batch_size, rule)
     return run.result(out.w, notes={"bb_fallbacks": rule.fallbacks})
 
 
@@ -788,7 +783,7 @@ def adagrad(
     ``g_norm_star_steps`` so growth-curve diagnostics can run offline.
     """
     variant = variant or PrecondVariant()
-    x1, _ = _validate_common(problem, x1, batch_size, "last", total_steps)
+    x1, _ = _validate_common(problem, x1, batch_size, total_steps)
     rule = _StepRule(eta, required=True)
     run = _Run(problem, x1, seed)
     out = _engine(run, x1, 1, total_steps, batch_size, rule, direction="plain",
@@ -806,7 +801,7 @@ def sgd(
     seed: int = 0,
 ) -> RunResult:
     """Plain constant step-size stochastic gradient descent."""
-    x1, _ = _validate_common(problem, x1, batch_size, "last", total_steps)
+    x1, _ = _validate_common(problem, x1, batch_size, total_steps)
     rule = _StepRule(eta, required=True)
     run = _Run(problem, x1, seed)
     out = _engine(run, x1, 1, total_steps, batch_size, rule, direction="plain")

@@ -44,8 +44,9 @@ def emit_plot(
     """Write an SVG with one curve per series.
 
     ``series`` maps a label to ``(xs, median, std)`` arrays (std may be
-    None).  ``y_cap`` clips values from above before plotting.  Raises
-    ``ValueError`` when there is nothing to draw.
+    None).  Points with a non-finite coordinate are dropped, and so, with
+    ``log_x``, are points at x <= 0.  ``y_cap`` clips values from above
+    before plotting.  Raises ``ValueError`` when there is nothing to draw.
     """
     if not series:
         raise ValueError("nothing to plot: empty series mapping")
@@ -56,12 +57,13 @@ def emit_plot(
         points = [
             (float(x), float(y), float(std[i]) if std else 0.0)
             for i, (x, y) in enumerate(zip(xs, med))
-            if math.isfinite(x) and math.isfinite(y)
+            if math.isfinite(x) and math.isfinite(y) and (x > 0 or not log_x)
         ]
         if points:
             cleaned[label] = points
     if not cleaned:
-        raise ValueError("nothing to plot: no finite data points")
+        raise ValueError("nothing to plot: no finite data points"
+                         + (" at x > 0" if log_x else ""))
 
     if y_cap is not None:
         cleaned = {
@@ -73,8 +75,6 @@ def emit_plot(
     all_y = [max(y, _FLOOR) for pts in cleaned.values() for _, y, _ in pts]
     x_lo, x_hi = min(all_x), max(all_x)
     y_lo, y_hi = min(all_y), max(all_y)
-    if log_x:
-        x_lo = max(x_lo, _FLOOR)
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
     if y_hi <= y_lo:
@@ -94,7 +94,7 @@ def emit_plot(
 
     def sx(x: float) -> float:
         if log_x:
-            frac = (math.log10(max(x, _FLOOR)) - lx_lo) / (lx_hi - lx_lo)
+            frac = (math.log10(x) - lx_lo) / (lx_hi - lx_lo)
         else:
             frac = (x - x_lo) / (x_hi - x_lo)
         return _LEFT + frac * plot_w

@@ -16,7 +16,6 @@ from vrkit.bench import (
     config_to_text,
     final_metric,
     grid_search,
-    manual_switch_search,
     parse_config_text,
     run,
 )
@@ -244,32 +243,6 @@ class TestGridSearch:
         assert results[1.0]["metric"] < results[0.1]["metric"]
 
 
-class TestManualSwitchSearch:
-    def test_argmin_contract(self):
-        config = synthetic_config(algo="hybrid", eta=0.5, epochs=6, seeds=(0,))
-        best, results = manual_switch_search(config)
-        best_value = results[best]
-        assert all(best_value <= v for v in results.values())
-
-    def test_budget_one_has_two_candidates(self):
-        config = synthetic_config(eta=0.5, epochs=1, seeds=(0,))
-        best, results = manual_switch_search(config)
-        assert set(results) == {None, 1}
-
-    def test_never_switch_wins_on_clean_separable_data(self):
-        # with every label consistent, plain adaptive steps keep making
-        # progress through the whole budget and any hand-over only costs
-        config = RunConfig(
-            synthetic=SyntheticSpec(n=1024, d=20, mislabel_fraction=0.0,
-                                    margin=0.2, seed=23),
-            loss="squared_hinge", l2=0.0, algo="hybrid", eta=1.0,
-            batch_size=16, epochs=6, seeds=(0, 1, 2),
-        )
-        best, results = manual_switch_search(config)
-        assert best is None
-        assert all(results[None] <= v for v in results.values())
-
-
 class TestFinalMetric:
     def test_median_at_last_common_pass(self):
         t1 = Trace(rows=[TraceRow(0.0, 1.0, grad_norm=1.0), TraceRow(2.0, 0.5, grad_norm=0.5)])
@@ -315,3 +288,16 @@ class TestSvgPlot:
         assert path.exists()
         with pytest.raises(ValueError):
             emit_plot({"s": ([0.0], [np.inf], None)}, tmp_path / "allbad.svg")
+
+    def test_log_x_drops_points_at_or_below_zero(self, tmp_path):
+        # aggregate.csv starts at pass 0, which has no place on a log axis;
+        # clamping it to a tiny positive x stretched the axis over 17 decades
+        with_zero = emit_plot({"s": ([0.0, 1.0, 2.0, 4.0], [1.0, 0.5, 0.25, 0.1], None)},
+                              tmp_path / "zero.svg", log_x=True).read_text()
+        without = emit_plot({"s": ([1.0, 2.0, 4.0], [0.5, 0.25, 0.1], None)},
+                            tmp_path / "pos.svg", log_x=True).read_text()
+        assert with_zero == without
+        assert "1e-16" not in with_zero
+        with pytest.raises(ValueError, match="x > 0"):
+            emit_plot({"s": ([0.0, -1.0], [1.0, 0.5], None)}, tmp_path / "none.svg",
+                      log_x=True)

@@ -1,10 +1,13 @@
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vrkit import load_libsvm
 from vrkit.cli import main
+
+DATASETS = Path(__file__).resolve().parent.parent / "datasets"
 
 
 class TestGenData:
@@ -83,12 +86,28 @@ class TestBadConfigValue:
          "unrecognized arguments: --huber-delta"),
         (["run", "--delta", "1e-8"], "unrecognized arguments: --delta"),
         (["run", "--snapshot", "last"], "unrecognized arguments: --snapshot"),
+        # the manual hand-over search is gone; the hybrid is the one hand-over
+        (["switch-search"], "invalid choice"),
     ], ids=["run-eta", "grid-grid", "grid-empty", "run-batch-size", "run-l2", "run-l2-inf",
             "run-no-jobs", "run-theta", "run-epsilon", "run-p", "run-huber-delta", "run-delta",
-            "run-snapshot"])
+            "run-snapshot", "switch-search"])
     def test_bad_step_size_or_theta_exits_with_usage_error(self, argv, shown, capsys):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--dataset", "data.libsvm"])
+        assert exc.value.code == 2
+        assert shown in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "grid"])
+    @pytest.mark.parametrize("flags, shown", [
+        (["--batch-size", "5000"], "batch_size must be in [1, 1500]"),
+        (["--dataset", "missing.libsvm"], "missing.libsvm"),
+    ], ids=["batch-size-above-n", "missing-dataset"])
+    def test_value_only_the_data_exposes_exits_with_usage_error(self, command, flags, shown,
+                                                               capsys):
+        # the config is valid; the library's checks raise once the data is read
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--dataset", str(DATASETS / "synth_a.libsvm"), "--algo", "svrg",
+                  "--eta", "0.1", "--epochs", "1", "--seeds", "1", *flags])
         assert exc.value.code == 2
         assert shown in capsys.readouterr().err
 
@@ -152,14 +171,9 @@ class TestPlotCommand:
         text = svg.read_text()
         assert text.startswith("<svg") and "polyline" in text
 
+    def test_missing_input_exits_with_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plot", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "fig.svg")])
+        assert exc.value.code == 2
+        assert "missing.csv" in capsys.readouterr().err
 
-class TestSwitchSearchCommand:
-    def test_runs(self, tmp_path, capsys):
-        code = main([
-            "switch-search", "--dataset", "synthetic", "--synthetic-n", "64",
-            "--synthetic-d", "4", "--synthetic-mislabel", "0.1",
-            "--eta", "0.5", "--batch-size", "8", "--epochs", "3", "--seeds", "1",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "never switch" in out and "best:" in out

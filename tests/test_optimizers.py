@@ -507,8 +507,8 @@ class TestArmijoCounterExample:
 
 class TestSingleChecks:
     """Every public optimizer rejects a bad count, step size, growth-test
-    threshold, multistage accuracy, refresh probability or snapshot mode with
-    the same check."""
+    threshold, multistage accuracy, refresh probability or (adasvrg_fixed's
+    only) snapshot mode with the same check."""
 
     OPTIMIZERS = (adasvrg_fixed, adasvrg_multistage, adasvrg_adaptive, hybrid_adagrad_adasvrg,
                   svrg, svrg_bb, sarah, loopless_svrg, adagrad, sgd)
@@ -535,7 +535,7 @@ class TestSingleChecks:
             bad += [({"epsilon": epsilon}, "epsilon") for epsilon in (2.0, math.nan)]
         if fn is loopless_svrg:
             bad += [({"p": p}, "p must") for p in (1.5, math.nan)]
-        if fn in (svrg, svrg_bb, adasvrg_fixed, adasvrg_adaptive):
+        if fn is adasvrg_fixed:
             bad.append(({"snapshot": "first"}, "snapshot"))
         if fn in (svrg, svrg_bb, sarah, loopless_svrg, adagrad, sgd):
             # eta=None is the heuristic only on the adaptive methods
