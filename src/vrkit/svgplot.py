@@ -62,8 +62,7 @@ def emit_plot(
         if points:
             cleaned[label] = points
     if not cleaned:
-        raise ValueError("nothing to plot: no finite data points"
-                         + (" at x > 0" if log_x else ""))
+        raise ValueError("nothing to plot: no finite data points (at x > 0 with log_x)")
 
     if y_cap is not None:
         cleaned = {

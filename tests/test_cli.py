@@ -86,7 +86,6 @@ class TestBadConfigValue:
          "unrecognized arguments: --huber-delta"),
         (["run", "--delta", "1e-8"], "unrecognized arguments: --delta"),
         (["run", "--snapshot", "last"], "unrecognized arguments: --snapshot"),
-        # the manual hand-over search is gone; the hybrid is the one hand-over
         (["switch-search"], "invalid choice"),
     ], ids=["run-eta", "grid-grid", "grid-empty", "run-batch-size", "run-l2", "run-l2-inf",
             "run-no-jobs", "run-theta", "run-epsilon", "run-p", "run-huber-delta", "run-delta",
