@@ -3,9 +3,10 @@
 
 Sweeps the mislabel fraction of a separable synthetic dataset and compares
 AdaGrad, AdaSVRG and the hybrid hand-over method at a fixed pass budget,
-writing traces and one SVG per dataset.  With no mislabeling the stochastic
-method should win outright and the hybrid should never hand over; with
-label noise the hybrid should detect the stall and switch.
+writing each generated dataset (``mislabel_<f>/data.libsvm``), its traces
+and one SVG per dataset.  With no mislabeling the stochastic method should
+win outright and the hybrid should never hand over; with label noise the
+hybrid should detect the stall and switch.
 
 Usage:
     python3 scripts/interpolation_study.py [--n 2000] [--d 50] [--out results/interpolation]
@@ -15,7 +16,7 @@ import argparse
 from pathlib import Path
 
 from vrkit.bench import RunConfig, aggregate, final_metric, run
-from vrkit.data import SyntheticSpec
+from vrkit.data import SyntheticSpec, gen_separable, save_libsvm
 from vrkit.svgplot import emit_plot
 
 ALGOS = ("adagrad", "adasvrg", "hybrid")
@@ -37,13 +38,15 @@ def main() -> None:
     for mislabel in (0.0, 0.1, 0.2):
         spec = SyntheticSpec(n=args.n, d=args.d, mislabel_fraction=mislabel,
                              margin=args.margin, seed=23)
+        out_dir = out_root / f"mislabel_{mislabel:g}"
+        out_dir.mkdir(parents=True, exist_ok=True)
+        save_libsvm(gen_separable(spec)[0], out_dir / "data.libsvm")
         series = {}
         for algo in ALGOS:
             config = RunConfig(
-                synthetic=spec, loss="squared_hinge", l2=0.0, algo=algo,
-                batch_size=args.batch_size, epochs=args.epochs, seeds=args.seeds,
-                eta=args.eta if algo == "adagrad" else None,
-                out=str(out_root / f"mislabel_{mislabel:g}" / algo),
+                dataset=str(out_dir / "data.libsvm"), loss="squared_hinge", l2=0.0,
+                algo=algo, batch_size=args.batch_size, epochs=args.epochs, seeds=args.seeds,
+                eta=args.eta if algo == "adagrad" else None, out=str(out_dir / algo),
             )
             output = run(config)
             rows = aggregate(output.traces)

@@ -1,6 +1,7 @@
 """Benchmark harness: configs, seeded runs, aggregation, model selection.
 
-A :class:`RunConfig` is the unit of work: dataset source, loss, algorithm,
+A :class:`RunConfig` is the unit of work: a LIBSVM dataset file (the one
+data source; ``vrkit gen-data`` writes synthetic ones), loss, algorithm,
 batch size, a budget in effective passes, and the seeds to repeat over.
 Budgets convert to iteration counts with the cost model one full gradient =
 one pass and one variance-reduced inner step = two batches, so an outer
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SyntheticSpec, gen_separable, load_libsvm
+from .data import load_libsvm
 from .diagnostics import Trace
 from .optimizers import (
     PrecondVariant,
@@ -53,24 +54,21 @@ _VARIANT_NAMES = {"scalar": "scalar", "diag": "diagonal", "full": "full_matrix"}
 
 DEFAULT_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 
-# Config-file key ``synthetic_<key>`` -> the SyntheticSpec field it sets.
-SYNTHETIC_KEYS = {"n": "n", "d": "d", "mislabel": "mislabel_fraction", "margin": "margin",
-                  "seed": "seed"}
-
 
 @dataclass(frozen=True)
 class RunConfig:
     """One benchmark work item.
 
-    ``l2 = None`` resolves to 1/n.  ``eta = None`` means the tuning-free
-    heuristic for the adaptive methods and is an error for baselines that
-    need a constant step-size; a given ``eta`` and every ``grid`` value must
-    be finite and > 0, ``grid`` non-empty, ``batch_size`` >= 1, and ``l2``
-    finite and >= 0.  ``seeds`` may be given as a count (int) or an
-    explicit tuple of seeds.  ``loss`` may spell underscores as hyphens
-    (``squared-hinge``).  ``grid`` is the step-size grid of
-    :func:`grid_search`, and ``out`` the one output directory of
-    :func:`run` and :func:`grid_search` (``None`` writes nothing).
+    ``dataset``, the path of a LIBSVM file, is required.  ``l2 = None``
+    resolves to 1/n.  ``eta = None`` means the tuning-free heuristic for the
+    adaptive methods and is an error for baselines that need a constant
+    step-size; a given ``eta`` and every ``grid`` value must be finite and
+    > 0, ``grid`` non-empty, ``batch_size`` >= 1, and ``l2`` finite and
+    >= 0.  ``seeds`` may be given as a count (int) or an explicit tuple of
+    seeds.  ``loss`` may spell underscores as hyphens (``squared-hinge``).
+    ``grid`` is the step-size grid of :func:`grid_search`, and ``out`` the
+    one output directory of :func:`run` and :func:`grid_search` (``None``
+    writes nothing).
 
     Every other setting is the library default: growth-test theta 0.5,
     refresh probability p = b/n, accumulator delta 1e-8, Huber delta 1 and
@@ -80,7 +78,6 @@ class RunConfig:
     """
 
     dataset: str | None = None
-    synthetic: SyntheticSpec | None = None
     loss: str = "logistic"
     l2: float | None = None
     algo: str = "adasvrg"
@@ -100,8 +97,8 @@ class RunConfig:
             raise ValueError(f"unknown algorithm {self.algo!r}; expected one of {ALGORITHMS}")
         if self.variant not in _VARIANT_NAMES:
             raise ValueError(f"unknown variant {self.variant!r}; expected scalar/diag/full")
-        if self.dataset is None and self.synthetic is None:
-            raise ValueError("config needs a dataset path or a synthetic spec")
+        if self.dataset is None:
+            raise ValueError("config needs a dataset path")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if not self.grid:
@@ -125,11 +122,8 @@ class RunConfig:
 
 def config_keys() -> dict[str, str]:
     """Every config-file key, each also a CLI flag, with the type annotation
-    of the RunConfig or SyntheticSpec field it sets."""
-    keys = {f.name: f.type for f in fields(RunConfig) if f.name != "synthetic"}
-    spec = {f.name: f.type for f in fields(SyntheticSpec)}
-    keys.update((f"synthetic_{key}", spec[name]) for key, name in SYNTHETIC_KEYS.items())
-    return keys
+    of the RunConfig field it sets."""
+    return {f.name: f.type for f in fields(RunConfig)}
 
 
 _SCALARS = {"str": str, "int": int, "float": float}
@@ -165,37 +159,12 @@ def parse_config_text(text: str) -> dict:
 
 
 def config_from_mapping(mapping: dict) -> RunConfig:
-    """Build a config from flat string-or-native values (file or CLI).
-
-    ``dataset = synthetic`` is a placeholder for the ``synthetic_*`` keys,
-    of which ``synthetic_n`` and ``synthetic_d`` are required.
-    """
+    """Build a config from flat string-or-native values (file or CLI)."""
     keys = config_keys()
-    kwargs: dict = {}
-    synth: dict = {}
-    for key, value in mapping.items():
+    for key in mapping:
         if key not in keys:
             raise ValueError(f"unknown config key {key!r}")
-        if key.startswith("synthetic_"):
-            synth[key.removeprefix("synthetic_")] = value
-        else:
-            kwargs[key] = _coerce(keys[key], value)
-    if kwargs.get("dataset") == "synthetic":
-        del kwargs["dataset"]
-    if synth:
-        kwargs["synthetic"] = synthetic_spec(synth)
-    return RunConfig(**kwargs)
-
-
-def synthetic_spec(values: dict) -> SyntheticSpec:
-    """Build a SyntheticSpec from ``SYNTHETIC_KEYS`` keys with string-or-native
-    values (the ``synthetic_<key>`` config keys, or ``gen-data``'s flags).
-    ``n`` and ``d`` are required; the rest keep the dataclass defaults."""
-    if "n" not in values or "d" not in values:
-        raise ValueError("synthetic data needs n and d (synthetic_n and synthetic_d)")
-    keys = config_keys()
-    return SyntheticSpec(**{SYNTHETIC_KEYS[key]: _coerce(keys[f"synthetic_{key}"], value)
-                            for key, value in values.items()})
+    return RunConfig(**{key: _coerce(keys[key], value) for key, value in mapping.items()})
 
 
 def config_to_text(config: RunConfig) -> str:
@@ -205,10 +174,6 @@ def config_to_text(config: RunConfig) -> str:
         value = getattr(config, key)
         if value is None:
             continue
-        if key == "synthetic":
-            lines += [f"synthetic_{sub} = {getattr(value, name)!r}"
-                      for sub, name in SYNTHETIC_KEYS.items()]
-            continue
         if isinstance(value, tuple):
             # a trailing comma keeps a single seed from reading back as a count
             value = ",".join(str(v) for v in value) + ("," if len(value) == 1 else "")
@@ -217,10 +182,7 @@ def config_to_text(config: RunConfig) -> str:
 
 
 def resolve_problem(config: RunConfig) -> Problem:
-    if config.dataset is not None:
-        dataset = load_libsvm(config.dataset)
-    else:
-        dataset, _ = gen_separable(config.synthetic)
+    dataset = load_libsvm(config.dataset)
     l2 = config.l2 if config.l2 is not None else 1.0 / dataset.n
     return Problem(dataset=dataset, loss=config.loss, l2_reg=l2)
 
@@ -324,20 +286,20 @@ def aggregate(traces: list[Trace]) -> list[tuple]:
     grid common to all seeds (step-function alignment)."""
     if not traces:
         raise ValueError("no traces to aggregate")
-    obj, grad = _per_pass(traces, "objective"), _per_pass(traces, "grad_norm")
+    grid = np.arange(math.floor(min(t.rows[-1].passes for t in traces)) + 1)
+    obj, grad = _per_pass(traces, "objective", grid), _per_pass(traces, "grad_norm", grid)
     columns = (np.median(obj, axis=1), np.std(obj, axis=1),
                np.median(grad, axis=1), np.std(grad, axis=1))
     return [(float(p), *map(float, row)) for p, row in enumerate(zip(*columns))]
 
 
-def _per_pass(traces: list[Trace], attr: str) -> np.ndarray:
-    """(passes x seeds) array of ``trace.value_at_pass(p, attr)`` on the
-    integer pass grid common to all traces, with a missing or non-finite
-    value counted as inf.  Each trace is sampled with one ``searchsorted``
-    over its forward-filled values; each row is C-contiguous, so reductions
-    along ``axis=1`` match those of the per-pass value lists bit for bit."""
-    grid = np.arange(math.floor(min(t.rows[-1].passes for t in traces)) + 1)
-    out = np.empty((grid.size, len(traces)))
+def _per_pass(traces: list[Trace], attr: str, points: np.ndarray) -> np.ndarray:
+    """(points x seeds) array of ``trace.value_at_pass(p, attr)`` at each
+    pass p in ``points``, with a missing or non-finite value counted as inf.
+    Each trace is sampled with one ``searchsorted`` over its forward-filled
+    values; each row is C-contiguous, so reductions along ``axis=1`` match
+    those of the per-pass value lists bit for bit."""
+    out = np.empty((points.size, len(traces)))
     for j, trace in enumerate(traces):
         values = [getattr(row, attr) for row in trace.rows]
         # latest[k]: 1 + index of the last present value among the first k rows, 0 if none
@@ -345,7 +307,7 @@ def _per_pass(traces: list[Trace], attr: str) -> np.ndarray:
                                               for i, v in enumerate(values, 1)])
         filled = np.array([np.inf] + [np.inf if v is None else v for v in values])[latest]
         passes = np.array([row.passes for row in trace.rows])
-        out[:, j] = filled[np.searchsorted(passes, grid, side="right")]
+        out[:, j] = filled[np.searchsorted(passes, points, side="right")]
     out[~np.isfinite(out)] = np.inf
     return out
 
@@ -369,9 +331,7 @@ def final_metric(traces: list[Trace]) -> float:
     earliest closing row's pass, with a missing or non-finite value counted
     as inf."""
     last = min(t.rows[-1].passes for t in traces)
-    values = [t.value_at_pass(last, "grad_norm") for t in traces]
-    return float(np.median([v if v is not None and math.isfinite(v) else np.inf
-                            for v in values]))
+    return float(np.median(_per_pass(traces, "grad_norm", np.array([last]))))
 
 
 def grid_search(config: RunConfig) -> tuple[float, dict]:

@@ -7,21 +7,25 @@ Subcommands:
 * ``plot``      render aggregate files to a self-contained SVG
 * ``gen-data``  write a synthetic dataset in LIBSVM format
 
-Every config-file key is also a flag (``batch_size`` is ``--batch-size``),
-and flags override the keys of a ``--config`` file.  A ``ValueError`` (the
-library's input checks) or ``OSError`` from any command, such as a batch
-size above n or a missing dataset file, exits 2 with a usage error.
+A run reads its data from one LIBSVM file (the ``dataset`` key); ``gen-data``
+writes synthetic ones, with one flag per :class:`SyntheticSpec` field
+(``mislabel_fraction`` is ``--mislabel-fraction``).  Every config-file key
+is also a flag, and flags override the keys of a ``--config`` file.  A
+``ValueError`` (the library's input checks) or ``OSError`` from any command,
+such as a batch size above n or a missing dataset file, exits 2 with a
+usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from . import bench
 from .bench import RunConfig, config_from_mapping, parse_config_text
-from .data import gen_separable, save_libsvm
+from .data import SyntheticSpec, gen_separable, save_libsvm
 from .svgplot import emit_plot
 
 
@@ -88,7 +92,9 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
-    dataset, _ = gen_separable(args.spec)
+    spec = SyntheticSpec(**{f.name: getattr(args, f.name)
+                            for f in fields(SyntheticSpec) if f.name in args})
+    dataset, _ = gen_separable(spec)
     save_libsvm(dataset, args.out)
     print(f"wrote {args.out} (n={dataset.n}, d={dataset.d})")
     return 0
@@ -118,19 +124,17 @@ def main(argv: list[str] | None = None) -> int:
     plot_p.add_argument("--log-x", action="store_true", dest="log_x")
     plot_p.set_defaults(fn=_cmd_plot)
 
-    # one flag per SYNTHETIC_KEYS entry; flags left out keep the SyntheticSpec defaults
+    # one flag per SyntheticSpec field; flags left out keep the field defaults
     gen_p = sub.add_parser("gen-data", help="write a synthetic LIBSVM dataset",
                            argument_default=argparse.SUPPRESS)
-    for key in bench.SYNTHETIC_KEYS:
-        gen_p.add_argument("--" + key, help=bench.config_keys()[f"synthetic_{key}"])
+    for f in fields(SyntheticSpec):
+        gen_p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                           type=bench._SCALARS[f.type], required=f.default is MISSING)
     gen_p.add_argument("--out", required=True)
     gen_p.set_defaults(fn=_cmd_gen_data)
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "gen-data":
-            args.spec = bench.synthetic_spec(
-                {key: getattr(args, key) for key in bench.SYNTHETIC_KEYS if key in args})
         # run and grid take a RunConfig; plot and gen-data the arguments
         return args.fn(_build_config(args) if "config" in args else args)
     except (ValueError, OSError) as exc:

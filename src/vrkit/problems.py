@@ -144,12 +144,6 @@ class Dataset:
         return self.features.shape[1]
 
     @cached_property
-    def row_nnz(self) -> np.ndarray:
-        """Stored entries per row, ``indptr[i + 1] - indptr[i]``; computed on
-        first use."""
-        return np.diff(self.features.indptr)
-
-    @cached_property
     def dense_rows(self) -> np.ndarray | None:
         """The n x d feature matrix as a dense array, or None when it would
         take more memory than the CSR's ``data`` and ``indices``; computed on
@@ -321,7 +315,7 @@ class Problem:
         if batch.size == 1:
             row = slice(feats.indptr[batch[0]], feats.indptr[batch[0] + 1])
             return np.zeros(row.stop - row.start, np.intp), feats.indices[row], feats.data[row]
-        lengths = self.dataset.row_nnz[batch]
+        lengths = feats.indptr[batch + 1] - feats.indptr[batch]
         ends = np.cumsum(lengths)
         pos = np.arange(ends[-1]) + np.repeat(feats.indptr[batch] - (ends - lengths), lengths)
         return np.repeat(np.arange(batch.size), lengths), feats.indices[pos], feats.data[pos]

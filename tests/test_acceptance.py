@@ -23,6 +23,7 @@ from vrkit import (
     gen_separable,
     hybrid_adagrad_adasvrg,
     parse_libsvm,
+    save_libsvm,
     serialize_libsvm,
 )
 from vrkit.bench import RunConfig, final_metric, grid_search, run
@@ -321,15 +322,11 @@ def test_criterion_11_parser_round_trip():
 
 def test_criterion_12_determinism(tmp_path):
     _start()
+    data = tmp_path / "data.libsvm"
+    save_libsvm(gen_separable(SyntheticSpec(n=128, d=8, mislabel_fraction=0.1, seed=5))[0], data)
     configs = [
-        RunConfig(
-            synthetic=SyntheticSpec(n=128, d=8, mislabel_fraction=0.1, seed=5),
-            algo="adasvrg", batch_size=8, epochs=6, seeds=(0, 3),
-        ),
-        RunConfig(
-            synthetic=SyntheticSpec(n=128, d=8, mislabel_fraction=0.1, seed=5),
-            algo="svrg", eta=0.5, batch_size=8, epochs=6, seeds=(1,),
-        ),
+        RunConfig(dataset=str(data), algo="adasvrg", batch_size=8, epochs=6, seeds=(0, 3)),
+        RunConfig(dataset=str(data), algo="svrg", eta=0.5, batch_size=8, epochs=6, seeds=(1,)),
     ]
     ok = True
     for i, config in enumerate(configs):

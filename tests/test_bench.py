@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vrkit import SyntheticSpec, Trace, TraceRow
+from vrkit import SyntheticSpec, Trace, TraceRow, gen_separable, save_libsvm
 from vrkit.bench import (
     RunConfig,
     aggregate,
@@ -25,17 +25,25 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 DATASETS = Path(__file__).resolve().parent.parent / "datasets"
 
 
-def synthetic_config(**overrides) -> RunConfig:
-    base = dict(
-        synthetic=SyntheticSpec(n=64, d=5, mislabel_fraction=0.1, seed=3),
-        loss="logistic",
-        algo="adasvrg",
-        batch_size=8,
-        epochs=6,
-        seeds=(0, 1),
-    )
-    base.update(overrides)
-    return RunConfig(**base)
+@pytest.fixture(scope="module")
+def synthetic_config(tmp_path_factory):
+    """Config factory on one small generated LIBSVM file."""
+    data = tmp_path_factory.mktemp("data") / "synthetic.libsvm"
+    save_libsvm(gen_separable(SyntheticSpec(n=64, d=5, mislabel_fraction=0.1, seed=3))[0], data)
+
+    def make(**overrides) -> RunConfig:
+        base = dict(
+            dataset=str(data),
+            loss="logistic",
+            algo="adasvrg",
+            batch_size=8,
+            epochs=6,
+            seeds=(0, 1),
+        )
+        base.update(overrides)
+        return RunConfig(**base)
+
+    return make
 
 
 class TestConfig:
@@ -47,22 +55,20 @@ class TestConfig:
         epochs = 12
         eta = 0.25
         seeds = 0,2,5
-        synthetic_n = 100
-        synthetic_d = 7
-        synthetic_mislabel = 0.2
+        dataset = data/a.libsvm
         """
         config = config_from_mapping(parse_config_text(text))
         assert config.algo == "svrg"
         assert config.batch_size == 16
         assert config.eta == 0.25
         assert config.seeds == (0, 2, 5)
-        assert config.synthetic.n == 100 and config.synthetic.d == 7
+        assert config.dataset == "data/a.libsvm"
 
     def test_seed_count_expands(self):
-        config = config_from_mapping({"seeds": "5", "synthetic_n": 64, "synthetic_d": 4})
+        config = config_from_mapping({"seeds": "5", "dataset": "a.libsvm"})
         assert config.seeds == (0, 1, 2, 3, 4)
 
-    def test_defaults_match_protocol(self):
+    def test_defaults_match_protocol(self, synthetic_config):
         config = synthetic_config()
         assert config.epochs == 6  # overridden; the dataclass default is 50
         assert RunConfig.__dataclass_fields__["epochs"].default == 50
@@ -70,18 +76,17 @@ class TestConfig:
         assert RunConfig.__dataclass_fields__["batch_size"].default == 64
         assert len(RunConfig.__dataclass_fields__["seeds"].default) == 5
 
-    def test_validation(self):
+    def test_validation(self, synthetic_config):
         with pytest.raises(ValueError):
-            RunConfig(algo="newton", synthetic=SyntheticSpec(n=10, d=2))
+            RunConfig(algo="newton", dataset="a.libsvm")
         with pytest.raises(ValueError):
             RunConfig()  # no dataset at all
         with pytest.raises(ValueError):
             synthetic_config(seeds=())
 
-    def test_echo_roundtrip(self):
+    def test_echo_roundtrip(self, synthetic_config):
         every_key = RunConfig(
             dataset="data.libsvm",
-            synthetic=SyntheticSpec(n=50, d=3, mislabel_fraction=0.2, margin=0.3, seed=4),
             loss="huber", l2=0.01, algo="svrg", variant="diag", batch_size=16, epochs=9,
             seeds=(2, 7), eta=0.25, grid=(0.1, 1.0), out="results",
         )
@@ -95,7 +100,7 @@ class TestConfig:
 
 
 class TestRun:
-    def test_deterministic_outputs(self, tmp_path):
+    def test_deterministic_outputs(self, tmp_path, synthetic_config):
         config = synthetic_config(seeds=(0,))
         first = run(replace(config, out=str(tmp_path / "a")))
         second = run(replace(config, out=str(tmp_path / "b")))
@@ -103,7 +108,7 @@ class TestRun:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         assert first.consistent() and second.consistent()
 
-    def test_zero_budget_initial_row_only(self):
+    def test_zero_budget_initial_row_only(self, synthetic_config):
         config = synthetic_config(epochs=0, seeds=(0,))
         output = run(config)
         trace = output.traces[0]
@@ -111,7 +116,7 @@ class TestRun:
         assert trace.rows[0].passes == 0.0
 
 
-    def test_every_algorithm_runs(self):
+    def test_every_algorithm_runs(self, synthetic_config):
         for algo in ("sgd", "adagrad", "svrg", "lsvrg", "sarah", "svrg-bb",
                      "adasvrg", "adasvrg-ms", "adasvrg-at", "hybrid"):
             config = synthetic_config(algo=algo, epochs=4, seeds=(0,), eta=0.1)
@@ -177,7 +182,7 @@ class TestAggregate:
         text = aggregate_to_csv(rows)
         assert aggregate_from_csv(text) == rows
 
-    def test_regeneration_is_byte_identical(self, tmp_path):
+    def test_regeneration_is_byte_identical(self, tmp_path, synthetic_config):
         config = synthetic_config()
         run(replace(config, out=str(tmp_path)))
         paths = sorted(tmp_path.glob("seed*.trace.csv"))
@@ -186,7 +191,7 @@ class TestAggregate:
 
 
 class TestGridSearch:
-    def test_singleton_grid_returns_it(self):
+    def test_singleton_grid_returns_it(self, synthetic_config):
         config = synthetic_config(algo="svrg", seeds=(0,))
         best, results = grid_search(replace(config, grid=(0.25,)))
         assert best == 0.25
@@ -208,7 +213,7 @@ class TestGridSearch:
         metrics = {eta: results[eta]["metric"] for eta in grid}
         assert metrics[0.9] < metrics[0.5] == metrics[1.5]
 
-    def test_superset_grid_never_worse(self):
+    def test_superset_grid_never_worse(self, synthetic_config):
         config = synthetic_config(algo="svrg", seeds=(0,))
         small = (0.01, 1.0)
         large = (0.01, 0.1, 1.0, 10.0)
@@ -216,7 +221,7 @@ class TestGridSearch:
         best_large, res_large = grid_search(replace(config, grid=large))
         assert res_large[best_large]["metric"] <= res_small[best_small]["metric"]
 
-    def test_all_diverging_grid_still_ordered(self):
+    def test_all_diverging_grid_still_ordered(self, synthetic_config):
         config = synthetic_config(algo="svrg", seeds=(0,), epochs=9)
         best, results = grid_search(replace(config, grid=(1e4, 1e6)))
         assert best in (1e4, 1e6)

@@ -14,7 +14,7 @@ class TestGenData:
     def test_writes_parseable_dataset(self, tmp_path, capsys):
         out = tmp_path / "synth.libsvm"
         code = main([
-            "gen-data", "--n", "50", "--d", "6", "--mislabel", "0.1",
+            "gen-data", "--n", "50", "--d", "6", "--mislabel-fraction", "0.1",
             "--margin", "0.2", "--seed", "3", "--out", str(out),
         ])
         assert code == 0
@@ -32,7 +32,7 @@ class TestGenData:
 class TestRunCommand:
     def test_run_with_flags(self, tmp_path, capsys):
         data = tmp_path / "data.libsvm"
-        main(["gen-data", "--n", "64", "--d", "5", "--mislabel", "0.1",
+        main(["gen-data", "--n", "64", "--d", "5", "--mislabel-fraction", "0.1",
               "--seed", "0", "--out", str(data)])
         out = tmp_path / "results"
         code = main([
@@ -110,6 +110,26 @@ class TestBadConfigValue:
         assert exc.value.code == 2
         assert shown in capsys.readouterr().err
 
+    def test_synthetic_config_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("synthetic_n = 64\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "unknown config key 'synthetic_n'" in capsys.readouterr().err
+
+    def test_synthetic_flag_is_unrecognized(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--dataset", "data.libsvm", "--synthetic-n", "64"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --synthetic-n" in capsys.readouterr().err
+
+    def test_gen_data_requires_n(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-data", "--d", "3", "--out", str(tmp_path / "x.libsvm")])
+        assert exc.value.code == 2
+        assert "required: --n" in capsys.readouterr().err
+
     def test_bad_synthetic_spec_exits_with_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gen-data", "--n", "1", "--d", "3", "--out", str(tmp_path / "x.libsvm")])
@@ -169,6 +189,18 @@ class TestPlotCommand:
         assert code == 0
         text = svg.read_text()
         assert text.startswith("<svg") and "polyline" in text
+
+    def test_trace_csv_input_exits_with_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "one.libsvm"
+        data.write_text("1 1:1\n", encoding="utf-8")
+        out = tmp_path / "res"
+        main(["run", "--dataset", str(data), "--algo", "adasvrg", "--batch-size", "1",
+              "--epochs", "3", "--seeds", "1", "--out", str(out)])
+        with pytest.raises(SystemExit) as exc:
+            main(["plot", str(out / "seed0.trace.csv"), "--out", str(tmp_path / "fig.svg")])
+        assert exc.value.code == 2
+        assert "aggregate CSV header" in capsys.readouterr().err
+        assert not (tmp_path / "fig.svg").exists()
 
     def test_missing_input_exits_with_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

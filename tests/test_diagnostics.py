@@ -150,6 +150,21 @@ class TestTraceSerialization:
         for a, b in zip(trace.rows, again.rows):
             assert a == b
 
+    def test_from_csv_rejects_wrong_header(self):
+        text = self._sample_trace().to_csv()
+        with pytest.raises(ValueError, match="trace CSV header"):
+            Trace.from_csv(text.replace("pass,", "step,", 1))
+
+    def test_from_csv_rejects_wrong_column_count(self):
+        header, first, *rest = self._sample_trace().to_csv().splitlines()
+        with pytest.raises(ValueError, match="malformed trace CSV row"):
+            Trace.from_csv("\n".join([header, first + ",0", *rest]))
+
+    def test_validate_rejects_unknown_event(self):
+        trace = Trace(rows=[TraceRow(0.0, 0.5, event="restart")])
+        with pytest.raises(ValueError, match="unknown trace event 'restart'"):
+            trace.validate()
+
     def test_validate_rejects_non_monotone(self):
         trace = Trace(rows=[TraceRow(1.0, 0.5), TraceRow(1.0, 0.4)])
         with pytest.raises(ValueError):

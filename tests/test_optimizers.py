@@ -506,24 +506,25 @@ class TestArmijoCounterExample:
 
 
 class TestSingleChecks:
-    """Every public optimizer rejects a bad count, step size, growth-test
-    threshold, multistage accuracy, refresh probability or (adasvrg_fixed's
-    only) snapshot mode with the same check."""
+    """Every public optimizer rejects a bad count, initial point, step size,
+    growth-test threshold, multistage accuracy, refresh probability or
+    (adasvrg_fixed's only) snapshot mode with the same check."""
 
     OPTIMIZERS = (adasvrg_fixed, adasvrg_multistage, adasvrg_adaptive, hybrid_adagrad_adasvrg,
                   svrg, svrg_bb, sarah, loopless_svrg, adagrad, sgd)
 
     @staticmethod
-    def _call(fn, count=3, **kwargs):
+    def _call(fn, count=3, w0=None, **kwargs):
         problem = small_synthetic(n=16, d=3)
         args = (kwargs.pop("epsilon", 0.5),) if fn is adasvrg_multistage else ()
         kwargs["eta0" if fn is svrg_bb else "eta"] = kwargs.pop("eta", 0.1)
-        return fn(problem, np.zeros(problem.d), count, *args, batch_size=4, seed=0, **kwargs)
+        w0 = np.zeros(problem.d) if w0 is None else w0
+        return fn(problem, w0, count, *args, batch_size=4, seed=0, **kwargs)
 
     @pytest.mark.parametrize("fn", OPTIMIZERS, ids=lambda fn: fn.__name__)
     def test_each_setting_checked(self, fn):
         assert self._call(fn).termination_reason == "budget"
-        bad = [({"count": -1}, "must be >= 0")]
+        bad = [({"count": -1}, "must be >= 0"), ({"w0": np.zeros(4)}, "w0 has dimension 4")]
         bad += [({"eta": eta}, "step size") for eta in (0.0, -1.0, math.nan)]
         if fn in (svrg, svrg_bb, sarah, adasvrg_fixed):
             bad.append(({"inner_loops": 0}, "inner_loops"))
