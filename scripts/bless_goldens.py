@@ -103,7 +103,7 @@ def _sparse_rows(loss: str) -> Problem:
 
 def _sparse_cases() -> dict:
     z12 = np.zeros(12)
-    diag = PrecondVariant(kind="diagonal", delta=1e-8)
+    diag = PrecondVariant(kind="diagonal")
     scalar = PrecondVariant(kind="scalar")
     return {
         "sparse-svrg-squared_hinge-b1": lambda: svrg(
@@ -157,13 +157,13 @@ def _direct_cases() -> dict:
     small = _synthetic(64, 6, 0.1, 3)
     noisy = _synthetic(256, 4, 0.2, 3)
     z6, z4 = np.zeros(6), np.zeros(4)
-    diag = PrecondVariant(kind="diagonal", delta=1e-8)
-    full = PrecondVariant(kind="full_matrix", delta=1e-8)
+    diag = PrecondVariant(kind="diagonal")
+    full = PrecondVariant(kind="full_matrix")
     return {
         "svrg-bb-fallback": lambda: svrg_bb(_one_example(), np.array([1.0]), 3, 4,
-                                            eta0=0.1, seed=0),
+                                            eta=0.1, seed=0),
         "sarah-inner5": lambda: sarah(small, z6, 3, 5, 0.2, batch_size=2, seed=3),
-        "lsvrg-p025": lambda: loopless_svrg(small, z6, 60, 0.1, p=0.25, batch_size=4, seed=4),
+        "lsvrg-b4": lambda: loopless_svrg(small, z6, 60, 0.1, batch_size=4, seed=4),
         "sgd-b1": lambda: sgd(small, z6, 150, 0.05, batch_size=1, seed=5),
         "adasvrg-fixed-average-heuristic": lambda: adasvrg_fixed(
             small, z6, 3, eta=None, batch_size=4, snapshot="average", seed=6),
@@ -175,18 +175,15 @@ def _direct_cases() -> dict:
             small, z6, 3, variant=diag, eta=2.0,
             proj=ProjectionSpec(radius=0.3), batch_size=4, seed=9),
         "adasvrg-adaptive-diagonal-constant": lambda: adasvrg_adaptive(
-            noisy, z4, 3, theta=0.05, variant=diag,
-            eta=0.5, batch_size=8, seed=10),
+            noisy, z4, 3, variant=diag, eta=0.5, batch_size=8, seed=10),
         "adasvrg-adaptive-full": lambda: adasvrg_adaptive(
-            noisy, z4, 2, theta=0.5, max_inner=60,
-            variant=full, eta=None, batch_size=8, seed=11),
+            noisy, z4, 2, variant=full, eta=None, batch_size=8, seed=11),
         "adasvrg-multistage-diagonal-constant": lambda: adasvrg_multistage(
             small, z6, 3, 1.0 / 8.0, variant=diag, eta=0.5, batch_size=4, seed=12),
         "hybrid-constant": lambda: hybrid_adagrad_adasvrg(
-            noisy, z4, 256, max_inner=64, eta=0.5, batch_size=8, seed=13),
+            noisy, z4, 256, eta=0.5, batch_size=8, seed=13),
         "hybrid-diagonal-heuristic": lambda: hybrid_adagrad_adasvrg(
-            noisy, z4, 256, max_inner=64, variant=diag, eta=None,
-            batch_size=8, seed=14),
+            noisy, z4, 256, variant=diag, eta=None, batch_size=8, seed=14),
         "adagrad-diagonal": lambda: adagrad(small, z6, 80, 0.5, variant=diag,
                                             batch_size=4, seed=15),
         "adagrad-full": lambda: adagrad(small, z6, 80, 0.5, variant=full,

@@ -70,11 +70,11 @@ class RunConfig:
     one output directory of :func:`run` and :func:`grid_search` (``None``
     writes nothing).
 
-    Every other setting is the library default: growth-test theta 0.5,
-    refresh probability p = b/n, accumulator delta 1e-8, Huber delta 1 and
-    the last-iterate snapshot; :func:`execute_seed` fixes the protocol's
-    multistage accuracy epsilon = 0.01, and svrg-bb's eta0 = 0.1 when ``eta``
-    is None.
+    Every other setting is the library's: the last-iterate snapshot and its
+    constants (growth-test threshold 0.5, refresh probability b/n,
+    accumulator offset 1e-8, Huber delta 1); :func:`execute_seed` fixes the
+    protocol's multistage accuracy epsilon = 0.01, and svrg-bb's first step
+    size 0.1 when ``eta`` is None.
     """
 
     dataset: str | None = None
@@ -216,7 +216,7 @@ def execute_seed(problem: Problem, config: RunConfig, seed: int) -> RunResult:
     if algo == "sarah":
         return sarah(problem, w0, outer, eta=eta, batch_size=b, seed=seed)
     if algo == "svrg-bb":
-        return svrg_bb(problem, w0, outer, eta0=0.1 if eta is None else eta,
+        return svrg_bb(problem, w0, outer, eta=0.1 if eta is None else eta,
                        batch_size=b, seed=seed)
     if algo == "adasvrg":
         return adasvrg_fixed(problem, w0, outer, variant=variant, eta=eta, batch_size=b,
@@ -340,11 +340,11 @@ def grid_search(config: RunConfig) -> tuple[float, dict]:
 
     Ties break toward the smaller step-size.  Diverged runs keep their last
     recorded metric (infinity when nothing finite was recorded), so the
-    ordering is total even on an all-diverging grid.  With ``config.out``
-    set, each step-size's run persists under ``<out>/eta_<eta>``.
+    ordering is total even on an all-diverging grid, where every metric is
+    infinite and the smallest step-size is best.  With ``config.out`` set,
+    each step-size's run persists under ``<out>/eta_<eta>``.
     """
     results: dict = {}
-    best_eta, best_metric = None, np.inf
     for eta in sorted(config.grid):
         out = str(Path(config.out) / f"eta_{eta:g}") if config.out else None
         output = run(replace(config, eta=float(eta), out=out))
@@ -354,7 +354,5 @@ def grid_search(config: RunConfig) -> tuple[float, dict]:
             "aggregate": aggregate(output.traces),
             "diverged": [r.termination_reason == "diverged" for r in output.results],
         }
-        if metric < best_metric:
-            best_eta, best_metric = float(eta), metric
-    return best_eta, results
+    return min(results, key=lambda e: (results[e]["metric"], e)), results
 

@@ -33,16 +33,14 @@ x - eta * g, or a :class:`~vrkit.precond.PrecondState`), the step rule
 growth test, coin-flip snapshot refresh, or doubling stages with one engine
 call per stage).  Seeded output is pinned byte for byte by ``tests/golden``.
 
-Each setting has one spelling and one check.  A step size is ``eta`` (or
-``eta0`` for :func:`svrg_bb`), checked finite and > 0 by :class:`_StepRule`;
-on the adaptive methods ``eta=None`` is the tuning-free heuristic, while the
-baselines require a number.  Loop and step counts are checked by
-:func:`_validate_common`, and inner-loop lengths by :func:`_check_inner`.
-Only :func:`adasvrg_fixed` takes and checks ``snapshot``.  The growth test
-takes keywords: ``theta`` (> 0, checked by :func:`_engine`) and
-``max_inner`` (at least 1 and at least the burn-in).  The burn-in is no
-setting: :func:`_engine` takes 2n/b on the plain direction (hybrid phase 1)
-and n/b otherwise (:func:`adasvrg_adaptive` and hybrid phase 2).
+Each setting has one spelling and one check.  A step size is ``eta``,
+checked finite and > 0 by :class:`_StepRule`; on the adaptive methods
+``eta=None`` is the tuning-free heuristic, while the baselines require a
+number.  Loop and step counts and inner-loop lengths are checked by
+:func:`_validate_common`.  Only :func:`adasvrg_fixed` takes and checks
+``snapshot``.  What no caller varies is a constant: the growth-test
+threshold :data:`THETA`, its burn-in and its 10 n/b cap on inner loops, and
+the b/n refresh probability (see :func:`_engine`).
 """
 
 from __future__ import annotations
@@ -57,6 +55,10 @@ from .precond import PrecondState, PrecondVariant, ProjectionSpec
 from .problems import GradOracleCounters, Problem
 
 SNAPSHOT_MODES = ("last", "average")
+
+# Threshold of the growth test: an inner loop stops once ||G||_*^2 grows by
+# this fraction over a doubling window.
+THETA = 0.5
 
 
 @dataclass
@@ -223,7 +225,7 @@ def _validate_common(
     """The one check of the arguments every optimizer shares: the dimension
     of ``w0``, ``batch_size`` in [1, n] and ``loops``, the outer-loop or step
     count, >= 0.  Returns ``w0`` as a flat float array and the inner-loop
-    length: ``inner_loops``, by default n // batch_size."""
+    length: ``inner_loops`` (>= 1), by default n // batch_size."""
     w0 = np.asarray(w0, dtype=np.float64).ravel()
     if w0.shape[0] != problem.d:
         raise ValueError(f"w0 has dimension {w0.shape[0]}, expected {problem.d}")
@@ -233,18 +235,9 @@ def _validate_common(
         raise ValueError(f"outer_loops and total_steps must be >= 0, got {loops}")
     if inner_loops is None:
         return w0, max(1, problem.n // batch_size)
-    return w0, _check_inner(inner_loops)
-
-
-def _check_inner(inner: int, burn_in: int = 0) -> int:
-    """The one check of an inner-loop length, ``inner_loops`` or the growth
-    test's cap ``max_inner``: at least 1, and at least the test's burn-in."""
-    if inner < 1:
-        raise ValueError(f"inner loop length (inner_loops, max_inner) must be >= 1, got {inner}")
-    if inner < burn_in:
-        raise ValueError(f"max_inner must be at least the burn-in threshold {burn_in}, "
-                         f"got {inner}")
-    return inner
+    if inner_loops < 1:
+        raise ValueError(f"inner_loops must be >= 1, got {inner_loops}")
+    return w0, inner_loops
 
 
 @dataclass
@@ -265,10 +258,11 @@ class _Phase:
 
 
 def _lazy_applies(problem: Problem, direction: str, variant: PrecondVariant | None,
-                  proj: ProjectionSpec | None, snapshot: str, p: float | None) -> bool:
+                  proj: ProjectionSpec | None, snapshot: str, loop: str) -> bool:
     """Whether an inner loop takes :class:`_LazyStep` rather than
     :class:`_DenseStep`, the reference: a rule on the input, not an option."""
-    return (problem.dataset.dense_rows is None and direction in ("plain", "vr") and p is None
+    return (problem.dataset.dense_rows is None and direction in ("plain", "vr")
+            and loop != "refresh"
             and (variant is None or variant.kind == "scalar") and proj is None
             and snapshot == "last")
 
@@ -393,8 +387,7 @@ def _engine(
     variant: PrecondVariant | None = None,
     proj: ProjectionSpec | None = None,
     snapshot: str = "last",
-    theta: float | None = None,
-    p: float | None = None,
+    loop: str = "fixed",
 ) -> _Phase:
     """The optimizer loop: ``outer_loops`` outer loops of up to ``inner`` steps.
 
@@ -403,26 +396,27 @@ def _engine(
     previous direction, each outer loop starting from the exact full
     gradient without sampling).  Anchored directions take a charged full
     gradient and a step-size from ``rule`` at each snapshot, which is a
-    forced trace row unless ``p`` is given; then each step first refreshes
-    the snapshot with probability p.  With the plain direction a
+    forced trace row unless ``loop='refresh'``; then each step first
+    refreshes the snapshot with probability b/n.  With the plain direction a
     non-constant rule re-estimates the step-size every n/b steps.
     ``variant=None`` takes the Euclidean step; otherwise a fresh accumulator
-    per outer loop steps (and projects) once it has signal.  With ``theta``
-    (> 0) the growth test, checked before the update since the accumulator
-    already holds the current gradient, ends an inner loop and records the
-    event ``switch`` on the plain direction, ``adaptive_stop`` otherwise;
-    its burn-in is 2n/b on the plain direction and n/b otherwise.  Outer
-    indices count on from the loops that earlier calls on ``run`` began.
-    The next snapshot is the last iterate or, with ``snapshot='average'``,
-    the mean of the iterates the inner loop stepped from.  A record that
-    flags divergence, a ``FloatingPointError`` from a step, or a
-    ``LinAlgError`` from an overflowed full-matrix accumulator ends the run.
+    per outer loop steps (and projects) once it has signal.  With
+    ``loop='growth'`` the growth test at :data:`THETA`, checked before the
+    update since the accumulator already holds the current gradient, ends an
+    inner loop and records the event ``switch`` on the plain direction,
+    ``adaptive_stop`` otherwise; its burn-in is 2n/b on the plain direction
+    and n/b otherwise.  ``loop='fixed'`` runs every inner loop to ``inner``
+    steps.  Outer indices count on from the loops that earlier calls on
+    ``run`` began.  The next snapshot is the last iterate or, with
+    ``snapshot='average'``, the mean of the iterates the inner loop stepped
+    from.  A record that flags divergence, a ``FloatingPointError`` from a
+    step, or a ``LinAlgError`` from an overflowed full-matrix accumulator
+    ends the run.
     """
-    if theta is not None and not theta > 0:
-        raise ValueError(f"theta must be > 0, got {theta!r}")
     problem = run.problem
     d = problem.d
     period = max(1, problem.n // batch_size)
+    refresh_p = batch_size / problem.n
     burn_in = 2 * period if direction == "plain" else period
     event = "switch" if direction == "plain" else "adaptive_stop"
     average = snapshot == "average"
@@ -439,18 +433,18 @@ def _engine(
         if direction != "plain":
             base = problem.grad_full(w, run.counters)
             eta = rule(run, w, base, outer)
-            if p is None:
+            if loop != "refresh":
                 run.record(w, outer=outer, eta=eta, grad_norm=float(np.linalg.norm(base)),
                            force=True)
                 if run.diverged:
                     break
         state = PrecondState(variant, d) if variant is not None else None
         test = (
-            PhaseTestState(theta=theta, burn_in_threshold=burn_in, capacity=inner)
-            if theta is not None
+            PhaseTestState(theta=THETA, burn_in_threshold=burn_in, capacity=inner)
+            if loop == "growth"
             else None
         )
-        if _lazy_applies(problem, direction, variant, proj, snapshot, p):
+        if _lazy_applies(problem, direction, variant, proj, snapshot, loop):
             it = _LazyStep(problem, w, base)
         else:
             it = _DenseStep(problem, w.copy(), w, base)
@@ -458,7 +452,7 @@ def _engine(
         t = 0
         try:
             for t in range(1, inner + 1):
-                if p is not None and run.rng.random() < p:
+                if loop == "refresh" and run.rng.random() < refresh_p:
                     it.anchor = it.x.copy()
                     it.base = problem.grad_full(it.anchor, run.counters)
                     out.refreshes += 1
@@ -594,8 +588,6 @@ def adasvrg_adaptive(
     w0: np.ndarray,
     outer_loops: int,
     *,
-    theta: float = 0.5,
-    max_inner: int | None = None,
     variant: PrecondVariant | None = None,
     eta: float | None = None,
     proj: ProjectionSpec | None = None,
@@ -604,20 +596,19 @@ def adasvrg_adaptive(
 ) -> RunResult:
     """Inner loops terminated by the accumulator growth test.
 
-    Each inner loop runs up to ``max_inner`` steps (default 10n/b); at even
-    steps past the burn-in n/b the relative growth ratio of
-    ||G||_*^2 over a doubling window is compared against ``theta`` (> 0),
-    and the loop stops once gradient noise dominates.  The next snapshot is
-    the last iterate.  ``eta`` is as in :func:`adasvrg_fixed`.
+    Each inner loop runs up to 10n/b steps; at even steps past the burn-in
+    n/b the relative growth ratio of ||G||_*^2 over a doubling window is
+    compared against :data:`THETA`, and the loop stops once gradient noise
+    dominates.  The next snapshot is the last iterate.  ``eta`` is as in
+    :func:`adasvrg_fixed`.
     """
     variant = variant or PrecondVariant()
     w0, n_over_b = _validate_common(problem, w0, batch_size, outer_loops)
-    max_inner = _check_inner(max_inner if max_inner is not None else 10 * n_over_b, n_over_b)
     rule = _StepRule(eta)
 
     run = _Run(problem, w0, seed)
-    out = _engine(run, w0, outer_loops, max_inner, batch_size, rule, variant=variant,
-                  proj=proj, theta=theta)
+    out = _engine(run, w0, outer_loops, 10 * n_over_b, batch_size, rule, variant=variant,
+                  proj=proj, loop="growth")
     return run.result(out.w, notes={"adaptive_stops": out.stops, "precond_checks": out.checks})
 
 
@@ -626,8 +617,6 @@ def hybrid_adagrad_adasvrg(
     x1: np.ndarray,
     total_steps: int,
     *,
-    max_inner: int | None = None,
-    theta: float = 0.5,
     variant: PrecondVariant | None = None,
     eta: float | None = None,
     proj: ProjectionSpec | None = None,
@@ -640,22 +629,20 @@ def hybrid_adagrad_adasvrg(
     with the growth-ratio test, burn-in 2n/b, checks at even steps.  When the
     test fires at step t, phase 2 runs the adaptively-terminated VR method
     from the current iterate with an outer-loop budget of
-    (total_steps - t) // (n // b), each inner loop capped at ``max_inner``
-    steps (default 10n/b; it must be at least the phase-2 burn-in n/b).  If
-    the test never fires (the interpolation regime), phase 1 consumes the
-    whole budget.
+    (total_steps - t) // (n // b), each inner loop capped at 10n/b steps.
+    If the test never fires (the interpolation regime), phase 1 consumes
+    the whole budget.
 
     With ``eta=None``, the tuning-free heuristic, the phase-1 step-size is
     recomputed from a full gradient every n/b steps; a number is used
-    throughout.  ``theta`` (> 0) is the growth-test threshold of both phases.
+    throughout.  Both phases test against :data:`THETA`.
     """
     variant = variant or PrecondVariant()
     x1, n_over_b = _validate_common(problem, x1, batch_size, total_steps)
-    max_inner = _check_inner(max_inner if max_inner is not None else 10 * n_over_b, n_over_b)
 
     run = _Run(problem, x1, seed)
     phase1 = _engine(run, x1, 1, total_steps, batch_size, _StepRule(eta),
-                     direction="plain", variant=variant, proj=proj, theta=theta)
+                     direction="plain", variant=variant, proj=proj, loop="growth")
     x = phase1.w
     switch_step = len(phase1.g_stars) if phase1.stops else None
 
@@ -668,8 +655,8 @@ def hybrid_adagrad_adasvrg(
         k2 = (total_steps - switch_step) // n_over_b
         notes["phase2_outer_loops"] = k2
         if k2 >= 1:
-            phase2 = _engine(run, x, k2, max_inner, batch_size, _StepRule(eta),
-                             variant=variant, proj=proj, theta=theta)
+            phase2 = _engine(run, x, k2, 10 * n_over_b, batch_size, _StepRule(eta),
+                             variant=variant, proj=proj, loop="growth")
             x = phase2.w
             notes["adaptive_stops"] = phase2.stops
             notes["precond_checks"] = phase2.checks
@@ -700,23 +687,18 @@ def loopless_svrg(
     total_steps: int,
     eta: float,
     *,
-    p: float | None = None,
     batch_size: int = 1,
     seed: int = 0,
 ) -> RunResult:
     """Single-loop variance reduction with coin-flip snapshot refreshes.
 
     Each step first refreshes the snapshot (and its full gradient) with
-    probability ``p`` (default batch_size / n), then takes a VR step.
+    probability batch_size / n, then takes a VR step.
     """
     w0, _ = _validate_common(problem, w0, batch_size, total_steps)
-    if p is None:
-        p = batch_size / problem.n
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must be in (0, 1]")
     rule = _StepRule(eta, required=True)
     run = _Run(problem, w0, seed)
-    out = _engine(run, w0, 1, total_steps, batch_size, rule, p=p)
+    out = _engine(run, w0, 1, total_steps, batch_size, rule, loop="refresh")
     return run.result(out.w, notes={"snapshot_refreshes": out.refreshes})
 
 
@@ -747,20 +729,21 @@ def svrg_bb(
     w0: np.ndarray,
     outer_loops: int,
     inner_loops: int | None = None,
-    eta0: float | None = None,
+    eta: float | None = None,
     *,
     batch_size: int = 1,
     seed: int = 0,
 ) -> RunResult:
     """SVRG with the Barzilai-Borwein outer-loop step-size.
 
-    For k >= 1, eta_k = ||dw||^2 / (m * <dw, dg>) from consecutive
-    last-iterate snapshots and their full gradients.  A non-positive
-    curvature denominator reuses the previous step-size and is noted rather
-    than fatal.
+    ``eta`` is the step-size of the first outer loop.  For k >= 1,
+    eta_k = ||dw||^2 / (m * <dw, dg>) from consecutive last-iterate
+    snapshots and their full gradients.  A non-positive curvature
+    denominator reuses the previous step-size and is noted rather than
+    fatal.
     """
     w0, inner = _validate_common(problem, w0, batch_size, outer_loops, inner_loops)
-    rule = _StepRule(eta0, inner, required=True)
+    rule = _StepRule(eta, inner, required=True)
     run = _Run(problem, w0, seed)
     out = _engine(run, w0, outer_loops, inner, batch_size, rule)
     return run.result(out.w, notes={"bb_fallbacks": rule.fallbacks})

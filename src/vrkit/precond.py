@@ -8,7 +8,7 @@ A^{-1}-norm, which is bounded by twice the trace of A along any trajectory;
 optimizers expose both so the bound can be checked at runtime.
 
 The full-matrix accumulator after t gradients is held as a thin factor,
-G = delta I + F^T F with F of r = min(t, d) orthogonal rows, so one update
+G = DELTA I + F^T F with F of r = min(t, d) orthogonal rows, so one update
 costs O(r^2 d + r^3) instead of a d x d eigendecomposition.
 """
 
@@ -21,28 +21,23 @@ import numpy as np
 
 VARIANT_KINDS = ("scalar", "diagonal", "full_matrix")
 
+# Initial offset G = DELTA I of the diagonal and full-matrix accumulators.
+DELTA = 1e-8
+
 
 @dataclass(frozen=True)
 class PrecondVariant:
-    """Choice of accumulator shape and its initialization offset.
+    """Choice of accumulator shape.
 
     The scalar variant starts at G = 0 and requires a nonzero first gradient
-    before stepping; diagonal and full-matrix start at delta * I.  Diagonal
-    tolerates delta = 0 (coordinates with no signal simply do not move);
-    full-matrix requires delta > 0 to keep the metric invertible.  delta
-    must be finite.
+    before stepping; diagonal and full-matrix start at DELTA * I.
     """
 
     kind: str = "scalar"
-    delta: float = 1e-8
 
     def __post_init__(self):
         if self.kind not in VARIANT_KINDS:
             raise ValueError(f"unknown variant {self.kind!r}; expected one of {VARIANT_KINDS}")
-        if not (math.isfinite(self.delta) and self.delta >= 0):
-            raise ValueError(f"delta must be finite and >= 0, got {self.delta!r}")
-        if self.kind == "full_matrix" and not self.delta > 0:
-            raise ValueError("full_matrix variant requires delta > 0")
 
 
 @dataclass(frozen=True)
@@ -68,17 +63,18 @@ class PrecondState:
     already includes the gradient being applied.
 
     The scalar and diagonal variants keep G itself; the diagonal one also
-    keeps sqrt(G), taken once per :meth:`accumulate` and read by
-    :meth:`step`.  The full-matrix variant
-    keeps G = delta I + F^T F through a factor F whose r rows are
-    sqrt(mu_i) v_i, with (mu_i, v_i) the eigenpairs of G - delta I.  Each
-    :meth:`accumulate` appends g to F and rotates it onto the eigenbasis of
-    the (r + 1) x (r + 1) Gram matrix, at O(r^2 d + r^3) cost with
-    r = min(t, d) after t gradients; once r would exceed d the row of the
-    smallest mu, zero up to rounding, is dropped.  Then
+    keeps sqrt(G), > 0 in every coordinate, taken once per
+    :meth:`accumulate` and read by :meth:`step`.  A non-finite gradient
+    coordinate makes the diagonal step raise ``FloatingPointError``.  The
+    full-matrix variant keeps G = DELTA I + F^T F through a factor F whose
+    r rows are sqrt(mu_i) v_i, with (mu_i, v_i) the eigenpairs of
+    G - DELTA I.  Each :meth:`accumulate` appends g to F and rotates it onto
+    the eigenbasis of the (r + 1) x (r + 1) Gram matrix, at O(r^2 d + r^3)
+    cost with r = min(t, d) after t gradients; once r would exceed d the row
+    of the smallest mu, zero up to rounding, is dropped.  Then
 
-        A^{-1} g = g / sqrt(delta) + F^T (c * (F g)),
-        c_i = -1 / (sqrt(delta) sqrt(delta + mu_i) (sqrt(delta) + sqrt(delta + mu_i))),
+        A^{-1} g = g / sqrt(DELTA) + F^T (c * (F g)),
+        c_i = -1 / (sqrt(DELTA) sqrt(DELTA + mu_i) (sqrt(DELTA) + sqrt(DELTA + mu_i))),
 
     which never divides by mu_i.  :meth:`step` reuses the A^{-1} g that
     ``accumulate`` computed for the same gradient.
@@ -92,8 +88,8 @@ class PrecondState:
         if kind == "scalar":
             self.G = 0.0
         elif kind == "diagonal":
-            self.G = np.full(self.d, variant.delta, dtype=np.float64)
-            self._set_root()
+            self.G = np.full(self.d, DELTA, dtype=np.float64)
+            self._root = np.sqrt(self.G)
         else:
             self._F = np.empty((0, self.d))
             self._mu = np.empty(0)
@@ -114,13 +110,8 @@ class PrecondState:
             self.accumulate_sq_norm(float(g @ g))
         elif kind == "diagonal":
             self.G += g * g
-            self._set_root()
-            if self._all_positive:
-                self.weighted_grad_sq_sum += float(np.sum(g**2 / self._root))
-            else:
-                mask = self._root > 0
-                if mask.any():
-                    self.weighted_grad_sq_sum += float(np.sum(g[mask] ** 2 / self._root[mask]))
+            self._root = np.sqrt(self.G)
+            self.weighted_grad_sq_sum += float(np.sum(g**2 / self._root))
         else:
             window = np.vstack((self._F, g))
             gram = window @ window.T
@@ -131,7 +122,7 @@ class PrecondState:
             if mu.shape[0] > self.d:
                 mu, basis = mu[1:], basis[:, 1:]
             self._F = basis.T @ window
-            # G - delta I is PSD; rounding can leave mu slightly negative.
+            # G - DELTA I is PSD; rounding can leave mu slightly negative.
             self._mu = np.maximum(mu, 0.0)
             self._grad_sq_sum += float(gram[-1, -1])
             ainv_g = self._inverse_root(g)
@@ -145,17 +136,10 @@ class PrecondState:
         if self.G > 0:
             self.weighted_grad_sq_sum += sq / np.sqrt(self.G)
 
-    def _set_root(self) -> None:
-        """sqrt(G) of the diagonal variant, and whether all of it is > 0
-        (sqrt(G) > 0 exactly where G > 0, nan included: a nan minimum is not
-        > 0); when it is, no coordinate needs masking."""
-        self._root = np.sqrt(self.G)
-        self._all_positive = bool(self._root.min() > 0)
-
     def _inverse_root(self, g: np.ndarray) -> np.ndarray:
         """A^{-1} g for the full-matrix variant."""
-        root_delta = math.sqrt(self.variant.delta)
-        root = np.sqrt(self.variant.delta + self._mu)
+        root_delta = math.sqrt(DELTA)
+        root = np.sqrt(DELTA + self._mu)
         c = -1.0 / (root_delta * root * (root_delta + root))
         return g / root_delta + self._F.T @ (c * (self._F @ g))
 
@@ -165,7 +149,7 @@ class PrecondState:
             return float(self.G)
         if kind == "diagonal":
             return float(self.G.sum())
-        return self.d * self.variant.delta + self._grad_sq_sum
+        return self.d * DELTA + self._grad_sq_sum
 
     def g_norm_star(self) -> float:
         """The monitored accumulator magnitude, sqrt of the trace of G."""
@@ -178,9 +162,8 @@ class PrecondState:
             return float(np.sqrt(self.G))
         if kind == "diagonal":
             return float(self._root.sum())
-        delta = self.variant.delta
         rank = self._mu.shape[0]
-        return float(np.sqrt(delta + self._mu).sum() + (self.d - rank) * math.sqrt(delta))
+        return float(np.sqrt(DELTA + self._mu).sum() + (self.d - rank) * math.sqrt(DELTA))
 
     def has_signal(self) -> bool:
         """Whether the metric is usable (scalar variant needs G > 0)."""
@@ -211,12 +194,7 @@ class PrecondState:
                 )
             y = x - (eta / np.sqrt(self.G)) * g
         elif kind == "diagonal":
-            if self._all_positive:
-                direction = g / self._root
-            else:
-                root = self._root
-                direction = np.divide(g, root, out=np.zeros_like(g), where=root > 0)
-            y = x - eta * direction
+            y = x - eta * (g / self._root)
         else:
             last = self._last
             if last is not None and np.array_equal(last[0], g):
@@ -254,8 +232,7 @@ def project(proj: ProjectionSpec, state: PrecondState, y: np.ndarray) -> np.ndar
     a = state._root
 
     def clipped(lam: float) -> np.ndarray:
-        denom = a + lam
-        return np.divide(a * y, denom, out=np.zeros_like(y), where=denom > 0)
+        return a * y / (a + lam)
 
     lo, hi = 0.0, 1.0
     for _ in range(200):

@@ -55,6 +55,10 @@ LOSS_NAMES = ("logistic", "squared", "huber", "squared_hinge")
 # <a_i, w> - y_i and accept arbitrary real targets.
 _CLASSIFICATION_LOSSES = ("logistic", "squared_hinge")
 
+# The Huber loss is quadratic for residuals of magnitude up to HUBER_DELTA
+# and linear beyond.
+HUBER_DELTA = 1.0
+
 
 @dataclass
 class GradOracleCounters:
@@ -168,15 +172,12 @@ class Problem:
     dataset: Dataset
     loss: str = "logistic"
     l2_reg: float = 0.0
-    huber_delta: float = 1.0
 
     def __post_init__(self):
         if self.loss not in LOSS_NAMES:
             raise ValueError(f"unknown loss {self.loss!r}; expected one of {LOSS_NAMES}")
         if not (math.isfinite(self.l2_reg) and self.l2_reg >= 0):
             raise ValueError(f"l2_reg must be finite and >= 0, got {self.l2_reg!r}")
-        if not (math.isfinite(self.huber_delta) and self.huber_delta > 0):
-            raise ValueError(f"huber_delta must be finite and > 0, got {self.huber_delta!r}")
         if self.loss in _CLASSIFICATION_LOSSES:
             labels = self.dataset.labels
             if not np.all(np.isin(labels, (-1.0, 1.0))):
@@ -199,10 +200,8 @@ class Problem:
             return 0.5 * (z - y) ** 2
         if self.loss == "huber":
             r = z - y
-            delta = self.huber_delta
-            return np.where(
-                np.abs(r) <= delta, 0.5 * r * r, delta * (np.abs(r) - 0.5 * delta)
-            )
+            return np.where(np.abs(r) <= HUBER_DELTA, 0.5 * r * r,
+                            HUBER_DELTA * (np.abs(r) - 0.5 * HUBER_DELTA))
         # squared_hinge
         return np.maximum(0.0, 1.0 - y * z) ** 2
 
@@ -213,7 +212,7 @@ class Problem:
         if self.loss == "squared":
             return z - y
         if self.loss == "huber":
-            return np.clip(z - y, -self.huber_delta, self.huber_delta)
+            return np.clip(z - y, -HUBER_DELTA, HUBER_DELTA)
         return -2.0 * y * np.maximum(0.0, 1.0 - y * z)
 
     def _check_dim(self, w: np.ndarray) -> np.ndarray:

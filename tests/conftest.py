@@ -4,6 +4,10 @@ import scipy.sparse as sp
 
 from vrkit import Dataset, Problem
 
+# Four logistic rows in LIBSVM text; a step size near the float maximum
+# overflows on them at the first step.
+FOUR_ROWS = "+1 1:0.5 2:1.0\n-1 1:-1.0 2:0.3\n+1 1:2.0\n-1 1:-0.2 2:-0.7\n"
+
 
 def make_problem(
     loss: str = "logistic",
@@ -27,11 +31,11 @@ def make_problem(
     return Problem(dataset=dataset, loss=loss, l2_reg=l2)
 
 
-def single_example_problem(a, y, loss="squared", l2=0.0, **kw) -> Problem:
+def single_example_problem(a, y, loss="squared", l2=0.0) -> Problem:
     """One-example problem from a dense feature row."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     dataset = Dataset(features=sp.csr_matrix(a), labels=np.asarray([y], dtype=float))
-    return Problem(dataset=dataset, loss=loss, l2_reg=l2, **kw)
+    return Problem(dataset=dataset, loss=loss, l2_reg=l2)
 
 
 def central_difference_gradient(problem: Problem, w: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -14,6 +14,7 @@ import pytest
 from scipy.optimize import minimize
 
 from vrkit import (
+    PhaseTestState,
     PrecondVariant,
     Problem,
     SyntheticSpec,
@@ -27,6 +28,7 @@ from vrkit import (
     serialize_libsvm,
 )
 from vrkit.bench import RunConfig, final_metric, grid_search, run
+from vrkit.optimizers import THETA
 from vrkit.problems import Dataset
 
 from conftest import central_difference_gradient, make_problem
@@ -114,7 +116,7 @@ def test_criterion_03_trace_inequality():
     worst_gap = -np.inf
     ok = True
     for kind in ("scalar", "diagonal", "full_matrix"):
-        variant = PrecondVariant(kind=kind, delta=1e-8)
+        variant = PrecondVariant(kind=kind)
         for seed in range(10):
             result = adasvrg_fixed(
                 problem, np.zeros(problem.d), 3, 25, variant=variant,
@@ -203,14 +205,11 @@ def test_criterion_07_line_search_counter_example():
     _report(7, "inner-loop line search cannot approach the solution", ok, 1.0)
 
 
-def _first_fire(g_norm_star: np.ndarray, burn_in: int, theta: float = 0.5):
-    sq = g_norm_star**2
-    start = burn_in + (burn_in % 2)
-    for t in range(max(start, 2), len(sq) + 1, 2):
-        half = sq[t // 2 - 1]
-        if half > 0 and (sq[t - 1] - half) / half >= theta:
-            return t
-    return None
+def _first_fire(g_norm_star: np.ndarray, burn_in: int):
+    """The first step t at which the optimizers' growth test fires on the
+    series ||G_t||_*, t = 1..len, or None."""
+    test = PhaseTestState(theta=THETA, burn_in_threshold=burn_in, capacity=len(g_norm_star))
+    return next((t for t, g in enumerate(g_norm_star, 1) if test.observe(t, g**2)), None)
 
 
 def test_criterion_08_phase_transition(logistic_synthetic):

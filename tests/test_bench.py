@@ -21,6 +21,8 @@ from vrkit.bench import (
 )
 from vrkit.svgplot import emit_plot
 
+from conftest import FOUR_ROWS
+
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 DATASETS = Path(__file__).resolve().parent.parent / "datasets"
 
@@ -226,6 +228,16 @@ class TestGridSearch:
         best, results = grid_search(replace(config, grid=(1e4, 1e6)))
         assert best in (1e4, 1e6)
         assert any(any(entry["diverged"]) for entry in results.values())
+
+    def test_all_infinite_grid_picks_smallest_eta(self, tmp_path):
+        # every step size overflows at once, so every metric is inf: a tie
+        data = tmp_path / "four.libsvm"
+        data.write_text(FOUR_ROWS, encoding="utf-8")
+        config = RunConfig(dataset=str(data), algo="svrg", batch_size=1, epochs=6, seeds=(0,))
+        with np.errstate(all="ignore"):
+            best, results = grid_search(replace(config, grid=(1e308, 1e307)))
+        assert best == 1e307
+        assert all(entry["metric"] == math.inf for entry in results.values())
 
     def test_ties_break_to_smaller_eta(self, tmp_path):
         data = tmp_path / "one.libsvm"

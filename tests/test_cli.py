@@ -7,6 +7,8 @@ import pytest
 from vrkit import load_libsvm
 from vrkit.cli import main
 
+from conftest import FOUR_ROWS
+
 DATASETS = Path(__file__).resolve().parent.parent / "datasets"
 
 
@@ -174,6 +176,17 @@ class TestGridCommand:
         ])
         assert code == 0
         assert "best eta" in capsys.readouterr().out
+
+    def test_all_diverging_grid_prints_its_step_size(self, tmp_path, capsys):
+        data = tmp_path / "four.libsvm"
+        data.write_text(FOUR_ROWS, encoding="utf-8")
+        with np.errstate(all="ignore"):
+            code = main([
+                "grid", "--dataset", str(data), "--algo", "svrg", "--grid", "1e308",
+                "--batch-size", "1", "--epochs", "6", "--seeds", "1",
+            ])
+        assert code == 0
+        assert "best eta: 1e+308" in capsys.readouterr().out
 
 
 class TestPlotCommand:

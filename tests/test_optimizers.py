@@ -23,6 +23,7 @@ from vrkit import (
     svrg_bb,
 )
 from vrkit import optimizers
+from vrkit.precond import DELTA
 
 from conftest import make_problem, single_example_problem
 from criterion_helpers import _armijo_max_step_1d, svrg_inner_armijo_1d
@@ -33,7 +34,7 @@ def small_synthetic(n=64, d=6, mislabel=0.1, seed=3, loss="logistic"):
     return Problem(dataset=dataset, loss=loss, l2_reg=1.0 / n)
 
 
-FULL = PrecondVariant(kind="full_matrix", delta=1e-8)
+FULL = PrecondVariant(kind="full_matrix")
 
 
 class TestVarianceReducedDirection:
@@ -114,26 +115,13 @@ class TestAdaSVRGFixed:
         etas = {row.step_size for row in result.trace.rows if row.step_size is not None}
         assert all(eta > 0 for eta in etas)
 
-    def test_scalar_and_diagonal_coincide_for_d1_delta0(self):
-        problem = single_example_problem([2.0], 1.0)
-        kwargs = dict(eta=0.8, seed=5)
-        scalar = adasvrg_fixed(
-            problem, np.array([3.0]), 3, 4,
-            variant=PrecondVariant(kind="scalar"), **kwargs,
-        )
-        diagonal = adasvrg_fixed(
-            problem, np.array([3.0]), 3, 4,
-            variant=PrecondVariant(kind="diagonal", delta=0.0), **kwargs,
-        )
-        np.testing.assert_array_equal(scalar.final_iterate, diagonal.final_iterate)
-
     def test_all_variants_make_progress(self):
         problem = small_synthetic()
         f0 = problem.loss_value(np.zeros(problem.d))
         for kind in ("scalar", "diagonal", "full_matrix"):
             result = adasvrg_fixed(
                 problem, np.zeros(problem.d), 4,
-                variant=PrecondVariant(kind=kind, delta=1e-8),
+                variant=PrecondVariant(kind=kind),
                 eta=None, batch_size=4, seed=1,
             )
             assert problem.loss_value(result.final_iterate) < f0
@@ -213,37 +201,43 @@ class TestMultistage:
 
 
 class TestAdaptiveTermination:
-    def test_tiny_threshold_stops_at_first_check(self):
+    # The threshold is the constant optimizers.THETA; the two extremes patch it.
+    def test_tiny_threshold_stops_at_first_check(self, monkeypatch):
+        monkeypatch.setattr(optimizers, "THETA", 1e-12)
         n, b = 6400, 64
         problem = small_synthetic(n=n, d=4, mislabel=0.2, seed=2)
         result = adasvrg_adaptive(
-            problem, np.zeros(problem.d), 1, theta=1e-12, eta=0.5, batch_size=b, seed=0,
+            problem, np.zeros(problem.d), 1, eta=0.5, batch_size=b, seed=0,
         )
         # first check at t = n/b = 100, comparing against the stored value at t = 50
         assert result.notes["adaptive_stops"] == [0]
         assert result.counters.per_example_grad_evals == 2 * b * (n // b)
 
-    def test_huge_threshold_runs_to_cap(self):
+    def test_huge_threshold_runs_to_cap(self, monkeypatch):
+        monkeypatch.setattr(optimizers, "THETA", 1e12)
         problem = small_synthetic(n=64, d=4)
         result = adasvrg_adaptive(
-            problem, np.zeros(problem.d), 2, theta=1e12, max_inner=40, eta=0.5, batch_size=8,
-            seed=0,
+            problem, np.zeros(problem.d), 2, eta=0.5, batch_size=8, seed=0,
         )
+        # each inner loop runs to the cap of 10 n/b = 80 steps
         assert result.notes["adaptive_stops"] == []
-        assert result.counters.per_example_grad_evals == 2 * 8 * 40 * 2
+        assert result.counters.per_example_grad_evals == 2 * 8 * 80 * 2
 
     def test_stop_event_recorded(self):
         problem = small_synthetic(n=256, d=4, mislabel=0.2)
         result = adasvrg_adaptive(
-            problem, np.zeros(problem.d), 2, theta=0.05, eta=0.5, batch_size=8, seed=0,
+            problem, np.zeros(problem.d), 2, eta=0.5, batch_size=8, seed=0,
         )
-        if result.notes["adaptive_stops"]:
-            assert any(e == "adaptive_stop" for _, e in result.trace.events())
+        assert result.notes["adaptive_stops"] == [0, 1]
+        assert [e for _, e in result.trace.events()] == ["adaptive_stop"] * 2
 
     def test_policy_validation(self):
+        # the threshold and the inner-loop cap are constants, not keywords
         problem = small_synthetic()
-        with pytest.raises(ValueError):
-            adasvrg_adaptive(problem, np.zeros(problem.d), 1, max_inner=2)
+        for fn in (adasvrg_adaptive, hybrid_adagrad_adasvrg):
+            for name in ("theta", "max_inner"):
+                with pytest.raises(TypeError, match=f"'{name}'"):
+                    fn(problem, np.zeros(problem.d), 1, **{name: 2})
 
 
 class TestHybrid:
@@ -329,10 +323,11 @@ class TestFullMatrixDivergence:
 
 class TestLooplessSVRG:
     def test_refresh_every_step_equals_full_gradient_descent(self):
+        # b = n refreshes with probability b/n = 1
         problem = make_problem(seed=6)
         w0 = np.zeros(problem.d)
         eta, T = 0.2, 8
-        result = loopless_svrg(problem, w0, T, eta, p=1.0, seed=0)
+        result = loopless_svrg(problem, w0, T, eta, batch_size=problem.n, seed=0)
         w = w0.copy()
         for _ in range(T):
             w = w - eta * problem.grad_full(w)
@@ -342,15 +337,16 @@ class TestLooplessSVRG:
         # a zero step would leave the iterate in place; it is rejected instead
         problem = make_problem(seed=6)
         with pytest.raises(ValueError, match="step size"):
-            loopless_svrg(problem, np.ones(problem.d), 20, 0.0, p=0.5, seed=0)
+            loopless_svrg(problem, np.ones(problem.d), 20, 0.0, seed=0)
 
     def test_refresh_count_binomial_concentration(self):
         problem = small_synthetic(n=64, d=4)
-        p, T = 0.25, 400
+        b, T = 16, 400
+        p = b / problem.n
         sigma = math.sqrt(T * p * (1 - p))
         for seed in range(10):
             result = loopless_svrg(
-                problem, np.zeros(problem.d), T, 0.05, p=p, batch_size=4, seed=seed,
+                problem, np.zeros(problem.d), T, 0.05, batch_size=b, seed=seed,
             )
             refreshes = result.notes["snapshot_refreshes"]
             assert abs(refreshes - p * T) <= 3 * sigma
@@ -358,9 +354,11 @@ class TestLooplessSVRG:
             assert result.counters.full_grad_evals == refreshes + 1
 
     def test_default_p_is_batch_over_n(self):
+        # p = b/n is 1 at b = n: a refresh before every step, and no more
         problem = small_synthetic(n=64, d=4)
-        with pytest.raises(ValueError):
-            loopless_svrg(problem, np.zeros(problem.d), 5, 0.1, p=0.0)
+        result = loopless_svrg(problem, np.zeros(problem.d), 5, 0.1, batch_size=64, seed=0)
+        assert result.notes["snapshot_refreshes"] == 5
+        assert result.counters.full_grad_evals == 6
 
 
 class TestSARAH:
@@ -397,7 +395,7 @@ class TestSVRGBB:
         # rule gives eta = 1 / (m c)
         problem = single_example_problem([2.0], 0.0)
         m = 5
-        result = svrg_bb(problem, np.array([1.0]), 3, m, eta0=0.01, seed=0)
+        result = svrg_bb(problem, np.array([1.0]), 3, m, eta=0.01, seed=0)
         etas = [
             row.step_size
             for row in result.trace.rows
@@ -407,7 +405,7 @@ class TestSVRGBB:
 
     def test_eta0_respected_on_first_loop(self):
         problem = single_example_problem([2.0], 0.0)
-        result = svrg_bb(problem, np.array([1.0]), 2, 4, eta0=0.037, seed=0)
+        result = svrg_bb(problem, np.array([1.0]), 2, 4, eta=0.037, seed=0)
         first = [r.step_size for r in result.trace.rows if r.outer == 0 and r.step_size]
         assert all(eta == pytest.approx(0.037) for eta in first)
 
@@ -415,7 +413,7 @@ class TestSVRGBB:
         # starting at the optimum keeps w fixed: zero displacement, so the
         # curvature estimate is undefined and the previous step-size is kept
         problem = single_example_problem([2.0], 0.0)
-        result = svrg_bb(problem, np.array([0.0]), 3, 4, eta0=0.1, seed=0)
+        result = svrg_bb(problem, np.array([0.0]), 3, 4, eta=0.1, seed=0)
         assert result.notes["bb_fallbacks"] == [1, 2]
         etas = {r.step_size for r in result.trace.rows if r.step_size is not None}
         assert etas == {0.1}
@@ -439,11 +437,19 @@ class TestAdaGrad:
         assert np.all(result.g_norm_star_steps == 0.0)
 
     def test_diagonal_equals_scalar_in_one_dimension(self, quadratic_1d):
-        a = adagrad(quadratic_1d, np.array([2.0]), 5, 0.3,
-                    variant=PrecondVariant(kind="scalar"), seed=0)
-        b = adagrad(quadratic_1d, np.array([2.0]), 5, 0.3,
-                    variant=PrecondVariant(kind="diagonal", delta=0.0), seed=0)
-        np.testing.assert_array_equal(a.final_iterate, b.final_iterate)
+        # one rule, x -= eta g / sqrt(G); the diagonal G starts at DELTA
+        def hand_trace(G):
+            x = 2.0
+            for _ in range(5):
+                g = x
+                G += g * g
+                x -= 0.3 * g / math.sqrt(G)
+            return x
+
+        for kind, G0 in (("scalar", 0.0), ("diagonal", DELTA)):
+            result = adagrad(quadratic_1d, np.array([2.0]), 5, 0.3,
+                             variant=PrecondVariant(kind=kind), seed=0)
+            np.testing.assert_allclose(result.final_iterate, [hand_trace(G0)], rtol=1e-14)
 
     def test_g_norm_history_matches_step_count(self):
         problem = small_synthetic()
@@ -507,8 +513,12 @@ class TestArmijoCounterExample:
 
 class TestSingleChecks:
     """Every public optimizer rejects a bad count, initial point, step size,
-    growth-test threshold, multistage accuracy, refresh probability or
-    (adasvrg_fixed's only) snapshot mode with the same check."""
+    inner-loop length, multistage accuracy or (adasvrg_fixed's only)
+    snapshot mode with the same check.  ``loopless_svrg``'s refresh
+    probability is b/n, not a keyword, and ``svrg_bb`` spells its step size
+    ``eta``: ``p`` and ``eta0`` raise ``TypeError``."""
+
+    GONE = {loopless_svrg: "p", svrg_bb: "eta0"}
 
     OPTIMIZERS = (adasvrg_fixed, adasvrg_multistage, adasvrg_adaptive, hybrid_adagrad_adasvrg,
                   svrg, svrg_bb, sarah, loopless_svrg, adagrad, sgd)
@@ -517,7 +527,7 @@ class TestSingleChecks:
     def _call(fn, count=3, w0=None, **kwargs):
         problem = small_synthetic(n=16, d=3)
         args = (kwargs.pop("epsilon", 0.5),) if fn is adasvrg_multistage else ()
-        kwargs["eta0" if fn is svrg_bb else "eta"] = kwargs.pop("eta", 0.1)
+        kwargs["eta"] = kwargs.pop("eta", 0.1)
         w0 = np.zeros(problem.d) if w0 is None else w0
         return fn(problem, w0, count, *args, batch_size=4, seed=0, **kwargs)
 
@@ -528,14 +538,8 @@ class TestSingleChecks:
         bad += [({"eta": eta}, "step size") for eta in (0.0, -1.0, math.nan)]
         if fn in (svrg, svrg_bb, sarah, adasvrg_fixed):
             bad.append(({"inner_loops": 0}, "inner_loops"))
-        if fn in (adasvrg_adaptive, hybrid_adagrad_adasvrg):
-            # n/b = 4 is the burn-in of adasvrg_adaptive and of the hybrid's phase 2
-            bad += [({"theta": 0.0}, "theta"), ({"max_inner": 0}, "max_inner.*>= 1"),
-                    ({"max_inner": 3}, "burn-in")]
         if fn is adasvrg_multistage:
             bad += [({"epsilon": epsilon}, "epsilon") for epsilon in (2.0, math.nan)]
-        if fn is loopless_svrg:
-            bad += [({"p": p}, "p must") for p in (1.5, math.nan)]
         if fn is adasvrg_fixed:
             bad.append(({"snapshot": "first"}, "snapshot"))
         if fn in (svrg, svrg_bb, sarah, loopless_svrg, adagrad, sgd):
@@ -544,6 +548,9 @@ class TestSingleChecks:
         for kwargs, message in bad:
             with pytest.raises(ValueError, match=message):
                 self._call(fn, **kwargs)
+        if fn in self.GONE:
+            with pytest.raises(TypeError, match=f"'{self.GONE[fn]}'"):
+                self._call(fn, **{self.GONE[fn]: 0.5})
         if fn in (svrg, svrg_bb, sarah):
             # nor has their step size a default
             problem = small_synthetic(n=16, d=3)
@@ -707,10 +714,11 @@ class TestLazySparseStep:
 
     @pytest.mark.parametrize("kwargs", [
         {"variant": PrecondVariant(kind="diagonal")}, {"proj": ProjectionSpec(radius=1.0)},
-        {"snapshot": "average"}, {"direction": "recursive"}, {"p": 0.5}, {"dense": True},
+        {"snapshot": "average"}, {"direction": "recursive"}, {"loop": "refresh"}, {"dense": True},
     ], ids=["diagonal", "projection", "average", "recursive", "coin-flip", "dense-rows"])
     def test_selection_rule(self, kwargs):
         problem = make_problem(density=1.0) if kwargs.pop("dense", False) else _csr_rows()
-        args = {"direction": "vr", "variant": None, "proj": None, "snapshot": "last", "p": None}
+        args = {"direction": "vr", "variant": None, "proj": None, "snapshot": "last",
+                "loop": "fixed"}
         assert optimizers._lazy_applies(_csr_rows(), **args)
         assert not optimizers._lazy_applies(problem, **{**args, **kwargs})

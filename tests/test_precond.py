@@ -11,18 +11,19 @@ from hypothesis import strategies as st
 
 import vrkit
 from vrkit import PrecondState, PrecondVariant, ProjectionSpec, project
+from vrkit.precond import DELTA
 
 
 def scalar_variant() -> PrecondVariant:
     return PrecondVariant(kind="scalar")
 
 
-def diag_variant(delta=0.0) -> PrecondVariant:
-    return PrecondVariant(kind="diagonal", delta=delta)
+def diag_variant() -> PrecondVariant:
+    return PrecondVariant(kind="diagonal")
 
 
-def full_variant(delta=1e-8) -> PrecondVariant:
-    return PrecondVariant(kind="full_matrix", delta=delta)
+def full_variant() -> PrecondVariant:
+    return PrecondVariant(kind="full_matrix")
 
 
 class TestAccumulate:
@@ -32,25 +33,28 @@ class TestAccumulate:
         assert state.G == pytest.approx(25.0)
 
     def test_diagonal_sums_coordinatewise(self):
-        state = PrecondState(diag_variant(0.0), 2)
+        state = PrecondState(diag_variant(), 2)
         state.accumulate(np.array([3.0, 4.0]))
         state.accumulate(np.array([1.0, 0.0]))
-        np.testing.assert_allclose(state.G, [10.0, 16.0])
+        np.testing.assert_allclose(state.G, DELTA + np.array([10.0, 16.0]), rtol=1e-15)
 
+    # The offset is the constant DELTA, not a setting: a variant rejects any
+    # delta keyword.
     def test_full_requires_positive_delta(self):
+        assert DELTA > 0
         for delta in (0.0, float("nan")):
-            with pytest.raises(ValueError):
+            with pytest.raises(TypeError, match="delta"):
                 PrecondVariant(kind="full_matrix", delta=delta)
 
     @pytest.mark.parametrize("kind", ["scalar", "diagonal"])
     def test_nan_delta_rejected(self, kind):
-        with pytest.raises(ValueError, match="delta"):
+        with pytest.raises(TypeError, match="delta"):
             PrecondVariant(kind=kind, delta=float("nan"))
 
     @pytest.mark.parametrize("kind", ["scalar", "diagonal", "full_matrix"])
     @pytest.mark.parametrize("delta", [float("inf"), float("-inf")])
     def test_infinite_delta_rejected(self, kind, delta):
-        with pytest.raises(ValueError, match="delta"):
+        with pytest.raises(TypeError, match="delta"):
             PrecondVariant(kind=kind, delta=delta)
 
 
@@ -76,55 +80,61 @@ def _gradients(d: int, t: int, pattern: str, seed: int = 0) -> list[np.ndarray]:
 
 
 class TestFullMatrixFactor:
-    """The thin factor against G = delta I + sum g g^T built from the raw
-    gradients and decomposed with a d x d eigh."""
+    """The thin factor against G = REF_DELTA I + sum g g^T built from the
+    raw gradients and decomposed with a d x d eigh.
 
-    # With delta = 0.5 and unit-scale gradients, ||G|| eps <= 1e-12 is far
-    # below delta, so the eigh reference is itself accurate to about 1e-13.
-    DELTA = 0.5
+    The state sees the gradients scaled by s = sqrt(DELTA / REF_DELTA), so
+    its G is s^2 times the reference's: A^{-1} g is the same, trace A and
+    the weighted sum scale by s, and trace G by s^2."""
+
+    # With REF_DELTA = 0.5 and unit-scale gradients, ||G|| eps <= 1e-12 is far
+    # below REF_DELTA, so the eigh reference is itself accurate to about 1e-13.
+    REF_DELTA = 0.5
+    SCALE = np.sqrt(DELTA / REF_DELTA)
     RTOL = 1e-10
 
     @pytest.mark.parametrize("d, t, pattern", _window_cases())
     def test_matches_dense_reference(self, d, t, pattern):
-        state = PrecondState(full_variant(self.DELTA), d)
-        G = self.DELTA * np.eye(d)
+        s = self.SCALE
+        state = PrecondState(full_variant(), d)
+        G = self.REF_DELTA * np.eye(d)
         weighted = 0.0
         for g in _gradients(d, t, pattern):
             G += np.outer(g, g)
             evals, evecs = np.linalg.eigh(G)
             ainv_g = evecs @ ((evecs.T @ g) / np.sqrt(evals))
             weighted += float(g @ ainv_g)
-            state.accumulate(g)
-            got = -state.step(np.zeros(d), g, eta=1.0)
+            state.accumulate(s * g)
+            got = -state.step(np.zeros(d), s * g, eta=1.0)
             np.testing.assert_allclose(got, ainv_g, rtol=self.RTOL,
                                        atol=self.RTOL * np.abs(ainv_g).max())
-            assert state.trace_A() == pytest.approx(np.sqrt(evals).sum(), rel=self.RTOL)
-            assert state.trace_G() == pytest.approx(np.trace(G), rel=self.RTOL)
-            assert state.g_norm_star() == pytest.approx(np.sqrt(np.trace(G)), rel=self.RTOL)
-            assert state.weighted_grad_sq_sum == pytest.approx(weighted, rel=self.RTOL,
-                                                               abs=self.RTOL)
+            assert state.trace_A() == pytest.approx(s * np.sqrt(evals).sum(), rel=self.RTOL)
+            assert state.trace_G() == pytest.approx(s * s * np.trace(G), rel=self.RTOL)
+            assert state.g_norm_star() == pytest.approx(s * np.sqrt(np.trace(G)), rel=self.RTOL)
+            assert state.weighted_grad_sq_sum == pytest.approx(s * weighted, rel=self.RTOL,
+                                                               abs=self.RTOL * s)
 
     def test_step_with_other_gradient(self):
         # step applies A^{-1} to the gradient it is given, not the cached one
+        s = self.SCALE
         rng = np.random.default_rng(1)
-        state = PrecondState(full_variant(self.DELTA), 5)
-        G = self.DELTA * np.eye(5)
+        state = PrecondState(full_variant(), 5)
+        G = self.REF_DELTA * np.eye(5)
         for _ in range(3):
             g = rng.standard_normal(5)
             G += np.outer(g, g)
-            state.accumulate(g)
+            state.accumulate(s * g)
         h = rng.standard_normal(5)
         evals, evecs = np.linalg.eigh(G)
-        np.testing.assert_allclose(-state.step(np.zeros(5), h, eta=1.0),
+        np.testing.assert_allclose(-state.step(np.zeros(5), s * h, eta=1.0),
                                    evecs @ ((evecs.T @ h) / np.sqrt(evals)), rtol=self.RTOL)
 
 
 class TestFullMatrixClosedForms:
-    """delta = 1e-8 with ||g|| = 1e3: ||G|| eps is near delta, so a d x d
-    eigh is no reference.  The rounding of g / sqrt(delta) is amplified by
-    ||g|| / sqrt(delta) = 1e7 against an O(1) result, hence rtol = 1e-7."""
+    """DELTA = 1e-8 with ||g|| = 1e3: ||G|| eps is near DELTA, so a d x d
+    eigh is no reference.  The rounding of g / sqrt(DELTA) is amplified by
+    ||g|| / sqrt(DELTA) = 1e7 against an O(1) result, hence rtol = 1e-7."""
 
-    DELTA = 1e-8
     RTOL = 1e-7
     D = 40
 
@@ -134,20 +144,20 @@ class TestFullMatrixClosedForms:
 
     @pytest.mark.parametrize("repeats", [1, 2, 41, 120])
     def test_repeated_gradient(self, repeats):
-        # G = delta I + k g g^T, so A^{-1} g = g / sqrt(delta + k ||g||^2)
+        # G = DELTA I + k g g^T, so A^{-1} g = g / sqrt(DELTA + k ||g||^2)
         g = 1e3 * self._unit(np.random.default_rng(2))
         sq = float(g @ g)
-        state = PrecondState(full_variant(self.DELTA), self.D)
+        state = PrecondState(full_variant(), self.D)
         weighted = 0.0
         for k in range(1, repeats + 1):
             state.accumulate(g)
-            root = np.sqrt(self.DELTA + k * sq)
+            root = np.sqrt(DELTA + k * sq)
             weighted += sq / root
             np.testing.assert_allclose(-state.step(np.zeros(self.D), g, eta=1.0), g / root,
                                        rtol=self.RTOL, atol=self.RTOL / np.sqrt(self.D))
         assert state.trace_A() == pytest.approx(
-            root + (self.D - 1) * np.sqrt(self.DELTA), rel=self.RTOL)
-        assert state.trace_G() == pytest.approx(self.D * self.DELTA + repeats * sq, rel=1e-14)
+            root + (self.D - 1) * np.sqrt(DELTA), rel=self.RTOL)
+        assert state.trace_G() == pytest.approx(self.D * DELTA + repeats * sq, rel=1e-14)
         assert state.weighted_grad_sq_sum == pytest.approx(weighted, rel=self.RTOL)
 
     def test_two_orthogonal_gradients(self):
@@ -155,14 +165,14 @@ class TestFullMatrixClosedForms:
         g1 = 1e3 * self._unit(rng)
         v = self._unit(rng)
         g2 = 2e2 * (v - (v @ g1) / (g1 @ g1) * g1)
-        roots = [np.sqrt(self.DELTA + float(g @ g)) for g in (g1, g2)]
-        state = PrecondState(full_variant(self.DELTA), self.D)
+        roots = [np.sqrt(DELTA + float(g @ g)) for g in (g1, g2)]
+        state = PrecondState(full_variant(), self.D)
         for g, root in zip((g1, g2), roots):
             state.accumulate(g)
             np.testing.assert_allclose(-state.step(np.zeros(self.D), g, eta=1.0), g / root,
                                        rtol=self.RTOL, atol=self.RTOL / np.sqrt(self.D))
         assert state.trace_A() == pytest.approx(
-            sum(roots) + (self.D - 2) * np.sqrt(self.DELTA), rel=self.RTOL)
+            sum(roots) + (self.D - 2) * np.sqrt(DELTA), rel=self.RTOL)
         assert state.weighted_grad_sq_sum == pytest.approx(
             sum(float(g @ g) / root for g, root in zip((g1, g2), roots)), rel=self.RTOL)
 
@@ -174,7 +184,7 @@ _NON_FINITE_SCRIPT = textwrap.dedent("""
 
     bad = float(sys.argv[1])
     for finite_first in (0, 1, 7):
-        state = PrecondState(PrecondVariant(kind="full_matrix", delta=1e-8), 6)
+        state = PrecondState(PrecondVariant(kind="full_matrix"), 6)
         rng = np.random.default_rng(0)
         for _ in range(finite_first):
             state.accumulate(rng.standard_normal(6))
@@ -211,17 +221,17 @@ class TestGNormStar:
         assert state.g_norm_star() == pytest.approx(5.0)
 
     def test_diagonal_same_trace(self):
-        state = PrecondState(diag_variant(0.0), 2)
+        state = PrecondState(diag_variant(), 2)
         state.accumulate(np.array([3.0, 4.0]))
         assert state.g_norm_star() == pytest.approx(5.0)
 
     def test_full_initial_trace_is_d_delta(self):
-        state = PrecondState(full_variant(delta=1.0), 2)
-        assert state.g_norm_star() == pytest.approx(np.sqrt(2.0))
+        state = PrecondState(full_variant(), 2)
+        assert state.g_norm_star() == pytest.approx(np.sqrt(2.0 * DELTA))
 
     def test_monotone_along_any_trajectory(self):
         rng = np.random.default_rng(3)
-        for variant in (scalar_variant(), diag_variant(1e-8), full_variant(1e-8)):
+        for variant in (scalar_variant(), diag_variant(), full_variant()):
             state = PrecondState(variant, 3)
             previous = state.g_norm_star() if variant.kind != "scalar" else 0.0
             for _ in range(30):
@@ -245,27 +255,27 @@ class TestStep:
             state.step(np.zeros(2), np.zeros(2), eta=1.0)
 
     def test_diagonal_zero_gradient_is_fixed_point(self):
-        state = PrecondState(diag_variant(1e-4), 3)
+        state = PrecondState(diag_variant(), 3)
         state.accumulate(np.zeros(3))
         x0 = np.array([1.0, -2.0, 0.5])
         np.testing.assert_array_equal(state.step(x0, np.zeros(3), eta=2.0), x0)
 
-    def test_diagonal_masks_zero_and_nan_coordinates(self):
-        # sqrt(G) > 0 exactly where G > 0, so a nan coordinate, like a zero
-        # one, adds nothing to the weighted sum and does not move
-        state = PrecondState(diag_variant(0.0), 3)
-        g = np.array([2.0, 0.0, np.nan])
-        state.accumulate(g)
-        assert state.weighted_grad_sq_sum == 2.0  # 2^2 / sqrt(4)
-        x = state.step(np.array([1.0, -2.0, 0.5]), g, eta=0.5)
-        np.testing.assert_array_equal(x, [0.5, -2.0, 0.5])
+    def test_diagonal_nan_coordinate_raises(self):
+        # a nan coordinate is not frozen: the step raises, as the scalar and
+        # full-matrix metrics do, and the optimizers flag the run diverged
+        state = PrecondState(diag_variant(), 3)
+        g = np.array([np.nan, 1.0, 1.0])
+        with np.errstate(invalid="ignore"):
+            state.accumulate(g)
+            with pytest.raises(FloatingPointError):
+                state.step(np.zeros(3), g, eta=0.1)
 
     def test_full_with_axis_aligned_gradients_matches_diagonal(self):
         # outer products of single-coordinate gradients keep G diagonal
         rng = np.random.default_rng(8)
         d = 4
-        full = PrecondState(full_variant(delta=1e-6), d)
-        diag = PrecondState(PrecondVariant(kind="diagonal", delta=1e-6), d)
+        full = PrecondState(full_variant(), d)
+        diag = PrecondState(diag_variant(), d)
         x_full = rng.standard_normal(d)
         x_diag = x_full.copy()
         for _ in range(12):
@@ -281,7 +291,8 @@ class TestStep:
     def test_scalar_equals_diagonal_in_one_dimension(self):
         rng = np.random.default_rng(4)
         scalar = PrecondState(scalar_variant(), 1)
-        diagonal = PrecondState(diag_variant(0.0), 1)
+        scalar.accumulate_sq_norm(DELTA)  # the diagonal's starting offset
+        diagonal = PrecondState(diag_variant(), 1)
         xs, xd = np.array([2.0]), np.array([2.0])
         for _ in range(15):
             g = rng.standard_normal(1)
@@ -310,8 +321,8 @@ class TestProjection:
         )
 
     def test_ball_isotropic_diagonal_reduces_to_radial(self):
-        state = PrecondState(diag_variant(0.0), 2)
-        state.accumulate(np.array([1.0, 1.0]))  # G = (1, 1)
+        state = PrecondState(diag_variant(), 2)
+        state.accumulate(np.array([1.0, 1.0]))  # G = (1 + DELTA, 1 + DELTA)
         spec = ProjectionSpec(radius=1.0, tolerance=1e-12)
         got = project(spec, state, np.array([3.0, 4.0]))
         np.testing.assert_allclose(got, [0.6, 0.8], atol=1e-10)
@@ -319,7 +330,7 @@ class TestProjection:
     def test_ball_diagonal_beats_random_feasible_points(self):
         rng = np.random.default_rng(11)
         d = 5
-        state = PrecondState(diag_variant(1e-3), d)
+        state = PrecondState(diag_variant(), d)
         for _ in range(6):
             state.accumulate(rng.standard_normal(d) * 2)
         spec = ProjectionSpec(radius=1.5, tolerance=1e-10)
@@ -338,7 +349,7 @@ class TestProjection:
             assert best <= metric_dist(z) + 1e-8
 
     def test_ball_inside_is_identity(self):
-        state = PrecondState(diag_variant(1e-3), 2)
+        state = PrecondState(diag_variant(), 2)
         state.accumulate(np.array([1.0, 2.0]))
         spec = ProjectionSpec(radius=10.0)
         y = np.array([1.0, -1.0])
@@ -374,10 +385,8 @@ class TestInequalities:
     )
     def test_weighted_gradient_sum_bounded_by_twice_trace(self, seed, kind, steps):
         rng = np.random.default_rng(seed)
-        delta = 1e-8 if kind != "scalar" else 0.0
-        variant = PrecondVariant(kind=kind, delta=max(delta, 1e-8) if kind == "full_matrix" else delta)
         d = 3
-        state = PrecondState(variant, d)
+        state = PrecondState(PrecondVariant(kind=kind), d)
         for _ in range(steps):
             state.accumulate(rng.standard_normal(d) * rng.random() * 5)
         assert state.weighted_grad_sq_sum <= 2.0 * state.trace_A() + 1e-8 * steps
@@ -390,9 +399,7 @@ class TestInequalities:
     def test_trace_of_metric_bounded_by_gradient_mass(self, seed, kind):
         rng = np.random.default_rng(seed)
         d = 4
-        delta = 1e-6
-        variant = PrecondVariant(kind=kind, delta=delta)
-        state = PrecondState(variant, d)
+        state = PrecondState(PrecondVariant(kind=kind), d)
         total_sq = 0.0
         for _ in range(25):
             g = rng.standard_normal(d)
@@ -401,7 +408,7 @@ class TestInequalities:
         if kind == "scalar":
             bound = np.sqrt(total_sq)
         else:
-            bound = np.sqrt(d * total_sq + d * d * delta)
+            bound = np.sqrt(d * total_sq + d * d * DELTA)
         assert state.trace_A() <= bound + 1e-9
 
     def test_telescoping_bound_with_projection(self):
@@ -412,8 +419,7 @@ class TestInequalities:
         radius = 1.5
         spec = ProjectionSpec(radius=radius, tolerance=1e-12)
         for kind in ("scalar", "diagonal"):
-            variant = PrecondVariant(kind=kind, delta=1e-8 if kind == "diagonal" else 0.0)
-            state = PrecondState(variant, d)
+            state = PrecondState(PrecondVariant(kind=kind), d)
             x = np.zeros(d)
             w_ref = rng.standard_normal(d)
             w_ref *= radius * 0.9 / np.linalg.norm(w_ref)

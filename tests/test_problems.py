@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from vrkit import Dataset, GradOracleCounters, Problem
 from vrkit.data import parse_libsvm, serialize_libsvm
+from vrkit.problems import HUBER_DELTA
 
 from conftest import central_difference_gradient, make_problem, single_example_problem
 from criterion_helpers import datasets_equal
@@ -80,10 +81,10 @@ class TestGradients:
 
     def test_huber_outside_quadratic_zone_clips_slope(self):
         a = np.array([1.5, -2.0])
-        problem = single_example_problem(a, 0.0, loss="huber", huber_delta=1.0)
-        w = np.array([1.2, -1.2])  # residual = 1.8 + 2.4 = 4.2 > delta
+        problem = single_example_problem(a, 0.0, loss="huber")
+        w = np.array([1.2, -1.2])  # residual = 1.8 + 2.4 = 4.2 > HUBER_DELTA = 1
         g = problem.grad_batch(w, np.array([0]))
-        np.testing.assert_allclose(g, 1.0 * a)
+        np.testing.assert_allclose(g, HUBER_DELTA * a)
         assert np.linalg.norm(g) == pytest.approx(np.linalg.norm(a))
 
     def test_batch_of_everything_equals_full(self):
@@ -417,17 +418,17 @@ class TestValidation:
             Problem(dataset=dataset, loss="hinge")
         with pytest.raises(ValueError):
             Problem(dataset=dataset, loss="squared", l2_reg=-1.0)
-        with pytest.raises(ValueError):
-            Problem(dataset=dataset, loss="huber", huber_delta=0.0)
 
     @pytest.mark.parametrize("field, value", [
         ("l2_reg", np.nan), ("l2_reg", np.inf),
         ("huber_delta", np.nan), ("huber_delta", np.inf),
     ])
     def test_non_finite_parameters_rejected(self, field, value):
-        # nan slipped past the old `< 0` / `<= 0` comparisons
+        # nan slipped past the old `< 0` / `<= 0` comparisons; the Huber delta
+        # is the constant HUBER_DELTA, so any huber_delta keyword is rejected
         dataset = Dataset(features=sp.csr_matrix(np.eye(2)), labels=np.array([1.0, -1.0]))
-        with pytest.raises(ValueError, match=field):
+        error = TypeError if field == "huber_delta" else ValueError
+        with pytest.raises(error, match=field):
             Problem(dataset=dataset, loss="huber", **{field: value})
 
     def test_repeated_column_rejected_like_the_parser(self):
