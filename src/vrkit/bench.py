@@ -187,8 +187,12 @@ def resolve_problem(config: RunConfig) -> Problem:
     return Problem(dataset=dataset, loss=config.loss, l2_reg=l2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def execute_seed(problem: Problem, config: RunConfig, seed: int) -> RunResult:
-    """Run one (config, seed) work item from the zero initial point."""
+    """Run one (config, seed) work item from the zero initial point.
+
+    Overflow and invalid-value warnings are off: a run that blows up is
+    flagged ``diverged`` in its trace instead."""
     w0 = np.zeros(problem.d)
     n, b = problem.n, config.batch_size
     budget = config.epochs
@@ -283,13 +287,18 @@ AGGREGATE_HEADER = "pass,objective_median,objective_std,grad_norm_median,grad_no
 
 def aggregate(traces: list[Trace]) -> list[tuple]:
     """Median and std of objective and gradient norm on the integer pass
-    grid common to all seeds (step-function alignment)."""
+    grid common to all seeds (step-function alignment).  The std is inf on
+    a pass where any seed's value counts as inf."""
     if not traces:
         raise ValueError("no traces to aggregate")
     grid = np.arange(math.floor(min(t.rows[-1].passes for t in traces)) + 1)
-    obj, grad = _per_pass(traces, "objective", grid), _per_pass(traces, "grad_norm", grid)
-    columns = (np.median(obj, axis=1), np.std(obj, axis=1),
-               np.median(grad, axis=1), np.std(grad, axis=1))
+    columns = []
+    for attr in ("objective", "grad_norm"):
+        values = _per_pass(traces, attr, grid)
+        finite = np.isfinite(values).all(axis=1)
+        std = np.full(grid.size, np.inf)
+        std[finite] = np.std(values[finite], axis=1)
+        columns += [np.median(values, axis=1), std]
     return [(float(p), *map(float, row)) for p, row in enumerate(zip(*columns))]
 
 

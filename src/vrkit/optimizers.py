@@ -244,15 +244,13 @@ def _validate_common(
 class _Phase:
     """What one engine call leaves: the last snapshot, the mean of the
     snapshots, the number of outer loops that ran, the outer indices the
-    growth test stopped, per-loop (sum ||g||^2_{A^-1}, trace A) pairs for
-    the runtime trace-bound check, ||G_t||_* after every step, and the
-    number of coin-flip snapshot refreshes."""
+    growth test stopped, ||G_t||_* after every step, and the number of
+    coin-flip snapshot refreshes."""
 
     w: np.ndarray
     averaged: np.ndarray | None = None
     completed: int = 0
     stops: list[int] = field(default_factory=list)
-    checks: list[tuple[float, float]] = field(default_factory=list)
     g_stars: list[float] = field(default_factory=list)
     refreshes: int = 0
 
@@ -472,9 +470,10 @@ def _engine(
                     it.step(eta)
                 else:
                     it.accumulate(state)
-                    g_star = state.g_norm_star()
+                    trace_g = state.trace_G()
+                    g_star = math.sqrt(trace_g)
                     out.g_stars.append(g_star)
-                    if test is not None and test.observe(t, state.trace_G()):
+                    if test is not None and test.observe(t, trace_g):
                         out.stops.append(outer)
                         run.record(it.point(), outer=outer, eta=eta, g_star=g_star, event=event)
                         break
@@ -486,8 +485,6 @@ def _engine(
                     break
         except (FloatingPointError, np.linalg.LinAlgError):
             run.record(it.point(), outer=outer, eta=eta, event="diverged")
-        if state is not None:
-            out.checks.append((state.weighted_grad_sq_sum, state.trace_A()))
         w = x_sum / t if average else it.point()
         snap_sum += w
         out.completed += 1
@@ -528,10 +525,7 @@ def adasvrg_fixed(
     out = _engine(run, w0, outer_loops, inner, batch_size, rule,
                   variant=variant, proj=proj, snapshot=snapshot)
     return run.result(
-        out.w,
-        averaged=out.averaged if (snapshot == "average" and out.completed) else None,
-        notes={"precond_checks": out.checks},
-    )
+        out.w, averaged=out.averaged if (snapshot == "average" and out.completed) else None)
 
 
 def adasvrg_multistage(
@@ -565,22 +559,16 @@ def adasvrg_multistage(
 
     w = w0
     schedule: list[int] = []
-    checks: list[tuple[float, float]] = []
     for i in range(1, stages + 1):
         m_i = 2 ** (i + 1)
         stage = _engine(run, w, outer_loops, m_i, batch_size, rule, variant=variant,
                         proj=proj, snapshot="average")
         w = stage.averaged
         schedule.append(m_i)
-        checks.extend(stage.checks)
         run.record(w, outer=run.next_outer - 1, event="stage_boundary")
         if run.diverged:
             break
-    return run.result(
-        w,
-        averaged=w,
-        notes={"stage_inner_sizes": schedule, "precond_checks": checks},
-    )
+    return run.result(w, averaged=w, notes={"stage_inner_sizes": schedule})
 
 
 def adasvrg_adaptive(
@@ -609,7 +597,7 @@ def adasvrg_adaptive(
     run = _Run(problem, w0, seed)
     out = _engine(run, w0, outer_loops, 10 * n_over_b, batch_size, rule, variant=variant,
                   proj=proj, loop="growth")
-    return run.result(out.w, notes={"adaptive_stops": out.stops, "precond_checks": out.checks})
+    return run.result(out.w, notes={"adaptive_stops": out.stops})
 
 
 def hybrid_adagrad_adasvrg(
@@ -659,7 +647,6 @@ def hybrid_adagrad_adasvrg(
                              variant=variant, proj=proj, loop="growth")
             x = phase2.w
             notes["adaptive_stops"] = phase2.stops
-            notes["precond_checks"] = phase2.checks
     return run.result(x, g_star_steps=np.array(phase1.g_stars), notes=notes)
 
 

@@ -3,9 +3,9 @@ projection onto an l2 ball.
 
 The accumulator G grows monotonically with squared gradients (a scalar sum,
 a per-coordinate sum, or a matrix of outer products) and the step metric is
-A = G^{1/2}.  The state also tracks the running sum of ||g||^2 in the
-A^{-1}-norm, which is bounded by twice the trace of A along any trajectory;
-optimizers expose both so the bound can be checked at runtime.
+A = G^{1/2}.  Along any trajectory the running sum of ||g||^2 in the
+A^{-1}-norm is bounded by twice the trace of A; acceptance criterion 3
+checks that bound from the gradients each accumulator received.
 
 The full-matrix accumulator after t gradients is held as a thin factor,
 G = DELTA I + F^T F with F of r = min(t, d) orthogonal rows, so one update
@@ -76,14 +76,12 @@ class PrecondState:
         A^{-1} g = g / sqrt(DELTA) + F^T (c * (F g)),
         c_i = -1 / (sqrt(DELTA) sqrt(DELTA + mu_i) (sqrt(DELTA) + sqrt(DELTA + mu_i))),
 
-    which never divides by mu_i.  :meth:`step` reuses the A^{-1} g that
-    ``accumulate`` computed for the same gradient.
+    which never divides by mu_i.
     """
 
     def __init__(self, variant: PrecondVariant, d: int):
         self.variant = variant
         self.d = int(d)
-        self.weighted_grad_sq_sum = 0.0
         kind = variant.kind
         if kind == "scalar":
             self.G = 0.0
@@ -94,7 +92,6 @@ class PrecondState:
             self._F = np.empty((0, self.d))
             self._mu = np.empty(0)
             self._grad_sq_sum = 0.0
-            self._last: tuple[np.ndarray, np.ndarray] | None = None  # (g, A^{-1} g)
 
     def accumulate(self, g: np.ndarray) -> "PrecondState":
         """Add one gradient to the accumulator.
@@ -111,7 +108,6 @@ class PrecondState:
         elif kind == "diagonal":
             self.G += g * g
             self._root = np.sqrt(self.G)
-            self.weighted_grad_sq_sum += float(np.sum(g**2 / self._root))
         else:
             window = np.vstack((self._F, g))
             gram = window @ window.T
@@ -125,16 +121,11 @@ class PrecondState:
             # G - DELTA I is PSD; rounding can leave mu slightly negative.
             self._mu = np.maximum(mu, 0.0)
             self._grad_sq_sum += float(gram[-1, -1])
-            ainv_g = self._inverse_root(g)
-            self._last = (g.copy(), ainv_g)
-            self.weighted_grad_sq_sum += float(g @ ainv_g)
         return self
 
     def accumulate_sq_norm(self, sq: float) -> None:
         """The scalar variant's :meth:`accumulate`, from sq = ||g||^2."""
         self.G += sq
-        if self.G > 0:
-            self.weighted_grad_sq_sum += sq / np.sqrt(self.G)
 
     def _inverse_root(self, g: np.ndarray) -> np.ndarray:
         """A^{-1} g for the full-matrix variant."""
@@ -144,26 +135,13 @@ class PrecondState:
         return g / root_delta + self._F.T @ (c * (self._F @ g))
 
     def trace_G(self) -> float:
+        """Trace of G; its square root is the monitored ||G||_*."""
         kind = self.variant.kind
         if kind == "scalar":
             return float(self.G)
         if kind == "diagonal":
             return float(self.G.sum())
         return self.d * DELTA + self._grad_sq_sum
-
-    def g_norm_star(self) -> float:
-        """The monitored accumulator magnitude, sqrt of the trace of G."""
-        return float(np.sqrt(self.trace_G()))
-
-    def trace_A(self) -> float:
-        """Trace of the step metric A = G^{1/2}."""
-        kind = self.variant.kind
-        if kind == "scalar":
-            return float(np.sqrt(self.G))
-        if kind == "diagonal":
-            return float(self._root.sum())
-        rank = self._mu.shape[0]
-        return float(np.sqrt(DELTA + self._mu).sum() + (self.d - rank) * math.sqrt(DELTA))
 
     def has_signal(self) -> bool:
         """Whether the metric is usable (scalar variant needs G > 0)."""
@@ -196,12 +174,7 @@ class PrecondState:
         elif kind == "diagonal":
             y = x - eta * (g / self._root)
         else:
-            last = self._last
-            if last is not None and np.array_equal(last[0], g):
-                ainv_g = last[1]
-            else:
-                ainv_g = self._inverse_root(g.ravel())
-            y = x - eta * ainv_g
+            y = x - eta * self._inverse_root(g.ravel())
         if proj is not None:
             y = project(proj, self, y)
         if not np.all(np.isfinite(y)):

@@ -1,8 +1,10 @@
-"""Helpers that only acceptance criteria 7, 8 and 11 and their unit tests use.
+"""Helpers that only acceptance criteria 3, 7, 8 and 11 and their unit tests use.
 
-``svrg_inner_armijo_1d`` is the counter-example of criterion 7: an Armijo
-line search inside a variance-reduced inner loop cannot approach the
-solution.  ``two_phase_slope_fit`` fits the flat and sqrt-growth phases of
+``adagrad_bound_sides`` is criterion 3's reference for the AdaGrad trace
+bound, computed from the gradients alone.  ``svrg_inner_armijo_1d`` is the
+counter-example of criterion 7: an Armijo line search inside a
+variance-reduced inner loop cannot approach the solution.
+``two_phase_slope_fit`` fits the flat and sqrt-growth phases of
 an accumulator series for criterion 8; it shares the growth ratio of the
 library's stalling test.  ``datasets_equal`` is the exact equality of
 criterion 11's parser round trip.
@@ -11,7 +13,43 @@ criterion 11's parser round trip.
 import numpy as np
 
 from vrkit.diagnostics import _growth_ratio
+from vrkit.precond import DELTA
 from vrkit.problems import Dataset
+
+
+def adagrad_bound_sides(kind: str, grads) -> tuple[float, float]:
+    """Both sides of the AdaGrad bound sum_t ||g_t||^2_{A_t^-1} <= 2 tr(A_m)
+    for one accumulator fed ``grads`` in order, with A_t = G_t^{1/2} and
+    G_t holding g_1..g_t.  Returns ``(sum_t g_t^T A_t^-1 g_t, tr(A_m))``.
+
+    scalar: G = sum ||g||^2, a term skipped while G = 0.  diagonal:
+    G = DELTA + sum g^2 per coordinate.  full_matrix: G = DELTA I +
+    sum g g^T, decomposed with a d x d ``eigh`` at every step.
+    """
+    grads = [np.asarray(g, dtype=np.float64) for g in grads]
+    d = grads[0].shape[0]
+    weighted = 0.0
+    if kind == "scalar":
+        G = 0.0
+        for g in grads:
+            sq = float(g @ g)
+            G += sq
+            if G > 0:
+                weighted += sq / np.sqrt(G)
+        return weighted, float(np.sqrt(G))
+    if kind == "diagonal":
+        G = np.full(d, DELTA)
+        for g in grads:
+            G += g * g
+            weighted += float(np.sum(g * g / np.sqrt(G)))
+        return weighted, float(np.sqrt(G).sum())
+    G = DELTA * np.eye(d)
+    evals = np.full(d, DELTA)
+    for g in grads:
+        G += np.outer(g, g)
+        evals, evecs = np.linalg.eigh(G)
+        weighted += float(np.sum((evecs.T @ g) ** 2 / np.sqrt(evals)))
+    return weighted, float(np.sqrt(evals).sum())
 
 
 def _armijo_max_step_1d(x: float, component: int, a: float, c: float, eta_max: float) -> float:

@@ -15,6 +15,7 @@ from scipy.optimize import minimize
 
 from vrkit import (
     PhaseTestState,
+    PrecondState,
     PrecondVariant,
     Problem,
     SyntheticSpec,
@@ -32,7 +33,12 @@ from vrkit.optimizers import THETA
 from vrkit.problems import Dataset
 
 from conftest import central_difference_gradient, make_problem
-from criterion_helpers import datasets_equal, svrg_inner_armijo_1d, two_phase_slope_fit
+from criterion_helpers import (
+    adagrad_bound_sides,
+    datasets_equal,
+    svrg_inner_armijo_1d,
+    two_phase_slope_fit,
+)
 
 DATASETS = Path(__file__).resolve().parent.parent / "datasets"
 
@@ -110,19 +116,32 @@ def test_criterion_02_gradient_correctness():
             f"max relative error {worst:.2e}")
 
 
-def test_criterion_03_trace_inequality():
+def test_criterion_03_trace_inequality(monkeypatch):
     _start()
     problem = make_problem(loss="squared", seed=4, n=48, d=6, classification=False)
+    # The gradients each accumulator (one per inner loop) receives, in order.
+    received: dict[PrecondState, list[np.ndarray]] = {}
+    accumulate = PrecondState.accumulate
+
+    def recording(state, g):
+        out = accumulate(state, g)
+        received.setdefault(state, []).append(np.array(g, dtype=np.float64))
+        return out
+
+    monkeypatch.setattr(PrecondState, "accumulate", recording)
     worst_gap = -np.inf
     ok = True
     for kind in ("scalar", "diagonal", "full_matrix"):
         variant = PrecondVariant(kind=kind)
         for seed in range(10):
-            result = adasvrg_fixed(
+            received.clear()
+            adasvrg_fixed(
                 problem, np.zeros(problem.d), 3, 25, variant=variant,
                 batch_size=4, seed=seed,
             )
-            for weighted, trace_a in result.notes["precond_checks"]:
+            ok = ok and [len(grads) for grads in received.values()] == [25, 25, 25]
+            for grads in received.values():
+                weighted, trace_a = adagrad_bound_sides(kind, grads)
                 gap = weighted - 2.0 * trace_a
                 worst_gap = max(worst_gap, gap)
                 ok = ok and (weighted <= 2.0 * trace_a + 1e-6)

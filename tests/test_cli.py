@@ -1,4 +1,5 @@
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -178,15 +179,22 @@ class TestGridCommand:
         assert "best eta" in capsys.readouterr().out
 
     def test_all_diverging_grid_prints_its_step_size(self, tmp_path, capsys):
+        # divergence is recorded in the traces: no numpy warning, and an
+        # inf spread rather than nan in the aggregate
         data = tmp_path / "four.libsvm"
         data.write_text(FOUR_ROWS, encoding="utf-8")
-        with np.errstate(all="ignore"):
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main([
                 "grid", "--dataset", str(data), "--algo", "svrg", "--grid", "1e308",
-                "--batch-size", "1", "--epochs", "6", "--seeds", "1",
+                "--batch-size", "1", "--epochs", "6", "--seeds", "2", "--out", str(out),
             ])
         assert code == 0
         assert "best eta: 1e+308" in capsys.readouterr().out
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        aggregate = (out / "eta_1e+308" / "aggregate.csv").read_text()
+        assert "inf" in aggregate and "nan" not in aggregate
 
 
 class TestPlotCommand:

@@ -1,8 +1,9 @@
-"""The benchmark's traced mode on the current library: one traced sweep of a
-workload must give per-layer metrics that are all numbers, so the last line
-``perfbench/run.py --trace 1`` prints is strict JSON.  A timed span that
-no longer runs (no ``grad_batch``, charged ``grad_full``, ``accumulate`` or
-``step`` call) makes its median time NaN, and this test fails."""
+"""The benchmark's traced mode on the current library: one traced sweep of
+each workload must give per-layer metrics that are all numbers, so the last
+line ``perfbench/run.py --trace 1`` prints is strict JSON.  A timed span
+that no longer runs (no ``grad_batch``, charged ``grad_full``,
+``accumulate``, ``step`` or ``observe`` call) makes its median time NaN;
+this test names the span that has no calls and fails."""
 
 import importlib.util
 import json
@@ -34,7 +35,12 @@ def perfbench(monkeypatch):
     return run, importlib.import_module("tracing"), importlib.import_module("workloads")
 
 
-@pytest.mark.parametrize("name", ["sparse_b1", "fullmatrix_dense"])
+# The call counts of the timed spans every workload must keep running.
+CALLED_SPANS = ("problems.grad_batch.calls", "problems.grad_full.charged_calls",
+                "precond.accumulate.calls", "precond.step.calls", "diagnostics.observe.calls")
+
+
+@pytest.mark.parametrize("name", ["protocol_dense", "sparse_b1", "fullmatrix_dense"])
 def test_traced_sweep_metrics_are_strict_json(perfbench, name, tmp_path):
     run, tracing, workloads = perfbench
     workload = workloads.WORKLOADS[name](0, ROOT, tmp_path)
@@ -43,4 +49,5 @@ def test_traced_sweep_metrics_are_strict_json(perfbench, name, tmp_path):
         run.run_sweep(workload, workload.sweep_seeds(0, 1)[0], tmp_path / "sweep",
                       _StubClock(), tracer)
     metrics, _ = tracing.layer_metrics(tracer, 1)
+    assert {key: metrics[key][0] for key in CALLED_SPANS if metrics[key][0] <= 0} == {}
     json.dumps({key: value for key, (value, _) in metrics.items()}, allow_nan=False)

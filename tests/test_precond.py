@@ -13,6 +13,8 @@ import vrkit
 from vrkit import PrecondState, PrecondVariant, ProjectionSpec, project
 from vrkit.precond import DELTA
 
+from criterion_helpers import adagrad_bound_sides
+
 
 def scalar_variant() -> PrecondVariant:
     return PrecondVariant(kind="scalar")
@@ -84,8 +86,8 @@ class TestFullMatrixFactor:
     raw gradients and decomposed with a d x d eigh.
 
     The state sees the gradients scaled by s = sqrt(DELTA / REF_DELTA), so
-    its G is s^2 times the reference's: A^{-1} g is the same, trace A and
-    the weighted sum scale by s, and trace G by s^2."""
+    its G is s^2 times the reference's: A^{-1} g is the same and trace G
+    scales by s^2."""
 
     # With REF_DELTA = 0.5 and unit-scale gradients, ||G|| eps <= 1e-12 is far
     # below REF_DELTA, so the eigh reference is itself accurate to about 1e-13.
@@ -98,24 +100,18 @@ class TestFullMatrixFactor:
         s = self.SCALE
         state = PrecondState(full_variant(), d)
         G = self.REF_DELTA * np.eye(d)
-        weighted = 0.0
         for g in _gradients(d, t, pattern):
             G += np.outer(g, g)
             evals, evecs = np.linalg.eigh(G)
             ainv_g = evecs @ ((evecs.T @ g) / np.sqrt(evals))
-            weighted += float(g @ ainv_g)
             state.accumulate(s * g)
             got = -state.step(np.zeros(d), s * g, eta=1.0)
             np.testing.assert_allclose(got, ainv_g, rtol=self.RTOL,
                                        atol=self.RTOL * np.abs(ainv_g).max())
-            assert state.trace_A() == pytest.approx(s * np.sqrt(evals).sum(), rel=self.RTOL)
             assert state.trace_G() == pytest.approx(s * s * np.trace(G), rel=self.RTOL)
-            assert state.g_norm_star() == pytest.approx(s * np.sqrt(np.trace(G)), rel=self.RTOL)
-            assert state.weighted_grad_sq_sum == pytest.approx(s * weighted, rel=self.RTOL,
-                                                               abs=self.RTOL * s)
 
     def test_step_with_other_gradient(self):
-        # step applies A^{-1} to the gradient it is given, not the cached one
+        # step applies A^{-1} to the gradient it is given
         s = self.SCALE
         rng = np.random.default_rng(1)
         state = PrecondState(full_variant(), 5)
@@ -133,7 +129,9 @@ class TestFullMatrixFactor:
 class TestFullMatrixClosedForms:
     """DELTA = 1e-8 with ||g|| = 1e3: ||G|| eps is near DELTA, so a d x d
     eigh is no reference.  The rounding of g / sqrt(DELTA) is amplified by
-    ||g|| / sqrt(DELTA) = 1e7 against an O(1) result, hence rtol = 1e-7."""
+    ||g|| / sqrt(DELTA) = 1e7 against an O(1) result, hence rtol = 1e-7.
+    The other eigenvalues of G are DELTA: a probe h orthogonal to every
+    gradient has A^{-1} h = h / sqrt(DELTA)."""
 
     RTOL = 1e-7
     D = 40
@@ -142,23 +140,28 @@ class TestFullMatrixClosedForms:
         v = rng.standard_normal(self.D)
         return v / np.linalg.norm(v)
 
+    def _assert_probe(self, state, grads, rng):
+        # h orthogonal to the gradients, by one QR of [grads, random]
+        q, _ = np.linalg.qr(np.column_stack((*grads, rng.standard_normal(self.D))))
+        h = q[:, -1]
+        np.testing.assert_allclose(-state.step(np.zeros(self.D), h, eta=1.0),
+                                   h / np.sqrt(DELTA), rtol=self.RTOL,
+                                   atol=self.RTOL / np.sqrt(DELTA * self.D))
+
     @pytest.mark.parametrize("repeats", [1, 2, 41, 120])
     def test_repeated_gradient(self, repeats):
         # G = DELTA I + k g g^T, so A^{-1} g = g / sqrt(DELTA + k ||g||^2)
-        g = 1e3 * self._unit(np.random.default_rng(2))
+        rng = np.random.default_rng(2)
+        g = 1e3 * self._unit(rng)
         sq = float(g @ g)
         state = PrecondState(full_variant(), self.D)
-        weighted = 0.0
         for k in range(1, repeats + 1):
             state.accumulate(g)
             root = np.sqrt(DELTA + k * sq)
-            weighted += sq / root
             np.testing.assert_allclose(-state.step(np.zeros(self.D), g, eta=1.0), g / root,
                                        rtol=self.RTOL, atol=self.RTOL / np.sqrt(self.D))
-        assert state.trace_A() == pytest.approx(
-            root + (self.D - 1) * np.sqrt(DELTA), rel=self.RTOL)
+        self._assert_probe(state, [g], rng)
         assert state.trace_G() == pytest.approx(self.D * DELTA + repeats * sq, rel=1e-14)
-        assert state.weighted_grad_sq_sum == pytest.approx(weighted, rel=self.RTOL)
 
     def test_two_orthogonal_gradients(self):
         rng = np.random.default_rng(3)
@@ -171,10 +174,7 @@ class TestFullMatrixClosedForms:
             state.accumulate(g)
             np.testing.assert_allclose(-state.step(np.zeros(self.D), g, eta=1.0), g / root,
                                        rtol=self.RTOL, atol=self.RTOL / np.sqrt(self.D))
-        assert state.trace_A() == pytest.approx(
-            sum(roots) + (self.D - 2) * np.sqrt(DELTA), rel=self.RTOL)
-        assert state.weighted_grad_sq_sum == pytest.approx(
-            sum(float(g @ g) / root for g, root in zip((g1, g2), roots)), rel=self.RTOL)
+        self._assert_probe(state, [g1, g2], rng)
 
 
 _NON_FINITE_SCRIPT = textwrap.dedent("""
@@ -183,12 +183,17 @@ _NON_FINITE_SCRIPT = textwrap.dedent("""
     from vrkit import PrecondState, PrecondVariant
 
     bad = float(sys.argv[1])
+    probe = np.random.default_rng(1).standard_normal(6)
+
+    def observed(state):
+        return state.trace_G(), -state.step(np.zeros(6), probe, 1.0)
+
     for finite_first in (0, 1, 7):
         state = PrecondState(PrecondVariant(kind="full_matrix"), 6)
         rng = np.random.default_rng(0)
         for _ in range(finite_first):
             state.accumulate(rng.standard_normal(6))
-        before = (state.trace_A(), state.trace_G(), state.weighted_grad_sq_sum)
+        before = observed(state)
         g = rng.standard_normal(6)
         g[2] = bad
         try:
@@ -197,8 +202,8 @@ _NON_FINITE_SCRIPT = textwrap.dedent("""
             pass
         else:
             sys.exit(f"accumulate({bad}) did not raise after {finite_first} gradients")
-        after = (state.trace_A(), state.trace_G(), state.weighted_grad_sq_sum)
-        assert after == before, (before, after)
+        after = observed(state)
+        assert after[0] == before[0] and np.array_equal(after[1], before[1]), (before, after)
     print("ok")
 """)
 
@@ -214,30 +219,35 @@ def test_non_finite_window_raises_linalg_error(bad):
     assert done.stdout.strip() == "ok"
 
 
+def _g_norm_star(state: PrecondState) -> float:
+    """||G||_* = sqrt(trace G), the magnitude the optimizers monitor."""
+    return float(np.sqrt(state.trace_G()))
+
+
 class TestGNormStar:
     def test_scalar(self):
         state = PrecondState(scalar_variant(), 2)
         state.accumulate(np.array([3.0, 4.0]))
-        assert state.g_norm_star() == pytest.approx(5.0)
+        assert _g_norm_star(state) == pytest.approx(5.0)
 
     def test_diagonal_same_trace(self):
         state = PrecondState(diag_variant(), 2)
         state.accumulate(np.array([3.0, 4.0]))
-        assert state.g_norm_star() == pytest.approx(5.0)
+        assert _g_norm_star(state) == pytest.approx(5.0)
 
     def test_full_initial_trace_is_d_delta(self):
         state = PrecondState(full_variant(), 2)
-        assert state.g_norm_star() == pytest.approx(np.sqrt(2.0 * DELTA))
+        assert _g_norm_star(state) == pytest.approx(np.sqrt(2.0 * DELTA))
 
     def test_monotone_along_any_trajectory(self):
         rng = np.random.default_rng(3)
         for variant in (scalar_variant(), diag_variant(), full_variant()):
             state = PrecondState(variant, 3)
-            previous = state.g_norm_star() if variant.kind != "scalar" else 0.0
+            previous = _g_norm_star(state) if variant.kind != "scalar" else 0.0
             for _ in range(30):
                 state.accumulate(rng.standard_normal(3) * rng.random())
-                assert state.g_norm_star() >= previous - 1e-12
-                previous = state.g_norm_star()
+                assert _g_norm_star(state) >= previous - 1e-12
+                previous = _g_norm_star(state)
 
 
 class TestStep:
@@ -367,13 +377,12 @@ class TestProjection:
                 ProjectionSpec(radius=radius)
 
 
-def _tr_A(variant, G, delta):
-    if variant == "scalar":
-        return float(np.sqrt(G))
-    if variant == "diagonal":
-        return float(np.sqrt(G).sum())
-    evals = np.maximum(np.linalg.eigvalsh(G), delta / 2)
-    return float(np.sqrt(evals).sum())
+def _trace_A(state: PrecondState, grads: list[np.ndarray]) -> float:
+    """Trace of A = G^{1/2}: from the state's G where it keeps one, else
+    from the gradients it received, as criterion 3 computes it."""
+    if state.variant.kind == "full_matrix":
+        return adagrad_bound_sides("full_matrix", grads)[1]
+    return float(np.sum(np.sqrt(state.G)))
 
 
 class TestInequalities:
@@ -384,12 +393,21 @@ class TestInequalities:
         steps=st.integers(min_value=1, max_value=40),
     )
     def test_weighted_gradient_sum_bounded_by_twice_trace(self, seed, kind, steps):
+        # the library's sum of g^T A_t^{-1} g, each term through step, against
+        # criterion 3's reference and the bound
         rng = np.random.default_rng(seed)
         d = 3
         state = PrecondState(PrecondVariant(kind=kind), d)
+        grads = []
+        weighted = 0.0
         for _ in range(steps):
-            state.accumulate(rng.standard_normal(d) * rng.random() * 5)
-        assert state.weighted_grad_sq_sum <= 2.0 * state.trace_A() + 1e-8 * steps
+            g = rng.standard_normal(d) * rng.random() * 5
+            grads.append(g)
+            state.accumulate(g)
+            if state.has_signal():
+                weighted += float(g @ -state.step(np.zeros(d), g, eta=1.0))
+        assert weighted == pytest.approx(adagrad_bound_sides(kind, grads)[0], rel=1e-8)
+        assert weighted <= 2.0 * _trace_A(state, grads) + 1e-8 * steps
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -400,16 +418,15 @@ class TestInequalities:
         rng = np.random.default_rng(seed)
         d = 4
         state = PrecondState(PrecondVariant(kind=kind), d)
-        total_sq = 0.0
-        for _ in range(25):
-            g = rng.standard_normal(d)
-            total_sq += float(g @ g)
+        grads = [rng.standard_normal(d) for _ in range(25)]
+        for g in grads:
             state.accumulate(g)
+        total_sq = sum(float(g @ g) for g in grads)
         if kind == "scalar":
             bound = np.sqrt(total_sq)
         else:
             bound = np.sqrt(d * total_sq + d * d * DELTA)
-        assert state.trace_A() <= bound + 1e-9
+        assert _trace_A(state, grads) <= bound + 1e-9
 
     def test_telescoping_bound_with_projection(self):
         # iterates and reference point live in a ball of diameter D; the
@@ -437,4 +454,4 @@ class TestInequalities:
                 prev_A = A
                 if state.has_signal():
                     x = state.step(x, g, eta=0.5, proj=spec)
-            assert total <= (2 * radius) ** 2 * state.trace_A() + 1e-6
+            assert total <= (2 * radius) ** 2 * float(np.sum(np.sqrt(state.G))) + 1e-6
