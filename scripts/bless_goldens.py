@@ -118,6 +118,10 @@ def _sparse_cases() -> dict:
             _sparse_rows("logistic"), z12, 400, eta=None, batch_size=1, seed=23),
         "sparse-adasvrg-fixed-scalar-huber-b4": lambda: adasvrg_fixed(
             _sparse_rows("huber"), z12, 3, variant=scalar, eta=0.5, batch_size=4, seed=24),
+        "sparse-adasvrg-fixed-diagonal-logistic-b1": lambda: adasvrg_fixed(
+            _sparse_rows("logistic"), z12, 3, variant=diag, eta=0.5, batch_size=1, seed=25),
+        "sparse-lsvrg-logistic-b1": lambda: loopless_svrg(
+            _sparse_rows("logistic"), z12, 200, 0.3, batch_size=1, seed=26),
     }
 
 
