@@ -263,7 +263,11 @@ def run(config: RunConfig) -> BenchOutput:
     Writes ``seed<k>.trace.csv``, ``seed<k>.trace.jsonl``, ``config.txt``
     and ``aggregate.csv`` under ``config.out``.
     """
-    problem = resolve_problem(config)
+    return _run(config, resolve_problem(config))
+
+
+def _run(config: RunConfig, problem: Problem) -> BenchOutput:
+    """:func:`run` on ``problem``, resolved from ``config``."""
     results = [execute_seed(problem, config, s) for s in config.seeds]
     output = BenchOutput(config=config, results=results)
     if config.out is not None:
@@ -351,12 +355,14 @@ def grid_search(config: RunConfig) -> tuple[float, dict]:
     recorded metric (infinity when nothing finite was recorded), so the
     ordering is total even on an all-diverging grid, where every metric is
     infinite and the smallest step-size is best.  With ``config.out`` set,
-    each step-size's run persists under ``<out>/eta_<eta>``.
+    each step-size's run persists under ``<out>/eta_<eta>``.  The dataset
+    is read once for the whole grid.
     """
+    problem = resolve_problem(config)
     results: dict = {}
     for eta in sorted(config.grid):
         out = str(Path(config.out) / f"eta_{eta:g}") if config.out else None
-        output = run(replace(config, eta=float(eta), out=out))
+        output = _run(replace(config, eta=float(eta), out=out), problem)
         metric = final_metric(output.traces)
         results[float(eta)] = {
             "metric": metric,

@@ -20,10 +20,12 @@ The variance-reduced methods form the direction
 
 which is an unbiased estimate of the exact gradient at x_t; at the first
 inner step x_1 = w_k it equals grad_full(w_k) for every sampled batch.
-Each step is charged 2b.  Both batch gradients come from one stacked
-``grad_batch`` call on (x_t, w_k), except on CSR rows, where the rule of
+Each step is charged 2b.  On dense rows both batch gradients come from one
+stacked ``grad_batch`` call on (x_t, w_k).  On CSR rows the rule of
 :func:`_lazy_applies` may give the inner loop the O(nnz) just-in-time step
-of :class:`_LazyStep`, which matches the dense step to rounding.
+of :class:`_LazyStep`, which matches the dense step to rounding; the dense
+step there takes grad_B(x_t) from one ``grad_batch`` call and grad_B(w_k)
+from phi' cached at the snapshot, bit for bit as the stacked call gives it.
 
 Every optimizer is a thin wrapper around one loop, :func:`_engine`, set by
 four choices: the direction (plain, snapshot-anchored as above, or
@@ -99,6 +101,12 @@ class _Run:
         return self.counters.effective_passes(self.problem.n)
 
     def sample(self, batch_size: int) -> np.ndarray:
+        """``batch_size`` distinct indices, uniform.  At b = 1 ``integers``
+        draws the same index as ``choice`` and leaves the generator in the
+        same state (Floyd's draw of one makes no shuffle draw), at about a
+        third of the cost."""
+        if batch_size == 1:
+            return np.array([self.rng.integers(self.problem.n)])
         return self.rng.choice(self.problem.n, size=batch_size, replace=False)
 
     def record(
@@ -267,10 +275,25 @@ def _lazy_applies(problem: Problem, direction: str, variant: PrecondVariant | No
 
 class _DenseStep:
     """The iterate x and the direction g held densely: g is grad_B(x), or,
-    given ``base``, grad_B(x) - grad_B(anchor) + base from one stacked call."""
+    given ``base``, grad_B(x) - grad_B(anchor) + base.  Both batch gradients
+    come from one stacked call, except on CSR rows with the
+    ``snapshot_anchored`` direction: there :meth:`set_anchor` caches phi' at
+    the anchor and l2 anchor, and grad_B(anchor) is formed from them on the
+    batch's columns, charged b, bit for bit as the stacked call forms it.
+    The recursive direction moves its anchor every step and stacks."""
 
-    def __init__(self, problem: Problem, x: np.ndarray, anchor: np.ndarray, base):
-        self.problem, self.x, self.anchor, self.base, self.g = problem, x, anchor, base, None
+    def __init__(self, problem: Problem, x: np.ndarray, anchor: np.ndarray, base,
+                 snapshot_anchored: bool = False):
+        self.problem, self.x, self.g = problem, x, None
+        self.cached = snapshot_anchored and problem.dataset.dense_rows is None
+        self.set_anchor(anchor, base)
+
+    def set_anchor(self, anchor: np.ndarray, base) -> None:
+        self.anchor, self.base = anchor, base
+        if self.cached:
+            self.anchor_derivs = self.problem.margin_derivs(anchor)
+            # grad_B(anchor) off the batch's columns, as grad_batch forms it
+            self.anchor_l2 = self.problem.l2_reg * anchor + 0.0
 
     def point(self) -> np.ndarray:
         return self.x
@@ -278,9 +301,19 @@ class _DenseStep:
     def direct(self, batch: np.ndarray, counters: GradOracleCounters) -> None:
         if self.base is None:
             self.g = self.problem.grad_batch(self.x, batch, counters)
-        else:
+        elif not self.cached:
             gx, ga = self.problem.grad_batch(np.stack((self.x, self.anchor)), batch, counters)
             self.g = gx - ga + self.base
+        else:
+            # gx is a fresh array: the direction is formed in it, in place
+            g = self.problem.grad_batch(self.x, batch, counters)
+            cols, s = self.problem.anchor_batch_part(batch, self.anchor_derivs)
+            counters.charge_batch(batch.size)
+            at_cols = g[cols] - (s + self.anchor_l2[cols])
+            g -= self.anchor_l2
+            g[cols] = at_cols
+            g += self.base
+            self.g = g
 
     def accumulate(self, state: PrecondState) -> None:
         state.accumulate(self.g)
@@ -445,14 +478,14 @@ def _engine(
         if _lazy_applies(problem, direction, variant, proj, snapshot, loop):
             it = _LazyStep(problem, w, base)
         else:
-            it = _DenseStep(problem, w.copy(), w, base)
+            it = _DenseStep(problem, w.copy(), w, base, snapshot_anchored=direction == "vr")
         x_sum = np.zeros(d)
         t = 0
         try:
             for t in range(1, inner + 1):
                 if loop == "refresh" and run.rng.random() < refresh_p:
-                    it.anchor = it.x.copy()
-                    it.base = problem.grad_full(it.anchor, run.counters)
+                    anchor = it.x.copy()
+                    it.set_anchor(anchor, problem.grad_full(anchor, run.counters))
                     out.refreshes += 1
                 if direction == "plain" and rule.kind != "constant" and (t - 1) % period == 0:
                     x = it.point()

@@ -64,8 +64,11 @@ class PrecondState:
 
     The scalar and diagonal variants keep G itself; the diagonal one also
     keeps sqrt(G), > 0 in every coordinate, taken once per
-    :meth:`accumulate` and read by :meth:`step`.  A non-finite gradient
-    coordinate makes the diagonal step raise ``FloatingPointError``.  The
+    :meth:`accumulate` and read by :meth:`step`.  Both update G and sqrt(G)
+    in place and form g * g and eta g / sqrt(G) in one work buffer of
+    length d, so neither allocates more than the step's new iterate.  A
+    non-finite gradient coordinate makes the diagonal step raise
+    ``FloatingPointError``.  The
     full-matrix variant keeps G = DELTA I + F^T F through a factor F whose
     r rows are sqrt(mu_i) v_i, with (mu_i, v_i) the eigenpairs of
     G - DELTA I.  Each :meth:`accumulate` appends g to F and rotates it onto
@@ -88,6 +91,7 @@ class PrecondState:
         elif kind == "diagonal":
             self.G = np.full(self.d, DELTA, dtype=np.float64)
             self._root = np.sqrt(self.G)
+            self._work = np.empty(self.d)
         else:
             self._F = np.empty((0, self.d))
             self._mu = np.empty(0)
@@ -106,8 +110,8 @@ class PrecondState:
         if kind == "scalar":
             self.accumulate_sq_norm(float(g @ g))
         elif kind == "diagonal":
-            self.G += g * g
-            self._root = np.sqrt(self.G)
+            self.G += np.multiply(g, g, out=self._work)
+            np.sqrt(self.G, out=self._root)
         else:
             window = np.vstack((self._F, g))
             gram = window @ window.T
@@ -172,7 +176,9 @@ class PrecondState:
                 )
             y = x - (eta / np.sqrt(self.G)) * g
         elif kind == "diagonal":
-            y = x - eta * (g / self._root)
+            work = np.divide(g, self._root, out=self._work)
+            work *= eta
+            y = x - work
         else:
             y = x - eta * self._inverse_root(g.ravel())
         if proj is not None:

@@ -11,7 +11,8 @@ are never charged; they are used for monitoring only.
 
 The mini-batch oracle :meth:`Problem.grad_batch` takes one point or a
 (k, d) stack of points; a stack shares one row gather and is charged k
-times the batch size, so the variance-reduced direction costs one call.
+times the batch size, so the variance-reduced direction on dense rows
+costs one call.
 It has two paths, chosen by :attr:`Dataset.dense_rows`:
 
 * Dense rows (a dense copy costs no more memory than the CSR's ``data`` and
@@ -31,12 +32,15 @@ It has two paths, chosen by :attr:`Dataset.dense_rows`:
   plus the row terms in batch draw order (``csc_matvec`` on the transposed
   rows).  ``np.bincount`` adds in exactly that order.  ``np.sum``,
   ``np.add.reduce`` and ``@`` add pairwise, in an order that depends on the
-  array layout, and would change the last bits.  This path is the exact
-  reference for the dense one.
+  array layout, and would change the last bits.  Only the batch's distinct
+  columns are summed; the others get 0.0 + l2 w_j, as scipy gives them.
+  This path is the exact reference for the dense one.
 
-The row kernel :meth:`Problem.sparse_batch_part` reads the same arrays for
-the optimizers' just-in-time step: the batch gradient's data part on the
-batch's columns only, in O(nnz) of its rows.
+The row kernels read the same arrays for the optimizers: the batch
+gradient's data part on the batch's columns only, in O(nnz) of its rows.
+:meth:`Problem.sparse_batch_part` serves the just-in-time step, and
+:meth:`Problem.anchor_batch_part` the dense step's snapshot half from
+cached phi', bit for bit as ``grad_batch`` sums it.
 """
 
 from __future__ import annotations
@@ -293,9 +297,7 @@ class Problem:
         :meth:`margin_derivs` (None for none).  Never charged."""
         row_of, cols, vals = self._batch_entries(batch)
         b = batch.size
-        inverse = None  # one row's columns are distinct
-        if b > 1:
-            cols, inverse = np.unique(cols, return_inverse=True)
+        cols, inverse = self._distinct(cols, b)
         x_at = gather(cols)
         products = vals * (x_at if inverse is None else x_at[inverse])
         coeffs = self._loss_derivs(np.bincount(row_of, weights=products, minlength=b),
@@ -306,6 +308,17 @@ class Problem:
         if inverse is None:
             return cols, terms
         return cols, np.bincount(inverse, weights=terms, minlength=cols.size)
+
+    def anchor_batch_part(self, batch: np.ndarray, derivs: np.ndarray):
+        """``(cols, s)``: the distinct columns of the batch's CSR rows and, on
+        them, the data part s = A_B^T derivs[B] / b of a batch gradient, with
+        ``derivs`` from :meth:`margin_derivs`, summed as :meth:`grad_batch`
+        sums it: 0.0 plus the terms in draw order.  With ``derivs`` taken at
+        w, s + (l2 w + 0.0) on ``cols`` is ``grad_batch(w, batch)`` there bit
+        for bit.  Never charged."""
+        row_of, cols, vals = self._batch_entries(batch)
+        cols, sums = self._column_sums(row_of, cols, vals, derivs[batch][None] / batch.size)
+        return cols, sums[0]
 
     def _batch_entries(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The stored entries of the batch's rows, row by row in draw order:
@@ -319,19 +332,45 @@ class Problem:
         pos = np.arange(ends[-1]) + np.repeat(feats.indptr[batch] - (ends - lengths), lengths)
         return np.repeat(np.arange(batch.size), lengths), feats.indices[pos], feats.data[pos]
 
+    @staticmethod
+    def _distinct(cols: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """The batch's distinct columns and each entry's slot among them, or
+        the entries' own columns and None at b = 1: one row's columns are
+        distinct."""
+        if b == 1:
+            return cols, None
+        return np.unique(cols, return_inverse=True)
+
+    def _column_sums(self, row_of: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                     coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(cols, sums)``: the batch's distinct columns and, for each row of
+        the (k, b) ``coeffs``, its (k, m) sums A_B^T coeffs on them, each 0.0
+        plus its entries' terms in draw order, as ``csc_matvec`` adds."""
+        k = coeffs.shape[0]
+        terms = coeffs[:, row_of] * vals
+        cols, inverse = self._distinct(cols, coeffs.shape[1])
+        if inverse is None:
+            return cols, terms + 0.0
+        m = cols.size
+        slots = (inverse + m * np.arange(k)[:, None]).ravel()
+        return cols, np.bincount(slots, weights=terms.ravel(), minlength=k * m).reshape(k, m)
+
     def _csr_grad_batch(self, points: np.ndarray, batch: np.ndarray) -> np.ndarray:
         """The (k, d) batch gradients of :meth:`grad_batch` from the CSR
-        arrays, summed in scipy's order; exact on any layout."""
-        b, d, k = batch.size, self.d, points.shape[0]
+        arrays, summed in scipy's order; exact on any layout.  The l2 term
+        is added on every column and the data part on the batch's columns
+        only."""
+        b, k = batch.size, points.shape[0]
         row_of, cols, vals = self._batch_entries(batch)
-        # z_bin / g_bin: flat (point, row) and (point, column) slot of each
-        # entry; bincount adds each slot's weights in array order, from 0.0
-        point = np.arange(k)[:, None]
-        z_bin = (row_of + b * point).ravel()
-        g_bin = (cols + d * point).ravel()
-        products = points.ravel()[g_bin].reshape(k, -1) * vals
+        # z_bin: flat (point, row) slot of each entry; bincount adds each
+        # slot's weights in array order, from 0.0
+        z_bin = (row_of + b * np.arange(k)[:, None]).ravel()
+        products = points[:, cols] * vals
         z = np.bincount(z_bin, weights=products.ravel(), minlength=k * b).reshape(k, b)
         coeffs = self._loss_derivs(z, self.dataset.labels[batch]) / b
-        terms = coeffs.ravel()[z_bin].reshape(k, -1) * vals
-        g = np.bincount(g_bin, weights=terms.ravel(), minlength=k * d).reshape(k, d)
-        return g + self.l2_reg * points
+        cols, sums = self._column_sums(row_of, cols, vals, coeffs)
+        g = self.l2_reg * points
+        # scipy adds l2 w to a data part that starts at 0.0, so no -0.0 is left
+        g += 0.0
+        g[:, cols] += sums
+        return g

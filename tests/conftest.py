@@ -38,6 +38,12 @@ def single_example_problem(a, y, loss="squared", l2=0.0) -> Problem:
     return Problem(dataset=dataset, loss=loss, l2_reg=l2)
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal values and equal ``float.hex`` spellings (which tell -0.0 from 0.0)."""
+    return np.array_equal(a, b) and (
+        [x.hex() for x in a.ravel().tolist()] == [x.hex() for x in b.ravel().tolist()])
+
+
 def central_difference_gradient(problem: Problem, w: np.ndarray, h: float = 1e-6) -> np.ndarray:
     approx = np.empty_like(w, dtype=float)
     for j in range(w.shape[0]):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vrkit import SyntheticSpec, Trace, TraceRow, gen_separable, save_libsvm
+from vrkit import SyntheticSpec, Trace, TraceRow, bench, gen_separable, save_libsvm
 from vrkit.bench import (
     RunConfig,
     aggregate,
@@ -248,6 +248,23 @@ class TestGridSearch:
         )
         best, _ = grid_search(replace(config, grid=(0.5, 1.5)))  # same |1 - eta|
         assert best == 0.5
+
+    def test_reads_the_dataset_once_and_writes_what_run_writes(self, monkeypatch, tmp_path,
+                                                               synthetic_config):
+        config = synthetic_config(algo="svrg", grid=(0.1, 1.0))
+        loads = []
+        load = bench.load_libsvm
+        monkeypatch.setattr(bench, "load_libsvm", lambda path: loads.append(path) or load(path))
+        _, results = grid_search(replace(config, out=str(tmp_path / "grid")))
+        assert loads == [config.dataset]
+        for eta in config.grid:
+            alone = tmp_path / f"alone_{eta:g}"
+            output = run(replace(config, eta=eta, out=str(alone)))
+            assert results[eta]["aggregate"] == aggregate(output.traces)
+            # config.txt names its own output directory
+            for path in [*alone.glob("seed*"), alone / "aggregate.csv"]:
+                assert path.read_bytes() == (tmp_path / "grid" / f"eta_{eta:g}" /
+                                             path.name).read_bytes()
 
     def test_closing_row_decides(self):
         # 3 passes of svrg end between integer passes (rows at 0, 1, 2.02 and

@@ -22,10 +22,10 @@ from vrkit import (
     svrg,
     svrg_bb,
 )
-from vrkit import optimizers
+from vrkit import GradOracleCounters, optimizers
 from vrkit.precond import DELTA
 
-from conftest import make_problem, single_example_problem
+from conftest import make_problem, same_bits, single_example_problem
 from criterion_helpers import _armijo_max_step_1d, svrg_inner_armijo_1d
 
 
@@ -722,3 +722,52 @@ class TestLazySparseStep:
                 "loop": "fixed"}
         assert optimizers._lazy_applies(_csr_rows(), **args)
         assert not optimizers._lazy_applies(problem, **{**args, **kwargs})
+
+
+class TestSingleDraw:
+    """At b = 1 the sampler draws with ``integers``; the seeded runs rely on
+    it giving the index of ``choice(n, 1, replace=False)`` and leaving the
+    generator in the same state."""
+
+    @pytest.mark.parametrize("n", [1, 2, 1500])
+    def test_same_index_and_state_as_choice(self, n):
+        problem = Problem(dataset=Dataset(features=np.ones((n, 1)), labels=np.ones(n)),
+                          loss="squared")
+        run = optimizers._Run(problem, np.zeros(1), seed=n)
+        reference = np.random.default_rng(n)
+        for _ in range(50):
+            got = run.sample(1)
+            want = reference.choice(n, size=1, replace=False)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+            assert run.rng.bit_generator.state == reference.bit_generator.state
+
+
+class TestCachedAnchorDirection:
+    """On CSR rows the snapshot-anchored dense step forms grad_B(anchor) from
+    phi' cached at the anchor.  It must equal the stacked call's
+    gx - ga + base bit for bit and be charged 2b, before and after the
+    anchor is replaced as a coin-flip refresh replaces it."""
+
+    @pytest.mark.parametrize("l2", [0.0, 0.05])
+    @pytest.mark.parametrize("loss", ["logistic", "squared", "huber"])
+    def test_equals_stacked_direction(self, loss, l2):
+        problem = _csr_rows(loss, l2=l2)
+        rng = np.random.default_rng(31)
+        anchor = rng.standard_normal(problem.d)
+        anchor[::4] = -0.0
+        it = optimizers._DenseStep(problem, anchor.copy(), anchor, problem.grad_full(anchor),
+                                   snapshot_anchored=True)
+        assert it.cached
+        counters = GradOracleCounters()
+        for t in range(60):
+            if t == 30:
+                anchor = it.x.copy()
+                it.set_anchor(anchor, problem.grad_full(anchor))
+            b = (1, 2, 5)[t % 3]
+            batch = rng.choice(problem.n, size=b, replace=False)
+            charged = counters.per_example_grad_evals
+            it.direct(batch, counters)
+            assert counters.per_example_grad_evals - charged == 2 * b
+            gx, ga = problem.grad_batch(np.stack((it.x, it.anchor)), batch)
+            assert same_bits(it.g, gx - ga + it.base), (t, batch)
+            it.step(0.2)

@@ -10,7 +10,7 @@ from vrkit import Dataset, GradOracleCounters, Problem
 from vrkit.data import parse_libsvm, serialize_libsvm
 from vrkit.problems import HUBER_DELTA
 
-from conftest import central_difference_gradient, make_problem, single_example_problem
+from conftest import central_difference_gradient, make_problem, same_bits, single_example_problem
 from criterion_helpers import datasets_equal
 
 ALL_LOSSES = ("logistic", "squared", "huber", "squared_hinge")
@@ -138,12 +138,6 @@ def _random_rows_problem(loss: str, layout: str, seed: int) -> Problem:
     return Problem(dataset=Dataset(features=features, labels=labels), loss=loss, l2_reg=0.37)
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Equal values and equal ``float.hex`` spellings (which tell -0.0 from 0.0)."""
-    return np.array_equal(a, b) and (
-        [x.hex() for x in a.ravel().tolist()] == [x.hex() for x in b.ravel().tolist()])
-
-
 def _batches(n: int, b: int, trials: int, rng: np.random.Generator):
     """``trials`` batches of size b; odd trials draw with replacement, so
     indices repeat."""
@@ -173,7 +167,32 @@ class TestBatchOracleMatchesScipy:
             else:
                 got = problem._csr_grad_batch(w[None], batch)[0]
             assert got.shape == (problem.d,)
-            assert _same_bits(got, _scipy_grad_batch(problem, w, batch)), (trial, batch)
+            assert same_bits(got, _scipy_grad_batch(problem, w, batch)), (trial, batch)
+
+    @pytest.mark.parametrize("l2", [0.0, 0.37])
+    @pytest.mark.parametrize("loss", ALL_LOSSES)
+    def test_signed_zeros_match_scipy(self, loss, l2):
+        # l2 w is -0.0 where w is -0.0, and where w < 0 when l2 = 0; scipy
+        # adds it to a data part that starts at 0.0, which gives +0.0
+        base = _random_rows_problem(loss, "sparse", seed=13)
+        features = base.dataset.features.copy()
+        features.data[::7] = -0.0
+        problem = Problem(dataset=Dataset(features=features, labels=base.dataset.labels),
+                          loss=loss, l2_reg=l2)
+        assert problem.dataset.dense_rows is None
+        rng = np.random.default_rng(14)
+        for b in (1, 2, 7, problem.n):
+            for batch in _batches(problem.n, b, 6, rng):
+                points = rng.standard_normal((3, problem.d))
+                points[0, ::2] = -0.0
+                points[1] = -np.abs(points[1])
+                points[2] = -0.0
+                assert np.signbit(l2 * points).any()
+                stacked = problem.grad_batch(points, batch)
+                for point, got in zip(points, stacked):
+                    want = _scipy_grad_batch(problem, point, batch)
+                    assert same_bits(got, want), (b, batch)
+                    assert same_bits(problem.grad_batch(point, batch), want), (b, batch)
 
     @pytest.mark.parametrize("loss", ALL_LOSSES)
     def test_stack_equals_single_calls_and_charges_each_point(self, loss):
@@ -187,8 +206,8 @@ class TestBatchOracleMatchesScipy:
             assert stacked.shape == (2, problem.d)
             assert counters.per_example_grad_evals == 2 * b
             for point, got in zip(points, stacked):
-                assert _same_bits(got, problem.grad_batch(point, batch))
-                assert _same_bits(got, _scipy_grad_batch(problem, point, batch))
+                assert same_bits(got, problem.grad_batch(point, batch))
+                assert same_bits(got, _scipy_grad_batch(problem, point, batch))
 
 
 def _rounding_bound(problem: Problem, w: np.ndarray, batch: np.ndarray) -> np.ndarray:
@@ -253,7 +272,7 @@ class TestDenseRowOracle:
             for batch in _batches(problem.n, b, 6, rng):
                 x = rng.standard_normal(problem.d) * 10.0 ** rng.integers(-2, 3)
                 gx, ga = problem.grad_batch(np.stack((x, x)), batch)
-                assert _same_bits(gx, ga), (b, batch)
+                assert same_bits(gx, ga), (b, batch)
                 base = problem.grad_full(x)
                 np.testing.assert_array_equal(gx - ga + base, base)
 
