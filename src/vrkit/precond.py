@@ -64,11 +64,10 @@ class PrecondState:
 
     The scalar and diagonal variants keep G itself; the diagonal one also
     keeps sqrt(G), > 0 in every coordinate, taken once per
-    :meth:`accumulate` and read by :meth:`step`.  Both update G and sqrt(G)
-    in place and form g * g and eta g / sqrt(G) in one work buffer of
-    length d, so neither allocates more than the step's new iterate.  A
-    non-finite gradient coordinate makes the diagonal step raise
-    ``FloatingPointError``.  The
+    :meth:`accumulate` and read by :meth:`step`.  It updates both in place
+    and forms g * g and eta g / sqrt(G) in one work buffer of length d, so
+    a step allocates only its new iterate.  A non-finite gradient
+    coordinate makes the diagonal step raise ``FloatingPointError``.  The
     full-matrix variant keeps G = DELTA I + F^T F through a factor F whose
     r rows are sqrt(mu_i) v_i, with (mu_i, v_i) the eigenpairs of
     G - DELTA I.  Each :meth:`accumulate` appends g to F and rotates it onto
