@@ -20,6 +20,8 @@ case writes.  It exits 1 when any of these turns up and 0 when every case is
 identical to its golden files:
 
     PYTHONPATH=src python3 scripts/bless_goldens.py --compare
+
+Any other argument prints a usage line, writes nothing and exits 2.
 """
 
 from __future__ import annotations
@@ -315,6 +317,9 @@ def compare() -> int:
 def main() -> int:
     if sys.argv[1:] == ["--compare"]:
         return compare()
+    if sys.argv[1:]:
+        print("usage: bless_goldens.py [--compare]", file=sys.stderr)
+        return 2
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for stale in GOLDEN_DIR.glob("*"):
         stale.unlink()

@@ -71,10 +71,10 @@ class RunConfig:
     writes nothing).
 
     Every other setting is the library's: the last-iterate snapshot and its
-    constants (growth-test threshold 0.5, refresh probability b/n,
-    accumulator offset 1e-8, Huber delta 1); :func:`execute_seed` fixes the
-    protocol's multistage accuracy epsilon = 0.01, and svrg-bb's first step
-    size 0.1 when ``eta`` is None.
+    constants (growth-test threshold 0.5, the 10 n/b cap on inner loops,
+    refresh probability b/n, accumulator offset 1e-8, Huber delta 1);
+    :func:`execute_seed` fixes the protocol's multistage accuracy epsilon =
+    0.01, and svrg-bb's first step size 0.1 when ``eta`` is None.
     """
 
     dataset: str | None = None

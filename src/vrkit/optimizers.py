@@ -293,7 +293,7 @@ class _DenseStep:
         if self.cached:
             self.anchor_derivs = self.problem.margin_derivs(anchor)
             # grad_B(anchor) off the batch's columns, as grad_batch forms it
-            self.anchor_l2 = self.problem.l2_reg * anchor + 0.0
+            self.anchor_l2 = self.problem.l2_term(anchor)
 
     def point(self) -> np.ndarray:
         return self.x

@@ -10,37 +10,37 @@ traces can report work in effective passes over the data.  Loss evaluations
 are never charged; they are used for monitoring only.
 
 The mini-batch oracle :meth:`Problem.grad_batch` takes one point or a
-(k, d) stack of points; a stack shares one row gather and is charged k
-times the batch size, so the variance-reduced direction on dense rows
-costs one call.
-It has two paths, chosen by :attr:`Dataset.dense_rows`:
+(k, d) stack of points and is charged k times the batch size.  It has two
+paths, chosen by :attr:`Dataset.dense_rows`:
 
 * Dense rows (a dense copy costs no more memory than the CSR's ``data`` and
-  ``indices``): the batch's rows are one n x d row slice, and both products
-  are BLAS matrix products.  :meth:`Problem.grad_full` and
-  :meth:`Problem.loss_value` use the same matrix.  BLAS adds in its own
-  order, so results differ from the CSR path in the last bits and depend on
-  the BLAS build.  ``tests/test_problems.py`` holds each gradient
+  ``indices``): the batch's rows are one n x d row slice, shared by every
+  point of a stack, and both products are BLAS matrix products, so the
+  variance-reduced direction costs one call.  :meth:`Problem.grad_full`
+  and :meth:`Problem.loss_value` use the same matrix.  BLAS adds in its
+  own order, so results differ from the CSR path in the last bits and
+  depend on the BLAS build.  ``tests/test_problems.py`` holds each gradient
   coordinate within (d + b + 8) eps times the magnitudes that enter it (a
   first-order rounding bound) of the CSR result, and the objective within
   a relative 1e-12.  The rows of a stack share every operation, so a stack
   (x, x) gives two identical rows.
-* CSR rows: the batch's rows are read straight from the CSR arrays
-  ``indptr/indices/data``, and the sums keep scipy's order bit for bit:
-  each prediction is 0.0 + a_0 w_0 + a_1 w_1 + ... over a row's stored
-  entries in order (``csr_matvec``), and each gradient coordinate is 0.0
-  plus the row terms in batch draw order (``csc_matvec`` on the transposed
-  rows).  ``np.bincount`` adds in exactly that order.  ``np.sum``,
-  ``np.add.reduce`` and ``@`` add pairwise, in an order that depends on the
-  array layout, and would change the last bits.  Only the batch's distinct
-  columns are summed; the others get 0.0 + l2 w_j, as scipy gives them.
-  This path is the exact reference for the dense one.
+* CSR rows: a stack is computed point by point.  One kernel reads the
+  batch's rows straight from the CSR arrays ``indptr/indices/data`` and
+  keeps scipy's order bit for bit: each prediction is 0.0 + a_0 w_0 +
+  a_1 w_1 + ... over a row's stored entries in order (``csr_matvec``), and
+  each gradient coordinate is 0.0 plus the row terms in batch draw order
+  (``csc_matvec`` on the transposed rows).  ``np.bincount`` adds in exactly
+  that order.  ``np.sum``, ``np.add.reduce`` and ``@`` add pairwise, in an
+  order that depends on the array layout, and would change the last bits.
+  Only the batch's distinct columns are summed; the gradient is
+  :meth:`Problem.l2_term`, l2 w + 0.0 as scipy gives it, plus the data
+  part on those columns.  This path is the exact reference for the dense
+  one.
 
-The row kernels read the same arrays for the optimizers: the batch
-gradient's data part on the batch's columns only, in O(nnz) of its rows.
-:meth:`Problem.sparse_batch_part` serves the just-in-time step, and
-:meth:`Problem.anchor_batch_part` the dense step's snapshot half from
-cached phi', bit for bit as ``grad_batch`` sums it.
+The same kernel serves the optimizers with the data part alone, in O(nnz)
+of the batch's rows: :meth:`Problem.sparse_batch_part` for the
+just-in-time step, and :meth:`Problem.anchor_batch_part`, its column sum
+from cached phi', for the dense step's snapshot half.
 """
 
 from __future__ import annotations
@@ -259,32 +259,44 @@ class Problem:
         """Mean gradient over a nonempty set of example indices, plus the L2 term.
 
         ``w`` is one point of dimension d, or a (k, d) stack of points; a
-        stack returns the k gradients as a (k, d) array from one gather of
-        the batch's rows and is charged k * batch size.  Each gradient is
+        stack returns the k gradients as a (k, d) array and is charged k *
+        batch size.  ``batch`` holds integer indices.  Each gradient is
         ``(phi'(rows @ w) / b) @ rows + l2 * w`` with ``rows =
-        features[batch]``: through BLAS on :attr:`Dataset.dense_rows`, and
-        otherwise bit for bit in the order of scipy's CSR products (see the
-        module docstring).
+        features[batch]``: through BLAS on :attr:`Dataset.dense_rows`, where
+        a stack shares one gather of the rows, and otherwise point by point,
+        bit for bit in the order of scipy's CSR products (see the module
+        docstring).
         """
         w = np.asarray(w, dtype=np.float64)
         points = w if w.ndim == 2 else w.reshape(1, -1)
         if points.shape[1] != self.d:
             raise ValueError(f"iterate has dimension {points.shape[1]}, expected {self.d}")
-        batch = np.asarray(batch, dtype=np.intp).ravel()
+        batch = np.asarray(batch)
+        if batch.dtype.kind not in "iu":
+            raise ValueError(f"batch indices must be integers, got dtype {batch.dtype}")
+        batch = batch.astype(np.intp, copy=False).ravel()
         if batch.size == 0:
             raise ValueError("empty batch")
         if batch.min() < 0 or batch.max() >= self.n:
             raise IndexError(f"batch index out of range [0, {self.n})")
         dense = self.dataset.dense_rows
-        if dense is None:
-            g = self._csr_grad_batch(points, batch)
-        else:
+        if dense is not None:
             rows = dense[batch]
             coeffs = self._loss_derivs(points @ rows.T, self.dataset.labels[batch]) / batch.size
             g = coeffs @ rows + self.l2_reg * points
+            g = g if w.ndim == 2 else g[0]
+        elif w.ndim == 2:
+            g = np.array([self._csr_grad_batch(point, batch) for point in points])
+        else:
+            g = self._csr_grad_batch(points[0], batch)
         if counters is not None:
             counters.charge_batch(points.shape[0] * batch.size)
-        return g if w.ndim == 2 else g[0]
+        return g
+
+    def l2_term(self, w: np.ndarray) -> np.ndarray:
+        """``l2 w + 0.0``, the L2 term of a batch gradient on CSR rows: scipy
+        adds l2 w to a data part that starts at 0.0, so no -0.0 is left."""
+        return self.l2_reg * w + 0.0
 
     def margin_derivs(self, w: np.ndarray) -> np.ndarray:
         """phi' at every example's prediction <a_i, w>.  Never charged."""
@@ -294,83 +306,64 @@ class Problem:
         """``(cols, s)``: the distinct columns of the batch's CSR rows and, on
         them, s = A_B^T (phi'(A_B x) - anchor_derivs[B]) / b, with x on
         ``cols`` from ``gather(cols)`` and ``anchor_derivs`` from
-        :meth:`margin_derivs` (None for none).  Never charged."""
-        row_of, cols, vals = self._batch_entries(batch)
-        b = batch.size
-        cols, inverse = self._distinct(cols, b)
-        x_at = gather(cols)
-        products = vals * (x_at if inverse is None else x_at[inverse])
-        coeffs = self._loss_derivs(np.bincount(row_of, weights=products, minlength=b),
-                                   self.dataset.labels[batch])
-        if anchor_derivs is not None:
-            coeffs = coeffs - anchor_derivs[batch]
-        terms = (coeffs / b)[row_of] * vals
-        if inverse is None:
-            return cols, terms
-        return cols, np.bincount(inverse, weights=terms, minlength=cols.size)
+        :meth:`margin_derivs` (None for none).  Without ``anchor_derivs``,
+        s + :meth:`l2_term` (x) on ``cols`` is ``grad_batch(x, batch)`` there
+        bit for bit.  Never charged."""
+        return self._batch_part(batch, gather, anchor_derivs)
 
     def anchor_batch_part(self, batch: np.ndarray, derivs: np.ndarray):
         """``(cols, s)``: the distinct columns of the batch's CSR rows and, on
         them, the data part s = A_B^T derivs[B] / b of a batch gradient, with
         ``derivs`` from :meth:`margin_derivs`, summed as :meth:`grad_batch`
-        sums it: 0.0 plus the terms in draw order.  With ``derivs`` taken at
-        w, s + (l2 w + 0.0) on ``cols`` is ``grad_batch(w, batch)`` there bit
-        for bit.  Never charged."""
-        row_of, cols, vals = self._batch_entries(batch)
-        cols, sums = self._column_sums(row_of, cols, vals, derivs[batch][None] / batch.size)
-        return cols, sums[0]
+        sums it.  With ``derivs`` taken at w, s + :meth:`l2_term` (w) on
+        ``cols`` is ``grad_batch(w, batch)`` there bit for bit.  Never
+        charged."""
+        row_of, vals, cols, slot = self._batch_entries(batch)
+        return cols, self._column_sum(row_of, vals, slot, derivs[batch] / batch.size)
 
-    def _batch_entries(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The stored entries of the batch's rows, row by row in draw order:
-        each entry's row in the batch, its column and its value."""
+    def _batch_entries(self, batch: np.ndarray):
+        """``(row_of, vals, cols, slot)``: the stored entries of the batch's
+        rows, row by row in draw order (each entry's row in the batch and its
+        value), the batch's distinct columns, and each entry's slot among
+        them.  At b = 1 a row's columns are distinct: ``cols`` are the
+        entries' own and ``slot`` is None."""
         feats = self.dataset.features
         if batch.size == 1:
             row = slice(feats.indptr[batch[0]], feats.indptr[batch[0] + 1])
-            return np.zeros(row.stop - row.start, np.intp), feats.indices[row], feats.data[row]
+            return (np.zeros(row.stop - row.start, np.intp), feats.data[row],
+                    feats.indices[row], None)
         lengths = feats.indptr[batch + 1] - feats.indptr[batch]
         ends = np.cumsum(lengths)
         pos = np.arange(ends[-1]) + np.repeat(feats.indptr[batch] - (ends - lengths), lengths)
-        return np.repeat(np.arange(batch.size), lengths), feats.indices[pos], feats.data[pos]
+        cols, slot = np.unique(feats.indices[pos], return_inverse=True)
+        return np.repeat(np.arange(batch.size), lengths), feats.data[pos], cols, slot
 
     @staticmethod
-    def _distinct(cols: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """The batch's distinct columns and each entry's slot among them, or
-        the entries' own columns and None at b = 1: one row's columns are
-        distinct."""
-        if b == 1:
-            return cols, None
-        return np.unique(cols, return_inverse=True)
+    def _column_sum(row_of: np.ndarray, vals: np.ndarray, slot: np.ndarray | None,
+                    coeffs: np.ndarray) -> np.ndarray:
+        """A_B^T coeffs on the batch's distinct columns, each 0.0 plus its
+        terms in draw order (``csc_matvec``).  At b = 1 a column's one term
+        is taken as is: -0.0 where scipy has 0.0, which adding
+        :meth:`l2_term` (never -0.0) does not show."""
+        terms = coeffs[row_of] * vals
+        return terms if slot is None else np.bincount(slot, weights=terms)
 
-    def _column_sums(self, row_of: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                     coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(cols, sums)``: the batch's distinct columns and, for each row of
-        the (k, b) ``coeffs``, its (k, m) sums A_B^T coeffs on them, each 0.0
-        plus its entries' terms in draw order, as ``csc_matvec`` adds."""
-        k = coeffs.shape[0]
-        terms = coeffs[:, row_of] * vals
-        cols, inverse = self._distinct(cols, coeffs.shape[1])
-        if inverse is None:
-            return cols, terms + 0.0
-        m = cols.size
-        slots = (inverse + m * np.arange(k)[:, None]).ravel()
-        return cols, np.bincount(slots, weights=terms.ravel(), minlength=k * m).reshape(k, m)
+    def _batch_part(self, batch: np.ndarray, gather, anchor_derivs=None):
+        """The one CSR batch kernel behind :meth:`sparse_batch_part`; each
+        row's margin is 0.0 plus its products in order (``csr_matvec``)."""
+        row_of, vals, cols, slot = self._batch_entries(batch)
+        x_at = gather(cols)
+        products = vals * (x_at if slot is None else x_at[slot])
+        coeffs = self._loss_derivs(np.bincount(row_of, weights=products, minlength=batch.size),
+                                   self.dataset.labels[batch])
+        if anchor_derivs is not None:
+            coeffs = coeffs - anchor_derivs[batch]
+        return cols, self._column_sum(row_of, vals, slot, coeffs / batch.size)
 
-    def _csr_grad_batch(self, points: np.ndarray, batch: np.ndarray) -> np.ndarray:
-        """The (k, d) batch gradients of :meth:`grad_batch` from the CSR
-        arrays, summed in scipy's order; exact on any layout.  The l2 term
-        is added on every column and the data part on the batch's columns
-        only."""
-        b, k = batch.size, points.shape[0]
-        row_of, cols, vals = self._batch_entries(batch)
-        # z_bin: flat (point, row) slot of each entry; bincount adds each
-        # slot's weights in array order, from 0.0
-        z_bin = (row_of + b * np.arange(k)[:, None]).ravel()
-        products = points[:, cols] * vals
-        z = np.bincount(z_bin, weights=products.ravel(), minlength=k * b).reshape(k, b)
-        coeffs = self._loss_derivs(z, self.dataset.labels[batch]) / b
-        cols, sums = self._column_sums(row_of, cols, vals, coeffs)
-        g = self.l2_reg * points
-        # scipy adds l2 w to a data part that starts at 0.0, so no -0.0 is left
-        g += 0.0
-        g[:, cols] += sums
+    def _csr_grad_batch(self, w: np.ndarray, batch: np.ndarray) -> np.ndarray:
+        """:meth:`grad_batch` at one point from the CSR arrays, exact on any
+        layout: :meth:`l2_term` plus the data part on the batch's columns."""
+        g = self.l2_term(w)
+        cols, s = self._batch_part(batch, w.__getitem__)
+        g[cols] += s
         return g

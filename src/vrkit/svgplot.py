@@ -9,6 +9,7 @@ diverging configurations stay readable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from pathlib import Path
 
@@ -45,8 +46,10 @@ def emit_plot(
 
     ``series`` maps a label to ``(xs, median, std)`` arrays (std may be
     None).  Points with a non-finite coordinate are dropped, and so, with
-    ``log_x``, are points at x <= 0.  ``y_cap`` clips values from above
-    before plotting.  Raises ``ValueError`` when there is nothing to draw.
+    ``log_x``, are points at x <= 0; where only the std is not finite
+    (``bench.aggregate`` writes inf where a seed diverged) the band has a
+    gap.  ``y_cap`` clips values from above before plotting.  Raises
+    ``ValueError`` when there is nothing to draw.
     """
     if not series:
         raise ValueError("nothing to plot: empty series mapping")
@@ -165,13 +168,15 @@ def emit_plot(
 
     for i, (label, pts) in enumerate(cleaned.items()):
         color = PALETTE[i % len(PALETTE)]
-        if any(s > 0 for _, _, s in pts):
-            upper = [(sx(x), sy(max(y + s, _FLOOR))) for x, y, s in pts]
-            lower = [(sx(x), sy(max(y - s, _FLOOR))) for x, y, s in reversed(pts)]
-            band = " ".join(f"{px:.2f},{py:.2f}" for px, py in upper + lower)
-            parts.append(
-                f'<polygon points="{band}" fill="{color}" opacity="0.15" stroke="none"/>'
-            )
+        for finite, run in itertools.groupby(pts, key=lambda p: math.isfinite(p[1] + p[2])):
+            run = list(run)
+            if finite and any(s > 0 for _, _, s in run):
+                upper = [(sx(x), sy(max(y + s, _FLOOR))) for x, y, s in run]
+                lower = [(sx(x), sy(max(y - s, _FLOOR))) for x, y, s in reversed(run)]
+                band = " ".join(f"{px:.2f},{py:.2f}" for px, py in upper + lower)
+                parts.append(
+                    f'<polygon points="{band}" fill="{color}" opacity="0.15" stroke="none"/>'
+                )
         line = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y, _ in pts)
         parts.append(
             f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.8"/>'

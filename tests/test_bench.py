@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -322,6 +323,20 @@ class TestSvgPlot:
         assert path.exists()
         with pytest.raises(ValueError):
             emit_plot({"s": ([0.0], [np.inf], None)}, tmp_path / "allbad.svg")
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_std_leaves_a_gap_in_the_band(self, tmp_path, bad):
+        # aggregate writes an inf std on a pass where one seed diverged
+        text = emit_plot(
+            {"s": ([0, 1, 2, 3, 4], [1.0, 0.5, 0.4, 0.3, 0.2], [0.1, 0.1, bad, 0.1, 0.1])},
+            tmp_path / "gap.svg",
+        ).read_text()
+        assert text.count("<polyline") == 1
+        assert text.count("<polygon") == 2  # the band on each side of the gap
+        coords = [float(v) for attr in re.findall(r'points="([^"]*)"', text)
+                  for v in re.split(r"[ ,]", attr)]
+        coords += [float(v) for v in re.findall(r' (?:x|y|x1|y1|x2|y2)="([^"]*)"', text)]
+        assert coords and all(math.isfinite(v) for v in coords)
 
     def test_log_x_drops_points_at_or_below_zero(self, tmp_path):
         # aggregate.csv starts at pass 0, which a log axis cannot show

@@ -58,3 +58,15 @@ def test_compare_names_missing_and_orphan_files(tmp_path, monkeypatch, capsys):
         f"{dropped}: no golden file",
         "deleted-case.csv: no case",
     ]
+
+
+@pytest.mark.parametrize("argv", [["--comapre"], ["--compare", "--compare"], ["compare"]])
+def test_unknown_argument_writes_nothing(tmp_path, monkeypatch, capsys, argv):
+    kept = tmp_path / "sgd-b1.csv"
+    kept.write_text("kept\n", encoding="utf-8")
+    monkeypatch.setattr(bless_goldens, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(bless_goldens.sys, "argv", ["bless_goldens.py", *argv])
+    assert bless_goldens.main() == 2
+    assert capsys.readouterr().err == "usage: bless_goldens.py [--compare]\n"
+    assert [path.name for path in tmp_path.iterdir()] == [kept.name]
+    assert kept.read_text(encoding="utf-8") == "kept\n"

@@ -106,6 +106,11 @@ class TestGradients:
                 problem.grad_batch(w, np.array([-1]))
             with pytest.raises(ValueError, match="dimension"):
                 problem.grad_batch(np.zeros((*lead, problem.d + 1)), np.array([0]))
+            # a float is not truncated to row 0, nor a mask read as rows 1, 0, 1
+            with pytest.raises(ValueError, match="integers"):
+                problem.grad_batch(w, np.array([0.9]))
+            with pytest.raises(ValueError, match="integers"):
+                problem.grad_batch(w, np.array([True, False, True]))
 
 
 def _scipy_grad_batch(problem: Problem, w: np.ndarray, batch: np.ndarray) -> np.ndarray:
@@ -165,7 +170,7 @@ class TestBatchOracleMatchesScipy:
             if layout == "sparse":
                 got = problem.grad_batch(w, batch)
             else:
-                got = problem._csr_grad_batch(w[None], batch)[0]
+                got = problem._csr_grad_batch(w, batch)
             assert got.shape == (problem.d,)
             assert same_bits(got, _scipy_grad_batch(problem, w, batch)), (trial, batch)
 
@@ -208,6 +213,21 @@ class TestBatchOracleMatchesScipy:
             for point, got in zip(points, stacked):
                 assert same_bits(got, problem.grad_batch(point, batch))
                 assert same_bits(got, _scipy_grad_batch(problem, point, batch))
+
+    @pytest.mark.parametrize("loss", ALL_LOSSES)
+    def test_sparse_batch_part_plus_l2_term_equals_scipy(self, loss):
+        # the just-in-time step's data part, added on its columns to
+        # l2 x + 0.0, is the batch gradient bit for bit
+        problem = _random_rows_problem(loss, "sparse", seed=21)
+        rng = np.random.default_rng(22)
+        for b in (1, 2, 7, problem.n):
+            for batch in _batches(problem.n, b, 8, rng):
+                x = rng.standard_normal(problem.d) * 10.0 ** rng.integers(-2, 3)
+                cols, s = problem.sparse_batch_part(batch, x.__getitem__)
+                assert np.array_equal(cols, np.unique(problem.dataset.features[batch].indices))
+                g = problem.l2_reg * x + 0.0
+                g[cols] += s
+                assert same_bits(g, _scipy_grad_batch(problem, x, batch)), (b, batch)
 
 
 def _rounding_bound(problem: Problem, w: np.ndarray, batch: np.ndarray) -> np.ndarray:
