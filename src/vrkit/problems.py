@@ -349,8 +349,9 @@ class Problem:
         return terms if slot is None else np.bincount(slot, weights=terms)
 
     def _batch_part(self, batch: np.ndarray, gather, anchor_derivs=None):
-        """The one CSR batch kernel behind :meth:`sparse_batch_part`; each
-        row's margin is 0.0 plus its products in order (``csr_matvec``)."""
+        """The one CSR batch kernel, behind :meth:`sparse_batch_part` and
+        :meth:`grad_batch`; each row's margin is 0.0 plus its products in
+        order (``csr_matvec``)."""
         row_of, vals, cols, slot = self._batch_entries(batch)
         x_at = gather(cols)
         products = vals * (x_at if slot is None else x_at[slot])
