@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import IO, Iterable
 
 import numpy as np
@@ -23,6 +24,13 @@ from .problems import Dataset
 # erfc(margin / sqrt 2); a margin that needs more candidates than this per
 # kept row on average is rejected (it would stall the draw).
 MAX_CANDIDATES_PER_ROW = 1000
+
+# parse_libsvm converts the tokens of about this many characters of feature
+# text at a time: enough to amortise the per-chunk calls, small enough that
+# the chunk's temporary lists add little to the peak memory of a parse.
+_CHUNK_CHARS = 64 * 1024
+# Feature indices are stored as int32 in the CSR matrix.
+_INDEX_LIMIT = 2**31
 
 
 @dataclass(frozen=True)
@@ -66,58 +74,46 @@ def _iter_lines(source: str | IO[str] | Iterable[str]) -> Iterable[str]:
 def parse_libsvm(source: str | IO[str] | Iterable[str], d: int | None = None) -> Dataset:
     """Parse LIBSVM text (a string of content, open file, or line iterable).
 
+    Lines are read one at a time, but their ``idx:val`` tokens are converted
+    in bulk, about ``_CHUNK_CHARS`` characters of feature text at a time.
+    A chunk that fails any check is re-scanned line by line, so the error
+    names the first bad line, as a token-by-token parse would.  Feature
+    indices must be below 2**31, since the CSR matrix stores them as int32.
     The feature dimension is the maximum observed index unless an explicit
     ``d`` override pads it.  Raises ``ValueError`` on malformed tokens,
-    non-increasing indices within a row, a non-finite label or feature value,
-    or an empty dataset.
+    indices that are not 1-based, do not fit int32 or do not increase
+    within a row, a non-finite label or feature value, or an empty dataset.
     """
-    labels: list[float] = []
     linenos: list[int] = []
-    indptr = [0]
-    indices: list[int] = []
-    values: list[float] = []
-    max_index = 0
+    chunks: list[tuple[np.ndarray, ...]] = []
+    pending: list[tuple[int, str, str]] = []  # (lineno, label, features) to convert
+    size = 0
+    try:
+        for lineno, raw in enumerate(_iter_lines(source), start=1):
+            fields = raw.split(None, 1)
+            if not fields or fields[0].startswith("#"):
+                continue
+            linenos.append(lineno)
+            pending.append((lineno, fields[0], fields[1] if len(fields) > 1 else ""))
+            size += len(pending[-1][2])
+            if size >= _CHUNK_CHARS:
+                full, pending, size = pending, [], 0
+                chunks.append(_convert_chunk(full))
+    finally:
+        # also when the source fails: a bad line read before then raises first
+        if pending:
+            chunks.append(_convert_chunk(pending))
 
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        try:
-            labels.append(float(tokens[0]))
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric label {tokens[0]!r}") from None
-        linenos.append(lineno)
-        prev_idx = 0
-        for token in tokens[1:]:
-            head, sep, tail = token.partition(":")
-            if not sep:
-                raise ValueError(f"line {lineno}: malformed token {token!r}")
-            try:
-                idx = int(head)
-                val = float(tail)
-            except ValueError:
-                raise ValueError(f"line {lineno}: malformed token {token!r}") from None
-            if idx < 1:
-                raise ValueError(f"line {lineno}: feature index {idx} is not 1-based")
-            if idx <= prev_idx:
-                raise ValueError(
-                    f"line {lineno}: non-increasing feature index {idx} after {prev_idx}"
-                )
-            prev_idx = idx
-            indices.append(idx - 1)
-            values.append(val)
-            max_index = max(max_index, idx)
-        indptr.append(len(indices))
-
-    if not labels:
+    if not linenos:
         raise ValueError("empty dataset")
+    raw_labels, indices, data, lengths = (np.concatenate(part) for part in zip(*chunks))
+    max_index = int(indices.max()) + 1 if indices.size else 0
     dim = max_index if d is None else int(d)
     if dim < max_index:
         raise ValueError(f"explicit dimension {dim} smaller than max index {max_index}")
 
-    data = np.asarray(values, dtype=np.float64)
-    raw_labels = np.asarray(labels, dtype=np.float64)
+    indptr = np.zeros(len(linenos) + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(lengths)
     # one vectorised check after parsing; the first bad row names its line
     bad = ~np.isfinite(raw_labels)
     bad[np.searchsorted(indptr, np.flatnonzero(~np.isfinite(data)), side="right") - 1] = True
@@ -125,15 +121,84 @@ def parse_libsvm(source: str | IO[str] | Iterable[str], d: int | None = None) ->
         row = int(np.argmax(bad))
         what = "feature value" if np.isfinite(raw_labels[row]) else "label"
         raise ValueError(f"line {linenos[row]}: non-finite {what}")
-    matrix = sp.csr_matrix(
-        (
-            data,
-            np.asarray(indices, dtype=np.int32),
-            np.asarray(indptr, dtype=np.int32),
-        ),
-        shape=(len(labels), dim),
-    )
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(len(linenos), dim))
     return Dataset(features=matrix, labels=_recode_labels(raw_labels))
+
+
+def _convert_chunk(lines: list[tuple[int, str, str]]) -> tuple[np.ndarray, ...]:
+    """Labels, 0-based int32 indices, values and row lengths of one chunk of
+    ``(lineno, label, features)`` lines.
+
+    Where the bulk conversion rejects the chunk, :func:`_check_line` names
+    its first bad line.
+    """
+    converted = _bulk_convert(lines)
+    if converted is None:
+        for lineno, label, rest in lines:
+            _check_line(lineno, f"{label} {rest}")
+        raise RuntimeError(f"lines {lines[0][0]}-{lines[-1][0]}: rejected in bulk but not alone")
+    return converted
+
+
+def _bulk_convert(lines: list[tuple[int, str, str]]) -> tuple[np.ndarray, ...] | None:
+    """The chunk converted with one join and split, or None if any check fails.
+
+    The tokens go through the same ``int`` and ``float`` as
+    :func:`_check_line`, so both accept exactly the same text.
+    """
+    _, labels, features = zip(*lines)
+    text = " ".join(features)
+    tokens = text.split()
+    # a row's length is its line's colon count, once every token holds one
+    lengths = np.array(list(map(str.count, features, repeat(":"))), dtype=np.int64)
+    pairs = text.replace(":", " ").split()  # a token with an empty side gives one field
+    if not (set(map(str.count, tokens, repeat(":"))) <= {1}
+            and lengths.sum() == len(tokens) and len(pairs) == 2 * len(tokens)):
+        return None
+    try:
+        label_values = np.array(list(map(float, labels)), dtype=np.float64)
+        index = np.array(list(map(int, pairs[0::2])), dtype=np.int64)
+        values = np.array(list(map(float, pairs[1::2])), dtype=np.float64)
+    except (ValueError, OverflowError):  # a token int or float rejects, or one beyond int64
+        return None
+    # strictly increasing within each row: the step into a row's first entry is free
+    increasing = np.diff(index) > 0
+    starts = np.cumsum(lengths[:-1])
+    increasing[starts[(starts > 0) & (starts < index.size)] - 1] = True
+    if index.size and not (
+        index.min() >= 1 and index.max() < _INDEX_LIMIT and increasing.all()
+    ):
+        return None
+    return label_values, (index - 1).astype(np.int32), values, lengths
+
+
+def _check_line(lineno: int, line: str) -> None:
+    """Raise the ``ValueError`` for the first bad token of one line, if any."""
+    tokens = line.split()
+    try:
+        float(tokens[0])
+    except ValueError:
+        raise ValueError(f"line {lineno}: non-numeric label {tokens[0]!r}") from None
+    prev_idx = 0
+    for token in tokens[1:]:
+        head, sep, tail = token.partition(":")
+        if not sep:
+            raise ValueError(f"line {lineno}: malformed token {token!r}")
+        try:
+            idx = int(head)
+            float(tail)
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed token {token!r}") from None
+        if idx < 1:
+            raise ValueError(f"line {lineno}: feature index {idx} is not 1-based")
+        if idx >= _INDEX_LIMIT:
+            raise ValueError(
+                f"line {lineno}: feature index {idx} does not fit int32 (must be < 2**31)")
+        if idx <= prev_idx:
+            raise ValueError(
+                f"line {lineno}: non-increasing feature index {idx} after {prev_idx}"
+            )
+        prev_idx = idx
 
 
 def _recode_labels(labels: np.ndarray) -> np.ndarray:

@@ -48,7 +48,8 @@ def emit_plot(
     None).  Points with a non-finite coordinate are dropped, and so, with
     ``log_x``, are points at x <= 0; where only the std is not finite
     (``bench.aggregate`` writes inf where a seed diverged) the band has a
-    gap.  ``y_cap`` clips values from above before plotting.  Raises
+    gap.  The band is clipped to the axes frame, whose y range the medians
+    set.  ``y_cap`` clips values from above before plotting.  Raises
     ``ValueError`` when there is nothing to draw.
     """
     if not series:
@@ -104,6 +105,10 @@ def emit_plot(
     def sy(y: float) -> float:
         frac = (math.log10(max(y, _FLOOR)) - ly_lo) / (ly_hi - ly_lo)
         return _TOP + (1.0 - frac) * plot_h
+
+    def band_y(y: float) -> float:
+        # the axis range comes from the medians, so a band edge may lie outside
+        return min(max(sy(y), _TOP), _TOP + plot_h)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -171,8 +176,8 @@ def emit_plot(
         for finite, run in itertools.groupby(pts, key=lambda p: math.isfinite(p[1] + p[2])):
             run = list(run)
             if finite and any(s > 0 for _, _, s in run):
-                upper = [(sx(x), sy(max(y + s, _FLOOR))) for x, y, s in run]
-                lower = [(sx(x), sy(max(y - s, _FLOOR))) for x, y, s in reversed(run)]
+                upper = [(sx(x), band_y(y + s)) for x, y, s in run]
+                lower = [(sx(x), band_y(y - s)) for x, y, s in reversed(run)]
                 band = " ".join(f"{px:.2f},{py:.2f}" for px, py in upper + lower)
                 parts.append(
                     f'<polygon points="{band}" fill="{color}" opacity="0.15" stroke="none"/>'

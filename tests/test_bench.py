@@ -338,6 +338,22 @@ class TestSvgPlot:
         coords += [float(v) for v in re.findall(r' (?:x|y|x1|y1|x2|y2)="([^"]*)"', text)]
         assert coords and all(math.isfinite(v) for v in coords)
 
+    def test_band_is_clipped_to_the_axes_frame(self, tmp_path):
+        # the y range comes from the medians, so a std above the median or a
+        # wide one put band vertices at y = 6152 and 24.19, outside 40..400
+        series = ([0, 1, 2], [1.0, 0.3, 0.2], [0.1, 0.5, 0.05])
+        text = emit_plot({"s": series}, tmp_path / "band.svg").read_text()
+        frame = re.search(r'<rect x="\d+" y="(\d+)" width="\d+" height="(\d+)" fill="none"',
+                          text)
+        top, bottom = int(frame[1]), int(frame[1]) + int(frame[2])
+        band = re.search(r'<polygon points="([^"]*)"', text)[1]
+        ys = [float(vertex.split(",")[1]) for vertex in band.split()]
+        assert all(top <= y <= bottom for y in ys)
+        assert min(ys) == top and max(ys) == bottom
+        # the median line and the ticks are those of the plot without a band
+        plain = emit_plot({"s": series[:2] + (None,)}, tmp_path / "plain.svg").read_text()
+        assert re.sub(r"<polygon[^>]*>\n", "", text) == plain
+
     def test_log_x_drops_points_at_or_below_zero(self, tmp_path):
         # aggregate.csv starts at pass 0, which a log axis cannot show
         with_zero = emit_plot({"s": ([0.0, 1.0, 2.0, 4.0], [1.0, 0.5, 0.25, 0.1], None)},

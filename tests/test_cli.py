@@ -113,6 +113,16 @@ class TestBadConfigValue:
         assert exc.value.code == 2
         assert shown in capsys.readouterr().err
 
+    def test_feature_index_beyond_int32_exits_with_usage_error(self, tmp_path, capsys):
+        # it used to escape as an OverflowError traceback with exit 1
+        data = tmp_path / "wide.libsvm"
+        data.write_text("+1 1:1\n-1 3000000000:1\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--dataset", str(data), "--algo", "svrg", "--eta", "0.1",
+                  "--epochs", "1", "--seeds", "1", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "line 2: feature index 3000000000 does not fit" in capsys.readouterr().err
+
     def test_synthetic_config_key_is_unknown(self, tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"
         cfg.write_text("synthetic_n = 64\n", encoding="utf-8")

@@ -1,5 +1,7 @@
 import importlib.util
+import io
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,11 +13,14 @@ from vrkit import (
     Dataset,
     Problem,
     SyntheticSpec,
+    data,
     gen_separable,
+    load_libsvm,
     parse_libsvm,
     serialize_libsvm,
 )
 
+from conftest import same_bits
 from criterion_helpers import datasets_equal
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,6 +90,17 @@ class TestParse:
         with pytest.raises(ValueError, match="line 3: non-finite feature value"):
             parse_libsvm("# c\n+1\n-1 1:2 2:inf\ninf 1:1\n")
 
+    def test_index_that_does_not_fit_int32_names_its_line(self):
+        # the CSR matrix stores indices as int32; 2**31 and beyond used to
+        # escape as an OverflowError from numpy
+        with pytest.raises(ValueError, match="line 2: feature index 3000000000 does not fit"):
+            parse_libsvm("+1 1:1\n-1 3000000000:1\n")
+        with pytest.raises(ValueError, match="line 1: feature index 2147483648 does not fit"):
+            parse_libsvm("+1 2147483648:1")
+        with pytest.raises(ValueError, match=f"line 1: feature index {2**70} does not fit"):
+            parse_libsvm(f"+1 {2**70}:1")
+        assert parse_libsvm("+1 2147483647:1").d == 2**31 - 1
+
     def test_dimension_override_pads(self):
         dataset = parse_libsvm("+1 1:1", d=10)
         assert dataset.d == 10
@@ -96,6 +112,227 @@ class TestParse:
         assert dataset.features.nnz == 2
         again = parse_libsvm(serialize_libsvm(dataset))
         assert datasets_equal(dataset, again)
+
+
+def reference_parse_libsvm(source, d=None):
+    """The token-by-token parser that the bulk one replaced, kept as the
+    reference; its one change is the int32 check on feature indices."""
+    labels, linenos, indptr, indices, values = [], [], [0], [], []
+    max_index = 0
+    lines = io.StringIO(source) if isinstance(source, str) else source
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        try:
+            labels.append(float(tokens[0]))
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-numeric label {tokens[0]!r}") from None
+        linenos.append(lineno)
+        prev_idx = 0
+        for token in tokens[1:]:
+            head, sep, tail = token.partition(":")
+            if not sep:
+                raise ValueError(f"line {lineno}: malformed token {token!r}")
+            try:
+                idx = int(head)
+                val = float(tail)
+            except ValueError:
+                raise ValueError(f"line {lineno}: malformed token {token!r}") from None
+            if idx < 1:
+                raise ValueError(f"line {lineno}: feature index {idx} is not 1-based")
+            if idx >= 2**31:  # the one addition: numpy raised OverflowError below
+                raise ValueError(
+                    f"line {lineno}: feature index {idx} does not fit int32 (must be < 2**31)")
+            if idx <= prev_idx:
+                raise ValueError(
+                    f"line {lineno}: non-increasing feature index {idx} after {prev_idx}"
+                )
+            prev_idx = idx
+            indices.append(idx - 1)
+            values.append(val)
+            max_index = max(max_index, idx)
+        indptr.append(len(indices))
+
+    if not labels:
+        raise ValueError("empty dataset")
+    dim = max_index if d is None else int(d)
+    if dim < max_index:
+        raise ValueError(f"explicit dimension {dim} smaller than max index {max_index}")
+    values = np.asarray(values, dtype=np.float64)
+    raw_labels = np.asarray(labels, dtype=np.float64)
+    bad = ~np.isfinite(raw_labels)
+    bad[np.searchsorted(indptr, np.flatnonzero(~np.isfinite(values)), side="right") - 1] = True
+    if bad.any():
+        row = int(np.argmax(bad))
+        what = "feature value" if np.isfinite(raw_labels[row]) else "label"
+        raise ValueError(f"line {linenos[row]}: non-finite {what}")
+    matrix = sp.csr_matrix(
+        (values, np.asarray(indices, dtype=np.int32), np.asarray(indptr, dtype=np.int32)),
+        shape=(len(labels), dim),
+    )
+    return Dataset(features=matrix, labels=data._recode_labels(raw_labels))
+
+
+def _outcome(parse, make_source, d):
+    try:
+        return parse(make_source(), d=d)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def assert_parses_like_reference(make_source, d=None):
+    """The library and the reference give the same bits or the same error;
+    ``make_source`` returns a fresh source for each parser."""
+    got = _outcome(parse_libsvm, make_source, d)
+    want = _outcome(reference_parse_libsvm, make_source, d)
+    if isinstance(want, tuple):
+        assert got == want
+        return want
+    assert isinstance(got, Dataset)
+    a, b = got.features, want.features
+    assert a.shape == b.shape
+    for x, y in ((a.data, b.data), (got.labels, want.labels)):
+        assert x.dtype == y.dtype and same_bits(x, y)
+    for x, y in ((a.indices, b.indices), (a.indptr, b.indptr)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    return want
+
+
+# chunk sizes in characters of feature text: one line per chunk, a few
+# lines per chunk, and the library's own
+CHUNK_SIZES = [1, 7, data._CHUNK_CHARS]
+
+FIXED_CASES = {
+    "two-colon and no-colon token": "+1 1:2:3 4\n",
+    "empty value": "+1 1:\n",
+    "empty index": "+1 :1\n",
+    "zero index": "+1 0:1\n",
+    "negative index": "+1 -2:1\n",
+    "repeated index": "+1 2:1 2:1\n",
+    "decreasing index": "+1 1:1 3:1\n-1 3:1 2:1\n",
+    "label with colon": "1:2 3:4\n",
+    "bare colon": "+1 1:1 :\n",
+    "tabs": "+1\t1:2\t3:4\n-1\t2:1\n",
+    "non-breaking space": "+1\xa01:2\xa03:4\n",
+    "underscores and exponents": "+1 1_0:1e0 11:2_0.5\n",
+    "comments and blank lines": "# head\n\n+1 1:1\n   \n  # 1:x\n-1 2:1\n",
+    "row with no features": "+1\n-1 1:1\n+1   \n",
+    "only feature-less rows": "+1\n-1\n",
+    "malformed after non-finite": "+1 1:nan\n-1 1:1\n-1 x\n",
+    "non-finite after fine lines": "+1 1:1\n-1 1:1 2:inf\n",
+    "non-finite label": "+1 1:1\nnan 1:1\n",
+    "index beyond int32": "+1 1:1\n-1 2147483648:1\n",
+    "index beyond int64": f"+1 {2**64}:1\n",
+    "bad label": "abc 1:1\n",
+    "only comments": "# nothing\n\n",
+    "carriage return inside a line": "+1 1:1\r2:2\n",
+}
+
+
+# generated LIBSVM text: well-formed lines with increasing indices (whose
+# values may be non-finite), and up to two lines with the faults the parser names
+_SEPARATORS = st.sampled_from([" ", "\t", "\xa0", "  "])
+_GOOD_LINE = st.one_of(
+    st.sampled_from(["", "  ", "# c 1:x"]),
+    st.builds(lambda label, cols, values, sep: sep.join(
+                  [label, *(f"{c}:{v}" for c, v in zip(sorted(cols), values))]),
+              st.sampled_from(["+1", "-1", "0", "2", "0.5"]),
+              st.sets(st.integers(1, 12), max_size=6),
+              st.lists(st.one_of(st.floats(-1e3, 1e3), st.floats()).map(repr),
+                       min_size=6, max_size=6),
+              _SEPARATORS),
+)
+_ODD_LINE = st.builds(
+    lambda label, tokens, sep: sep.join([label, *tokens]),
+    st.sampled_from(["+1", "-1", "nan", "inf", "abc", "1:2"]),
+    st.lists(st.one_of(
+        st.builds("{}:{}".format,
+                  st.one_of(st.integers(-1, 12),
+                            st.sampled_from([2**31 - 1, 2**31, 2**64, "", "1_0", "+3", "x"])),
+                  st.one_of(st.floats().map(repr),
+                            st.sampled_from(["1", "-0.0", "1e400", "1_0", "", "z", ":"]))),
+        st.sampled_from(["4", ":", "1:2:3", "::"])), max_size=5),
+    _SEPARATORS)
+
+
+@st.composite
+def libsvm_texts(draw):
+    lines = draw(st.lists(_GOOD_LINE, max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_ODD_LINE))
+    return "\n".join(lines)
+
+
+class TestBulkParseMatchesReference:
+    @pytest.mark.parametrize("chunk", CHUNK_SIZES)
+    @pytest.mark.parametrize("text", FIXED_CASES.values(), ids=FIXED_CASES.keys())
+    def test_fixed_case(self, text, chunk, monkeypatch):
+        monkeypatch.setattr(data, "_CHUNK_CHARS", chunk)
+        assert_parses_like_reference(lambda: text)
+        assert_parses_like_reference(lambda: text.splitlines(keepends=True))
+
+    def test_fixed_cases_show_what_they_name(self):
+        # pin a few outcomes, so the reference cannot drift with the library
+        assert _outcome(parse_libsvm, lambda: FIXED_CASES["two-colon and no-colon token"],
+                        None) == (ValueError, "line 1: malformed token '1:2:3'")
+        assert _outcome(parse_libsvm, lambda: FIXED_CASES["malformed after non-finite"],
+                        None) == (ValueError, "line 3: malformed token 'x'")
+        assert parse_libsvm(FIXED_CASES["underscores and exponents"]).features.indices.tolist() \
+            == [9, 10]
+
+    @pytest.mark.parametrize("chunk", CHUNK_SIZES)
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_endings_through_load_libsvm(self, newline, chunk, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "_CHUNK_CHARS", chunk)
+        path = tmp_path / "data.libsvm"
+        lines = ["# c", "+1 1:0.5 3:-2", "", "-1 2:1", "+1", "-1 1:1 2:1 3:1"]
+        path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode("utf-8"))
+        assert load_libsvm(path).n == 4
+        with open(path, encoding="utf-8") as first:
+            with open(path, encoding="utf-8") as second:
+                handles = iter([first, second])
+                assert_parses_like_reference(lambda: next(handles))
+        path.write_bytes(newline.join(lines + ["-1 2:1 1:1"]).encode("utf-8"))
+        with pytest.raises(ValueError, match="line 7: non-increasing feature index 1 after 2"):
+            load_libsvm(path)
+
+    def test_bad_line_wins_over_a_failing_source(self):
+        def source(bad):
+            yield "+1 1:1\n"
+            yield "-1 x\n" if bad else "-1 2:1\n"
+            raise OSError("read failed")
+
+        with pytest.raises(ValueError, match="line 2: malformed token 'x'"):
+            parse_libsvm(source(True))
+        with pytest.raises(OSError, match="read failed"):
+            parse_libsvm(source(False))
+
+    def test_only_the_bad_chunk_is_rescanned(self, monkeypatch):
+        monkeypatch.setattr(data, "_CHUNK_CHARS", 1)  # one line per chunk
+        checked = []
+        real = data._check_line
+        monkeypatch.setattr(data, "_check_line",
+                            lambda lineno, line: (checked.append(lineno), real(lineno, line)))
+        parse_libsvm("+1 1:1\n-1 2:1\n+1 1:1\n")
+        assert checked == []
+        with pytest.raises(ValueError, match="line 3: malformed"):
+            parse_libsvm("+1 1:1\n-1 2:1\n+1 1x1\n-1 1:1\n")
+        assert checked == [3]
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=libsvm_texts(), chunk=st.sampled_from(CHUNK_SIZES), d=st.sampled_from([None, 12]))
+    def test_generated_text(self, text, chunk, d):
+        with mock.patch.object(data, "_CHUNK_CHARS", chunk):
+            assert_parses_like_reference(lambda: text, d=d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text(alphabet="0123456789:.-+e \t\n\r#_nai\xa0x", max_size=60),
+           chunk=st.sampled_from(CHUNK_SIZES))
+    def test_generated_noise(self, text, chunk):
+        with mock.patch.object(data, "_CHUNK_CHARS", chunk):
+            assert_parses_like_reference(lambda: text)
 
 
 class TestSerialize:
