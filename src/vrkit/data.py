@@ -1,10 +1,16 @@
 """Dataset ingestion: LIBSVM text format and synthetic separable data.
 
 The LIBSVM format is one example per line, ``<label> <idx>:<val> ...`` with
-1-based, strictly increasing feature indices.  Blank lines and lines starting
-with ``#`` are skipped.  Binary labels are recoded to {-1, +1}: {0, 1} and
-{1, 2} map to {-1, +1}; {-1, +1} is kept; anything else (regression targets)
-is kept verbatim.
+1-based, strictly increasing feature indices below 2**31 (the CSR matrix
+stores them as int32).  Blank lines and lines starting with ``#`` are
+skipped.  Binary labels are recoded to {-1, +1}: {0, 1} and {1, 2} map to
+{-1, +1}; {-1, +1} is kept; anything else (regression targets) is kept
+verbatim.
+
+The parser reads line by line but converts tokens in bulk, one chunk of
+about 64 KiB of feature text at a time.  A chunk that fails a check is
+re-scanned line by line, so an error names the first bad line with the
+same message a token-by-token parse gives.
 """
 
 from __future__ import annotations
@@ -74,15 +80,17 @@ def _iter_lines(source: str | IO[str] | Iterable[str]) -> Iterable[str]:
 def parse_libsvm(source: str | IO[str] | Iterable[str], d: int | None = None) -> Dataset:
     """Parse LIBSVM text (a string of content, open file, or line iterable).
 
-    Lines are read one at a time, but their ``idx:val`` tokens are converted
-    in bulk, about ``_CHUNK_CHARS`` characters of feature text at a time.
-    A chunk that fails any check is re-scanned line by line, so the error
-    names the first bad line, as a token-by-token parse would.  Feature
-    indices must be below 2**31, since the CSR matrix stores them as int32.
-    The feature dimension is the maximum observed index unless an explicit
-    ``d`` override pads it.  Raises ``ValueError`` on malformed tokens,
-    indices that are not 1-based, do not fit int32 or do not increase
-    within a row, a non-finite label or feature value, or an empty dataset.
+    Lines are read one at a time, but their ``idx:val`` tokens are
+    converted in bulk, about ``_CHUNK_CHARS`` characters of feature text at
+    a time, through the same ``int`` and ``float`` a token-by-token parse
+    uses.  A chunk that fails any check is re-scanned line by line, so the
+    error names the first bad line with that parse's message; a source that
+    raises while lines are read still lets a bad line read before it raise
+    first.  The feature dimension is the maximum observed index unless an
+    explicit ``d`` override pads it.  Raises ``ValueError`` on malformed
+    tokens, indices that are not 1-based, do not fit int32 (2**31 or more)
+    or do not increase within a row, a non-finite label or feature value,
+    or an empty dataset.
     """
     linenos: list[int] = []
     chunks: list[tuple[np.ndarray, ...]] = []
@@ -93,9 +101,10 @@ def parse_libsvm(source: str | IO[str] | Iterable[str], d: int | None = None) ->
             fields = raw.split(None, 1)
             if not fields or fields[0].startswith("#"):
                 continue
+            features = fields[1] if len(fields) > 1 else ""
             linenos.append(lineno)
-            pending.append((lineno, fields[0], fields[1] if len(fields) > 1 else ""))
-            size += len(pending[-1][2])
+            pending.append((lineno, fields[0], features))
+            size += len(features)
             if size >= _CHUNK_CHARS:
                 full, pending, size = pending, [], 0
                 chunks.append(_convert_chunk(full))
@@ -134,8 +143,8 @@ def _convert_chunk(lines: list[tuple[int, str, str]]) -> tuple[np.ndarray, ...]:
     """
     converted = _bulk_convert(lines)
     if converted is None:
-        for lineno, label, rest in lines:
-            _check_line(lineno, f"{label} {rest}")
+        for lineno, label, features in lines:
+            _check_line(lineno, f"{label} {features}")
         raise RuntimeError(f"lines {lines[0][0]}-{lines[-1][0]}: rejected in bulk but not alone")
     return converted
 
@@ -161,13 +170,12 @@ def _bulk_convert(lines: list[tuple[int, str, str]]) -> tuple[np.ndarray, ...] |
         values = np.array(list(map(float, pairs[1::2])), dtype=np.float64)
     except (ValueError, OverflowError):  # a token int or float rejects, or one beyond int64
         return None
-    # strictly increasing within each row: the step into a row's first entry is free
-    increasing = np.diff(index) > 0
-    starts = np.cumsum(lengths[:-1])
-    increasing[starts[(starts > 0) & (starts < index.size)] - 1] = True
-    if index.size and not (
-        index.min() >= 1 and index.max() < _INDEX_LIMIT and increasing.all()
-    ):
+    # as in _check_line, each index must exceed the one before it in its row,
+    # or 0 at the row's start; so it is also >= 1
+    previous = np.zeros(index.size + 1, dtype=np.int64)
+    previous[1:] = index
+    previous[np.cumsum(lengths) - lengths] = 0
+    if index.size and not ((index > previous[:-1]).all() and index.max() < _INDEX_LIMIT):
         return None
     return label_values, (index - 1).astype(np.int32), values, lengths
 
