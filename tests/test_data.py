@@ -175,21 +175,18 @@ def reference_parse_libsvm(source, d=None):
     return Dataset(features=matrix, labels=data._recode_labels(raw_labels))
 
 
-def _outcome(parse, make_source, d):
+def _outcome(parse, *args, **kwargs):
     try:
-        return parse(make_source(), d=d)
+        return parse(*args, **kwargs)
     except ValueError as exc:
         return type(exc), str(exc)
 
 
-def assert_parses_like_reference(make_source, d=None):
-    """The library and the reference give the same bits or the same error;
-    ``make_source`` returns a fresh source for each parser."""
-    got = _outcome(parse_libsvm, make_source, d)
-    want = _outcome(reference_parse_libsvm, make_source, d)
+def assert_same_outcome(got, want):
+    """The same bits, dtypes and shape, or the same error type and message."""
     if isinstance(want, tuple):
         assert got == want
-        return want
+        return
     assert isinstance(got, Dataset)
     a, b = got.features, want.features
     assert a.shape == b.shape
@@ -197,7 +194,11 @@ def assert_parses_like_reference(make_source, d=None):
         assert x.dtype == y.dtype and same_bits(x, y)
     for x, y in ((a.indices, b.indices), (a.indptr, b.indptr)):
         assert x.dtype == y.dtype and np.array_equal(x, y)
-    return want
+
+
+def assert_parses_like_reference(source, d=None):
+    assert_same_outcome(_outcome(parse_libsvm, source, d=d),
+                        _outcome(reference_parse_libsvm, source, d=d))
 
 
 # chunk sizes in characters of feature text: one line per chunk, a few
@@ -270,33 +271,36 @@ class TestBulkParseMatchesReference:
     @pytest.mark.parametrize("text", FIXED_CASES.values(), ids=FIXED_CASES.keys())
     def test_fixed_case(self, text, chunk, monkeypatch):
         monkeypatch.setattr(data, "_CHUNK_CHARS", chunk)
-        assert_parses_like_reference(lambda: text)
-        assert_parses_like_reference(lambda: text.splitlines(keepends=True))
+        assert_parses_like_reference(text)
+        assert_parses_like_reference(text.splitlines(keepends=True))
 
     def test_fixed_cases_show_what_they_name(self):
         # pin a few outcomes, so the reference cannot drift with the library
-        assert _outcome(parse_libsvm, lambda: FIXED_CASES["two-colon and no-colon token"],
-                        None) == (ValueError, "line 1: malformed token '1:2:3'")
-        assert _outcome(parse_libsvm, lambda: FIXED_CASES["malformed after non-finite"],
-                        None) == (ValueError, "line 3: malformed token 'x'")
-        assert parse_libsvm(FIXED_CASES["underscores and exponents"]).features.indices.tolist() \
-            == [9, 10]
+        assert _outcome(parse_libsvm, FIXED_CASES["two-colon and no-colon token"]) == (
+            ValueError, "line 1: malformed token '1:2:3'")
+        assert _outcome(parse_libsvm, FIXED_CASES["malformed after non-finite"]) == (
+            ValueError, "line 3: malformed token 'x'")
+        indices = parse_libsvm(FIXED_CASES["underscores and exponents"]).features.indices
+        assert indices.tolist() == [9, 10]
 
     @pytest.mark.parametrize("chunk", CHUNK_SIZES)
     @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
     def test_line_endings_through_load_libsvm(self, newline, chunk, tmp_path, monkeypatch):
         monkeypatch.setattr(data, "_CHUNK_CHARS", chunk)
         path = tmp_path / "data.libsvm"
+
+        def reference_load(path):
+            with open(path, encoding="utf-8") as handle:
+                return reference_parse_libsvm(handle)
+
         lines = ["# c", "+1 1:0.5 3:-2", "", "-1 2:1", "+1", "-1 1:1 2:1 3:1"]
         path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode("utf-8"))
         assert load_libsvm(path).n == 4
-        with open(path, encoding="utf-8") as first:
-            with open(path, encoding="utf-8") as second:
-                handles = iter([first, second])
-                assert_parses_like_reference(lambda: next(handles))
+        assert_same_outcome(load_libsvm(path), reference_load(path))
         path.write_bytes(newline.join(lines + ["-1 2:1 1:1"]).encode("utf-8"))
-        with pytest.raises(ValueError, match="line 7: non-increasing feature index 1 after 2"):
-            load_libsvm(path)
+        assert _outcome(load_libsvm, path) == (
+            ValueError, "line 7: non-increasing feature index 1 after 2")
+        assert_same_outcome(_outcome(load_libsvm, path), _outcome(reference_load, path))
 
     def test_bad_line_wins_over_a_failing_source(self):
         def source(bad):
@@ -325,14 +329,14 @@ class TestBulkParseMatchesReference:
     @given(text=libsvm_texts(), chunk=st.sampled_from(CHUNK_SIZES), d=st.sampled_from([None, 12]))
     def test_generated_text(self, text, chunk, d):
         with mock.patch.object(data, "_CHUNK_CHARS", chunk):
-            assert_parses_like_reference(lambda: text, d=d)
+            assert_parses_like_reference(text, d=d)
 
     @settings(max_examples=200, deadline=None)
     @given(text=st.text(alphabet="0123456789:.-+e \t\n\r#_nai\xa0x", max_size=60),
            chunk=st.sampled_from(CHUNK_SIZES))
     def test_generated_noise(self, text, chunk):
         with mock.patch.object(data, "_CHUNK_CHARS", chunk):
-            assert_parses_like_reference(lambda: text)
+            assert_parses_like_reference(text)
 
 
 class TestSerialize:
