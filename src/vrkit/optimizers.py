@@ -86,7 +86,7 @@ class _Run:
     """
 
     def __init__(self, problem: Problem, w0: np.ndarray, seed: int):
-        self.problem = problem
+        self.problem, self.n = problem, problem.n
         self.counters = GradOracleCounters()
         self.rng = np.random.default_rng(seed)
         self.trace = Trace()
@@ -98,7 +98,7 @@ class _Run:
 
     @property
     def passes(self) -> float:
-        return self.counters.effective_passes(self.problem.n)
+        return self.counters.effective_passes(self.n)
 
     def sample(self, batch_size: int) -> np.ndarray:
         """``batch_size`` distinct indices, uniform.  At b = 1 ``integers``
@@ -106,8 +106,8 @@ class _Run:
         same state (Floyd's draw of one makes no shuffle draw), at about a
         third of the cost."""
         if batch_size == 1:
-            return np.array([self.rng.integers(self.problem.n)])
-        return self.rng.choice(self.problem.n, size=batch_size, replace=False)
+            return np.array([self.rng.integers(self.n)])
+        return self.rng.choice(self.n, size=batch_size, replace=False)
 
     def record(
         self,
@@ -252,8 +252,10 @@ def _validate_common(
 class _Phase:
     """What one engine call leaves: the last snapshot, the mean of the
     snapshots, the number of outer loops that ran, the outer indices the
-    growth test stopped, ||G_t||_* after every step, and the number of
-    coin-flip snapshot refreshes."""
+    growth test stopped, ||G_t||_* after every metric step of the plain
+    direction or the growth loop (hybrid's switch step and adagrad's
+    ``g_norm_star_steps`` read it), and the number of coin-flip snapshot
+    refreshes."""
 
     w: np.ndarray
     averaged: np.ndarray | None = None
@@ -276,16 +278,18 @@ def _lazy_applies(problem: Problem, direction: str, variant: PrecondVariant | No
 class _DenseStep:
     """The iterate x and the direction g held densely: g is grad_B(x), or,
     given ``base``, grad_B(x) - grad_B(anchor) + base.  Both batch gradients
-    come from one stacked call, except on CSR rows with the
-    ``snapshot_anchored`` direction: there :meth:`set_anchor` caches phi' at
-    the anchor and l2 anchor, and grad_B(anchor) is formed from them on the
-    batch's columns, charged b, bit for bit as the stacked call forms it.
-    The recursive direction moves its anchor every step and stacks."""
+    come from one stacked call on the rows (x, anchor) of one reused buffer,
+    written in full each step since the recursive direction moves its anchor
+    by assignment.  On CSR rows with the ``snapshot_anchored`` direction
+    :meth:`set_anchor` instead caches phi' at the anchor and l2 anchor, and
+    grad_B(anchor) is formed from them on the batch's columns, charged b,
+    bit for bit as the stacked call forms it."""
 
     def __init__(self, problem: Problem, x: np.ndarray, anchor: np.ndarray, base,
                  snapshot_anchored: bool = False):
         self.problem, self.x, self.g = problem, x, None
         self.cached = snapshot_anchored and problem.dataset.dense_rows is None
+        self.pair = np.empty((2, x.shape[0]))
         self.set_anchor(anchor, base)
 
     def set_anchor(self, anchor: np.ndarray, base) -> None:
@@ -302,8 +306,13 @@ class _DenseStep:
         if self.base is None:
             self.g = self.problem.grad_batch(self.x, batch, counters)
         elif not self.cached:
-            gx, ga = self.problem.grad_batch(np.stack((self.x, self.anchor)), batch, counters)
-            self.g = gx - ga + self.base
+            pair = self.pair
+            pair[0], pair[1] = self.x, self.anchor
+            # the result is a fresh array: the direction is formed in its first row
+            g, ga = self.problem.grad_batch(pair, batch, counters)
+            g -= ga
+            g += self.base
+            self.g = g
         else:
             # gx is a fresh array: the direction is formed in it, in place
             g = self.problem.grad_batch(self.x, batch, counters)
@@ -385,7 +394,7 @@ class _LazyStep:
 
     def step(self, eta: float, state: PrecondState | None = None, proj=None) -> None:
         """x - eta g, or with ``state`` the scalar step x - eta g / sqrt(G)."""
-        eta = eta if state is None else eta / np.sqrt(state.G)
+        eta = eta if state is None else eta / math.sqrt(state.G)
         r = 1.0 - eta * self.l2
         if state is not None:
             bound = (self.a_max + abs(r * self.c) * math.sqrt(max(self.v_sq, 0.0))
@@ -451,6 +460,8 @@ def _engine(
     burn_in = 2 * period if direction == "plain" else period
     event = "switch" if direction == "plain" else "adaptive_stop"
     average = snapshot == "average"
+    # ||G||_* each step only where it is read; otherwise for a trace row
+    every_g_star = direction == "plain" or loop == "growth"
     snap_sum = np.zeros(d)
     out = _Phase(w)
     eta = rule.eta
@@ -503,16 +514,20 @@ def _engine(
                     it.step(eta)
                 else:
                     it.accumulate(state)
-                    trace_g = state.trace_G()
-                    g_star = math.sqrt(trace_g)
-                    out.g_stars.append(g_star)
-                    if test is not None and test.observe(t, trace_g):
-                        out.stops.append(outer)
-                        run.record(it.point(), outer=outer, eta=eta, g_star=g_star, event=event)
-                        break
+                    if every_g_star:
+                        trace_g = state.trace_G()
+                        g_star = math.sqrt(trace_g)
+                        out.g_stars.append(g_star)
+                        if test is not None and test.observe(t, trace_g):
+                            out.stops.append(outer)
+                            run.record(it.point(), outer=outer, eta=eta, g_star=g_star,
+                                       event=event)
+                            break
                     if state.has_signal():
                         it.step(eta, state, proj)
                 if run.due():
+                    if state is not None and g_star is None:
+                        g_star = math.sqrt(state.trace_G())  # a step leaves G as it was
                     run.record(it.point(), outer=outer, eta=eta, g_star=g_star)
                 if run.diverged:
                     break

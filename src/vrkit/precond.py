@@ -107,7 +107,7 @@ class PrecondState:
             raise ValueError(f"gradient has dimension {g.shape[0]}, expected {self.d}")
         kind = self.variant.kind
         if kind == "scalar":
-            self.accumulate_sq_norm(float(g @ g))
+            self.G += float(g @ g)
         elif kind == "diagonal":
             self.G += np.multiply(g, g, out=self._work)
             np.sqrt(self.G, out=self._root)
@@ -173,7 +173,7 @@ class PrecondState:
                     "scalar accumulator has no signal yet; skip this step until "
                     "a nonzero gradient has been accumulated"
                 )
-            y = x - (eta / np.sqrt(self.G)) * g
+            y = x - (eta / math.sqrt(self.G)) * g
         elif kind == "diagonal":
             work = np.divide(g, self._root, out=self._work)
             work *= eta
@@ -182,7 +182,7 @@ class PrecondState:
             y = x - eta * self._inverse_root(g.ravel())
         if proj is not None:
             y = project(proj, self, y)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise FloatingPointError("preconditioned step produced a non-finite iterate")
         return y
 

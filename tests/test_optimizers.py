@@ -771,3 +771,37 @@ class TestCachedAnchorDirection:
             gx, ga = problem.grad_batch(np.stack((it.x, it.anchor)), batch)
             assert same_bits(it.g, gx - ga + it.base), (t, batch)
             it.step(0.2)
+
+
+class TestReusedPairBuffer:
+    """On dense rows the stacked call reads (x, anchor) from one reused
+    (2, d) buffer.  ``sarah`` moves its anchor by assignment, and
+    ``loopless_svrg`` through ``set_anchor`` when it refreshes; in both the
+    direction must equal gx - ga + base from a fresh ``np.stack``, bit for
+    bit.  A stale buffer row fails here by name."""
+
+    @pytest.mark.parametrize("method", ["sarah", "loopless_svrg"])
+    def test_equals_fresh_stack(self, monkeypatch, method):
+        problem = make_problem(n=24, d=6, density=1.0, seed=8)
+        assert problem.dataset.dense_rows is not None
+        original = optimizers._DenseStep.direct
+        anchors = []
+
+        def direct(self, batch, counters):
+            x, anchor, base = self.x.copy(), self.anchor.copy(), self.base.copy()
+            original(self, batch, counters)
+            gx, ga = problem.grad_batch(np.stack((x, anchor)), batch)
+            assert same_bits(self.g, gx - ga + base), len(anchors)
+            anchors.append(anchor.tobytes())
+
+        monkeypatch.setattr(optimizers._DenseStep, "direct", direct)
+        w0 = np.random.default_rng(9).standard_normal(problem.d)
+        if method == "sarah":
+            sarah(problem, w0, 3, 6, eta=0.2, batch_size=4, seed=0)
+            assert len(anchors) == 3 * 5  # the first step of each loop takes grad_full
+        else:
+            # refresh probability b/n = 1/2: some steps refresh, some do not
+            result = loopless_svrg(problem, w0, 20, 0.2, batch_size=12, seed=0)
+            assert 0 < result.notes["snapshot_refreshes"] < 20
+            assert len(anchors) == 20
+        assert len(set(anchors)) > 2

@@ -111,6 +111,33 @@ class TestGradients:
                 problem.grad_batch(w, np.array([0.9]))
             with pytest.raises(ValueError, match="integers"):
                 problem.grad_batch(w, np.array([True, False, True]))
+        # the range is one unsigned reduction, checked before any row is read:
+        # numpy's own IndexError, or none on an empty stack of CSR rows,
+        # would not match the message
+        for layout in ("sparse", "dense"):
+            problem = _random_rows_problem("logistic", layout, seed=3)
+            n, d = problem.n, problem.d
+            assert (problem.dataset.dense_rows is None) == (layout == "sparse")
+            message = rf"batch index out of range \[0, {n}\)"
+            lowest = np.iinfo(np.intp).min
+            bad = [np.array([i]) for i in (lowest, -1, n)]
+            bad += [np.array([3, i, 0]) for i in (lowest, -1, n)]
+            bad += [np.array([np.uint64(2**64 - 1)]),
+                    np.array([0, 2**64 - 1, 1], dtype=np.uint64)]
+            for w in (np.zeros(d), np.zeros((2, d)), np.zeros((0, d))):
+                for batch in bad:
+                    with pytest.raises(IndexError, match=message):
+                        problem.grad_batch(w, batch)
+                for batch in (np.array([0]), np.array([n - 1, 0]), np.array([n - 1], np.uint64)):
+                    assert problem.grad_batch(w, batch).shape == w.shape
+
+    def test_empty_stack_has_shape_zero_by_d_on_both_layouts(self):
+        counters = GradOracleCounters()
+        for layout in ("sparse", "dense"):
+            problem = _random_rows_problem("huber", layout, seed=4)
+            g = problem.grad_batch(np.zeros((0, problem.d)), np.array([1, 2]), counters)
+            assert g.shape == (0, problem.d) and g.dtype == np.float64
+        assert counters.per_example_grad_evals == 0
 
 
 def _scipy_grad_batch(problem: Problem, w: np.ndarray, batch: np.ndarray) -> np.ndarray:
