@@ -8,7 +8,8 @@ All optimizers share the same conventions:
 * a per-run PCG64 generator seeded explicitly, so a (config, seed) pair
   reproduces a run exactly;
 * mini-batches drawn uniformly without replacement within a batch,
-  independently across steps;
+  independently across steps, a pass's worth at a time, each batch in
+  ascending order (see :meth:`_Run.sample`);
 * a divergence guard that stops a run and flags the trace once the
   objective is non-finite or grows past 1e3 * f(w0) + 1, once a step
   raises ``FloatingPointError`` (a non-finite preconditioned iterate), or
@@ -76,6 +77,31 @@ class RunResult:
     notes: dict = field(default_factory=dict)
 
 
+def _draw_block(rng: np.random.Generator, n: int, b: int) -> np.ndarray:
+    """A (max(1, n // b), b) block of batches by the rule of :meth:`_Run.sample`."""
+    m = max(1, n // b)
+    if 6 * (b - 1) > n:
+        while True:
+            keys = rng.random((m, n))
+            cut = np.partition(keys, b - 1, axis=1)[:, b - 1:b]
+            picked = np.flatnonzero(keys <= cut)
+            if picked.size == m * b:
+                return (picked % n).reshape(m, b)
+    # int32 draws the same values as int64 and sorts in about half the time
+    dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    rows = rng.integers(n, size=(m, b), dtype=dtype)
+    rows.sort(axis=1)
+    flat, spare = rows.ravel(), rows[:0, 0]
+    while (repeats := np.flatnonzero(rows[:, 1:] == rows[:, :-1])).size:
+        if spare.size < repeats.size:
+            spare = rng.integers(n, size=2 * repeats.size + 8, dtype=dtype)
+        # the later element of each equal pair of neighbours, as a flat position
+        flat[repeats + repeats // (b - 1) + 1] = spare[:repeats.size]
+        spare = spare[repeats.size:]
+        rows.sort(axis=1)
+    return rows.astype(np.intp)
+
+
 class _Run:
     """Shared per-run context: counters, RNG, the trace, divergence and
     ``next_outer``, the index of the next outer loop, which numbers outer
@@ -94,6 +120,8 @@ class _Run:
         self.diverge_limit = 1e3 * f0 + 1.0
         self.diverged = False
         self.next_outer = 0
+        self.block = np.empty((0, 0), dtype=np.intp)
+        self.next_row = 0
         self.record(w0)
 
     @property
@@ -101,13 +129,45 @@ class _Run:
         return self.counters.effective_passes(self.n)
 
     def sample(self, batch_size: int) -> np.ndarray:
-        """``batch_size`` distinct indices, uniform.  At b = 1 ``integers``
-        draws the same index as ``choice`` and leaves the generator in the
-        same state (Floyd's draw of one makes no shuffle draw), at about a
-        third of the cost."""
-        if batch_size == 1:
-            return np.array([self.rng.integers(self.n)])
-        return self.rng.choice(self.n, size=batch_size, replace=False)
+        """``batch_size`` distinct indices in ascending order: a uniform
+        b-subset of range(n), independent of every other batch.
+
+        Batches come from a block of ``max(1, n // b)`` rows, one pass's
+        worth, handed out a row per call; a used-up block is replaced by a
+        fresh one.  How a block is drawn is a rule on (n, b):
+
+        * 6(b - 1) <= n: each row is b ``integers`` draws, sorted.  Every
+          surplus copy of a repeated index is replaced by a fresh draw and
+          the rows are sorted again, until no row repeats.  A fresh draw
+          repeats one of the b - 1 other indices of its row with probability
+          at most 1/6, so few rounds run.  The block holds at most n indices;
+          the fresh draws come from a spare draw, made again whenever a round
+          finds it too short.
+        * 6(b - 1) > n: each row is the positions of the b smallest of n
+          uniform keys, found by a partition, so the block holds at most 5n
+          keys.  A tie at the b-th key, with probability below n^2 / 2^53 per
+          row, draws the block again.  Rounds of redraws would multiply as b
+          nears n; this costs O(n) per batch whatever b is.
+
+        Why each row is a uniform b-subset, independent of the others:
+        relabelling the indices of one row's draws changes no equality among
+        them, so it changes neither which copies are redrawn nor how many
+        fresh draws each row takes, and the fresh draws are uniform like the
+        first ones.  Relabelling a row's keys with their indices leaves which
+        of them are smallest unchanged, and i.i.d. keys are exchangeable.  So
+        relabelling the indices of any one row leaves the law of the block
+        unchanged, and the only law on tuples of b-subsets with that property
+        makes them independent and uniform.
+
+        At b = 1 nothing repeats, and a block is n ``integers`` draws: the
+        indices that n successive ``rng.integers(n)`` calls give.  A b = 1
+        run with no other draw between samples keeps that stream.
+        """
+        if self.next_row == len(self.block) or self.block.shape[1] != batch_size:
+            self.block = _draw_block(self.rng, self.n, batch_size)
+            self.next_row = 0
+        self.next_row += 1
+        return self.block[self.next_row - 1]
 
     def record(
         self,

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.stats import chi2
 
 from vrkit import (
     Dataset,
@@ -724,22 +726,75 @@ class TestLazySparseStep:
         assert not optimizers._lazy_applies(problem, **{**args, **kwargs})
 
 
-class TestSingleDraw:
-    """At b = 1 the sampler draws with ``integers``; the seeded runs rely on
-    it giving the index of ``choice(n, 1, replace=False)`` and leaving the
-    generator in the same state."""
+def _sampler_run(n, seed):
+    problem = Problem(dataset=Dataset(features=np.ones((n, 1)), labels=np.ones(n)),
+                      loss="squared")
+    return optimizers._Run(problem, np.zeros(1), seed=seed)
 
-    @pytest.mark.parametrize("n", [1, 2, 1500])
-    def test_same_index_and_state_as_choice(self, n):
-        problem = Problem(dataset=Dataset(features=np.ones((n, 1)), labels=np.ones(n)),
-                          loss="squared")
-        run = optimizers._Run(problem, np.zeros(1), seed=n)
+
+class TestBlockSampler:
+    """``_Run.sample`` hands out uniform b-subsets, independent across
+    batches, in ascending order, a block of max(1, n // b) at a time."""
+
+    # Each chi-square statistic must stay below this quantile of its
+    # distribution under a uniform, independent sampler; fixed before the
+    # runs, so a correct sampler fails one test with probability 1e-3.
+    QUANTILE = 0.999
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 2000])
+    def test_batches_distinct_in_range_and_ascending(self, n):
+        for b in sorted({b for b in (1, 2, 64, n // 2, n - 1, n) if 1 <= b <= n}):
+            run = _sampler_run(n, seed=b)
+            for _ in range(3 * max(1, n // b) + 1):
+                batch = run.sample(b)
+                assert batch.dtype == np.intp and batch.shape == (b,)
+                assert batch[0] >= 0 and batch[-1] < n
+                assert np.all(np.diff(batch) > 0)
+
+    @staticmethod
+    def _chi_square_ok(observed, cells):
+        counts = np.array([observed.get(cell, 0) for cell in cells], dtype=float)
+        assert counts.sum() == sum(observed.values()), "a draw outside the cells"
+        if len(cells) == 1:
+            return True, 0.0
+        expected = counts.sum() / len(cells)
+        stat = float(((counts - expected) ** 2).sum() / expected)
+        return stat < chi2.ppf(TestBlockSampler.QUANTILE, len(cells) - 1), stat
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 4, 5, 6])
+    def test_uniform_over_subsets_and_pairs_across_blocks(self, b):
+        # n = 6 takes every branch of the rule: b = 1 and b = 2 redraw
+        # (b = 2 with repeats), b >= 3 the smallest keys
+        n, per_cell = 6, 25
+        subsets = list(itertools.combinations(range(n), b))
+        pairs = [(s, t) for s in subsets for t in subsets]
+        m = max(1, n // b)
+        run = _sampler_run(n, seed=100 + b)
+        singles, across = {}, {}
+        last = None
+        for k in range(m * per_cell * len(pairs)):
+            batch = tuple(run.sample(b).tolist())
+            singles[batch] = singles.get(batch, 0) + 1
+            if k % m == 0 and last is not None:  # first batch of a new block
+                across[last, batch] = across.get((last, batch), 0) + 1
+            last = batch
+        ok, stat = self._chi_square_ok(singles, subsets)
+        assert ok, f"single batches: chi-square {stat:.1f}"
+        ok, stat = self._chi_square_ok(across, pairs)
+        assert ok, f"pairs across a block boundary: chi-square {stat:.1f}"
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 2000])
+    def test_b1_equals_successive_integers_draws(self, n):
+        run = _sampler_run(n, seed=n)
         reference = np.random.default_rng(n)
-        for _ in range(50):
-            got = run.sample(1)
-            want = reference.choice(n, size=1, replace=False)
-            assert got.dtype == want.dtype and got.tolist() == want.tolist()
-            assert run.rng.bit_generator.state == reference.bit_generator.state
+        for _ in range(2 * n + 3):  # across block boundaries
+            assert run.sample(1).tolist() == [reference.integers(n)]
+
+    @pytest.mark.parametrize("b", [1, 3, 64, 400, 2000])
+    def test_same_seed_same_batches(self, b):
+        first, second = _sampler_run(2000, seed=9), _sampler_run(2000, seed=9)
+        for _ in range(2 * max(1, 2000 // b) + 1):
+            assert first.sample(b).tolist() == second.sample(b).tolist()
 
 
 class TestCachedAnchorDirection:
