@@ -78,8 +78,9 @@ class RunResult:
 
 
 def _draw_block(rng: np.random.Generator, n: int, b: int) -> np.ndarray:
-    """A (max(1, n // b), b) block of batches by the rule of :meth:`_Run.sample`."""
-    m = max(1, n // b)
+    """An (n // b, b) block of batches, 1 <= b <= n, by the rule of
+    :meth:`_Run.sample`."""
+    m = n // b
     if 6 * (b - 1) > n:
         while True:
             keys = rng.random((m, n))
@@ -91,7 +92,7 @@ def _draw_block(rng: np.random.Generator, n: int, b: int) -> np.ndarray:
     dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     rows = rng.integers(n, size=(m, b), dtype=dtype)
     rows.sort(axis=1)
-    flat, spare = rows.ravel(), rows[:0, 0]
+    flat, spare = rows.ravel(), np.empty(0, dtype)
     while (repeats := np.flatnonzero(rows[:, 1:] == rows[:, :-1])).size:
         if spare.size < repeats.size:
             spare = rng.integers(n, size=2 * repeats.size + 8, dtype=dtype)
@@ -120,7 +121,7 @@ class _Run:
         self.diverge_limit = 1e3 * f0 + 1.0
         self.diverged = False
         self.next_outer = 0
-        self.block = np.empty((0, 0), dtype=np.intp)
+        self.block = np.empty((0, 0), dtype=np.intp)  # drawn at the first sample
         self.next_row = 0
         self.record(w0)
 
@@ -132,9 +133,10 @@ class _Run:
         """``batch_size`` distinct indices in ascending order: a uniform
         b-subset of range(n), independent of every other batch.
 
-        Batches come from a block of ``max(1, n // b)`` rows, one pass's
-        worth, handed out a row per call; a used-up block is replaced by a
-        fresh one.  How a block is drawn is a rule on (n, b):
+        Batches come from a block of n // b rows, one pass's worth, handed
+        out a row per call; a used-up block is replaced by a fresh one.  A
+        run samples at one b throughout.  How a block is drawn is a rule on
+        (n, b):
 
         * 6(b - 1) <= n: each row is b ``integers`` draws, sorted.  Every
           surplus copy of a repeated index is replaced by a fresh draw and
@@ -163,7 +165,7 @@ class _Run:
         indices that n successive ``rng.integers(n)`` calls give.  A b = 1
         run with no other draw between samples keeps that stream.
         """
-        if self.next_row == len(self.block) or self.block.shape[1] != batch_size:
+        if self.next_row == len(self.block):
             self.block = _draw_block(self.rng, self.n, batch_size)
             self.next_row = 0
         self.next_row += 1

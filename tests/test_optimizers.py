@@ -734,7 +734,7 @@ def _sampler_run(n, seed):
 
 class TestBlockSampler:
     """``_Run.sample`` hands out uniform b-subsets, independent across
-    batches, in ascending order, a block of max(1, n // b) at a time."""
+    batches, in ascending order, a block of n // b at a time."""
 
     # Each chi-square statistic must stay below this quantile of its
     # distribution under a uniform, independent sampler; fixed before the
@@ -745,7 +745,7 @@ class TestBlockSampler:
     def test_batches_distinct_in_range_and_ascending(self, n):
         for b in sorted({b for b in (1, 2, 64, n // 2, n - 1, n) if 1 <= b <= n}):
             run = _sampler_run(n, seed=b)
-            for _ in range(3 * max(1, n // b) + 1):
+            for _ in range(3 * (n // b) + 1):
                 batch = run.sample(b)
                 assert batch.dtype == np.intp and batch.shape == (b,)
                 assert batch[0] >= 0 and batch[-1] < n
@@ -768,7 +768,7 @@ class TestBlockSampler:
         n, per_cell = 6, 25
         subsets = list(itertools.combinations(range(n), b))
         pairs = [(s, t) for s in subsets for t in subsets]
-        m = max(1, n // b)
+        m = n // b
         run = _sampler_run(n, seed=100 + b)
         singles, across = {}, {}
         last = None
@@ -793,7 +793,7 @@ class TestBlockSampler:
     @pytest.mark.parametrize("b", [1, 3, 64, 400, 2000])
     def test_same_seed_same_batches(self, b):
         first, second = _sampler_run(2000, seed=9), _sampler_run(2000, seed=9)
-        for _ in range(2 * max(1, 2000 // b) + 1):
+        for _ in range(2 * (2000 // b) + 1):
             assert first.sample(b).tolist() == second.sample(b).tolist()
 
 
