@@ -7,8 +7,8 @@ Budgets convert to iteration counts with the cost model one full gradient =
 one pass and one variance-reduced inner step = two batches, so an outer
 loop with n/b inner steps costs about three passes.
 
-Per-seed traces are persisted as CSV (and JSON lines); the aggregate file
-is a pure function of those traces and regenerates byte-identically.
+Per-seed traces are persisted as CSV, one file per seed; the aggregate
+file is a pure function of those traces and regenerates byte-identically.
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ def execute_seed(problem: Problem, config: RunConfig, seed: int) -> RunResult:
     variant = config.precond_variant
     eta = config.eta
     outer = budget // 3
-    steps_per_pass = max(1, n // b)
+    steps_per_pass = n // b
     algo = config.algo
 
     if budget == 0:
@@ -260,8 +260,8 @@ def run(config: RunConfig) -> BenchOutput:
     """Execute the seeds of a config one after another, persisting traces
     when ``config.out`` is set.
 
-    Writes ``seed<k>.trace.csv``, ``seed<k>.trace.jsonl``, ``config.txt``
-    and ``aggregate.csv`` under ``config.out``.
+    Writes ``config.txt``, one ``seed<k>.trace.csv`` per seed and
+    ``aggregate.csv`` under ``config.out``, and nothing else.
     """
     return _run(config, resolve_problem(config))
 
@@ -276,7 +276,6 @@ def _run(config: RunConfig, problem: Problem) -> BenchOutput:
         _write(out / "config.txt", config_to_text(config))
         for seed, result in zip(config.seeds, results):
             _write(out / f"seed{seed}.trace.csv", result.trace.to_csv())
-            _write(out / f"seed{seed}.trace.jsonl", result.trace.to_jsonl())
         _write(out / "aggregate.csv", aggregate_to_csv(aggregate(output.traces)))
     return output
 

@@ -217,10 +217,10 @@ def _recode_labels(labels: np.ndarray) -> np.ndarray:
     return labels
 
 
-def load_libsvm(path, d: int | None = None) -> Dataset:
+def load_libsvm(path) -> Dataset:
     """Read a LIBSVM file from disk (UTF-8, LF or CRLF line endings)."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_libsvm(handle, d=d)
+        return parse_libsvm(handle)
 
 
 def _format_value(v: float) -> str:

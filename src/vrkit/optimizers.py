@@ -7,9 +7,10 @@ All optimizers share the same conventions:
   rows are free);
 * a per-run PCG64 generator seeded explicitly, so a (config, seed) pair
   reproduces a run exactly;
-* mini-batches drawn uniformly without replacement within a batch,
-  independently across steps, a pass's worth at a time, each batch in
-  ascending order (see :meth:`_Run.sample`);
+* one mini-batch size b per run, fixed with the metric and the feasible
+  set when the run's :class:`_Run` is built; batches are drawn uniformly
+  without replacement within a batch, independently across steps, a pass's
+  worth (n // b) at a time, each in ascending order (see :meth:`_Run.sample`);
 * a divergence guard that stops a run and flags the trace once the
   objective is non-finite or grows past 1e3 * f(w0) + 1, once a step
   raises ``FloatingPointError`` (a non-finite preconditioned iterate), or
@@ -31,19 +32,21 @@ from phi' cached at the snapshot, bit for bit as the stacked call gives it.
 Every optimizer is a thin wrapper around one loop, :func:`_engine`, set by
 four choices: the direction (plain, snapshot-anchored as above, or
 recursive as in SARAH), the metric (none, meaning the Euclidean update
-x - eta * g, or a :class:`~vrkit.precond.PrecondState`), the step rule
-(constant, heuristic or Barzilai-Borwein) and the loop rule (fixed length,
-growth test, coin-flip snapshot refresh, or doubling stages with one engine
-call per stage).  Seeded output is pinned byte for byte by ``tests/golden``.
+x - eta * g, or a :class:`~vrkit.precond.PrecondState`), held by the run,
+the step rule (constant, heuristic or Barzilai-Borwein) and the loop rule
+(fixed length, growth test, coin-flip snapshot refresh, or doubling stages
+with one engine call per stage).  Seeded output is pinned byte for byte by
+``tests/golden``.
 
 Each setting has one spelling and one check.  A step size is ``eta``,
 checked finite and > 0 by :class:`_StepRule`; on the adaptive methods
 ``eta=None`` is the tuning-free heuristic, while the baselines require a
 number.  Loop and step counts and inner-loop lengths are checked by
 :func:`_validate_common`.  Only :func:`adasvrg_fixed` takes and checks
-``snapshot``.  What no caller varies is a constant: the growth-test
-threshold :data:`THETA`, its burn-in and its 10 n/b cap on inner loops, and
-the b/n refresh probability (see :func:`_engine`).
+``snapshot``, and only it and :func:`adasvrg_multistage` take ``proj``.
+What no caller varies is a constant: the growth-test threshold
+:data:`THETA`, its burn-in, the cap :data:`GROWTH_CAP` n/b on its inner
+loops, and the b/n refresh probability (see :func:`_engine`).
 """
 
 from __future__ import annotations
@@ -62,6 +65,9 @@ SNAPSHOT_MODES = ("last", "average")
 # Threshold of the growth test: an inner loop stops once ||G||_*^2 grows by
 # this fraction over a doubling window.
 THETA = 0.5
+
+# A growth-tested VR inner loop stops after at most GROWTH_CAP * n/b steps.
+GROWTH_CAP = 10
 
 
 @dataclass
@@ -108,12 +114,19 @@ class _Run:
     ``next_outer``, the index of the next outer loop, which numbers outer
     loops on across the :func:`_engine` calls of a run.
 
+    It fixes, once for the run, the batch size b (in [1, n], checked by
+    :func:`_validate_common`), ``period`` = n // b steps per pass, the metric
+    ``variant`` and the feasible set ``proj``; None is Euclidean, unbounded.
+
     :meth:`record` is the one writer of trace rows.  The starting point is
     the first row and :meth:`result` adds the closing row.
     """
 
-    def __init__(self, problem: Problem, w0: np.ndarray, seed: int):
+    def __init__(self, problem: Problem, w0: np.ndarray, seed: int, batch_size: int,
+                 variant: PrecondVariant | None = None, proj: ProjectionSpec | None = None):
         self.problem, self.n = problem, problem.n
+        self.batch_size, self.period = batch_size, problem.n // batch_size
+        self.variant, self.proj = variant, proj
         self.counters = GradOracleCounters()
         self.rng = np.random.default_rng(seed)
         self.trace = Trace()
@@ -129,13 +142,13 @@ class _Run:
     def passes(self) -> float:
         return self.counters.effective_passes(self.n)
 
-    def sample(self, batch_size: int) -> np.ndarray:
-        """``batch_size`` distinct indices in ascending order: a uniform
-        b-subset of range(n), independent of every other batch.
+    def sample(self) -> np.ndarray:
+        """b distinct indices in ascending order: a uniform b-subset of
+        range(n), independent of every other batch.
 
         Batches come from a block of n // b rows, one pass's worth, handed
-        out a row per call; a used-up block is replaced by a fresh one.  A
-        run samples at one b throughout.  How a block is drawn is a rule on
+        out a row per call; a used-up block is replaced by a fresh one.  The
+        run's one b sizes every block.  How a block is drawn is a rule on
         (n, b):
 
         * 6(b - 1) <= n: each row is b ``integers`` draws, sorted.  Every
@@ -166,7 +179,7 @@ class _Run:
         run with no other draw between samples keeps that stream.
         """
         if self.next_row == len(self.block):
-            self.block = _draw_block(self.rng, self.n, batch_size)
+            self.block = _draw_block(self.rng, self.n, self.batch_size)
             self.next_row = 0
         self.next_row += 1
         return self.block[self.next_row - 1]
@@ -291,11 +304,11 @@ def _validate_common(
     batch_size: int,
     loops: int,
     inner_loops: int | None = None,
-) -> tuple[np.ndarray, int]:
+) -> np.ndarray:
     """The one check of the arguments every optimizer shares: the dimension
-    of ``w0``, ``batch_size`` in [1, n] and ``loops``, the outer-loop or step
-    count, >= 0.  Returns ``w0`` as a flat float array and the inner-loop
-    length: ``inner_loops`` (>= 1), by default n // batch_size."""
+    of ``w0``, ``batch_size`` in [1, n], ``loops``, the outer-loop or step
+    count, >= 0, and ``inner_loops`` None or >= 1.  Returns ``w0`` as a flat
+    float array."""
     w0 = np.asarray(w0, dtype=np.float64).ravel()
     if w0.shape[0] != problem.d:
         raise ValueError(f"w0 has dimension {w0.shape[0]}, expected {problem.d}")
@@ -303,11 +316,9 @@ def _validate_common(
         raise ValueError(f"batch_size must be in [1, {problem.n}]")
     if loops < 0:
         raise ValueError(f"outer_loops and total_steps must be >= 0, got {loops}")
-    if inner_loops is None:
-        return w0, max(1, problem.n // batch_size)
-    if inner_loops < 1:
+    if inner_loops is not None and inner_loops < 1:
         raise ValueError(f"inner_loops must be >= 1, got {inner_loops}")
-    return w0, inner_loops
+    return w0
 
 
 @dataclass
@@ -482,16 +493,14 @@ def _engine(
     w: np.ndarray,
     outer_loops: int,
     inner: int,
-    batch_size: int,
     rule: _StepRule,
     *,
     direction: str = "vr",
-    variant: PrecondVariant | None = None,
-    proj: ProjectionSpec | None = None,
     snapshot: str = "last",
     loop: str = "fixed",
 ) -> _Phase:
-    """The optimizer loop: ``outer_loops`` outer loops of up to ``inner`` steps.
+    """The optimizer loop: ``outer_loops`` outer loops of up to ``inner`` steps
+    at the batch size, metric and feasible set of ``run``.
 
     ``direction`` is ``plain`` (grad_B(x)), ``vr`` (anchored at the
     snapshot) or ``recursive`` (anchored at the previous iterate plus the
@@ -500,8 +509,8 @@ def _engine(
     gradient and a step-size from ``rule`` at each snapshot, which is a
     forced trace row unless ``loop='refresh'``; then each step first
     refreshes the snapshot with probability b/n.  With the plain direction a
-    non-constant rule re-estimates the step-size every n/b steps.
-    ``variant=None`` takes the Euclidean step; otherwise a fresh accumulator
+    non-constant rule re-estimates the step-size every n/b steps.  A run
+    without a metric takes the Euclidean step; otherwise a fresh accumulator
     per outer loop steps (and projects) once it has signal.  With
     ``loop='growth'`` the growth test at :data:`THETA`, checked before the
     update since the accumulator already holds the current gradient, ends an
@@ -515,10 +524,9 @@ def _engine(
     step, or a ``LinAlgError`` from an overflowed full-matrix accumulator
     ends the run.
     """
-    problem = run.problem
+    problem, variant, proj, period = run.problem, run.variant, run.proj, run.period
     d = problem.d
-    period = max(1, problem.n // batch_size)
-    refresh_p = batch_size / problem.n
+    refresh_p = run.batch_size / problem.n
     burn_in = 2 * period if direction == "plain" else period
     event = "switch" if direction == "plain" else "adaptive_stop"
     average = snapshot == "average"
@@ -566,7 +574,7 @@ def _engine(
                 if direction == "recursive" and t == 1:
                     it.g = it.base
                 else:
-                    it.direct(run.sample(batch_size), run.counters)
+                    it.direct(run.sample(), run.counters)
                 if direction == "recursive":
                     it.anchor, it.base = it.x, it.g
                 if average:
@@ -625,15 +633,13 @@ def adasvrg_fixed(
     (default n // batch_size).  ``snapshot='average'`` also returns the
     running average of snapshots in ``averaged_iterate``.
     """
-    variant = variant or PrecondVariant()
-    w0, inner = _validate_common(problem, w0, batch_size, outer_loops, inner_loops)
+    w0 = _validate_common(problem, w0, batch_size, outer_loops, inner_loops)
     if snapshot not in SNAPSHOT_MODES:
         raise ValueError(f"snapshot must be one of {SNAPSHOT_MODES}")
     rule = _StepRule(eta)
 
-    run = _Run(problem, w0, seed)
-    out = _engine(run, w0, outer_loops, inner, batch_size, rule,
-                  variant=variant, proj=proj, snapshot=snapshot)
+    run = _Run(problem, w0, seed, batch_size, variant or PrecondVariant(), proj)
+    out = _engine(run, w0, outer_loops, inner_loops or run.period, rule, snapshot=snapshot)
     return run.result(
         out.w, averaged=out.averaged if (snapshot == "average" and out.completed) else None)
 
@@ -656,8 +662,7 @@ def adasvrg_multistage(
     2^(i+1) and starts from the averaged output of the previous stage.
     ``eta`` is as in :func:`adasvrg_fixed`.
     """
-    variant = variant or PrecondVariant()
-    w0, _ = _validate_common(problem, w0, batch_size, outer_loops)
+    w0 = _validate_common(problem, w0, batch_size, outer_loops)
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
     if outer_loops < 3:
@@ -665,14 +670,13 @@ def adasvrg_multistage(
 
     stages = math.ceil(math.log2(1.0 / epsilon))
     rule = _StepRule(eta)
-    run = _Run(problem, w0, seed)
+    run = _Run(problem, w0, seed, batch_size, variant or PrecondVariant(), proj)
 
     w = w0
     schedule: list[int] = []
     for i in range(1, stages + 1):
         m_i = 2 ** (i + 1)
-        stage = _engine(run, w, outer_loops, m_i, batch_size, rule, variant=variant,
-                        proj=proj, snapshot="average")
+        stage = _engine(run, w, outer_loops, m_i, rule, snapshot="average")
         w = stage.averaged
         schedule.append(m_i)
         run.record(w, outer=run.next_outer - 1, event="stage_boundary")
@@ -688,25 +692,22 @@ def adasvrg_adaptive(
     *,
     variant: PrecondVariant | None = None,
     eta: float | None = None,
-    proj: ProjectionSpec | None = None,
     batch_size: int = 1,
     seed: int = 0,
 ) -> RunResult:
     """Inner loops terminated by the accumulator growth test.
 
-    Each inner loop runs up to 10n/b steps; at even steps past the burn-in
-    n/b the relative growth ratio of ||G||_*^2 over a doubling window is
-    compared against :data:`THETA`, and the loop stops once gradient noise
-    dominates.  The next snapshot is the last iterate.  ``eta`` is as in
-    :func:`adasvrg_fixed`.
+    Each inner loop runs up to :data:`GROWTH_CAP` n/b steps; at even steps
+    past the burn-in n/b the relative growth ratio of ||G||_*^2 over a
+    doubling window is compared against :data:`THETA`, and the loop stops
+    once gradient noise dominates.  The next snapshot is the last iterate.
+    ``eta`` is as in :func:`adasvrg_fixed`.
     """
-    variant = variant or PrecondVariant()
-    w0, n_over_b = _validate_common(problem, w0, batch_size, outer_loops)
+    w0 = _validate_common(problem, w0, batch_size, outer_loops)
     rule = _StepRule(eta)
 
-    run = _Run(problem, w0, seed)
-    out = _engine(run, w0, outer_loops, 10 * n_over_b, batch_size, rule, variant=variant,
-                  proj=proj, loop="growth")
+    run = _Run(problem, w0, seed, batch_size, variant or PrecondVariant())
+    out = _engine(run, w0, outer_loops, GROWTH_CAP * run.period, rule, loop="growth")
     return run.result(out.w, notes={"adaptive_stops": out.stops})
 
 
@@ -717,7 +718,6 @@ def hybrid_adagrad_adasvrg(
     *,
     variant: PrecondVariant | None = None,
     eta: float | None = None,
-    proj: ProjectionSpec | None = None,
     batch_size: int = 1,
     seed: int = 0,
 ) -> RunResult:
@@ -727,20 +727,18 @@ def hybrid_adagrad_adasvrg(
     with the growth-ratio test, burn-in 2n/b, checks at even steps.  When the
     test fires at step t, phase 2 runs the adaptively-terminated VR method
     from the current iterate with an outer-loop budget of
-    (total_steps - t) // (n // b), each inner loop capped at 10n/b steps.
-    If the test never fires (the interpolation regime), phase 1 consumes
-    the whole budget.
+    (total_steps - t) // (n // b), each inner loop capped at
+    :data:`GROWTH_CAP` n/b steps.  If the test never fires (the
+    interpolation regime), phase 1 consumes the whole budget.
 
     With ``eta=None``, the tuning-free heuristic, the phase-1 step-size is
     recomputed from a full gradient every n/b steps; a number is used
     throughout.  Both phases test against :data:`THETA`.
     """
-    variant = variant or PrecondVariant()
-    x1, n_over_b = _validate_common(problem, x1, batch_size, total_steps)
+    x1 = _validate_common(problem, x1, batch_size, total_steps)
 
-    run = _Run(problem, x1, seed)
-    phase1 = _engine(run, x1, 1, total_steps, batch_size, _StepRule(eta),
-                     direction="plain", variant=variant, proj=proj, loop="growth")
+    run = _Run(problem, x1, seed, batch_size, variant or PrecondVariant())
+    phase1 = _engine(run, x1, 1, total_steps, _StepRule(eta), direction="plain", loop="growth")
     x = phase1.w
     switch_step = len(phase1.g_stars) if phase1.stops else None
 
@@ -750,11 +748,11 @@ def hybrid_adagrad_adasvrg(
         "phase2_outer_loops": 0,
     }
     if switch_step is not None and not run.diverged:
-        k2 = (total_steps - switch_step) // n_over_b
+        k2 = (total_steps - switch_step) // run.period
         notes["phase2_outer_loops"] = k2
         if k2 >= 1:
-            phase2 = _engine(run, x, k2, 10 * n_over_b, batch_size, _StepRule(eta),
-                             variant=variant, proj=proj, loop="growth")
+            phase2 = _engine(run, x, k2, GROWTH_CAP * run.period, _StepRule(eta),
+                             loop="growth")
             x = phase2.w
             notes["adaptive_stops"] = phase2.stops
     return run.result(x, g_star_steps=np.array(phase1.g_stars), notes=notes)
@@ -771,10 +769,10 @@ def svrg(
     seed: int = 0,
 ) -> RunResult:
     """Classic variance reduction: Euclidean constant steps, last-iterate snapshots."""
-    w0, inner = _validate_common(problem, w0, batch_size, outer_loops, inner_loops)
+    w0 = _validate_common(problem, w0, batch_size, outer_loops, inner_loops)
     rule = _StepRule(eta, required=True)
-    run = _Run(problem, w0, seed)
-    out = _engine(run, w0, outer_loops, inner, batch_size, rule)
+    run = _Run(problem, w0, seed, batch_size)
+    out = _engine(run, w0, outer_loops, inner_loops or run.period, rule)
     return run.result(out.w)
 
 
@@ -792,10 +790,10 @@ def loopless_svrg(
     Each step first refreshes the snapshot (and its full gradient) with
     probability batch_size / n, then takes a VR step.
     """
-    w0, _ = _validate_common(problem, w0, batch_size, total_steps)
+    w0 = _validate_common(problem, w0, batch_size, total_steps)
     rule = _StepRule(eta, required=True)
-    run = _Run(problem, w0, seed)
-    out = _engine(run, w0, 1, total_steps, batch_size, rule, loop="refresh")
+    run = _Run(problem, w0, seed, batch_size)
+    out = _engine(run, w0, 1, total_steps, rule, loop="refresh")
     return run.result(out.w, notes={"snapshot_refreshes": out.refreshes})
 
 
@@ -814,10 +812,10 @@ def sarah(
     iterate; each outer loop performs ``inner_loops`` updates, the first
     with the exact full gradient.
     """
-    w0, inner = _validate_common(problem, w0, batch_size, outer_loops, inner_loops)
+    w0 = _validate_common(problem, w0, batch_size, outer_loops, inner_loops)
     rule = _StepRule(eta, required=True)
-    run = _Run(problem, w0, seed)
-    out = _engine(run, w0, outer_loops, inner, batch_size, rule, direction="recursive")
+    run = _Run(problem, w0, seed, batch_size)
+    out = _engine(run, w0, outer_loops, inner_loops or run.period, rule, direction="recursive")
     return run.result(out.w)
 
 
@@ -839,10 +837,11 @@ def svrg_bb(
     denominator reuses the previous step-size and is noted rather than
     fatal.
     """
-    w0, inner = _validate_common(problem, w0, batch_size, outer_loops, inner_loops)
+    w0 = _validate_common(problem, w0, batch_size, outer_loops, inner_loops)
+    run = _Run(problem, w0, seed, batch_size)
+    inner = inner_loops or run.period
     rule = _StepRule(eta, inner, required=True)
-    run = _Run(problem, w0, seed)
-    out = _engine(run, w0, outer_loops, inner, batch_size, rule)
+    out = _engine(run, w0, outer_loops, inner, rule)
     return run.result(out.w, notes={"bb_fallbacks": rule.fallbacks})
 
 
@@ -853,7 +852,6 @@ def adagrad(
     eta: float,
     *,
     variant: PrecondVariant | None = None,
-    proj: ProjectionSpec | None = None,
     batch_size: int = 1,
     seed: int = 0,
 ) -> RunResult:
@@ -862,12 +860,10 @@ def adagrad(
     The per-step accumulator magnitude ||G_t||_* is returned in
     ``g_norm_star_steps`` so growth-curve diagnostics can run offline.
     """
-    variant = variant or PrecondVariant()
-    x1, _ = _validate_common(problem, x1, batch_size, total_steps)
+    x1 = _validate_common(problem, x1, batch_size, total_steps)
     rule = _StepRule(eta, required=True)
-    run = _Run(problem, x1, seed)
-    out = _engine(run, x1, 1, total_steps, batch_size, rule, direction="plain",
-                  variant=variant, proj=proj)
+    run = _Run(problem, x1, seed, batch_size, variant or PrecondVariant())
+    out = _engine(run, x1, 1, total_steps, rule, direction="plain")
     return run.result(out.w, g_star_steps=np.array(out.g_stars))
 
 
@@ -881,8 +877,8 @@ def sgd(
     seed: int = 0,
 ) -> RunResult:
     """Plain constant step-size stochastic gradient descent."""
-    x1, _ = _validate_common(problem, x1, batch_size, total_steps)
+    x1 = _validate_common(problem, x1, batch_size, total_steps)
     rule = _StepRule(eta, required=True)
-    run = _Run(problem, x1, seed)
-    out = _engine(run, x1, 1, total_steps, batch_size, rule, direction="plain")
+    run = _Run(problem, x1, seed, batch_size)
+    out = _engine(run, x1, 1, total_steps, rule, direction="plain")
     return run.result(out.w)

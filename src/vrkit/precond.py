@@ -24,6 +24,9 @@ VARIANT_KINDS = ("scalar", "diagonal", "full_matrix")
 # Initial offset G = DELTA I of the diagonal and full-matrix accumulators.
 DELTA = 1e-8
 
+# The diagonal-metric projection stops once | ||x|| - radius | is at most this.
+PROJECTION_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class PrecondVariant:
@@ -43,12 +46,10 @@ class PrecondVariant:
 @dataclass(frozen=True)
 class ProjectionSpec:
     """Feasible set for the preconditioned step: the l2 ball of ``radius``
-    (> 0) around the origin.  ``tolerance`` controls the root-find in the
-    metric-weighted projection.  ``proj=None`` means unconstrained.
+    (> 0) around the origin.  ``proj=None`` means unconstrained.
     """
 
     radius: float
-    tolerance: float = 1e-10
 
     def __post_init__(self):
         if not self.radius > 0:
@@ -191,7 +192,8 @@ def project(proj: ProjectionSpec, state: PrecondState, y: np.ndarray) -> np.ndar
     """Project ``y`` onto the ball in the metric induced by A.
 
     Under a scalar metric this is radial rescaling; under a diagonal metric
-    it solves for the Lagrange multiplier by bisection.  Full-matrix metrics
+    it solves for the Lagrange multiplier by bisection, to
+    :data:`PROJECTION_TOL` in the norm.  Full-matrix metrics
     do not support projection.
     """
     if state.variant.kind == "full_matrix":
@@ -223,7 +225,7 @@ def project(proj: ProjectionSpec, state: PrecondState, y: np.ndarray) -> np.ndar
         mid = 0.5 * (lo + hi)
         x = clipped(mid)
         gap = np.linalg.norm(x) - radius
-        if abs(gap) <= proj.tolerance:
+        if abs(gap) <= PROJECTION_TOL:
             return x
         if gap > 0:
             lo = mid

@@ -351,12 +351,11 @@ def test_criterion_12_determinism(tmp_path):
         first = run(replace(config, out=str(tmp_path / f"a{i}")))
         second = run(replace(config, out=str(tmp_path / f"b{i}")))
         for seed in config.seeds:
-            for suffix in ("csv", "jsonl"):
-                name = f"seed{seed}.trace.{suffix}"
-                ok = ok and (
-                    (tmp_path / f"a{i}" / name).read_bytes()
-                    == (tmp_path / f"b{i}" / name).read_bytes()
-                )
+            name = f"seed{seed}.trace.csv"
+            ok = ok and (
+                (tmp_path / f"a{i}" / name).read_bytes()
+                == (tmp_path / f"b{i}" / name).read_bytes()
+            )
         ok = ok and (
             (tmp_path / f"a{i}" / "aggregate.csv").read_bytes()
             == (tmp_path / f"b{i}" / "aggregate.csv").read_bytes()

@@ -107,9 +107,24 @@ class TestRun:
         config = synthetic_config(seeds=(0,))
         first = run(replace(config, out=str(tmp_path / "a")))
         second = run(replace(config, out=str(tmp_path / "b")))
-        for name in ("seed0.trace.csv", "seed0.trace.jsonl", "aggregate.csv"):
+        for name in ("seed0.trace.csv", "aggregate.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         assert first.consistent() and second.consistent()
+
+    def test_run_directory_holds_one_trace_per_seed(self, tmp_path, synthetic_config):
+        run(synthetic_config(seeds=(0, 3), out=str(tmp_path)))
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "aggregate.csv", "config.txt", "seed0.trace.csv", "seed3.trace.csv"]
+
+    @pytest.mark.parametrize("epochs", [0, 1, 50])
+    @pytest.mark.parametrize("algo", bench.ALGORITHMS)
+    def test_batch_size_above_n_is_rejected(self, synthetic_config, algo, epochs):
+        config = synthetic_config(algo=algo, epochs=epochs)
+        problem = bench.resolve_problem(config)
+        config = replace(config, batch_size=problem.n + 1)
+        message = re.escape(f"batch_size must be in [1, {problem.n}]")
+        with pytest.raises(ValueError, match=message):
+            bench.execute_seed(problem, config, 0)
 
     def test_zero_budget_initial_row_only(self, synthetic_config):
         config = synthetic_config(epochs=0, seeds=(0,))

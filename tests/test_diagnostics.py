@@ -110,7 +110,7 @@ class TestTraceRecorder:
     def test_merges_rows_on_equal_pass(self):
         problem = make_problem()
         w0 = np.zeros(problem.d)
-        run = _Run(problem, w0, seed=0)
+        run = _Run(problem, w0, seed=0, batch_size=1)
         run.counters.charge_full()
         run.record(w0 + 0.1, event="switch")
         w = w0 + 0.2

@@ -726,10 +726,10 @@ class TestLazySparseStep:
         assert not optimizers._lazy_applies(problem, **{**args, **kwargs})
 
 
-def _sampler_run(n, seed):
+def _sampler_run(n, b, seed):
     problem = Problem(dataset=Dataset(features=np.ones((n, 1)), labels=np.ones(n)),
                       loss="squared")
-    return optimizers._Run(problem, np.zeros(1), seed=seed)
+    return optimizers._Run(problem, np.zeros(1), seed=seed, batch_size=b)
 
 
 class TestBlockSampler:
@@ -744,9 +744,9 @@ class TestBlockSampler:
     @pytest.mark.parametrize("n", [1, 2, 7, 2000])
     def test_batches_distinct_in_range_and_ascending(self, n):
         for b in sorted({b for b in (1, 2, 64, n // 2, n - 1, n) if 1 <= b <= n}):
-            run = _sampler_run(n, seed=b)
+            run = _sampler_run(n, b, seed=b)
             for _ in range(3 * (n // b) + 1):
-                batch = run.sample(b)
+                batch = run.sample()
                 assert batch.dtype == np.intp and batch.shape == (b,)
                 assert batch[0] >= 0 and batch[-1] < n
                 assert np.all(np.diff(batch) > 0)
@@ -769,11 +769,11 @@ class TestBlockSampler:
         subsets = list(itertools.combinations(range(n), b))
         pairs = [(s, t) for s in subsets for t in subsets]
         m = n // b
-        run = _sampler_run(n, seed=100 + b)
+        run = _sampler_run(n, b, seed=100 + b)
         singles, across = {}, {}
         last = None
         for k in range(m * per_cell * len(pairs)):
-            batch = tuple(run.sample(b).tolist())
+            batch = tuple(run.sample().tolist())
             singles[batch] = singles.get(batch, 0) + 1
             if k % m == 0 and last is not None:  # first batch of a new block
                 across[last, batch] = across.get((last, batch), 0) + 1
@@ -785,16 +785,16 @@ class TestBlockSampler:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 2000])
     def test_b1_equals_successive_integers_draws(self, n):
-        run = _sampler_run(n, seed=n)
+        run = _sampler_run(n, 1, seed=n)
         reference = np.random.default_rng(n)
         for _ in range(2 * n + 3):  # across block boundaries
-            assert run.sample(1).tolist() == [reference.integers(n)]
+            assert run.sample().tolist() == [reference.integers(n)]
 
     @pytest.mark.parametrize("b", [1, 3, 64, 400, 2000])
     def test_same_seed_same_batches(self, b):
-        first, second = _sampler_run(2000, seed=9), _sampler_run(2000, seed=9)
+        first, second = _sampler_run(2000, b, seed=9), _sampler_run(2000, b, seed=9)
         for _ in range(2 * (2000 // b) + 1):
-            assert first.sample(b).tolist() == second.sample(b).tolist()
+            assert first.sample().tolist() == second.sample().tolist()
 
 
 class TestCachedAnchorDirection:

@@ -333,7 +333,7 @@ class TestProjection:
     def test_ball_isotropic_diagonal_reduces_to_radial(self):
         state = PrecondState(diag_variant(), 2)
         state.accumulate(np.array([1.0, 1.0]))  # G = (1 + DELTA, 1 + DELTA)
-        spec = ProjectionSpec(radius=1.0, tolerance=1e-12)
+        spec = ProjectionSpec(radius=1.0)
         got = project(spec, state, np.array([3.0, 4.0]))
         np.testing.assert_allclose(got, [0.6, 0.8], atol=1e-10)
 
@@ -343,7 +343,7 @@ class TestProjection:
         state = PrecondState(diag_variant(), d)
         for _ in range(6):
             state.accumulate(rng.standard_normal(d) * 2)
-        spec = ProjectionSpec(radius=1.5, tolerance=1e-10)
+        spec = ProjectionSpec(radius=1.5)
         y = rng.standard_normal(d) * 4
         x = project(spec, state, y)
         assert np.linalg.norm(x) <= 1.5 + 1e-9
@@ -434,7 +434,7 @@ class TestInequalities:
         rng = np.random.default_rng(21)
         d = 4
         radius = 1.5
-        spec = ProjectionSpec(radius=radius, tolerance=1e-12)
+        spec = ProjectionSpec(radius=radius)
         for kind in ("scalar", "diagonal"):
             state = PrecondState(PrecondVariant(kind=kind), d)
             x = np.zeros(d)
