@@ -13,8 +13,10 @@ CHANGES.md:
 
 ``--compare`` writes nothing.  It prints, per case, whether the trace rows,
 their passes and events, and the oracle counters are identical to the golden
-files, whether every other non-float field is, and the largest relative
-deviation of any float.  It also prints ``<case>: no golden file`` for a case
+files, whether every other non-float field is, the largest relative
+deviation of any float, and the trace columns and JSON keys (dotted below
+the top level) whose floats differ, e.g. ``floats differ in: objective``.
+It also prints ``<case>: no golden file`` for a case
 whose files are missing and ``<file>: no case`` for a golden file that no
 case writes.  It exits 1 when any of these turns up and 0 when every case is
 identical to its golden files:
@@ -63,6 +65,9 @@ GOLDEN_DIR = ROOT / "tests" / "golden"
 # Constant step-sizes of the methods that need one (the benchmark's values);
 # the adaptive methods use the tuning-free heuristic.
 BENCH_ETA = {"sgd": 0.1, "adagrad": 1.0, "svrg": 0.1, "lsvrg": 0.1, "sarah": 0.1, "svrg-bb": 0.1}
+
+# The float columns of a trace row that --compare compares by value.
+FLOAT_COLUMNS = ("objective", "grad_norm", "g_norm_star", "step_size")
 
 # Each of these must appear in at least one case.
 REQUIRED_EVENTS = ("switch", "adaptive_stop", "stage_boundary", "diverged")
@@ -247,21 +252,24 @@ def _hex_float(value) -> float | None:
         return None
 
 
-def _json_diff(old, new) -> tuple[bool, float]:
+def _json_diff(old, new, key: str, differ: set[str]) -> tuple[bool, float]:
     """(non-float fields identical, largest relative float deviation) of two
-    manifests, walked in parallel."""
+    manifests, walked in parallel; adds to ``differ`` the dotted key of
+    each differing float (``key`` is the key walked so far)."""
     a, b = _hex_float(old), _hex_float(new)
     if a is not None and b is not None:
+        if old != new:
+            differ.add(key)
         return True, _relative_deviation(a, b)
     if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
-        pairs = [(old[k], new[k]) for k in old]
+        pairs = [(old[k], new[k], f"{key}.{k}" if key else k) for k in old]
     elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
-        pairs = list(zip(old, new))
+        pairs = [(o, n, key) for o, n in zip(old, new)]
     else:
         return old == new, 0.0
     same, worst = True, 0.0
-    for o, n in pairs:
-        s, w = _json_diff(o, n)
+    for o, n, k in pairs:
+        s, w = _json_diff(o, n, k, differ)
         same, worst = same and s, max(worst, w)
     return same, worst
 
@@ -289,15 +297,18 @@ def compare() -> int:
             rows_old, rows_new = Trace.from_csv(old[".csv"]).rows, Trace.from_csv(new[".csv"]).rows
             manifest_old, manifest_new = json.loads(old[".json"]), json.loads(new[".json"])
             counters_same = manifest_old.pop("counters") == manifest_new.pop("counters")
-            other_same, worst = _json_diff(manifest_old, manifest_new)
+            columns: set[str] = set()
+            keys: set[str] = set()
+            other_same, worst = _json_diff(manifest_old, manifest_new, "", keys)
             for row_old, row_new in zip(rows_old, rows_new):
                 other_same = other_same and row_old.outer == row_new.outer
-                for field in ("objective", "grad_norm", "g_norm_star", "step_size"):
+                for field in FLOAT_COLUMNS:
                     a, b = getattr(row_old, field), getattr(row_new, field)
                     if a is None or b is None:
                         other_same = other_same and a is b
-                    else:
+                    elif float(a).hex() != float(b).hex():
                         worst = max(worst, _relative_deviation(a, b))
+                        columns.add(field)
             same = {
                 "rows": len(rows_old) == len(rows_new),
                 "passes": [r.passes for r in rows_old] == [r.passes for r in rows_new],
@@ -306,7 +317,9 @@ def compare() -> int:
                 "other fields": other_same,
             }
             verdict = ", ".join(f"{key} {'same' if ok else 'DIFFER'}" for key, ok in same.items())
-            print(f"{name}: {verdict}; max relative deviation {worst:.2g}")
+            floats = [c for c in FLOAT_COLUMNS if c in columns] + sorted(keys)
+            print(f"{name}: {verdict}; max relative deviation {worst:.2g}; "
+                  f"floats differ in: {', '.join(floats) or 'none'}")
     for orphan in sorted(path.name for path in GOLDEN_DIR.iterdir()
                          if path.name not in expected):
         differs = True

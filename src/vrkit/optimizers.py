@@ -130,13 +130,14 @@ class _Run:
         self.counters = GradOracleCounters()
         self.rng = np.random.default_rng(seed)
         self.trace = Trace()
-        f0 = problem.loss_value(w0)
-        self.diverge_limit = 1e3 * f0 + 1.0
         self.diverged = False
         self.next_outer = 0
         self.block = np.empty((0, 0), dtype=np.intp)  # drawn at the first sample
         self.next_row = 0
+        # a finite f(w0) is below 1e3 f(w0) + 1; a non-finite one is flagged anyway
+        self.diverge_limit = math.inf
         self.record(w0)
+        self.diverge_limit = 1e3 * self.trace.rows[0].objective + 1.0
 
     @property
     def passes(self) -> float:
@@ -193,21 +194,30 @@ class _Run:
         event: str | None = None,
         force: bool = False,
         grad_norm: float | None = None,
+        margins: np.ndarray | None = None,
     ) -> None:
         """Record a row at ``x``, at most once per pass unless ``force`` or
         an ``event`` is given.  A row on the previous row's pass replaces
         it and keeps its event.  A non-finite or runaway objective flags the
         row ``diverged`` and ends the run; so does ``event='diverged'``, a
-        failed step, whose row stores no gradient norms."""
+        failed step, whose row stores no gradient norms.
+
+        The objective and, unless ``grad_norm`` is given, the monitoring
+        gradient's norm come from one margin product A x: ``margins`` when
+        the caller has formed it (a snapshot shares its charged gradient's),
+        else one :meth:`Problem.margins` call.  Neither is charged."""
         if self.diverged or not (force or event is not None or self.due()):
             return
         rows = self.trace.rows
         passes = self.passes
-        objective = self.problem.loss_value(x)
+        problem = self.problem
+        z = problem.margins(x) if margins is None else margins
+        objective = problem.loss_value(x, margins=z)
         if event == "diverged":
             grad_norm = g_star = None
         elif grad_norm is None:
-            grad_norm = float(np.linalg.norm(self.problem.grad_full(x)))
+            g = problem.grad_full(x, margins=z)
+            grad_norm = math.sqrt(g @ g)
         if not np.isfinite(objective) or objective > self.diverge_limit:
             event = "diverged"
         self.diverged = event == "diverged"
@@ -356,19 +366,24 @@ class _DenseStep:
     by assignment.  On CSR rows with the ``snapshot_anchored`` direction
     :meth:`set_anchor` instead caches phi' at the anchor and l2 anchor, and
     grad_B(anchor) is formed from them on the batch's columns, charged b,
-    bit for bit as the stacked call forms it."""
+    bit for bit as the stacked call forms it.  A metric step is projected
+    onto the run's feasible set ``proj``."""
 
     def __init__(self, problem: Problem, x: np.ndarray, anchor: np.ndarray, base,
-                 snapshot_anchored: bool = False):
-        self.problem, self.x, self.g = problem, x, None
+                 snapshot_anchored: bool = False, proj: ProjectionSpec | None = None,
+                 margins: np.ndarray | None = None):
+        self.problem, self.x, self.g, self.proj = problem, x, None, proj
         self.cached = snapshot_anchored and problem.dataset.dense_rows is None
         self.pair = np.empty((2, x.shape[0]))
-        self.set_anchor(anchor, base)
+        self.set_anchor(anchor, base, margins)
 
-    def set_anchor(self, anchor: np.ndarray, base) -> None:
+    def set_anchor(self, anchor: np.ndarray, base, margins: np.ndarray | None = None) -> None:
+        """Anchor the direction at ``anchor`` with ``base`` = grad_full(anchor);
+        ``margins``, the anchor's margin product if the caller has it, saves
+        forming it again for the cached phi'."""
         self.anchor, self.base = anchor, base
         if self.cached:
-            self.anchor_derivs = self.problem.margin_derivs(anchor)
+            self.anchor_derivs = self.problem.margin_derivs(anchor, margins)
             # grad_B(anchor) off the batch's columns, as grad_batch forms it
             self.anchor_l2 = self.problem.l2_term(anchor)
 
@@ -400,9 +415,12 @@ class _DenseStep:
     def accumulate(self, state: PrecondState) -> None:
         state.accumulate(self.g)
 
-    def step(self, eta: float, state: PrecondState | None = None, proj=None) -> None:
+    def step(self, eta: float, state: PrecondState | None = None) -> None:
         """x - eta g, or the step of ``state``'s metric."""
-        self.x = self.x - eta * self.g if state is None else state.step(self.x, self.g, eta, proj)
+        if state is None:
+            self.x = self.x - eta * self.g
+        else:
+            self.x = state.step(self.x, self.g, eta, self.proj)
 
 
 class _LazyStep:
@@ -420,12 +438,14 @@ class _LazyStep:
     densely and raises ``FloatingPointError`` as :meth:`PrecondState.step` does.
     """
 
-    def __init__(self, problem: Problem, w: np.ndarray, base: np.ndarray | None):
+    def __init__(self, problem: Problem, w: np.ndarray, base: np.ndarray | None,
+                 margins: np.ndarray | None = None):
         self.problem, self.l2 = problem, problem.l2_reg
         if base is None:
             self.a, self.base, self.anchor_derivs = np.zeros(problem.d), np.zeros(problem.d), None
         else:
-            self.a, self.base, self.anchor_derivs = w, base, problem.margin_derivs(w)
+            self.a, self.base = w, base
+            self.anchor_derivs = problem.margin_derivs(w, margins)
         self.base_sq = float(self.base @ self.base)
         self.base_norm, self.a_max = math.sqrt(self.base_sq), float(np.abs(self.a).max(initial=0.0))
         self._restart(w)
@@ -465,7 +485,7 @@ class _LazyStep:
             raise FloatingPointError("preconditioned step produced a non-finite iterate")
         self._restart(y)
 
-    def step(self, eta: float, state: PrecondState | None = None, proj=None) -> None:
+    def step(self, eta: float, state: PrecondState | None = None) -> None:
         """x - eta g, or with ``state`` the scalar step x - eta g / sqrt(G)."""
         eta = eta if state is None else eta / math.sqrt(state.G)
         r = 1.0 - eta * self.l2
@@ -541,13 +561,15 @@ def _engine(
             break
         outer = run.next_outer
         run.next_outer += 1
-        base = None
+        base = z = None
         if direction != "plain":
-            base = problem.grad_full(w, run.counters)
+            # one margin product serves the charged gradient, the row and the cached phi'
+            z = problem.margins(w)
+            base = problem.grad_full(w, run.counters, margins=z)
             eta = rule(run, w, base, outer)
             if loop != "refresh":
-                run.record(w, outer=outer, eta=eta, grad_norm=float(np.linalg.norm(base)),
-                           force=True)
+                run.record(w, outer=outer, eta=eta, grad_norm=math.sqrt(base @ base),
+                           force=True, margins=z)
                 if run.diverged:
                     break
         state = PrecondState(variant, d) if variant is not None else None
@@ -557,16 +579,18 @@ def _engine(
             else None
         )
         if _lazy_applies(problem, direction, variant, proj, snapshot, loop):
-            it = _LazyStep(problem, w, base)
+            it = _LazyStep(problem, w, base, z)
         else:
-            it = _DenseStep(problem, w.copy(), w, base, snapshot_anchored=direction == "vr")
+            it = _DenseStep(problem, w.copy(), w, base, snapshot_anchored=direction == "vr",
+                            proj=proj, margins=z)
         x_sum = np.zeros(d)
         t = 0
         try:
             for t in range(1, inner + 1):
                 if loop == "refresh" and run.rng.random() < refresh_p:
                     anchor = it.x.copy()
-                    it.set_anchor(anchor, problem.grad_full(anchor, run.counters))
+                    z = problem.margins(anchor)
+                    it.set_anchor(anchor, problem.grad_full(anchor, run.counters, margins=z), z)
                     out.refreshes += 1
                 if direction == "plain" and rule.kind != "constant" and (t - 1) % period == 0:
                     x = it.point()
@@ -594,7 +618,7 @@ def _engine(
                                        event=event)
                             break
                     if state.has_signal():
-                        it.step(eta, state, proj)
+                        it.step(eta, state)
                 if run.due():
                     if state is not None and g_star is None:
                         g_star = math.sqrt(state.trace_G())  # a step leaves G as it was

@@ -9,6 +9,13 @@ Gradient oracles charge a per-run :class:`GradOracleCounters` so benchmark
 traces can report work in effective passes over the data.  Loss evaluations
 are never charged; they are used for monitoring only.
 
+:meth:`Problem.margins` is the n-vector of predictions A w, the one n x d
+product behind :meth:`Problem.loss_value`, :meth:`Problem.grad_full` and
+:meth:`Problem.margin_derivs`.  Each takes it as ``margins=``, so a caller
+that needs two of them at one point forms the product once; the results
+are bit for bit those of the calls without it.  The problem keeps no
+cache: it stays immutable.
+
 The mini-batch oracle :meth:`Problem.grad_batch` takes one point or a
 (k, d) stack of points and is charged k times the batch size.  It has two
 paths, chosen by :attr:`Dataset.dense_rows`:
@@ -229,24 +236,37 @@ class Problem:
 
     # -- oracles ---------------------------------------------------------
 
-    def loss_value(self, w: np.ndarray) -> float:
-        """Full objective including the L2 term.  Never charged."""
-        w = self._check_dim(w)
+    def margins(self, w: np.ndarray) -> np.ndarray:
+        """The predictions <a_i, w> of every example, A w: one product with
+        :attr:`Dataset.dense_rows`, or with the CSR features when there are
+        none.  Never charged."""
         rows = self.dataset.dense_rows
-        z = (self.dataset.features if rows is None else rows) @ w
+        return (self.dataset.features if rows is None else rows) @ self._check_dim(w)
+
+    def loss_value(self, w: np.ndarray, margins: np.ndarray | None = None) -> float:
+        """Full objective including the L2 term.  Never charged.
+
+        ``margins`` is :meth:`margins` (w), formed here when not given; it
+        is read, not written."""
+        w = self._check_dim(w)
+        z = self.margins(w) if margins is None else margins
         value = float(self._loss_values(z, self.dataset.labels).mean())
         return value + 0.5 * self.l2_reg * float(w @ w)
 
-    def grad_full(self, w: np.ndarray, counters: GradOracleCounters | None = None) -> np.ndarray:
-        """Exact gradient of the full objective."""
+    def grad_full(self, w: np.ndarray, counters: GradOracleCounters | None = None,
+                  margins: np.ndarray | None = None) -> np.ndarray:
+        """Exact gradient of the full objective, charged one full gradient
+        when ``counters`` is given.
+
+        ``margins`` is :meth:`margins` (w), formed here when not given; it
+        is read, not written, and the gradient is the same bit for bit."""
         w = self._check_dim(w)
+        z = self.margins(w) if margins is None else margins
+        coeffs = self._loss_derivs(z, self.dataset.labels) / self.n
         rows = self.dataset.dense_rows
         if rows is None:
-            z = self.dataset.features @ w
-            coeffs = self._loss_derivs(z, self.dataset.labels) / self.n
             g = self.dataset.features.T @ coeffs + self.l2_reg * w
         else:
-            coeffs = self._loss_derivs(rows @ w, self.dataset.labels) / self.n
             g = coeffs @ rows + self.l2_reg * w
         if counters is not None:
             counters.charge_full()
@@ -305,9 +325,11 @@ class Problem:
         adds l2 w to a data part that starts at 0.0, so no -0.0 is left."""
         return self.l2_reg * w + 0.0
 
-    def margin_derivs(self, w: np.ndarray) -> np.ndarray:
-        """phi' at every example's prediction <a_i, w>.  Never charged."""
-        return self._loss_derivs(self.dataset.features @ self._check_dim(w), self.dataset.labels)
+    def margin_derivs(self, w: np.ndarray, margins: np.ndarray | None = None) -> np.ndarray:
+        """phi' at every example's prediction <a_i, w>, from ``margins``,
+        :meth:`margins` (w), when given.  Never charged."""
+        return self._loss_derivs(self.margins(w) if margins is None else margins,
+                                 self.dataset.labels)
 
     def sparse_batch_part(self, batch: np.ndarray, gather, anchor_derivs=None):
         """``(cols, s)``: the distinct columns of the batch's CSR rows and, on

@@ -60,6 +60,24 @@ def test_compare_names_missing_and_orphan_files(tmp_path, monkeypatch, capsys):
     ]
 
 
+def test_compare_names_the_floats_that_differ(tmp_path, monkeypatch, capsys):
+    name = "sgd-b1"
+    with np.errstate(all="ignore"):
+        result = CASES[name]()
+    row = result.trace.rows[1]
+    row.objective = float(np.nextafter(row.objective, np.inf))
+    result.final_iterate[0] = np.nextafter(result.final_iterate[0], -np.inf)
+    for suffix, text in bless_goldens.render(result).items():
+        (tmp_path / f"{name}{suffix}").write_text(text, encoding="utf-8")
+    monkeypatch.setattr(bless_goldens, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(bless_goldens, "cases", lambda: {name: CASES[name]})
+    assert bless_goldens.compare() == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith(f"{name}: rows same, passes same, events same, counters same, "
+                           "other fields same; max relative deviation ")
+    assert line.endswith("; floats differ in: objective, final_iterate")
+
+
 @pytest.mark.parametrize("argv", [["--comapre"], ["--compare", "--compare"], ["compare"]])
 def test_unknown_argument_writes_nothing(tmp_path, monkeypatch, capsys, argv):
     kept = tmp_path / "sgd-b1.csv"

@@ -828,6 +828,42 @@ class TestCachedAnchorDirection:
             it.step(0.2)
 
 
+class TestOneMarginProduct:
+    """A trace row forms the n x d margin product A x once, for both its
+    objective and its monitoring gradient; a snapshot row shares its product
+    with the charged full gradient and, on CSR rows, the cached phi'.
+    ``loopless_svrg`` records no snapshot row: its first snapshot and each
+    coin-flip refresh form one product for the full gradient and phi'.  So
+    a run forms one product per row plus one per unrecorded snapshot."""
+
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    @pytest.mark.parametrize("method", ["svrg", "loopless_svrg"])
+    def test_one_product_per_row(self, monkeypatch, layout, method):
+        problem = make_problem(n=24, d=6, density=1.0, seed=8) if layout == "dense" else _csr_rows()
+        calls = {"margins": 0, "loss_value": 0}
+
+        def counted(name):
+            original = getattr(Problem, name)
+
+            def spy(self, *args, **kwargs):
+                calls[name] += 1
+                return original(self, *args, **kwargs)
+            return spy
+
+        for name in calls:
+            monkeypatch.setattr(Problem, name, counted(name))
+        w0 = np.zeros(problem.d)
+        if method == "svrg":
+            result = svrg(problem, w0, 4, None, 0.2, batch_size=2, seed=0)
+            unrecorded = 0
+        else:
+            result = loopless_svrg(problem, w0, 60, 0.2, batch_size=2, seed=0)
+            assert result.notes["snapshot_refreshes"] > 0
+            unrecorded = result.counters.full_grad_evals
+        assert len(result.trace.rows) >= 3
+        assert calls["margins"] == calls["loss_value"] + unrecorded
+
+
 class TestReusedPairBuffer:
     """On dense rows the stacked call reads (x, anchor) from one reused
     (2, d) buffer.  ``sarah`` moves its anchor by assignment, and

@@ -45,6 +45,19 @@ class TestLossValue:
         with pytest.raises(ValueError):
             problem.loss_value(np.zeros(problem.d + 1))
 
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    @pytest.mark.parametrize("loss", ALL_LOSSES)
+    def test_given_margins_give_the_same_bits(self, loss, layout):
+        problem = make_problem(loss=loss, density=1.0 if layout == "dense" else 0.3, seed=4)
+        assert (problem.dataset.dense_rows is not None) == (layout == "dense")
+        w = np.random.default_rng(2).standard_normal(problem.d)
+        z = problem.margins(w)
+        kept = z.copy()
+        assert problem.loss_value(w, margins=z) == problem.loss_value(w)
+        assert same_bits(problem.grad_full(w, margins=z), problem.grad_full(w))
+        assert same_bits(problem.margin_derivs(w, z), problem.margin_derivs(w))
+        assert same_bits(z, kept)  # read, not written
+
 
 class TestGradients:
     def test_full_gradient_vanishing_residual_leaves_l2_term(self):
