@@ -16,6 +16,13 @@ that needs two of them at one point forms the product once; the results
 are bit for bit those of the calls without it.  The problem keeps no
 cache: it stays immutable.
 
+The logistic loss log(1 + exp(m)), m = -y z, is evaluated as
+max(m, 0) + log1p(exp(-|m|)), which neither overflows nor raises an
+invalid-value warning at any finite margin.  It is within 4 eps relative of
+``np.logaddexp(0, m)``, plus one subnormal unit (2^-1074) where exp(-|m|)
+underflows, and equal to it at m = +-inf; ``tests/test_problems.py``
+checks this bound.
+
 The mini-batch oracle :meth:`Problem.grad_batch` takes one point or a
 (k, d) stack of points and is charged k times the batch size.  It has two
 paths, chosen by :attr:`Dataset.dense_rows`:
@@ -206,7 +213,15 @@ class Problem:
 
     def _loss_values(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
         if self.loss == "logistic":
-            return np.logaddexp(0.0, -y * z)
+            # log(1 + exp(m)) as max(m, 0) + log1p(exp(-|m|)), in place on fresh arrays
+            m = -y * z
+            tail = np.abs(m)
+            np.negative(tail, out=tail)
+            np.exp(tail, out=tail)
+            np.log1p(tail, out=tail)
+            np.maximum(m, 0.0, out=m)
+            m += tail
+            return m
         if self.loss == "squared":
             return 0.5 * (z - y) ** 2
         if self.loss == "huber":

@@ -45,6 +45,23 @@ class TestLossValue:
         with pytest.raises(ValueError):
             problem.loss_value(np.zeros(problem.d + 1))
 
+    @pytest.mark.parametrize("y", [1.0, -1.0])
+    def test_stable_logistic_within_bound_of_logaddexp(self, y):
+        # the module docstring's bound: 4 eps relative, plus one subnormal
+        # unit (2^-1074) where exp(-|m|) underflows
+        finite = np.array([0.0, 5e-324, 1e-300, 1.0, 36.0, 700.0, 800.0, 1e308])
+        z = np.concatenate((finite, -finite))
+        labels = np.full(z.size, y)
+        problem = make_problem(loss="logistic")
+        with np.errstate(over="raise", invalid="raise"):
+            got = problem._loss_values(z, labels)
+        want = np.logaddexp(0.0, -y * z)
+        bound = 4 * np.finfo(np.float64).eps * np.abs(want) + 2.0**-1074
+        assert np.all(np.abs(got - want) <= bound), got - want
+        both = np.array([np.inf, -np.inf])
+        np.testing.assert_array_equal(problem._loss_values(both, np.full(2, y)),
+                                      np.logaddexp(0.0, -y * both))
+
     @pytest.mark.parametrize("layout", ["dense", "csr"])
     @pytest.mark.parametrize("loss", ALL_LOSSES)
     def test_given_margins_give_the_same_bits(self, loss, layout):
