@@ -258,13 +258,22 @@ class Problem:
         rows = self.dataset.dense_rows
         return (self.dataset.features if rows is None else rows) @ self._check_dim(w)
 
+    def _margins_at(self, w: np.ndarray, margins: np.ndarray | None) -> np.ndarray:
+        """``margins``, checked to hold n predictions, or :meth:`margins` (w)
+        when it is None."""
+        if margins is None:
+            return self.margins(w)
+        if np.shape(margins) != (self.n,):
+            raise ValueError(f"margins have shape {np.shape(margins)}, expected ({self.n},)")
+        return margins
+
     def loss_value(self, w: np.ndarray, margins: np.ndarray | None = None) -> float:
         """Full objective including the L2 term.  Never charged.
 
         ``margins`` is :meth:`margins` (w), formed here when not given; it
-        is read, not written."""
+        is read, not written, and any shape but (n,) raises ``ValueError``."""
         w = self._check_dim(w)
-        z = self.margins(w) if margins is None else margins
+        z = self._margins_at(w, margins)
         value = float(self._loss_values(z, self.dataset.labels).mean())
         return value + 0.5 * self.l2_reg * float(w @ w)
 
@@ -273,10 +282,10 @@ class Problem:
         """Exact gradient of the full objective, charged one full gradient
         when ``counters`` is given.
 
-        ``margins`` is :meth:`margins` (w), formed here when not given; it
-        is read, not written, and the gradient is the same bit for bit."""
+        ``margins`` is as in :meth:`loss_value`; the gradient is the same
+        bit for bit with or without it."""
         w = self._check_dim(w)
-        z = self.margins(w) if margins is None else margins
+        z = self._margins_at(w, margins)
         coeffs = self._loss_derivs(z, self.dataset.labels) / self.n
         rows = self.dataset.dense_rows
         if rows is None:
@@ -343,8 +352,7 @@ class Problem:
     def margin_derivs(self, w: np.ndarray, margins: np.ndarray | None = None) -> np.ndarray:
         """phi' at every example's prediction <a_i, w>, from ``margins``,
         :meth:`margins` (w), when given.  Never charged."""
-        return self._loss_derivs(self.margins(w) if margins is None else margins,
-                                 self.dataset.labels)
+        return self._loss_derivs(self._margins_at(w, margins), self.dataset.labels)
 
     def sparse_batch_part(self, batch: np.ndarray, gather, anchor_derivs=None):
         """``(cols, s)``: the distinct columns of the batch's CSR rows and, on

@@ -74,6 +74,12 @@ class TestLossValue:
         assert same_bits(problem.grad_full(w, margins=z), problem.grad_full(w))
         assert same_bits(problem.margin_derivs(w, z), problem.margin_derivs(w))
         assert same_bits(z, kept)  # read, not written
+        for wrong in (z[:1], z[:-1], np.stack((z, z))):
+            for call in (lambda: problem.loss_value(w, margins=wrong),
+                         lambda: problem.grad_full(w, margins=wrong),
+                         lambda: problem.margin_derivs(w, wrong)):
+                with pytest.raises(ValueError, match="margins have shape"):
+                    call()
 
 
 class TestGradients:
