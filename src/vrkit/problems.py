@@ -54,7 +54,10 @@ paths, chosen by :attr:`Dataset.dense_rows`:
 The same kernel serves the optimizers with the data part alone, in O(nnz)
 of the batch's rows: :meth:`Problem.sparse_batch_part` for the
 just-in-time step, and :meth:`Problem.anchor_batch_part`, its column sum
-from cached phi', for the dense step's snapshot half.
+from cached phi', for the dense step's snapshot half.  It hands out the
+batch's columns as intp, while the CSR stores them as int32: every gather
+and scatter on them then takes numpy's fast indexing path, 3-4x quicker
+than with int32 indices at 100 columns.
 """
 
 from __future__ import annotations
@@ -378,17 +381,21 @@ class Problem:
         rows, row by row in draw order (each entry's row in the batch and its
         value), the batch's distinct columns, and each entry's slot among
         them.  At b = 1 a row's columns are distinct: ``cols`` are the
-        entries' own and ``slot`` is None."""
+        entries' own and ``slot`` is None.  ``cols`` is intp although the
+        CSR stores int32: numpy indexes with int32 arrays on a slow path,
+        and a gather of 100 columns took 1.2 us with them against 0.3-0.4
+        us with intp."""
         feats = self.dataset.features
         if batch.size == 1:
             row = slice(feats.indptr[batch[0]], feats.indptr[batch[0] + 1])
             return (np.zeros(row.stop - row.start, np.intp), feats.data[row],
-                    feats.indices[row], None)
+                    feats.indices[row].astype(np.intp, copy=False), None)
         lengths = feats.indptr[batch + 1] - feats.indptr[batch]
         ends = np.cumsum(lengths)
         pos = np.arange(ends[-1]) + np.repeat(feats.indptr[batch] - (ends - lengths), lengths)
         cols, slot = np.unique(feats.indices[pos], return_inverse=True)
-        return np.repeat(np.arange(batch.size), lengths), feats.data[pos], cols, slot
+        return (np.repeat(np.arange(batch.size), lengths), feats.data[pos],
+                cols.astype(np.intp, copy=False), slot)
 
     @staticmethod
     def _column_sum(row_of: np.ndarray, vals: np.ndarray, slot: np.ndarray | None,

@@ -272,18 +272,27 @@ class TestBatchOracleMatchesScipy:
 
     @pytest.mark.parametrize("loss", ALL_LOSSES)
     def test_sparse_batch_part_plus_l2_term_equals_scipy(self, loss):
-        # the just-in-time step's data part, added on its columns to
-        # l2 x + 0.0, is the batch gradient bit for bit
+        # the just-in-time step's data part, and the column sum of phi'
+        # taken at x, each added on its columns to l2 x + 0.0, are the batch
+        # gradient bit for bit; both hand out intp columns
         problem = _random_rows_problem(loss, "sparse", seed=21)
         rng = np.random.default_rng(22)
         for b in (1, 2, 7, problem.n):
             for batch in _batches(problem.n, b, 8, rng):
                 x = rng.standard_normal(problem.d) * 10.0 ** rng.integers(-2, 3)
+                want = _scipy_grad_batch(problem, x, batch)
                 cols, s = problem.sparse_batch_part(batch, x.__getitem__)
+                assert cols.dtype == np.intp
                 assert np.array_equal(cols, np.unique(problem.dataset.features[batch].indices))
                 g = problem.l2_reg * x + 0.0
                 g[cols] += s
-                assert same_bits(g, _scipy_grad_batch(problem, x, batch)), (b, batch)
+                assert same_bits(g, want), (b, batch)
+                anchor_cols, s = problem.anchor_batch_part(batch, problem.margin_derivs(x))
+                assert anchor_cols.dtype == np.intp
+                assert np.array_equal(anchor_cols, cols)
+                g = problem.l2_term(x)
+                g[cols] += s
+                assert same_bits(g, want), (b, batch)
 
 
 def _rounding_bound(problem: Problem, w: np.ndarray, batch: np.ndarray) -> np.ndarray:
