@@ -55,9 +55,9 @@ The same kernel serves the optimizers with the data part alone, in O(nnz)
 of the batch's rows: :meth:`Problem.sparse_batch_part` for the
 just-in-time step, and :meth:`Problem.anchor_batch_part`, its column sum
 from cached phi', for the dense step's snapshot half.  It hands out the
-batch's columns as intp, while the CSR stores them as int32: every gather
-and scatter on them then takes numpy's fast indexing path, 3-4x quicker
-than with int32 indices at 100 columns.
+batch's columns as intp, while the CSR stores them as int32, since numpy
+gathers and scatters through int32 index arrays about 4x slower than
+through intp ones at 100 columns.
 """
 
 from __future__ import annotations
@@ -382,9 +382,10 @@ class Problem:
         value), the batch's distinct columns, and each entry's slot among
         them.  At b = 1 a row's columns are distinct: ``cols`` are the
         entries' own and ``slot`` is None.  ``cols`` is intp although the
-        CSR stores int32: numpy indexes with int32 arrays on a slow path,
-        and a gather of 100 columns took 1.2 us with them against 0.3-0.4
-        us with intp."""
+        CSR stores int32, because numpy indexes with int32 arrays on a slow
+        path: on 100 columns of a 12000-vector a gather took 1.0 us with
+        them against 0.23 us, and ``v[cols] += s`` 3.5 us against 0.95 us
+        (timeit, numpy 2.4, one x86-64 core)."""
         feats = self.dataset.features
         if batch.size == 1:
             row = slice(feats.indptr[batch[0]], feats.indptr[batch[0] + 1])
