@@ -2,9 +2,9 @@
 
 All optimizers share the same conventions:
 
-* one :class:`~vrkit.problems.GradOracleCounters` per run, charged by the
-  gradient oracles only (objective values and monitoring gradients in trace
-  rows are free);
+* one :class:`~vrkit.problems.GradOracleCounters` per run, charged only by
+  ``grad_full`` calls given it and, once per sampled step, by :func:`_engine`
+  (batch oracles, objective values and monitoring gradients are free);
 * a per-run PCG64 generator seeded explicitly, so a (config, seed) pair
   reproduces a run exactly;
 * one mini-batch size b per run, fixed with the metric and the feasible
@@ -22,8 +22,9 @@ The variance-reduced methods form the direction
 
 which is an unbiased estimate of the exact gradient at x_t; at the first
 inner step x_1 = w_k it equals grad_full(w_k) for every sampled batch.
-Each step is charged 2b.  On dense rows both batch gradients come from one
-stacked ``grad_batch`` call on (x_t, w_k).  On CSR rows the rule of
+Such a step costs 2b, and a plain step grad_B(x_t) costs b.  On dense rows
+both batch gradients come from one stacked ``grad_batch`` call on
+(x_t, w_k).  On CSR rows the rule of
 :func:`_lazy_applies` may give the inner loop the O(nnz) just-in-time step
 of :class:`_LazyStep`, which matches the dense step to rounding; the dense
 step there takes grad_B(x_t) from one ``grad_batch`` call and grad_B(w_k)
@@ -117,6 +118,7 @@ class _Run:
     It fixes, once for the run, the batch size b (in [1, n], checked by
     :func:`_validate_common`), ``period`` = n // b steps per pass, the metric
     ``variant`` and the feasible set ``proj``; None is Euclidean, unbounded.
+    The full-matrix metric has no projection: a ``proj`` with it is an error.
 
     :meth:`record` is the one writer of trace rows.  The starting point is
     the first row and :meth:`result` adds the closing row.
@@ -124,6 +126,8 @@ class _Run:
 
     def __init__(self, problem: Problem, w0: np.ndarray, seed: int, batch_size: int,
                  variant: PrecondVariant | None = None, proj: ProjectionSpec | None = None):
+        if proj is not None and variant is not None and variant.kind == "full_matrix":
+            raise ValueError("projection is not supported for the full_matrix variant")
         self.problem, self.n = problem, problem.n
         self.batch_size, self.period = batch_size, problem.n // batch_size
         self.variant, self.proj = variant, proj
@@ -365,8 +369,8 @@ class _DenseStep:
     written in full each step since the recursive direction moves its anchor
     by assignment.  On CSR rows with the ``snapshot_anchored`` direction
     :meth:`set_anchor` instead caches phi' at the anchor and l2 anchor, and
-    grad_B(anchor) is formed from them on the batch's columns, charged b,
-    bit for bit as the stacked call forms it.  A metric step is projected
+    grad_B(anchor) is formed from them on the batch's columns, bit for bit
+    as the stacked call forms it.  A metric step is projected
     onto the run's feasible set ``proj``."""
 
     def __init__(self, problem: Problem, x: np.ndarray, anchor: np.ndarray, base,
@@ -390,22 +394,21 @@ class _DenseStep:
     def point(self) -> np.ndarray:
         return self.x
 
-    def direct(self, batch: np.ndarray, counters: GradOracleCounters) -> None:
+    def direct(self, batch: np.ndarray) -> None:
         if self.base is None:
-            self.g = self.problem.grad_batch(self.x, batch, counters)
+            self.g = self.problem.grad_batch(self.x, batch)
         elif not self.cached:
             pair = self.pair
             pair[0], pair[1] = self.x, self.anchor
             # the result is a fresh array: the direction is formed in its first row
-            g, ga = self.problem.grad_batch(pair, batch, counters)
+            g, ga = self.problem.grad_batch(pair, batch)
             g -= ga
             g += self.base
             self.g = g
         else:
             # gx is a fresh array: the direction is formed in it, in place
-            g = self.problem.grad_batch(self.x, batch, counters)
+            g = self.problem.grad_batch(self.x, batch)
             cols, s = self.problem.anchor_batch_part(batch, self.anchor_derivs)
-            counters.charge_batch(batch.size)
             at_cols = g[cols] - (s + self.anchor_l2[cols])
             g -= self.anchor_l2
             g[cols] = at_cols
@@ -464,9 +467,8 @@ class _LazyStep:
         self.v_at, self.base_at = self.v[cols], self.base[cols]
         return self.a[cols] + self.c * self.v_at - self.beta * self.base_at
 
-    def direct(self, batch: np.ndarray, counters: GradOracleCounters) -> None:
+    def direct(self, batch: np.ndarray) -> None:
         self.cols, s = self.problem.sparse_batch_part(batch, self._gather, self.anchor_derivs)
-        counters.charge_batch((1 if self.anchor_derivs is None else 2) * batch.size)
         self.s, self.s_v, self.s_base = s, float(s @ self.v_at), float(s @ self.base_at)
         self.s_sq = float(s @ s)
 
@@ -525,9 +527,12 @@ def _engine(
     ``direction`` is ``plain`` (grad_B(x)), ``vr`` (anchored at the
     snapshot) or ``recursive`` (anchored at the previous iterate plus the
     previous direction, each outer loop starting from the exact full
-    gradient without sampling).  Anchored directions take a charged full
-    gradient and a step-size from ``rule`` at each snapshot, which is a
-    forced trace row unless ``loop='refresh'``; then each step first
+    gradient without sampling).  Each sampled step is charged here, once:
+    b on the plain direction and 2b on the anchored ones; the recursive
+    direction's exact first step samples and charges nothing.  Anchored
+    directions take a charged full gradient and a step-size from ``rule``
+    at each snapshot, which is a forced trace row unless
+    ``loop='refresh'``; then each step first
     refreshes the snapshot with probability b/n.  With the plain direction a
     non-constant rule re-estimates the step-size every n/b steps.  A run
     without a metric takes the Euclidean step; otherwise a fresh accumulator
@@ -547,6 +552,7 @@ def _engine(
     problem, variant, proj, period = run.problem, run.variant, run.proj, run.period
     d = problem.d
     refresh_p = run.batch_size / problem.n
+    step_cost = (1 if direction == "plain" else 2) * run.batch_size
     burn_in = 2 * period if direction == "plain" else period
     event = "switch" if direction == "plain" else "adaptive_stop"
     average = snapshot == "average"
@@ -598,7 +604,8 @@ def _engine(
                 if direction == "recursive" and t == 1:
                     it.g = it.base
                 else:
-                    it.direct(run.sample(), run.counters)
+                    it.direct(run.sample())
+                    run.counters.charge_batch(step_cost)
                 if direction == "recursive":
                     it.anchor, it.base = it.x, it.g
                 if average:

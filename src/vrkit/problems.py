@@ -5,9 +5,9 @@ an L2 penalty:
 
     f(w) = (1/n) * sum_i loss(<a_i, w>, y_i) + (l2_reg / 2) * ||w||^2
 
-Gradient oracles charge a per-run :class:`GradOracleCounters` so benchmark
-traces can report work in effective passes over the data.  Loss evaluations
-are never charged; they are used for monitoring only.
+Work is reported in effective passes over the data through a per-run
+:class:`GradOracleCounters`.  Of the oracles only :meth:`Problem.grad_full`,
+given the counters, charges it; the optimizer loop charges each batch step.
 
 :meth:`Problem.margins` is the n-vector of predictions A w, the one n x d
 product behind :meth:`Problem.loss_value`, :meth:`Problem.grad_full` and
@@ -24,8 +24,8 @@ underflows, and equal to it at m = +-inf; ``tests/test_problems.py``
 checks this bound.
 
 The mini-batch oracle :meth:`Problem.grad_batch` takes one point or a
-(k, d) stack of points and is charged k times the batch size.  It has two
-paths, chosen by :attr:`Dataset.dense_rows`:
+(k, d) stack of points.  It has two paths, chosen by
+:attr:`Dataset.dense_rows`:
 
 * Dense rows (a dense copy costs no more memory than the CSR's ``data`` and
   ``indices``): the batch's rows are one n x d row slice, shared by every
@@ -299,22 +299,17 @@ class Problem:
             counters.charge_full()
         return np.asarray(g)
 
-    def grad_batch(
-        self,
-        w: np.ndarray,
-        batch: np.ndarray,
-        counters: GradOracleCounters | None = None,
-    ) -> np.ndarray:
-        """Mean gradient over a nonempty set of example indices, plus the L2 term.
+    def grad_batch(self, w: np.ndarray, batch: np.ndarray) -> np.ndarray:
+        """Mean gradient over a nonempty set of example indices, plus the L2
+        term.  Never charged.
 
         ``w`` is one point of dimension d, or a (k, d) stack of points; a
-        stack returns the k gradients as a (k, d) array and is charged k *
-        batch size.  ``batch`` holds integer indices.  Each gradient is
-        ``(phi'(rows @ w) / b) @ rows + l2 * w`` with ``rows =
-        features[batch]``: through BLAS on :attr:`Dataset.dense_rows`, where
-        a stack shares one gather of the rows, and otherwise point by point,
-        bit for bit in the order of scipy's CSR products (see the module
-        docstring).
+        stack returns the k gradients as a (k, d) array.  ``batch`` holds
+        integer indices.  Each gradient is ``(phi'(rows @ w) / b) @ rows +
+        l2 * w`` with ``rows = features[batch]``: through BLAS on
+        :attr:`Dataset.dense_rows`, where a stack shares one gather of the
+        rows, and otherwise point by point, bit for bit in the order of
+        scipy's CSR products (see the module docstring).
         """
         w = np.asarray(w, dtype=np.float64)
         points = w if w.ndim == 2 else w.reshape(1, -1)
@@ -337,15 +332,11 @@ class Problem:
             coeffs /= batch.size
             g = coeffs @ rows
             g += self.l2_reg * points
-            g = g if w.ndim == 2 else g[0]
-        elif w.ndim == 2:
+            return g if w.ndim == 2 else g[0]
+        if w.ndim == 2:
             g = np.array([self._csr_grad_batch(point, batch) for point in points])
-            g = g.reshape(points.shape)  # (0, d), not (0,), for an empty stack
-        else:
-            g = self._csr_grad_batch(points[0], batch)
-        if counters is not None:
-            counters.charge_batch(points.shape[0] * batch.size)
-        return g
+            return g.reshape(points.shape)  # (0, d), not (0,), for an empty stack
+        return self._csr_grad_batch(points[0], batch)
 
     def l2_term(self, w: np.ndarray) -> np.ndarray:
         """``l2 w + 0.0``, the L2 term of a batch gradient on CSR rows: scipy

@@ -24,7 +24,7 @@ from vrkit import (
     svrg,
     svrg_bb,
 )
-from vrkit import GradOracleCounters, optimizers
+from vrkit import bench, optimizers
 from vrkit.precond import DELTA
 
 from conftest import make_problem, same_bits, single_example_problem
@@ -559,6 +559,24 @@ class TestSingleChecks:
             with pytest.raises(ValueError, match="needs a constant step size"):
                 fn(problem, np.zeros(problem.d), 3, batch_size=4, seed=0)
 
+    @pytest.mark.parametrize("fn", (adasvrg_fixed, adasvrg_multistage),
+                             ids=lambda fn: fn.__name__)
+    def test_full_matrix_projection_rejected_before_any_oracle_call(self, monkeypatch, fn):
+        # the full-matrix metric has no projection: the run is refused when
+        # it is built, before its start row or first full gradient
+        calls = []
+        for name in ("margins", "grad_full"):
+            def spy(self, *args, _original=getattr(Problem, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _original(self, *args, **kwargs)
+            monkeypatch.setattr(Problem, name, spy)
+        problem = small_synthetic(n=64, d=4)
+        args = (0.5,) if fn is adasvrg_multistage else ()
+        with pytest.raises(ValueError, match="full_matrix"):
+            fn(problem, np.zeros(problem.d), 3, *args, variant=FULL, proj=ProjectionSpec(1.0),
+               eta=0.5, batch_size=4)
+        assert calls == []
+
 
 class TestTraceShape:
     def test_rows_strictly_increasing_and_validate(self):
@@ -797,35 +815,40 @@ class TestBlockSampler:
             assert first.sample().tolist() == second.sample().tolist()
 
 
-class TestCachedAnchorDirection:
-    """On CSR rows the snapshot-anchored dense step forms grad_B(anchor) from
-    phi' cached at the anchor.  It must equal the stacked call's
-    gx - ga + base bit for bit and be charged 2b, before and after the
-    anchor is replaced as a coin-flip refresh replaces it."""
+class TestStepCharge:
+    """The engine charges each sampled batch once: b on the plain direction
+    and 2b on an anchored one.  SARAH's exact first step samples nothing
+    and is charged nothing.  Every method of the benchmark, on dense and CSR
+    rows, goes through the lazy step, the stacked call, the cached-phi'
+    step or the coin-flip refresh; the hybrid's plain samples are those
+    before its switch."""
 
-    @pytest.mark.parametrize("l2", [0.0, 0.05])
-    @pytest.mark.parametrize("loss", ["logistic", "squared", "huber"])
-    def test_equals_stacked_direction(self, loss, l2):
-        problem = _csr_rows(loss, l2=l2)
-        rng = np.random.default_rng(31)
-        anchor = rng.standard_normal(problem.d)
-        anchor[::4] = -0.0
-        it = optimizers._DenseStep(problem, anchor.copy(), anchor, problem.grad_full(anchor),
-                                   snapshot_anchored=True)
-        assert it.cached
-        counters = GradOracleCounters()
-        for t in range(60):
-            if t == 30:
-                anchor = it.x.copy()
-                it.set_anchor(anchor, problem.grad_full(anchor))
-            b = (1, 2, 5)[t % 3]
-            batch = rng.choice(problem.n, size=b, replace=False)
-            charged = counters.per_example_grad_evals
-            it.direct(batch, counters)
-            assert counters.per_example_grad_evals - charged == 2 * b
-            gx, ga = problem.grad_batch(np.stack((it.x, it.anchor)), batch)
-            assert same_bits(it.g, gx - ga + it.base), (t, batch)
-            it.step(0.2)
+    @pytest.mark.parametrize("b", [1, 4])
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    @pytest.mark.parametrize("algo", bench.ALGORITHMS)
+    def test_plain_costs_b_anchored_costs_2b(self, monkeypatch, algo, layout, b):
+        problem = make_problem(n=24, d=6, density=1.0, seed=8) if layout == "dense" else _csr_rows()
+        assert (problem.dataset.dense_rows is None) == (layout == "csr")
+        original = optimizers._Run.sample
+        samples = []
+
+        def sample(self):
+            samples.append(None)
+            return original(self)
+
+        monkeypatch.setattr(optimizers._Run, "sample", sample)
+        config = bench.RunConfig(dataset="unused", algo=algo, batch_size=b, epochs=6, eta=0.05)
+        result = bench.execute_seed(problem, config, 0)
+        assert result.termination_reason == "budget" and samples
+        if algo in ("sgd", "adagrad"):
+            plain = len(samples)
+        elif algo == "hybrid":
+            plain = result.notes["switch_step"]
+            assert 0 < plain < len(samples)  # these runs switch to the anchored phase 2
+        else:
+            plain = 0
+        anchored = len(samples) - plain
+        assert result.counters.per_example_grad_evals == b * plain + 2 * b * anchored
 
 
 class TestOneMarginProduct:
@@ -865,34 +888,55 @@ class TestOneMarginProduct:
 
 
 class TestReusedPairBuffer:
-    """On dense rows the stacked call reads (x, anchor) from one reused
-    (2, d) buffer.  ``sarah`` moves its anchor by assignment, and
-    ``loopless_svrg`` through ``set_anchor`` when it refreshes; in both the
-    direction must equal gx - ga + base from a fresh ``np.stack``, bit for
-    bit.  A stale buffer row fails here by name."""
+    """The dense step's direction must equal gx - ga + base from a fresh
+    ``np.stack`` call, bit for bit, inside real runs.  On dense rows the
+    stacked call reads (x, anchor) from one reused (2, d) buffer: ``sarah``
+    moves its anchor by assignment, ``loopless_svrg`` through ``set_anchor``
+    when it refreshes, and diagonal ``adasvrg_fixed`` at each snapshot.  On
+    CSR rows the snapshot-anchored direction of the last two forms
+    grad_B(anchor) from phi' cached at the anchor, which ``set_anchor``
+    replaces at every refresh; the anchor has signed zeros, l2 is 0 or not,
+    and b = 1 takes the kernel's one-row path.  A stale buffer row or cache
+    fails here by name."""
 
-    @pytest.mark.parametrize("method", ["sarah", "loopless_svrg"])
+    @staticmethod
+    def _problems():
+        yield make_problem(n=24, d=6, density=1.0, seed=8), 4
+        for k, (loss, l2) in enumerate(itertools.product(("logistic", "squared", "huber"),
+                                                           (0.0, 0.05))):
+            yield _csr_rows(loss, l2=l2), (1, 2, 5)[k % 3]
+
+    @pytest.mark.parametrize("method", ["sarah", "loopless_svrg", "adasvrg_fixed"])
     def test_equals_fresh_stack(self, monkeypatch, method):
-        problem = make_problem(n=24, d=6, density=1.0, seed=8)
-        assert problem.dataset.dense_rows is not None
         original = optimizers._DenseStep.direct
-        anchors = []
+        seen = []
 
-        def direct(self, batch, counters):
+        def direct(self, batch):
             x, anchor, base = self.x.copy(), self.anchor.copy(), self.base.copy()
-            original(self, batch, counters)
-            gx, ga = problem.grad_batch(np.stack((x, anchor)), batch)
-            assert same_bits(self.g, gx - ga + base), len(anchors)
-            anchors.append(anchor.tobytes())
+            original(self, batch)
+            gx, ga = self.problem.grad_batch(np.stack((x, anchor)), batch)
+            assert same_bits(self.g, gx - ga + base), len(seen)
+            seen.append((self.cached, anchor.tobytes()))
 
         monkeypatch.setattr(optimizers._DenseStep, "direct", direct)
-        w0 = np.random.default_rng(9).standard_normal(problem.d)
-        if method == "sarah":
-            sarah(problem, w0, 3, 6, eta=0.2, batch_size=4, seed=0)
-            assert len(anchors) == 3 * 5  # the first step of each loop takes grad_full
-        else:
-            # refresh probability b/n = 1/2: some steps refresh, some do not
-            result = loopless_svrg(problem, w0, 20, 0.2, batch_size=12, seed=0)
-            assert 0 < result.notes["snapshot_refreshes"] < 20
-            assert len(anchors) == 20
-        assert len(set(anchors)) > 2
+        for problem, b in self._problems():
+            seen.clear()
+            w0 = np.random.default_rng(9).standard_normal(problem.d)
+            w0[::4] = -0.0
+            if method == "sarah":
+                result = sarah(problem, w0, 3, 6, eta=0.05, batch_size=b, seed=0)
+                steps = 3 * 5  # the first step of each loop takes grad_full
+            elif method == "loopless_svrg":
+                # refresh probability b/n: some steps refresh, most do not
+                steps = 4 * problem.n // b
+                result = loopless_svrg(problem, w0, steps, 0.05, batch_size=b, seed=0)
+                assert 0 < result.notes["snapshot_refreshes"] < steps
+            else:
+                result = adasvrg_fixed(problem, w0, 3, 6, variant=PrecondVariant("diagonal"),
+                                       eta=0.05, batch_size=b, seed=0)
+                steps = 3 * 6
+            assert result.termination_reason == "budget"
+            assert len(seen) == steps
+            cached = problem.dataset.dense_rows is None and method != "sarah"
+            assert {c for c, _ in seen} == {cached}
+            assert len({a for _, a in seen}) > 2
