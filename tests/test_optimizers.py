@@ -851,6 +851,35 @@ class TestStepCharge:
         assert result.counters.per_example_grad_evals == b * plain + 2 * b * anchored
 
 
+class TestCachedAnchorDirection:
+    """On CSR rows the snapshot-anchored dense step forms grad_B(anchor) from
+    phi' cached at the anchor.  It must equal the stacked call's
+    gx - ga + base bit for bit, before and after the anchor is replaced as
+    a coin-flip refresh replaces it.  The step's charge is the engine's and
+    is checked in ``TestStepCharge``."""
+
+    @pytest.mark.parametrize("l2", [0.0, 0.05])
+    @pytest.mark.parametrize("loss", ["logistic", "squared", "huber"])
+    def test_equals_stacked_direction(self, loss, l2):
+        problem = _csr_rows(loss, l2=l2)
+        rng = np.random.default_rng(31)
+        anchor = rng.standard_normal(problem.d)
+        anchor[::4] = -0.0
+        it = optimizers._DenseStep(problem, anchor.copy(), anchor, problem.grad_full(anchor),
+                                   snapshot_anchored=True)
+        assert it.cached
+        for t in range(60):
+            if t == 30:
+                anchor = it.x.copy()
+                it.set_anchor(anchor, problem.grad_full(anchor))
+            b = (1, 2, 5)[t % 3]
+            batch = rng.choice(problem.n, size=b, replace=False)
+            it.direct(batch)
+            gx, ga = problem.grad_batch(np.stack((it.x, it.anchor)), batch)
+            assert same_bits(it.g, gx - ga + it.base), (t, batch)
+            it.step(0.2)
+
+
 class TestOneMarginProduct:
     """A trace row forms the n x d margin product A x once, for both its
     objective and its monitoring gradient; a snapshot row shares its product
