@@ -21,14 +21,13 @@ The variance-reduced methods form the direction
     g_t = grad_B(x_t) - grad_B(w_k) + grad_full(w_k)
 
 which is an unbiased estimate of the exact gradient at x_t; at the first
-inner step x_1 = w_k it equals grad_full(w_k) for every sampled batch.
-Such a step costs 2b, and a plain step grad_B(x_t) costs b.  On dense rows
-both batch gradients come from one stacked ``grad_batch`` call on
-(x_t, w_k).  On CSR rows the rule of
-:func:`_lazy_applies` may give the inner loop the O(nnz) just-in-time step
-of :class:`_LazyStep`, which matches the dense step to rounding; the dense
-step there takes grad_B(x_t) from one ``grad_batch`` call and grad_B(w_k)
-from phi' cached at the snapshot, bit for bit as the stacked call gives it.
+inner step x_1 = w_k it equals grad_full(w_k) for every sampled batch, bit
+for bit on CSR rows and within rounding on dense rows.  Such a step costs
+2b, and a plain step grad_B(x_t) costs b.  The first two terms are one
+``grad_batch`` call at x_t given phi' cached at the snapshot, on both row
+layouts.  On CSR rows the rule of :func:`_lazy_applies` may give the inner
+loop the O(nnz) just-in-time step of :class:`_LazyStep`, which matches the
+dense step to rounding.
 
 Every optimizer is a thin wrapper around one loop, :func:`_engine`, set by
 four choices: the direction (plain, snapshot-anchored as above, or
@@ -364,21 +363,18 @@ def _lazy_applies(problem: Problem, direction: str, variant: PrecondVariant | No
 
 class _DenseStep:
     """The iterate x and the direction g held densely: g is grad_B(x), or,
-    given ``base``, grad_B(x) - grad_B(anchor) + base.  Both batch gradients
-    come from one stacked call on the rows (x, anchor) of one reused buffer,
-    written in full each step since the recursive direction moves its anchor
-    by assignment.  On CSR rows with the ``snapshot_anchored`` direction
-    :meth:`set_anchor` instead caches phi' at the anchor and l2 anchor, and
-    grad_B(anchor) is formed from them on the batch's columns, bit for bit
-    as the stacked call forms it.  A metric step is projected
-    onto the run's feasible set ``proj``."""
+    given ``base``, grad_B(x) - grad_B(anchor) + base.  With
+    ``snapshot_anchored`` that is one ``grad_batch`` call given phi' at the
+    anchor, cached with l2 anchor by :meth:`set_anchor`; the recursive
+    direction, whose anchor moves by assignment every step, takes two
+    calls.  A metric step is projected onto the run's feasible set
+    ``proj``."""
 
     def __init__(self, problem: Problem, x: np.ndarray, anchor: np.ndarray, base,
                  snapshot_anchored: bool = False, proj: ProjectionSpec | None = None,
                  margins: np.ndarray | None = None):
         self.problem, self.x, self.g, self.proj = problem, x, None, proj
-        self.cached = snapshot_anchored and problem.dataset.dense_rows is None
-        self.pair = np.empty((2, x.shape[0]))
+        self.snapshot_anchored = snapshot_anchored
         self.set_anchor(anchor, base, margins)
 
     def set_anchor(self, anchor: np.ndarray, base, margins: np.ndarray | None = None) -> None:
@@ -386,34 +382,26 @@ class _DenseStep:
         ``margins``, the anchor's margin product if the caller has it, saves
         forming it again for the cached phi'."""
         self.anchor, self.base = anchor, base
-        if self.cached:
+        if self.snapshot_anchored:
             self.anchor_derivs = self.problem.margin_derivs(anchor, margins)
-            # grad_B(anchor) off the batch's columns, as grad_batch forms it
-            self.anchor_l2 = self.problem.l2_term(anchor)
+            self.anchor_l2 = self.problem.l2_reg * anchor
 
     def point(self) -> np.ndarray:
         return self.x
 
     def direct(self, batch: np.ndarray) -> None:
+        # each grad_batch result is a fresh array: the direction is formed in it
         if self.base is None:
             self.g = self.problem.grad_batch(self.x, batch)
-        elif not self.cached:
-            pair = self.pair
-            pair[0], pair[1] = self.x, self.anchor
-            # the result is a fresh array: the direction is formed in its first row
-            g, ga = self.problem.grad_batch(pair, batch)
-            g -= ga
-            g += self.base
-            self.g = g
-        else:
-            # gx is a fresh array: the direction is formed in it, in place
-            g = self.problem.grad_batch(self.x, batch)
-            cols, s = self.problem.anchor_batch_part(batch, self.anchor_derivs)
-            at_cols = g[cols] - (s + self.anchor_l2[cols])
+            return
+        if self.snapshot_anchored:
+            g = self.problem.grad_batch(self.x, batch, self.anchor_derivs)
             g -= self.anchor_l2
-            g[cols] = at_cols
-            g += self.base
-            self.g = g
+        else:
+            g = self.problem.grad_batch(self.x, batch)
+            g -= self.problem.grad_batch(self.anchor, batch)
+        g += self.base
+        self.g = g
 
     def accumulate(self, state: PrecondState) -> None:
         state.accumulate(self.g)

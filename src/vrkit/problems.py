@@ -23,22 +23,23 @@ invalid-value warning at any finite margin.  It is within 4 eps relative of
 underflows, and equal to it at m = +-inf; ``tests/test_problems.py``
 checks this bound.
 
-The mini-batch oracle :meth:`Problem.grad_batch` takes one point or a
-(k, d) stack of points.  It has two paths, chosen by
-:attr:`Dataset.dense_rows`:
+The mini-batch oracle :meth:`Problem.grad_batch` takes one point x and,
+given phi' cached at an anchor a (:meth:`Problem.margin_derivs`), forms
+the anchored difference A_B^T (phi'(A_B x) - phi'(A a)_B) / b + l2 x in
+one call.  It has two paths, chosen by :attr:`Dataset.dense_rows`:
 
 * Dense rows (a dense copy costs no more memory than the CSR's ``data`` and
-  ``indices``): the batch's rows are one n x d row slice, shared by every
-  point of a stack, and both products are BLAS matrix products, so the
-  variance-reduced direction costs one call.  :meth:`Problem.grad_full`
-  and :meth:`Problem.loss_value` use the same matrix.  BLAS adds in its
-  own order, so results differ from the CSR path in the last bits and
-  depend on the BLAS build.  ``tests/test_problems.py`` holds each gradient
-  coordinate within (d + b + 8) eps times the magnitudes that enter it (a
-  first-order rounding bound) of the CSR result, and the objective within
-  a relative 1e-12.  The rows of a stack share every operation, so a stack
-  (x, x) gives two identical rows.
-* CSR rows: a stack is computed point by point.  One kernel reads the
+  ``indices``): the batch's rows are one n x d row slice, and the two
+  products are a BLAS matrix-vector and vector-matrix product.
+  :meth:`Problem.grad_full` and :meth:`Problem.loss_value` use the same
+  matrix.  BLAS adds in its own order, so results differ from the CSR path
+  in the last bits and depend on the BLAS build.  ``tests/test_problems.py``
+  holds each gradient coordinate within (d + b + 8) eps times the
+  magnitudes that enter it (a first-order rounding bound) of the CSR
+  result, and the objective within a relative 1e-12.  A batch's margins
+  need not match the full product's bits, so at x = a the anchored
+  difference is within that bound of zero, not zero.
+* CSR rows: one kernel, :meth:`Problem.sparse_batch_part`, reads the
   batch's rows straight from the CSR arrays ``indptr/indices/data`` and
   keeps scipy's order bit for bit: each prediction is 0.0 + a_0 w_0 +
   a_1 w_1 + ... over a row's stored entries in order (``csr_matvec``), and
@@ -48,16 +49,16 @@ The mini-batch oracle :meth:`Problem.grad_batch` takes one point or a
   order that depends on the array layout, and would change the last bits.
   Only the batch's distinct columns are summed; the gradient is
   :meth:`Problem.l2_term`, l2 w + 0.0 as scipy gives it, plus the data
-  part on those columns.  This path is the exact reference for the dense
-  one.
+  part on those columns.  The full product is ``csr_matvec`` too, so phi'
+  cached at a is phi' of a's batch margins bit for bit, and at x = a the
+  anchored difference is l2 a + 0.0 exactly.  This path is the exact
+  reference for the dense one.
 
-The same kernel serves the optimizers with the data part alone, in O(nnz)
-of the batch's rows: :meth:`Problem.sparse_batch_part` for the
-just-in-time step, and :meth:`Problem.anchor_batch_part`, its column sum
-from cached phi', for the dense step's snapshot half.  It hands out the
-batch's columns as intp, while the CSR stores them as int32, since numpy
-gathers and scatters through int32 index arrays about 4x slower than
-through intp ones at 100 columns.
+The just-in-time step calls the same kernel for the data part alone, in
+O(nnz) of the batch's rows.  It hands out the batch's columns as intp,
+while the CSR stores them as int32, since numpy gathers and scatters
+through int32 index arrays about 4x slower than through intp ones at 100
+columns.
 """
 
 from __future__ import annotations
@@ -299,23 +300,27 @@ class Problem:
             counters.charge_full()
         return np.asarray(g)
 
-    def grad_batch(self, w: np.ndarray, batch: np.ndarray) -> np.ndarray:
-        """Mean gradient over a nonempty set of example indices, plus the L2
-        term.  Never charged.
+    def grad_batch(self, w: np.ndarray, batch: np.ndarray,
+                   anchor_derivs: np.ndarray | None = None) -> np.ndarray:
+        """Mean gradient over a nonempty set of example indices at one point,
+        plus the L2 term, anchored at cached phi' when given.  Never charged.
 
-        ``w`` is one point of dimension d, or a (k, d) stack of points; a
-        stack returns the k gradients as a (k, d) array.  ``batch`` holds
-        integer indices.  Each gradient is ``(phi'(rows @ w) / b) @ rows +
-        l2 * w`` with ``rows = features[batch]``: through BLAS on
-        :attr:`Dataset.dense_rows`, where a stack shares one gather of the
-        rows, and otherwise point by point, bit for bit in the order of
+        ``w`` is one point, of shape (d,); any other shape, a (k, d) stack
+        included, raises ``ValueError``.  ``batch`` holds integer indices.
+        The result is ``A_B^T (phi'(A_B w) - anchor_derivs[B]) / b + l2 w``
+        with ``A_B = features[batch]`` and ``anchor_derivs`` from
+        :meth:`margin_derivs` (None for none); any shape of it but (n,)
+        raises ``ValueError``.  It is formed through BLAS on
+        :attr:`Dataset.dense_rows`, and otherwise bit for bit in the order of
         scipy's CSR products (see the module docstring).
         """
-        w = np.asarray(w, dtype=np.float64)
-        points = w if w.ndim == 2 else w.reshape(1, -1)
         n, d = self.dataset.features.shape
-        if points.shape[1] != d:
-            raise ValueError(f"iterate has dimension {points.shape[1]}, expected {d}")
+        w = np.asarray(w, dtype=np.float64)
+        if w.shape != (d,):
+            raise ValueError(f"iterate has shape {w.shape}, expected one point of dimension {d}")
+        if anchor_derivs is not None and np.shape(anchor_derivs) != (n,):
+            raise ValueError(
+                f"anchor_derivs have shape {np.shape(anchor_derivs)}, expected ({n},)")
         batch = np.asarray(batch)
         if batch.dtype.kind not in "iu":
             raise ValueError(f"batch indices must be integers, got dtype {batch.dtype}")
@@ -326,17 +331,19 @@ class Problem:
         if batch.view(np.uintp).max() >= n:
             raise IndexError(f"batch index out of range [0, {n})")
         dense = self.dataset.dense_rows
-        if dense is not None:
-            rows = dense.take(batch, axis=0)  # as dense[batch], in less time
-            coeffs = self._loss_derivs(points @ rows.T, self.dataset.labels.take(batch))
-            coeffs /= batch.size
-            g = coeffs @ rows
-            g += self.l2_reg * points
-            return g if w.ndim == 2 else g[0]
-        if w.ndim == 2:
-            g = np.array([self._csr_grad_batch(point, batch) for point in points])
-            return g.reshape(points.shape)  # (0, d), not (0,), for an empty stack
-        return self._csr_grad_batch(points[0], batch)
+        if dense is None:
+            g = self.l2_term(w)
+            cols, s = self.sparse_batch_part(batch, w.__getitem__, anchor_derivs)
+            g[cols] += s
+            return g
+        rows = dense.take(batch, axis=0)  # as dense[batch], in less time
+        coeffs = self._loss_derivs(rows @ w, self.dataset.labels.take(batch))
+        if anchor_derivs is not None:
+            coeffs -= anchor_derivs.take(batch)
+        coeffs /= batch.size
+        g = coeffs @ rows
+        g += self.l2_reg * w
+        return g
 
     def l2_term(self, w: np.ndarray) -> np.ndarray:
         """``l2 w + 0.0``, the L2 term of a batch gradient on CSR rows: scipy
@@ -347,25 +354,6 @@ class Problem:
         """phi' at every example's prediction <a_i, w>, from ``margins``,
         :meth:`margins` (w), when given.  Never charged."""
         return self._loss_derivs(self._margins_at(w, margins), self.dataset.labels)
-
-    def sparse_batch_part(self, batch: np.ndarray, gather, anchor_derivs=None):
-        """``(cols, s)``: the distinct columns of the batch's CSR rows and, on
-        them, s = A_B^T (phi'(A_B x) - anchor_derivs[B]) / b, with x on
-        ``cols`` from ``gather(cols)`` and ``anchor_derivs`` from
-        :meth:`margin_derivs` (None for none).  Without ``anchor_derivs``,
-        s + :meth:`l2_term` (x) on ``cols`` is ``grad_batch(x, batch)`` there
-        bit for bit.  Never charged."""
-        return self._batch_part(batch, gather, anchor_derivs)
-
-    def anchor_batch_part(self, batch: np.ndarray, derivs: np.ndarray):
-        """``(cols, s)``: the distinct columns of the batch's CSR rows and, on
-        them, the data part s = A_B^T derivs[B] / b of a batch gradient, with
-        ``derivs`` from :meth:`margin_derivs`, summed as :meth:`grad_batch`
-        sums it.  With ``derivs`` taken at w, s + :meth:`l2_term` (w) on
-        ``cols`` is ``grad_batch(w, batch)`` there bit for bit.  Never
-        charged."""
-        row_of, vals, cols, slot = self._batch_entries(batch)
-        return cols, self._column_sum(row_of, vals, slot, derivs[batch] / batch.size)
 
     def _batch_entries(self, batch: np.ndarray):
         """``(row_of, vals, cols, slot)``: the stored entries of the batch's
@@ -399,10 +387,15 @@ class Problem:
         terms = coeffs[row_of] * vals
         return terms if slot is None else np.bincount(slot, weights=terms)
 
-    def _batch_part(self, batch: np.ndarray, gather, anchor_derivs=None):
-        """The one CSR batch kernel, behind :meth:`sparse_batch_part` and
-        :meth:`grad_batch`; each row's margin is 0.0 plus its products in
-        order (``csr_matvec``)."""
+    def sparse_batch_part(self, batch: np.ndarray, gather, anchor_derivs=None):
+        """The one CSR batch kernel: ``(cols, s)``, the distinct columns of
+        the batch's CSR rows and, on them, s = A_B^T (phi'(A_B x) -
+        anchor_derivs[B]) / b, with x on ``cols`` from ``gather(cols)`` and
+        ``anchor_derivs`` from :meth:`margin_derivs` (None for none).  Each
+        row's margin is 0.0 plus its products in order (``csr_matvec``).
+        s + :meth:`l2_term` (x) on ``cols`` is :meth:`grad_batch` there bit
+        for bit; unlike it, this checks neither ``batch`` nor
+        ``anchor_derivs``.  Never charged."""
         row_of, vals, cols, slot = self._batch_entries(batch)
         x_at = gather(cols)
         products = vals * (x_at if slot is None else x_at[slot])
@@ -411,11 +404,3 @@ class Problem:
         if anchor_derivs is not None:
             coeffs = coeffs - anchor_derivs[batch]
         return cols, self._column_sum(row_of, vals, slot, coeffs / batch.size)
-
-    def _csr_grad_batch(self, w: np.ndarray, batch: np.ndarray) -> np.ndarray:
-        """:meth:`grad_batch` at one point from the CSR arrays, exact on any
-        layout: :meth:`l2_term` plus the data part on the batch's columns."""
-        g = self.l2_term(w)
-        cols, s = self._batch_part(batch, w.__getitem__)
-        g[cols] += s
-        return g

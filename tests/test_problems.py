@@ -132,24 +132,24 @@ class TestGradients:
 
     def test_empty_batch_and_bad_index_raise(self):
         problem = make_problem()
-        for lead in ((), (2,)):  # one point, and a stack of two
-            w = np.zeros((*lead, problem.d))
-            with pytest.raises(ValueError):
-                problem.grad_batch(w, np.array([], dtype=int))
-            with pytest.raises(IndexError):
-                problem.grad_batch(w, np.array([problem.n]))
-            with pytest.raises(IndexError):
-                problem.grad_batch(w, np.array([-1]))
+        w = np.zeros(problem.d)
+        with pytest.raises(ValueError):
+            problem.grad_batch(w, np.array([], dtype=int))
+        with pytest.raises(IndexError):
+            problem.grad_batch(w, np.array([problem.n]))
+        with pytest.raises(IndexError):
+            problem.grad_batch(w, np.array([-1]))
+        # one point only: a (k, d) stack is not one
+        for wrong in (np.zeros(problem.d + 1), np.zeros((2, problem.d)), np.zeros((1, problem.d))):
             with pytest.raises(ValueError, match="dimension"):
-                problem.grad_batch(np.zeros((*lead, problem.d + 1)), np.array([0]))
-            # a float is not truncated to row 0, nor a mask read as rows 1, 0, 1
-            with pytest.raises(ValueError, match="integers"):
-                problem.grad_batch(w, np.array([0.9]))
-            with pytest.raises(ValueError, match="integers"):
-                problem.grad_batch(w, np.array([True, False, True]))
+                problem.grad_batch(wrong, np.array([0]))
+        # a float is not truncated to row 0, nor a mask read as rows 1, 0, 1
+        with pytest.raises(ValueError, match="integers"):
+            problem.grad_batch(w, np.array([0.9]))
+        with pytest.raises(ValueError, match="integers"):
+            problem.grad_batch(w, np.array([True, False, True]))
         # the range is one unsigned reduction, checked before any row is read:
-        # numpy's own IndexError, or none on an empty stack of CSR rows,
-        # would not match the message
+        # numpy's own IndexError would not match the message
         for layout in ("sparse", "dense"):
             problem = _random_rows_problem("logistic", layout, seed=3)
             n, d = problem.n, problem.d
@@ -160,20 +160,44 @@ class TestGradients:
             bad += [np.array([3, i, 0]) for i in (lowest, -1, n)]
             bad += [np.array([np.uint64(2**64 - 1)]),
                     np.array([0, 2**64 - 1, 1], dtype=np.uint64)]
-            for w in (np.zeros(d), np.zeros((2, d)), np.zeros((0, d))):
-                for batch in bad:
-                    with pytest.raises(IndexError, match=message):
-                        problem.grad_batch(w, batch)
-                # an empty stack gives (0, d) on both layouts
-                for batch in (np.array([0]), np.array([n - 1, 0]), np.array([n - 1], np.uint64)):
-                    assert problem.grad_batch(w, batch).shape == w.shape
+            for batch in bad:
+                with pytest.raises(IndexError, match=message):
+                    problem.grad_batch(np.zeros(d), batch)
+            for batch in (np.array([0]), np.array([n - 1, 0]), np.array([n - 1], np.uint64)):
+                assert problem.grad_batch(np.zeros(d), batch).shape == (d,)
+
+    @pytest.mark.parametrize("layout", ["sparse", "dense"])
+    def test_anchor_derivs_of_wrong_shape_raise(self, layout):
+        # checked as margins= is: a length-1 array would otherwise broadcast
+        # against the batch's phi' on dense rows and be read at row 0 on CSR
+        problem = _random_rows_problem("logistic", layout, seed=3)
+        assert (problem.dataset.dense_rows is None) == (layout == "sparse")
+        w = np.random.default_rng(5).standard_normal(problem.d)
+        derivs = problem.margin_derivs(w)
+        for wrong in (derivs[:1], derivs[:-1], np.stack((derivs, derivs)), derivs[0]):
+            for batch in (np.array([0]), np.array([0, 4, 9])):
+                with pytest.raises(ValueError, match="anchor_derivs have shape"):
+                    problem.grad_batch(w, batch, wrong)
 
 
-def _scipy_grad_batch(problem: Problem, w: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """Reference batch oracle: scipy's CSR row slice and sparse products."""
-    rows = problem.dataset.features[batch]
-    coeffs = problem._loss_derivs(rows @ w, problem.dataset.labels[batch]) / batch.size
-    return np.asarray(rows.T @ coeffs + problem.l2_reg * w)
+def _scipy_grad_batch(problem: Problem, w: np.ndarray, batch: np.ndarray,
+                      anchor: np.ndarray | None = None) -> np.ndarray:
+    """Reference batch oracle: scipy's CSR row slice and sparse products,
+    A_B^T (phi'(A_B w) - phi'(A_B anchor)) / b + l2 w with an anchor."""
+    rows, labels = problem.dataset.features[batch], problem.dataset.labels[batch]
+    coeffs = problem._loss_derivs(rows @ w, labels)
+    if anchor is not None:
+        coeffs = coeffs - problem._loss_derivs(rows @ anchor, labels)
+    return np.asarray(rows.T @ (coeffs / batch.size) + problem.l2_reg * w)
+
+
+def _csr_kernel(problem: Problem, w: np.ndarray, batch: np.ndarray,
+                anchor_derivs: np.ndarray | None = None) -> np.ndarray:
+    """``grad_batch`` as it is formed on CSR rows, on either layout."""
+    g = problem.l2_term(w)
+    cols, s = problem.sparse_batch_part(batch, w.__getitem__, anchor_derivs)
+    g[cols] += s
+    return g
 
 
 def _random_rows_problem(loss: str, layout: str, seed: int) -> Problem:
@@ -223,10 +247,8 @@ class TestBatchOracleMatchesScipy:
         b = problem.n if size == "n" else size
         for trial, batch in enumerate(_batches(problem.n, b, 20, rng)):
             w = rng.standard_normal(problem.d) * 10.0 ** rng.integers(-2, 3)
-            if layout == "sparse":
-                got = problem.grad_batch(w, batch)
-            else:
-                got = problem._csr_grad_batch(w, batch)
+            got = problem.grad_batch(w, batch) if layout == "sparse" else _csr_kernel(
+                problem, w, batch)
             assert got.shape == (problem.d,)
             assert same_bits(got, _scipy_grad_batch(problem, w, batch)), (trial, batch)
 
@@ -249,30 +271,38 @@ class TestBatchOracleMatchesScipy:
                 points[1] = -np.abs(points[1])
                 points[2] = -0.0
                 assert np.signbit(l2 * points).any()
-                stacked = problem.grad_batch(points, batch)
-                for point, got in zip(points, stacked):
+                for point in points:
                     want = _scipy_grad_batch(problem, point, batch)
-                    assert same_bits(got, want), (b, batch)
                     assert same_bits(problem.grad_batch(point, batch), want), (b, batch)
+                    # anchored at another of the points, signed zeros and all
+                    anchor = points[(b + 1) % 3]
+                    want = _scipy_grad_batch(problem, point, batch, anchor)
+                    got = problem.grad_batch(point, batch, problem.margin_derivs(anchor))
+                    assert same_bits(got, want), (b, batch)
 
+    @pytest.mark.parametrize("layout", ["sparse", "dense"])
     @pytest.mark.parametrize("loss", ALL_LOSSES)
-    def test_stack_equals_single_calls(self, loss):
-        problem = _random_rows_problem(loss, "sparse", seed=11)
+    def test_anchored_kernel_equals_scipy(self, loss, layout):
+        # phi' cached from the full product A a is phi' of the batch's own
+        # margins bit for bit: both are csr_matvec, row by row
+        problem = _random_rows_problem(loss, layout, seed=11)
         rng = np.random.default_rng(12)
         for b in (1, 2, 7, problem.n):
-            batch = rng.integers(problem.n, size=b)
-            points = rng.standard_normal((2, problem.d))
-            stacked = problem.grad_batch(points, batch)
-            assert stacked.shape == (2, problem.d)
-            for point, got in zip(points, stacked):
-                assert same_bits(got, problem.grad_batch(point, batch))
-                assert same_bits(got, _scipy_grad_batch(problem, point, batch))
+            for batch in _batches(problem.n, b, 6, rng):
+                x, a = rng.standard_normal((2, problem.d)) * 10.0 ** rng.integers(-2, 3, (2, 1))
+                want = _scipy_grad_batch(problem, x, batch, a)
+                if layout == "sparse":
+                    got = problem.grad_batch(x, batch, problem.margin_derivs(a))
+                else:
+                    got = _csr_kernel(problem, x, batch, problem._loss_derivs(
+                        problem.dataset.features @ a, problem.dataset.labels))
+                assert same_bits(got, want), (b, batch)
 
     @pytest.mark.parametrize("loss", ALL_LOSSES)
     def test_sparse_batch_part_plus_l2_term_equals_scipy(self, loss):
-        # the just-in-time step's data part, and the column sum of phi'
-        # taken at x, each added on its columns to l2 x + 0.0, are the batch
-        # gradient bit for bit; both hand out intp columns
+        # the just-in-time step's data part, plain or anchored, added on its
+        # columns to l2 x + 0.0, is the batch gradient bit for bit, and its
+        # columns are intp
         problem = _random_rows_problem(loss, "sparse", seed=21)
         rng = np.random.default_rng(22)
         for b in (1, 2, 7, problem.n):
@@ -285,28 +315,36 @@ class TestBatchOracleMatchesScipy:
                 g = problem.l2_reg * x + 0.0
                 g[cols] += s
                 assert same_bits(g, want), (b, batch)
-                anchor_cols, s = problem.anchor_batch_part(batch, problem.margin_derivs(x))
+                # anchored at a second point, as the just-in-time step asks
+                a = rng.standard_normal(problem.d)
+                anchor_cols, s = problem.sparse_batch_part(batch, x.__getitem__,
+                                                           problem.margin_derivs(a))
                 assert anchor_cols.dtype == np.intp
                 assert np.array_equal(anchor_cols, cols)
                 g = problem.l2_term(x)
                 g[cols] += s
-                assert same_bits(g, want), (b, batch)
+                assert same_bits(g, _scipy_grad_batch(problem, x, batch, a)), (b, batch)
 
 
-def _rounding_bound(problem: Problem, w: np.ndarray, batch: np.ndarray) -> np.ndarray:
+def _rounding_bound(problem: Problem, w: np.ndarray, batch: np.ndarray,
+                    anchor: np.ndarray | None = None) -> np.ndarray:
     """Per-coordinate bound on how far two evaluations of one batch gradient
     in different summation orders can differ: (d + b + 8) eps times the
     magnitudes that enter the coordinate.  Each prediction sums d terms and
     each coordinate b terms, within gamma_d and gamma_b of the exact sum in
     any order (Higham, Accuracy and Stability, ch. 3); an error in z moves
     phi' by at most the loss's curvature times it; phi', the division by b
-    and the l2 term add a few roundings."""
+    and the l2 term add a few roundings.  With an anchor, the same holds for
+    phi' at the anchor's margins, and its magnitudes enter too."""
     rows = abs(problem.dataset.features[batch].toarray())
     b = batch.size
-    z = problem.dataset.features[batch] @ w
-    coeffs = abs(problem._loss_derivs(z, problem.dataset.labels[batch])) / b
-    reach = CURVATURE[problem.loss] * (rows @ abs(w)) / b
-    scale = rows.T @ (coeffs + reach) + problem.l2_reg * abs(w)
+    labels = problem.dataset.labels[batch]
+    coeffs = np.zeros(b)
+    for point in (w,) if anchor is None else (w, anchor):
+        z = problem.dataset.features[batch] @ point
+        coeffs += abs(problem._loss_derivs(z, labels)) / b
+        coeffs += CURVATURE[problem.loss] * (rows @ abs(point)) / b
+    scale = rows.T @ coeffs + problem.l2_reg * abs(w)
     return (problem.d + b + 8) * np.finfo(np.float64).eps * scale
 
 
@@ -318,18 +356,22 @@ class TestDenseRowOracle:
     @pytest.mark.parametrize("size", [1, 2, 7, 64, "n"])
     @pytest.mark.parametrize("loss", ALL_LOSSES)
     def test_within_rounding_bound_of_scipy(self, loss, size):
+        # every other trial anchored at phi' of the full BLAS product
         problem = _random_rows_problem(loss, "dense", seed=ALL_LOSSES.index(loss))
         assert problem.dataset.dense_rows is not None
         rng = np.random.default_rng(8)
         b = problem.n if size == "n" else size
         for trial, batch in enumerate(_batches(problem.n, b, 30, rng)):
-            k = 1 + trial % 3  # one point, or a stack of two or three
-            points = rng.standard_normal((k, problem.d)) * 10.0 ** rng.integers(-2, 3, (k, 1))
-            got = problem.grad_batch(points if trial % 3 else points[0], batch)
-            for point, g in zip(points, np.atleast_2d(got)):
-                want = _scipy_grad_batch(problem, point, batch)
-                excess = abs(g - want) - _rounding_bound(problem, point, batch)
-                assert excess.max() <= 0.0, (trial, k, batch, excess)
+            x, a = rng.standard_normal((2, problem.d)) * 10.0 ** rng.integers(-2, 3, (2, 1))
+            a = None if trial % 2 else a
+            if a is None:
+                got = problem.grad_batch(x, batch)
+            else:
+                got = problem.grad_batch(x, batch, problem.margin_derivs(a))
+            assert got.shape == (problem.d,)
+            want = _scipy_grad_batch(problem, x, batch, a)
+            excess = abs(got - want) - _rounding_bound(problem, x, batch, a)
+            assert excess.max() <= 0.0, (trial, batch, excess)
 
     @pytest.mark.parametrize("loss", ALL_LOSSES)
     def test_full_oracles_within_rounding_bound(self, loss):
@@ -347,17 +389,26 @@ class TestDenseRowOracle:
 
     @pytest.mark.parametrize("layout", ["sparse", "dense"])
     @pytest.mark.parametrize("loss", ALL_LOSSES)
-    def test_stack_of_one_point_twice_gives_equal_rows(self, loss, layout):
-        # so the first direction of an inner loop, at x = w_k, is grad_full(w_k)
+    def test_anchored_at_the_anchor_gives_grad_full(self, loss, layout):
+        # the first direction of an inner loop, at x = w_k, is grad_full(w_k):
+        # bit for bit on CSR rows; on dense rows a batch's BLAS margins need
+        # not match the full product's bits, so within the rounding bound
         problem = _random_rows_problem(loss, layout, seed=13)
         rng = np.random.default_rng(14)
+        eps = np.finfo(np.float64).eps
         for b in (1, 2, 7, 64, problem.n):
             for batch in _batches(problem.n, b, 6, rng):
-                x = rng.standard_normal(problem.d) * 10.0 ** rng.integers(-2, 3)
-                gx, ga = problem.grad_batch(np.stack((x, x)), batch)
-                assert same_bits(gx, ga), (b, batch)
-                base = problem.grad_full(x)
-                np.testing.assert_array_equal(gx - ga + base, base)
+                a = rng.standard_normal(problem.d) * 10.0 ** rng.integers(-2, 3)
+                base = problem.grad_full(a)
+                g = problem.grad_batch(a, batch, problem.margin_derivs(a))
+                g -= problem.l2_reg * a
+                g += base
+                if layout == "sparse":
+                    assert same_bits(g, base), (b, batch)
+                else:
+                    # plus the roundings of subtracting l2 a and adding base
+                    bound = _rounding_bound(problem, a, batch, a) + 2 * eps * abs(base)
+                    assert np.all(abs(g - base) <= bound), (b, batch)
 
 
 class TestDenseRowSelection:
