@@ -23,11 +23,11 @@ The variance-reduced methods form the direction
 which is an unbiased estimate of the exact gradient at x_t; at the first
 inner step x_1 = w_k it equals grad_full(w_k) for every sampled batch, bit
 for bit on CSR rows and within rounding on dense rows.  Such a step costs
-2b, and a plain step grad_B(x_t) costs b.  The first two terms are one
-``grad_batch`` call at x_t given phi' cached at the snapshot, on both row
-layouts.  On CSR rows the rule of :func:`_lazy_applies` may give the inner
-loop the O(nnz) just-in-time step of :class:`_LazyStep`, which matches the
-dense step to rounding.
+2b, and a plain step grad_B(x_t) costs b.  On both row layouts
+grad_B(x_t) - grad_B(w_k) is one ``grad_batch`` call at x_t, given phi'
+cached at the snapshot, minus l2 w_k.  On CSR rows the rule of
+:func:`_lazy_applies` may give the inner loop the O(nnz) just-in-time step
+of :class:`_LazyStep`, which matches the dense step to rounding.
 
 Every optimizer is a thin wrapper around one loop, :func:`_engine`, set by
 four choices: the direction (plain, snapshot-anchored as above, or

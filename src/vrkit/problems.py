@@ -38,7 +38,7 @@ one call.  It has two paths, chosen by :attr:`Dataset.dense_rows`:
   magnitudes that enter it (a first-order rounding bound) of the CSR
   result, and the objective within a relative 1e-12.  A batch's margins
   need not match the full product's bits, so at x = a the anchored
-  difference is within that bound of zero, not zero.
+  difference is l2 a within that bound, not exactly.
 * CSR rows: one kernel, :meth:`Problem.sparse_batch_part`, reads the
   batch's rows straight from the CSR arrays ``indptr/indices/data`` and
   keeps scipy's order bit for bit: each prediction is 0.0 + a_0 w_0 +

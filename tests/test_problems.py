@@ -282,7 +282,7 @@ class TestBatchOracleMatchesScipy:
 
     @pytest.mark.parametrize("layout", ["sparse", "dense"])
     @pytest.mark.parametrize("loss", ALL_LOSSES)
-    def test_anchored_kernel_equals_scipy(self, loss, layout):
+    def test_anchored_equals_scipy(self, loss, layout):
         # phi' cached from the full product A a is phi' of the batch's own
         # margins bit for bit: both are csr_matvec, row by row
         problem = _random_rows_problem(loss, layout, seed=11)
@@ -363,14 +363,12 @@ class TestDenseRowOracle:
         b = problem.n if size == "n" else size
         for trial, batch in enumerate(_batches(problem.n, b, 30, rng)):
             x, a = rng.standard_normal((2, problem.d)) * 10.0 ** rng.integers(-2, 3, (2, 1))
-            a = None if trial % 2 else a
-            if a is None:
-                got = problem.grad_batch(x, batch)
-            else:
-                got = problem.grad_batch(x, batch, problem.margin_derivs(a))
+            anchor = None if trial % 2 else a
+            derivs = None if anchor is None else problem.margin_derivs(anchor)
+            got = problem.grad_batch(x, batch, derivs)
             assert got.shape == (problem.d,)
-            want = _scipy_grad_batch(problem, x, batch, a)
-            excess = abs(got - want) - _rounding_bound(problem, x, batch, a)
+            want = _scipy_grad_batch(problem, x, batch, anchor)
+            excess = abs(got - want) - _rounding_bound(problem, x, batch, anchor)
             assert excess.max() <= 0.0, (trial, batch, excess)
 
     @pytest.mark.parametrize("loss", ALL_LOSSES)
@@ -389,7 +387,7 @@ class TestDenseRowOracle:
 
     @pytest.mark.parametrize("layout", ["sparse", "dense"])
     @pytest.mark.parametrize("loss", ALL_LOSSES)
-    def test_anchored_at_the_anchor_gives_grad_full(self, loss, layout):
+    def test_at_anchor_gives_grad_full(self, loss, layout):
         # the first direction of an inner loop, at x = w_k, is grad_full(w_k):
         # bit for bit on CSR rows; on dense rows a batch's BLAS margins need
         # not match the full product's bits, so within the rounding bound
