@@ -888,34 +888,70 @@ class TestOneMarginProduct:
         assert calls["margins"] == calls["loss_value"] + unrecorded
 
 
-class TestAnchoredDirection:
+class TestCachedAnchorDirection:
+    """The snapshot-anchored dense step on CSR rows, driven directly: its
+    direction is one ``grad_batch`` call given phi' cached at the anchor.
+    It must equal the same call given phi' formed afresh at the current
+    anchor, minus l2 anchor, plus base, bit for bit, and
+    grad_B(x) - grad_B(anchor) + base from two one-point calls within
+    64 T eps relative to 1 + |value|, T = 2b, before and after the anchor is
+    replaced as a coin-flip refresh replaces it.  A cache that
+    :meth:`set_anchor` leaves stale fails both."""
+
+    @pytest.mark.parametrize("l2", [0.0, 0.05])
+    @pytest.mark.parametrize("loss", ["logistic", "squared", "huber"])
+    def test_equals_stacked_direction(self, loss, l2):
+        problem = _csr_rows(loss, l2=l2)
+        rng = np.random.default_rng(31)
+        anchor = rng.standard_normal(problem.d)
+        anchor[::4] = -0.0
+        it = optimizers._DenseStep(problem, anchor.copy(), anchor, problem.grad_full(anchor),
+                                   snapshot_anchored=True)
+        for t in range(60):
+            if t == 30:
+                anchor = it.x.copy()
+                it.set_anchor(anchor, problem.grad_full(anchor))
+            b = (1, 2, 5)[t % 3]
+            batch = rng.choice(problem.n, size=b, replace=False)
+            it.direct(batch)
+            fresh = problem.grad_batch(it.x, batch, problem.margin_derivs(it.anchor))
+            fresh -= problem.l2_reg * it.anchor
+            fresh += it.base
+            assert same_bits(it.g, fresh), (t, batch)
+            want = problem.grad_batch(it.x, batch) - problem.grad_batch(it.anchor, batch)
+            want += it.base
+            tol = 64 * 2 * b * np.finfo(float).eps
+            assert np.all(abs(it.g - want) <= tol * (1.0 + abs(want))), (t, batch)
+            it.step(0.2)
+
+
+class TestReusedPairBuffer:
     """The dense step's direction inside real runs, against
-    grad_B(x) - grad_B(anchor) + base from two fresh ``grad_batch`` calls.
-    ``sarah`` moves its anchor by assignment and takes those two calls
-    itself, so it matches bit for bit.  ``loopless_svrg`` replaces its
-    anchor through ``set_anchor`` at each refresh and diagonal
-    ``adasvrg_fixed`` at each snapshot; their direction is one call given
-    phi' cached at the anchor, which sums in another order, so it matches
-    within 64 T eps relative to 1 + |value|, T = 2b the step's work: the
-    tolerance of :class:`TestLazySparseStep`.  A stale anchor or cache is
-    off by far more and fails here by name.  On CSR rows the anchor has
-    signed zeros, l2 is 0 or not, and b = 1 takes the kernel's one-row
-    path."""
+    grad_B(x) - grad_B(anchor) + base from two fresh ``grad_batch`` calls
+    (the test keeps its name from when the two points were one stacked call
+    read from a reused (2, d) buffer).  ``sarah`` moves its anchor by
+    assignment and takes those two calls itself, so it matches bit for bit.
+    ``loopless_svrg`` replaces its anchor through ``set_anchor`` at each
+    refresh and diagonal ``adasvrg_fixed`` at each snapshot; their direction
+    is one call given phi' cached at the anchor, which sums in another
+    order, so it matches within 64 T eps relative to 1 + |value|, T = 2b the
+    step's work: the tolerance of :class:`TestLazySparseStep`.  A stale
+    anchor or cache is off by far more and fails here by name.  Each method
+    runs on dense rows and on six CSR problems, where the anchor has signed
+    zeros, l2 is 0 or not, and b = 1 takes the kernel's one-row path."""
 
     @staticmethod
-    def _problems(layout):
-        if layout == "dense":
-            yield make_problem(n=24, d=6, density=1.0, seed=8), 4
-            return
+    def _problems():
+        yield "dense", make_problem(n=24, d=6, density=1.0, seed=8), 4
         for k, (loss, l2) in enumerate(itertools.product(("logistic", "squared", "huber"),
                                                            (0.0, 0.05))):
-            yield _csr_rows(loss, l2=l2), (1, 2, 5)[k % 3]
+            yield f"csr-{loss}-{l2}", _csr_rows(loss, l2=l2), (1, 2, 5)[k % 3]
 
-    @pytest.mark.parametrize("layout", ["dense", "csr"])
     @pytest.mark.parametrize("method", ["sarah", "loopless_svrg", "adasvrg_fixed"])
-    def test_equals_two_batch_calls(self, monkeypatch, method, layout):
+    def test_equals_fresh_stack(self, monkeypatch, method):
         original = optimizers._DenseStep.direct
         anchors = []
+        case = [None]
 
         def direct(self, batch):
             x, anchor, base = self.x.copy(), self.anchor.copy(), self.base.copy()
@@ -924,15 +960,17 @@ class TestAnchoredDirection:
             want += base
             assert self.snapshot_anchored == (method != "sarah")
             if method == "sarah":
-                assert same_bits(self.g, want), len(anchors)
+                assert same_bits(self.g, want), (case[0], len(anchors))
             else:
                 tol = 64 * 2 * batch.size * np.finfo(float).eps
-                assert np.all(abs(self.g - want) <= tol * (1.0 + abs(want))), len(anchors)
+                assert np.all(abs(self.g - want) <= tol * (1.0 + abs(want))), \
+                    (case[0], len(anchors))
             anchors.append(anchor.tobytes())
 
         monkeypatch.setattr(optimizers._DenseStep, "direct", direct)
-        for problem, b in self._problems(layout):
-            assert (problem.dataset.dense_rows is None) == (layout == "csr")
+        for name, problem, b in self._problems():
+            case[0] = name
+            assert (problem.dataset.dense_rows is None) == name.startswith("csr")
             anchors.clear()
             w0 = np.random.default_rng(9).standard_normal(problem.d)
             w0[::4] = -0.0
@@ -943,11 +981,11 @@ class TestAnchoredDirection:
                 # refresh probability b/n: some steps refresh, most do not
                 steps = 4 * problem.n // b
                 result = loopless_svrg(problem, w0, steps, 0.05, batch_size=b, seed=0)
-                assert 0 < result.notes["snapshot_refreshes"] < steps
+                assert 0 < result.notes["snapshot_refreshes"] < steps, name
             else:
                 result = adasvrg_fixed(problem, w0, 3, 6, variant=PrecondVariant("diagonal"),
                                        eta=0.05, batch_size=b, seed=0)
                 steps = 3 * 6
-            assert result.termination_reason == "budget"
-            assert len(anchors) == steps
-            assert len(set(anchors)) > 2
+            assert result.termination_reason == "budget", name
+            assert len(anchors) == steps, name
+            assert len(set(anchors)) > 2, name
