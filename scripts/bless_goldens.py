@@ -16,9 +16,14 @@ their passes and events, and the oracle counters are identical to the golden
 files, whether every other non-float field is, the largest relative
 deviation of any float, and the trace columns and JSON keys (dotted below
 the top level) whose floats differ, e.g. ``floats differ in: objective``.
-It also prints ``<case>: no golden file`` for a case
-whose files are missing and ``<file>: no case`` for a golden file that no
-case writes.  It exits 1 when any of these turns up and 0 when every case is
+Next to the largest relative deviation it prints, in parentheses, the
+largest |old - new| / (1 + |new|) as a fraction of 64 T eps, with T the
+run's oracle work in examples (per-example work + n x full gradients):
+the tolerance of the just-in-time step's differential tests, so a fraction
+of at most 1 shows that a re-bless stays within it, e.g. ``max relative
+deviation 2.5e-15 (3.1e-05 of 64 T eps, T = 408)``.  It also prints
+``<case>: no golden file`` for a case whose files are missing and
+``<file>: no case`` for a golden file that no case writes.  It exits 1 when any of these turns up and 0 when every case is
 identical to its golden files:
 
     PYTHONPATH=src python3 scripts/bless_goldens.py --compare
@@ -32,7 +37,9 @@ import functools
 import json
 import math
 import sys
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,6 +78,16 @@ FLOAT_COLUMNS = ("objective", "grad_norm", "g_norm_star", "step_size")
 
 # Each of these must appear in at least one case.
 REQUIRED_EVENTS = ("switch", "adaptive_stop", "stage_boundary", "diverged")
+
+
+class Case(NamedTuple):
+    """One seeded run, ``run(problem())``; --compare reads the problem's n."""
+
+    problem: Callable[[], Problem]
+    run: Callable[[Problem], object]
+
+    def __call__(self):
+        return self.run(self.problem())
 
 
 def _problem(features, labels, loss: str, l2: float) -> Problem:
@@ -112,23 +129,26 @@ def _sparse_cases() -> dict:
     z12 = np.zeros(12)
     diag = PrecondVariant(kind="diagonal")
     scalar = PrecondVariant(kind="scalar")
+    rows = {loss: functools.partial(_sparse_rows, loss)
+            for loss in ("squared_hinge", "huber", "logistic")}
     return {
-        "sparse-svrg-squared_hinge-b1": lambda: svrg(
-            _sparse_rows("squared_hinge"), z12, 3, None, 0.1, batch_size=1, seed=17),
-        "sparse-adasvrg-fixed-huber-b4": lambda: adasvrg_fixed(
-            _sparse_rows("huber"), z12, 3, variant=diag, eta=0.5, batch_size=4, seed=18),
-        "sparse-adagrad-diagonal-squared_hinge-b4": lambda: adagrad(
-            _sparse_rows("squared_hinge"), z12, 60, 0.5, variant=diag, batch_size=4, seed=19),
-        "sparse-adasvrg-adaptive-logistic-b1": lambda: adasvrg_adaptive(
-            _sparse_rows("logistic"), z12, 3, eta=None, batch_size=1, seed=22),
-        "sparse-hybrid-logistic-b1": lambda: hybrid_adagrad_adasvrg(
-            _sparse_rows("logistic"), z12, 400, eta=None, batch_size=1, seed=23),
-        "sparse-adasvrg-fixed-scalar-huber-b4": lambda: adasvrg_fixed(
-            _sparse_rows("huber"), z12, 3, variant=scalar, eta=0.5, batch_size=4, seed=24),
-        "sparse-adasvrg-fixed-diagonal-logistic-b1": lambda: adasvrg_fixed(
-            _sparse_rows("logistic"), z12, 3, variant=diag, eta=0.5, batch_size=1, seed=25),
-        "sparse-lsvrg-logistic-b1": lambda: loopless_svrg(
-            _sparse_rows("logistic"), z12, 200, 0.3, batch_size=1, seed=26),
+        "sparse-svrg-squared_hinge-b1": Case(rows["squared_hinge"], lambda p: svrg(
+            p, z12, 3, None, 0.1, batch_size=1, seed=17)),
+        "sparse-adasvrg-fixed-huber-b4": Case(rows["huber"], lambda p: adasvrg_fixed(
+            p, z12, 3, variant=diag, eta=0.5, batch_size=4, seed=18)),
+        "sparse-adagrad-diagonal-squared_hinge-b4": Case(rows["squared_hinge"], lambda p: adagrad(
+            p, z12, 60, 0.5, variant=diag, batch_size=4, seed=19)),
+        "sparse-adasvrg-adaptive-logistic-b1": Case(rows["logistic"], lambda p: adasvrg_adaptive(
+            p, z12, 3, eta=None, batch_size=1, seed=22)),
+        "sparse-hybrid-logistic-b1": Case(rows["logistic"], lambda p: hybrid_adagrad_adasvrg(
+            p, z12, 400, eta=None, batch_size=1, seed=23)),
+        "sparse-adasvrg-fixed-scalar-huber-b4": Case(rows["huber"], lambda p: adasvrg_fixed(
+            p, z12, 3, variant=scalar, eta=0.5, batch_size=4, seed=24)),
+        "sparse-adasvrg-fixed-diagonal-logistic-b1": Case(
+            rows["logistic"],
+            lambda p: adasvrg_fixed(p, z12, 3, variant=diag, eta=0.5, batch_size=1, seed=25)),
+        "sparse-lsvrg-logistic-b1": Case(rows["logistic"], lambda p: loopless_svrg(
+            p, z12, 200, 0.3, batch_size=1, seed=26)),
     }
 
 
@@ -144,9 +164,9 @@ def _bench_cases() -> dict:
         for algo in bench.ALGORITHMS:
             config = RunConfig(dataset=path, algo=algo, eta=BENCH_ETA.get(algo),
                                batch_size=64, epochs=6, seeds=(0,))
-            cases[f"bench-{name}-{algo}"] = (
-                lambda config=config: bench.execute_seed(_bundled(config.dataset), config, 0)
-            )
+            cases[f"bench-{name}-{algo}"] = Case(
+                functools.partial(_bundled, path),
+                lambda p, config=config: bench.execute_seed(p, config, 0))
     return cases
 
 
@@ -155,12 +175,10 @@ def _diverging_cases() -> dict:
     for algo in bench.ALGORITHMS:
         config = RunConfig(dataset="one-example", loss="squared", l2=0.0, algo=algo,
                            eta=1000.0, batch_size=1, epochs=30, seeds=(0,))
-        cases[f"diverge-{algo}"] = (
-            lambda config=config: bench.execute_seed(_one_example(), config, 0)
-        )
-    cases["diverge-adagrad-nonfinite-step"] = lambda: adagrad(
-        _gaussian_squared(), np.zeros(4), 40, 1e308, seed=0
-    )
+        cases[f"diverge-{algo}"] = Case(
+            _one_example, lambda p, config=config: bench.execute_seed(p, config, 0))
+    cases["diverge-adagrad-nonfinite-step"] = Case(
+        _gaussian_squared, lambda p: adagrad(p, np.zeros(4), 40, 1e308, seed=0))
     return cases
 
 
@@ -170,40 +188,41 @@ def _direct_cases() -> dict:
     z6, z4 = np.zeros(6), np.zeros(4)
     diag = PrecondVariant(kind="diagonal")
     full = PrecondVariant(kind="full_matrix")
+    on_small, on_noisy = (lambda: small), (lambda: noisy)
     return {
-        "svrg-bb-fallback": lambda: svrg_bb(_one_example(), np.array([1.0]), 3, 4,
-                                            eta=0.1, seed=0),
-        "sarah-inner5": lambda: sarah(small, z6, 3, 5, 0.2, batch_size=2, seed=3),
-        "lsvrg-b4": lambda: loopless_svrg(small, z6, 60, 0.1, batch_size=4, seed=4),
-        "sgd-b1": lambda: sgd(small, z6, 150, 0.05, batch_size=1, seed=5),
-        "adasvrg-fixed-average-heuristic": lambda: adasvrg_fixed(
-            small, z6, 3, eta=None, batch_size=4, snapshot="average", seed=6),
-        "adasvrg-fixed-diagonal-constant": lambda: adasvrg_fixed(
-            small, z6, 3, 10, variant=diag, eta=0.5, batch_size=4, seed=7),
-        "adasvrg-fixed-full-heuristic": lambda: adasvrg_fixed(
-            small, z6, 3, variant=full, eta=None, batch_size=4, seed=8),
-        "adasvrg-fixed-diagonal-ball": lambda: adasvrg_fixed(
-            small, z6, 3, variant=diag, eta=2.0,
-            proj=ProjectionSpec(radius=0.3), batch_size=4, seed=9),
-        "adasvrg-adaptive-diagonal-constant": lambda: adasvrg_adaptive(
-            noisy, z4, 3, variant=diag, eta=0.5, batch_size=8, seed=10),
-        "adasvrg-adaptive-full": lambda: adasvrg_adaptive(
-            noisy, z4, 2, variant=full, eta=None, batch_size=8, seed=11),
-        "adasvrg-multistage-diagonal-constant": lambda: adasvrg_multistage(
-            small, z6, 3, 1.0 / 8.0, variant=diag, eta=0.5, batch_size=4, seed=12),
-        "hybrid-constant": lambda: hybrid_adagrad_adasvrg(
-            noisy, z4, 256, eta=0.5, batch_size=8, seed=13),
-        "hybrid-diagonal-heuristic": lambda: hybrid_adagrad_adasvrg(
-            noisy, z4, 256, variant=diag, eta=None, batch_size=8, seed=14),
-        "adagrad-diagonal": lambda: adagrad(small, z6, 80, 0.5, variant=diag,
-                                            batch_size=4, seed=15),
-        "adagrad-full": lambda: adagrad(small, z6, 80, 0.5, variant=full,
-                                        batch_size=4, seed=16),
+        "svrg-bb-fallback": Case(_one_example, lambda p: svrg_bb(
+            p, np.array([1.0]), 3, 4, eta=0.1, seed=0)),
+        "sarah-inner5": Case(on_small, lambda p: sarah(p, z6, 3, 5, 0.2, batch_size=2, seed=3)),
+        "lsvrg-b4": Case(on_small, lambda p: loopless_svrg(p, z6, 60, 0.1, batch_size=4, seed=4)),
+        "sgd-b1": Case(on_small, lambda p: sgd(p, z6, 150, 0.05, batch_size=1, seed=5)),
+        "adasvrg-fixed-average-heuristic": Case(on_small, lambda p: adasvrg_fixed(
+            p, z6, 3, eta=None, batch_size=4, snapshot="average", seed=6)),
+        "adasvrg-fixed-diagonal-constant": Case(on_small, lambda p: adasvrg_fixed(
+            p, z6, 3, 10, variant=diag, eta=0.5, batch_size=4, seed=7)),
+        "adasvrg-fixed-full-heuristic": Case(on_small, lambda p: adasvrg_fixed(
+            p, z6, 3, variant=full, eta=None, batch_size=4, seed=8)),
+        "adasvrg-fixed-diagonal-ball": Case(on_small, lambda p: adasvrg_fixed(
+            p, z6, 3, variant=diag, eta=2.0,
+            proj=ProjectionSpec(radius=0.3), batch_size=4, seed=9)),
+        "adasvrg-adaptive-diagonal-constant": Case(on_noisy, lambda p: adasvrg_adaptive(
+            p, z4, 3, variant=diag, eta=0.5, batch_size=8, seed=10)),
+        "adasvrg-adaptive-full": Case(on_noisy, lambda p: adasvrg_adaptive(
+            p, z4, 2, variant=full, eta=None, batch_size=8, seed=11)),
+        "adasvrg-multistage-diagonal-constant": Case(on_small, lambda p: adasvrg_multistage(
+            p, z6, 3, 1.0 / 8.0, variant=diag, eta=0.5, batch_size=4, seed=12)),
+        "hybrid-constant": Case(on_noisy, lambda p: hybrid_adagrad_adasvrg(
+            p, z4, 256, eta=0.5, batch_size=8, seed=13)),
+        "hybrid-diagonal-heuristic": Case(on_noisy, lambda p: hybrid_adagrad_adasvrg(
+            p, z4, 256, variant=diag, eta=None, batch_size=8, seed=14)),
+        "adagrad-diagonal": Case(on_small, lambda p: adagrad(
+            p, z6, 80, 0.5, variant=diag, batch_size=4, seed=15)),
+        "adagrad-full": Case(on_small, lambda p: adagrad(
+            p, z6, 80, 0.5, variant=full, batch_size=4, seed=16)),
     }
 
 
 def cases() -> dict:
-    """Case name -> zero-argument callable returning a RunResult."""
+    """Case name -> :class:`Case`, a zero-argument callable returning a RunResult."""
     return {**_bench_cases(), **_diverging_cases(), **_direct_cases(), **_sparse_cases()}
 
 
@@ -245,6 +264,15 @@ def _relative_deviation(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
+def _tolerance_deviation(old: float, new: float) -> float:
+    """|old - new| / (1 + |new|), the measure of the 64 T eps tolerance;
+    inf where it is not a number."""
+    if old == new or (math.isnan(old) and math.isnan(new)):
+        return 0.0
+    deviation = abs(old - new) / (1.0 + abs(new))
+    return deviation if deviation == deviation else math.inf
+
+
 def _hex_float(value) -> float | None:
     try:
         return float.fromhex(value) if isinstance(value, str) else None
@@ -252,26 +280,27 @@ def _hex_float(value) -> float | None:
         return None
 
 
-def _json_diff(old, new, key: str, differ: set[str]) -> tuple[bool, float]:
-    """(non-float fields identical, largest relative float deviation) of two
-    manifests, walked in parallel; adds to ``differ`` the dotted key of
-    each differing float (``key`` is the key walked so far)."""
+def _json_diff(old, new, key: str, differ: set[str], floats: list) -> bool:
+    """Whether the non-float fields of two manifests, walked in parallel,
+    are identical; adds to ``differ`` the dotted key of each differing
+    float (``key`` is the key walked so far) and to ``floats`` its
+    (old, new) values."""
     a, b = _hex_float(old), _hex_float(new)
     if a is not None and b is not None:
         if old != new:
             differ.add(key)
-        return True, _relative_deviation(a, b)
+            floats.append((a, b))
+        return True
     if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
         pairs = [(old[k], new[k], f"{key}.{k}" if key else k) for k in old]
     elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
         pairs = [(o, n, key) for o, n in zip(old, new)]
     else:
-        return old == new, 0.0
-    same, worst = True, 0.0
+        return old == new
+    same = True
     for o, n, k in pairs:
-        s, w = _json_diff(o, n, k, differ)
-        same, worst = same and s, max(worst, w)
-    return same, worst
+        same = _json_diff(o, n, k, differ, floats) and same
+    return same
 
 
 def compare() -> int:
@@ -281,8 +310,9 @@ def compare() -> int:
     differs = False
     expected: set[str] = set()
     with np.errstate(all="ignore"):
-        for name, make in cases().items():
-            new = render(make())
+        for name, case in cases().items():
+            result = case()
+            new = render(result)
             paths = {suffix: GOLDEN_DIR / f"{name}{suffix}" for suffix in new}
             expected.update(path.name for path in paths.values())
             if not all(path.exists() for path in paths.values()):
@@ -299,7 +329,8 @@ def compare() -> int:
             counters_same = manifest_old.pop("counters") == manifest_new.pop("counters")
             columns: set[str] = set()
             keys: set[str] = set()
-            other_same, worst = _json_diff(manifest_old, manifest_new, "", keys)
+            floats: list[tuple[float, float]] = []
+            other_same = _json_diff(manifest_old, manifest_new, "", keys, floats)
             for row_old, row_new in zip(rows_old, rows_new):
                 other_same = other_same and row_old.outer == row_new.outer
                 for field in FLOAT_COLUMNS:
@@ -307,7 +338,7 @@ def compare() -> int:
                     if a is None or b is None:
                         other_same = other_same and a is b
                     elif float(a).hex() != float(b).hex():
-                        worst = max(worst, _relative_deviation(a, b))
+                        floats.append((a, b))
                         columns.add(field)
             same = {
                 "rows": len(rows_old) == len(rows_new),
@@ -317,9 +348,16 @@ def compare() -> int:
                 "other fields": other_same,
             }
             verdict = ", ".join(f"{key} {'same' if ok else 'DIFFER'}" for key, ok in same.items())
-            floats = [c for c in FLOAT_COLUMNS if c in columns] + sorted(keys)
-            print(f"{name}: {verdict}; max relative deviation {worst:.2g}; "
-                  f"floats differ in: {', '.join(floats) or 'none'}")
+            worst = max((_relative_deviation(a, b) for a, b in floats), default=0.0)
+            work = (result.counters.per_example_grad_evals
+                    + case.problem().n * result.counters.full_grad_evals)
+            bound = 64 * work * np.finfo(float).eps
+            deviation = max((_tolerance_deviation(a, b) for a, b in floats), default=0.0)
+            fraction = deviation / bound if bound else math.inf if deviation else 0.0
+            differing = [c for c in FLOAT_COLUMNS if c in columns] + sorted(keys)
+            print(f"{name}: {verdict}; max relative deviation {worst:.2g} "
+                  f"({fraction:.2g} of 64 T eps, T = {work}); "
+                  f"floats differ in: {', '.join(differing) or 'none'}")
     for orphan in sorted(path.name for path in GOLDEN_DIR.iterdir()
                          if path.name not in expected):
         differs = True

@@ -55,10 +55,15 @@ one call.  It has two paths, chosen by :attr:`Dataset.dense_rows`:
   reference for the dense one.
 
 The just-in-time step calls the same kernel for the data part alone, in
-O(nnz) of the batch's rows.  It hands out the batch's columns as intp,
-while the CSR stores them as int32, since numpy gathers and scatters
-through int32 index arrays about 4x slower than through intp ones at 100
-columns.
+O(nnz) of the batch's rows, at b > 1.  At b = 1 it reads one row through
+:meth:`Problem.csr_row` and forms the row's margin itself, from the
+anchor's margins A a and one more uncharged product A base per anchor; its
+phi' comes from :meth:`Problem.example_deriv`, the same loss code on a
+one-element array.  That changes the margin's rounding, so three b = 1
+goldens were re-blessed, within 1.2e-4 of the 64 T eps tolerance.  Both
+hand out columns as intp, while the CSR stores them as int32, since numpy
+gathers and scatters through int32 index arrays about 4x slower than
+through intp ones at 100 columns.
 """
 
 from __future__ import annotations
@@ -355,6 +360,19 @@ class Problem:
         :meth:`margins` (w), when given.  Never charged."""
         return self._loss_derivs(self._margins_at(w, margins), self.dataset.labels)
 
+    def csr_row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(cols, vals)``: the stored columns of CSR row i, as intp (see
+        :meth:`_batch_entries`), and their values, in stored order.  Never
+        charged."""
+        feats = self.dataset.features
+        lo, hi = feats.indptr.item(i), feats.indptr.item(i + 1)
+        return feats.indices[lo:hi].astype(np.intp, copy=False), feats.data[lo:hi]
+
+    def example_deriv(self, i: int, z: float) -> float:
+        """phi' of example i at the prediction z: the loss formula of every
+        other oracle, on a one-element array.  Never charged."""
+        return self._loss_derivs(np.array([z]), self.dataset.labels.item(i)).item()
+
     def _batch_entries(self, batch: np.ndarray):
         """``(row_of, vals, cols, slot)``: the stored entries of the batch's
         rows, row by row in draw order (each entry's row in the batch and its
@@ -365,11 +383,10 @@ class Problem:
         path: on 100 columns of a 12000-vector a gather took 1.0 us with
         them against 0.23 us, and ``v[cols] += s`` 3.5 us against 0.95 us
         (timeit, numpy 2.4, one x86-64 core)."""
-        feats = self.dataset.features
         if batch.size == 1:
-            row = slice(feats.indptr[batch[0]], feats.indptr[batch[0] + 1])
-            return (np.zeros(row.stop - row.start, np.intp), feats.data[row],
-                    feats.indices[row].astype(np.intp, copy=False), None)
+            cols, vals = self.csr_row(batch[0])
+            return np.zeros(vals.size, np.intp), vals, cols, None
+        feats = self.dataset.features
         lengths = feats.indptr[batch + 1] - feats.indptr[batch]
         ends = np.cumsum(lengths)
         pos = np.arange(ends[-1]) + np.repeat(feats.indptr[batch] - (ends - lengths), lengths)

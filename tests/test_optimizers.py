@@ -621,7 +621,8 @@ def _csr_rows(loss="logistic", l2=0.05, scale=1.0, seed=21):
     indices = np.concatenate([np.sort(rng.choice(d, size=k, replace=False)) for k in lengths])
     data = scale * rng.standard_normal(indices.size)
     indptr = np.concatenate(([0], np.cumsum(lengths)))
-    labels = rng.choice([-1.0, 1.0], size=n) if loss == "logistic" else rng.standard_normal(n)
+    labels = (rng.choice([-1.0, 1.0], size=n) if loss in ("logistic", "squared_hinge")
+              else rng.standard_normal(n))
     dataset = Dataset(features=sp.csr_matrix((data, indices, indptr), shape=(n, d)),
                       labels=labels)
     assert dataset.dense_rows is None
@@ -654,6 +655,12 @@ def _lazy_cases():
             f"sgd-eta-l2-one-b{b}": lambda b=b, steps=steps: sgd(
                 _csr_rows(l2=0.5, scale=0.3), np.zeros(12), steps, 2.0, batch_size=b, seed=9),
         })
+    # with the cases above, every loss's one-example derivative at b = 1
+    cases["svrg-huber-b1"] = lambda: svrg(_csr_rows("huber"), np.zeros(12), 3, None, 0.3,
+                                          batch_size=1, seed=12)
+    cases["adasvrg-fixed-squared_hinge-b1"] = lambda: adasvrg_fixed(
+        _csr_rows("squared_hinge"), np.zeros(12), 3, variant=scalar, eta=0.5, batch_size=1,
+        seed=13)
     return cases
 
 
@@ -710,6 +717,20 @@ class TestLazySparseStep:
         if dense.g_norm_star_steps is not None:
             np.testing.assert_allclose(lazy.g_norm_star_steps, dense.g_norm_star_steps,
                                        rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("loss", ["logistic", "squared", "huber", "squared_hinge"])
+    def test_first_b1_step_from_a_snapshot_is_exact(self, loss):
+        # at x = a the row's margin is (A a)_i exactly, so its anchored
+        # coefficient is 0.0 and the step leaves a - eta base, empty rows included
+        problem = _csr_rows(loss)
+        a = np.random.default_rng(0).standard_normal(problem.d)
+        base = problem.grad_full(a)
+        for i in range(problem.n):
+            step = optimizers._LazyStep(problem, a, base, problem.margins(a))
+            step.direct(np.array([i]))
+            assert step.coeff == 0.0
+            step.step(0.3)
+            assert step.point().tobytes() == (a - 0.3 * base).tobytes(), i
 
     @pytest.mark.parametrize("b", [1, 4])
     def test_divergence_flagged_on_the_same_row(self, monkeypatch, b):

@@ -1,9 +1,13 @@
-"""Smoke tests: both study scripts run end to end at a tiny size."""
+"""Smoke tests: both study scripts run end to end at a tiny size.  Also
+the tolerance fraction that ``scripts/bless_goldens.py --compare`` prints."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -34,3 +38,30 @@ def test_robustness_study(tmp_path):
         assert (tmp_path / f"synth_a_{figure}.svg").is_file()
     for algo in ("adasvrg", "adasvrg-at"):
         assert (tmp_path / "synth_a" / algo / "aggregate.csv").is_file()
+
+
+def test_compare_prints_the_fraction_of_64_T_eps(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("bless_goldens",
+                                                  ROOT / "scripts" / "bless_goldens.py")
+    bless = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bless)
+    name = "sarah-inner5"
+    case = bless.cases()[name]
+    result = case()
+    # T counts the full gradients at n each, not only the per-example work
+    work = 48 + 64 * 3
+    assert (result.counters.per_example_grad_evals, result.counters.full_grad_evals,
+            case.problem().n) == (48, 3, 64)
+    row = result.trace.rows[1]
+    new = row.objective
+    row.objective = new + 1e-12 * (1.0 + abs(new))
+    result.final_iterate[0] = np.nextafter(result.final_iterate[0], np.inf)
+    for suffix, text in bless.render(result).items():
+        (tmp_path / f"{name}{suffix}").write_text(text, encoding="utf-8")
+    monkeypatch.setattr(bless, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(bless, "cases", lambda: {name: case})
+    assert bless.compare() == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    fraction = abs(row.objective - new) / (1.0 + abs(new)) / (64 * work * np.finfo(float).eps)
+    assert 0.1 < fraction < 1.0
+    assert f"({fraction:.2g} of 64 T eps, T = {work}); " in line
