@@ -23,8 +23,9 @@ the tolerance of the just-in-time step's differential tests, so a fraction
 of at most 1 shows that a re-bless stays within it, e.g. ``max relative
 deviation 2.5e-15 (3.1e-05 of 64 T eps, T = 408)``.  It also prints
 ``<case>: no golden file`` for a case whose files are missing and
-``<file>: no case`` for a golden file that no case writes.  It exits 1 when any of these turns up and 0 when every case is
-identical to its golden files:
+``<file>: no case`` for a golden file that no case writes.  It exits 1
+when any of these turns up and 0 when every case is identical to its
+golden files:
 
     PYTHONPATH=src python3 scripts/bless_goldens.py --compare
 
@@ -351,9 +352,8 @@ def compare() -> int:
             worst = max((_relative_deviation(a, b) for a, b in floats), default=0.0)
             work = (result.counters.per_example_grad_evals
                     + case.problem().n * result.counters.full_grad_evals)
-            bound = 64 * work * np.finfo(float).eps
             deviation = max((_tolerance_deviation(a, b) for a, b in floats), default=0.0)
-            fraction = deviation / bound if bound else math.inf if deviation else 0.0
+            fraction = deviation / (64 * work * np.finfo(float).eps)
             differing = [c for c in FLOAT_COLUMNS if c in columns] + sorted(keys)
             print(f"{name}: {verdict}; max relative deviation {worst:.2g} "
                   f"({fraction:.2g} of 64 T eps, T = {work}); "

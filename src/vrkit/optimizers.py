@@ -274,10 +274,10 @@ class _StepRule:
 
     A number is a ``constant`` step, or, given the inner-loop length
     ``inner``, the starting value of ``bb``, the Barzilai-Borwein rule of
-    :func:`svrg_bb`.  From the second call on that
-    sets eta = ||dw||^2 / (inner * <dw, dg>) from consecutive points and
-    full gradients; a non-positive curvature denominator keeps the previous
-    value and appends the outer index to ``fallbacks``.
+    :func:`svrg_bb`.  From the second call on that sets
+    eta = ||dw||^2 / (inner * <dw, dg>) from consecutive points and full
+    gradients; a non-positive curvature denominator keeps the previous value
+    and appends the outer index to ``fallbacks``.
     """
 
     def __init__(self, eta: float | None, inner: int | None = None, *, required: bool = False):
