@@ -240,16 +240,18 @@ class Problem:
         # squared_hinge
         return np.maximum(0.0, 1.0 - y * z) ** 2
 
-    def _loss_derivs(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Derivative of the loss with respect to the prediction z."""
+    def _loss_derivs(self, z, y):
+        """Derivative of the loss with respect to the prediction z, for a
+        batch's arrays or for one example's floats, with the same bits on
+        both; on floats the result is a float or a numpy scalar."""
         if self.loss == "logistic":
             y = -y
-            e = y * z
-            return np.multiply(y, expit(e, out=e), out=e)
+            return y * expit(y * z)
         if self.loss == "squared":
             return z - y
         if self.loss == "huber":
-            return np.clip(z - y, -HUBER_DELTA, HUBER_DELTA)
+            # clip's bits, NaN and -0.0 included; np.clip is slow on a scalar
+            return np.minimum(np.maximum(z - y, -HUBER_DELTA), HUBER_DELTA)
         return -2.0 * y * np.maximum(0.0, 1.0 - y * z)
 
     def _check_dim(self, w: np.ndarray) -> np.ndarray:
@@ -353,7 +355,9 @@ class Problem:
     def l2_term(self, w: np.ndarray) -> np.ndarray:
         """``l2 w + 0.0``, the L2 term of a batch gradient on CSR rows: scipy
         adds l2 w to a data part that starts at 0.0, so no -0.0 is left."""
-        return self.l2_reg * w + 0.0
+        g = np.multiply(w, self.l2_reg)
+        g += 0.0
+        return g
 
     def margin_derivs(self, w: np.ndarray, margins: np.ndarray | None = None) -> np.ndarray:
         """phi' at every example's prediction <a_i, w>, from ``margins``,
@@ -369,23 +373,20 @@ class Problem:
         return feats.indices[lo:hi].astype(np.intp, copy=False), feats.data[lo:hi]
 
     def example_deriv(self, i: int, z: float) -> float:
-        """phi' of example i at the prediction z: the loss formula of every
-        other oracle, on a one-element array.  Never charged."""
-        return self._loss_derivs(np.array([z]), self.dataset.labels.item(i)).item()
+        """phi' of example i at the prediction z, as a float: the loss
+        formula of every other oracle, on one example's floats.  Never
+        charged."""
+        return float(self._loss_derivs(z, self.dataset.labels.item(i)))
 
     def _batch_entries(self, batch: np.ndarray):
-        """``(row_of, vals, cols, slot)``: the stored entries of the batch's
-        rows, row by row in draw order (each entry's row in the batch and its
-        value), the batch's distinct columns, and each entry's slot among
-        them.  At b = 1 a row's columns are distinct: ``cols`` are the
-        entries' own and ``slot`` is None.  ``cols`` is intp although the
-        CSR stores int32, because numpy indexes with int32 arrays on a slow
-        path: on 100 columns of a 12000-vector a gather took 1.0 us with
-        them against 0.23 us, and ``v[cols] += s`` 3.5 us against 0.95 us
-        (timeit, numpy 2.4, one x86-64 core)."""
-        if batch.size == 1:
-            cols, vals = self.csr_row(batch[0])
-            return np.zeros(vals.size, np.intp), vals, cols, None
+        """``(row_of, vals, cols, slot)``: the stored entries of the rows of a
+        batch of b > 1, row by row in draw order (each entry's row in the
+        batch and its value), the batch's distinct columns, and each entry's
+        slot among them.  ``cols`` is intp although the CSR stores int32,
+        because numpy indexes with int32 arrays on a slow path: on 100
+        columns of a 12000-vector a gather took 1.0 us with them against
+        0.23 us, and ``v[cols] += s`` 3.5 us against 0.95 us (timeit, numpy
+        2.4, one x86-64 core)."""
         feats = self.dataset.features
         lengths = feats.indptr[batch + 1] - feats.indptr[batch]
         ends = np.cumsum(lengths)
@@ -394,30 +395,35 @@ class Problem:
         return (np.repeat(np.arange(batch.size), lengths), feats.data[pos],
                 cols.astype(np.intp, copy=False), slot)
 
-    @staticmethod
-    def _column_sum(row_of: np.ndarray, vals: np.ndarray, slot: np.ndarray | None,
-                    coeffs: np.ndarray) -> np.ndarray:
-        """A_B^T coeffs on the batch's distinct columns, each 0.0 plus its
-        terms in draw order (``csc_matvec``).  At b = 1 a column's one term
-        is taken as is: -0.0 where scipy has 0.0, which adding
-        :meth:`l2_term` (never -0.0) does not show."""
-        terms = coeffs[row_of] * vals
-        return terms if slot is None else np.bincount(slot, weights=terms)
-
     def sparse_batch_part(self, batch: np.ndarray, gather, anchor_derivs=None):
         """The one CSR batch kernel: ``(cols, s)``, the distinct columns of
         the batch's CSR rows and, on them, s = A_B^T (phi'(A_B x) -
         anchor_derivs[B]) / b, with x on ``cols`` from ``gather(cols)`` and
         ``anchor_derivs`` from :meth:`margin_derivs` (None for none).  Each
-        row's margin is 0.0 plus its products in order (``csr_matvec``).
+        row's margin is 0.0 plus its products in order (``csr_matvec``), and
+        each column 0.0 plus its terms in draw order (``csc_matvec``).
         s + :meth:`l2_term` (x) on ``cols`` is :meth:`grad_batch` there bit
         for bit; unlike it, this checks neither ``batch`` nor
-        ``anchor_derivs``.  Never charged."""
+        ``anchor_derivs``.  Never charged.
+
+        At b = 1 the row comes from :meth:`csr_row`, its phi' from
+        :meth:`example_deriv` as a float, and each column's one term is
+        taken as is: -0.0 where scipy has 0.0, which adding
+        :meth:`l2_term` (never -0.0) does not show."""
+        if batch.size == 1:
+            i = batch.item(0)
+            cols, vals = self.csr_row(i)
+            products = vals * gather(cols)
+            z = np.bincount(np.zeros(vals.size, np.intp), weights=products, minlength=1).item(0)
+            coeff = self.example_deriv(i, z)
+            if anchor_derivs is not None:
+                coeff -= anchor_derivs.item(i)
+            return cols, coeff * vals
         row_of, vals, cols, slot = self._batch_entries(batch)
-        x_at = gather(cols)
-        products = vals * (x_at if slot is None else x_at[slot])
+        products = vals * gather(cols)[slot]
         coeffs = self._loss_derivs(np.bincount(row_of, weights=products, minlength=batch.size),
                                    self.dataset.labels[batch])
         if anchor_derivs is not None:
             coeffs = coeffs - anchor_derivs[batch]
-        return cols, self._column_sum(row_of, vals, slot, coeffs / batch.size)
+        coeffs /= batch.size
+        return cols, np.bincount(slot, weights=coeffs[row_of] * vals)

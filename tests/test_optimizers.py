@@ -732,6 +732,21 @@ class TestLazySparseStep:
             step.step(0.3)
             assert step.point().tobytes() == (a - 0.3 * base).tobytes(), i
 
+    @pytest.mark.parametrize("loss", ["logistic", "squared", "huber", "squared_hinge"])
+    def test_b1_scalars_are_python_floats(self, loss):
+        # a numpy scalar here would pay numpy's per-call cost in every
+        # scalar operation of the step, with no result changed
+        problem = _csr_rows(loss)
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal(problem.d)
+        for base in (problem.grad_full(a), None):
+            step = optimizers._LazyStep(problem, a, base, problem.margins(a))
+            for i in rng.permutation(problem.n):
+                step.direct(np.array([i]))
+                for name in ("coeff", "s_v", "s_base", "s_sq"):
+                    assert type(getattr(step, name)) is float, (name, i)
+                step.step(0.3)
+
     @pytest.mark.parametrize("b", [1, 4])
     def test_divergence_flagged_on_the_same_row(self, monkeypatch, b):
         lazy, dense = self._both(monkeypatch, lambda: svrg(

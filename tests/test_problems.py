@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -80,6 +81,34 @@ class TestLossValue:
                          lambda: problem.margin_derivs(w, wrong)):
                 with pytest.raises(ValueError, match="margins have shape"):
                     call()
+
+
+class TestOneExampleDeriv:
+    """phi' of one example's floats, as the b = 1 steps take it, is the
+    batch path's entry bit for bit, and a Python float."""
+
+    @pytest.mark.parametrize("loss", ALL_LOSSES)
+    def test_float_equals_batch_entry(self, loss):
+        # +-1e308 overflows -2 y (1 - y z) and a residual against -1e308;
+        # z = y is y z = 1 for squared hinge, z = y +- HUBER_DELTA Huber's kink
+        labels = ((-1.0, 1.0) if loss in ("logistic", "squared_hinge")
+                  else (0.0, 2.5, -1e308))
+        margins = [0.0, 5e-324, 0.5, 1.0, 36.0, 800.0, 1e308, math.inf]
+        margins += [-m for m in margins] + [math.nan]
+        pairs = [(z, y) for y in labels
+                 for z in margins + [y, y + HUBER_DELTA, y - HUBER_DELTA]]
+        z, y = np.array(pairs).T
+        problem = Problem(dataset=Dataset(features=np.ones((z.size, 1)), labels=y), loss=loss)
+        with np.errstate(all="ignore"):
+            want = problem.margin_derivs(np.zeros(1), z)
+            got = [problem.example_deriv(i, zi) for i, zi in enumerate(z.tolist())]
+        assert all(type(g) is float for g in got)
+        # float.hex tells -0.0 from 0.0 and spells every NaN "nan"
+        for pair, g, w in zip(pairs, got, want.tolist()):
+            assert g.hex() == w.hex(), (pair, g, w)
+        if loss == "huber":
+            assert {1.0, -1.0} <= set(got)
+        assert np.isnan(want).any() and (want == 0.0).any()
 
 
 class TestGradients:
@@ -304,10 +333,21 @@ class TestBatchOracleMatchesScipy:
         # columns to l2 x + 0.0, is the batch gradient bit for bit, and its
         # columns are intp
         problem = _random_rows_problem(loss, "sparse", seed=21)
+        feats = problem.dataset.features
+        empty = np.flatnonzero(np.diff(feats.indptr) == 0)[0]
+        zeroed = np.flatnonzero(np.diff(feats.indptr) >= 2)[0]
         rng = np.random.default_rng(22)
         for b in (1, 2, 7, problem.n):
-            for batch in _batches(problem.n, b, 8, rng):
+            # at b = 1 also an empty row, and a row whose products are signed
+            # zeros (x = -0.0 on its columns)
+            extra = [np.array([empty]), np.array([zeroed])] if b == 1 else []
+            for batch in itertools.chain(_batches(problem.n, b, 8, rng), extra):
                 x = rng.standard_normal(problem.d) * 10.0 ** rng.integers(-2, 3)
+                if batch.size == 1 and batch[0] == zeroed:
+                    row = feats[zeroed]
+                    x[row.indices] = -0.0
+                    assert np.signbit(row.data * x[row.indices]).any()
+                    assert not np.signbit(row.data * x[row.indices]).all()
                 want = _scipy_grad_batch(problem, x, batch)
                 cols, s = problem.sparse_batch_part(batch, x.__getitem__)
                 assert cols.dtype == np.intp
