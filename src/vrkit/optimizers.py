@@ -445,9 +445,10 @@ class _LazyStep:
     CSR product, formed at the anchor's first b = 1 step; all three are
     zeros on the plain direction.  Row i's margin is then
     (A a)_i + c (a_i . v) - beta (A base)_i, from one gather of v and one
-    dot.  Its coefficient is coeff = phi' - phi'_a,i, with phi' from
-    :meth:`Problem.example_deriv`, so s = coeff a_i, and s.v, s.base and
-    ||s||^2 are coeff times the row's dot, (A base)_i and coeff ||a_i||^2.
+    dot.  Its coefficient is coeff = phi' - phi'_a,i, with phi' a float
+    from :meth:`Problem.example_deriv`, so s = coeff a_i, and s.v, s.base
+    and ||s||^2, Python floats, are coeff times the row's dot, (A base)_i
+    and coeff ||a_i||^2.
     Only a dense step forms s.  At x = a the margin is (A a)_i exactly, so
     the first step from a snapshot lands on a - eta base bit for bit.  The
     margin's rounding differs from the kernel's: three b = 1 goldens were

@@ -57,13 +57,18 @@ one call.  It has two paths, chosen by :attr:`Dataset.dense_rows`:
 The just-in-time step calls the same kernel for the data part alone, in
 O(nnz) of the batch's rows, at b > 1.  At b = 1 it reads one row through
 :meth:`Problem.csr_row` and forms the row's margin itself, from the
-anchor's margins A a and one more uncharged product A base per anchor; its
-phi' comes from :meth:`Problem.example_deriv`, the same loss code on a
-one-element array.  That changes the margin's rounding, so three b = 1
-goldens were re-blessed, within 1.2e-4 of the 64 T eps tolerance.  Both
-hand out columns as intp, while the CSR stores them as int32, since numpy
-gathers and scatters through int32 index arrays about 4x slower than
-through intp ones at 100 columns.
+anchor's margins A a and one more uncharged product A base per anchor.
+That changes the margin's rounding, so three b = 1 goldens were
+re-blessed, within 1.2e-4 of the 64 T eps tolerance.  Both hand out
+columns as intp, while the CSR stores them as int32, since numpy gathers
+and scatters through int32 index arrays about 4x slower than through intp
+ones at 100 columns.
+
+At b = 1 both the kernel and the just-in-time step take phi' of the row's
+margin as a Python float, from :meth:`Problem.example_deriv`: the one loss
+formula, :meth:`Problem._loss_derivs`, applied to one example's floats
+rather than to a batch's arrays, with the same bits.  A one-element array
+would pay numpy's fixed per-call cost on every operation of the step.
 """
 
 from __future__ import annotations
@@ -240,7 +245,7 @@ class Problem:
         # squared_hinge
         return np.maximum(0.0, 1.0 - y * z) ** 2
 
-    def _loss_derivs(self, z, y):
+    def _loss_derivs(self, z: np.ndarray | float, y: np.ndarray | float):
         """Derivative of the loss with respect to the prediction z, for a
         batch's arrays or for one example's floats, with the same bits on
         both; on floats the result is a float or a numpy scalar."""
@@ -425,5 +430,4 @@ class Problem:
                                    self.dataset.labels[batch])
         if anchor_derivs is not None:
             coeffs = coeffs - anchor_derivs[batch]
-        coeffs /= batch.size
-        return cols, np.bincount(slot, weights=coeffs[row_of] * vals)
+        return cols, np.bincount(slot, weights=(coeffs / batch.size)[row_of] * vals)
