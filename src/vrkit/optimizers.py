@@ -23,9 +23,9 @@ The variance-reduced methods form the direction
 which is an unbiased estimate of the exact gradient at x_t; at the first
 inner step x_1 = w_k it equals grad_full(w_k) for every sampled batch, bit
 for bit on CSR rows and within rounding on dense rows.  Such a step costs
-2b, and a plain step grad_B(x_t) costs b.  On both row layouts
-grad_B(x_t) - grad_B(w_k) is one ``grad_batch`` call at x_t, given phi'
-cached at the snapshot, minus l2 w_k.  On CSR rows the rule of
+2b, and a plain step grad_B(x_t) costs b.  On both row layouts g_t is one
+``grad_batch`` call at x_t, given phi' cached at the snapshot, plus
+grad_full(w_k) - l2 w_k, formed once per snapshot.  On CSR rows the rule of
 :func:`_lazy_applies` may give the inner loop the O(nnz) just-in-time step
 of :class:`_LazyStep`, which matches the dense step to rounding.  At b = 1
 it works on the row's scalars, from the snapshot's cached margins and phi'
@@ -61,7 +61,7 @@ from functools import cached_property
 import numpy as np
 
 from .diagnostics import PhaseTestState, Trace, TraceRow
-from .precond import PrecondState, PrecondVariant, ProjectionSpec
+from .precond import PrecondState, PrecondVariant, ProjectionSpec, all_finite
 from .problems import GradOracleCounters, Problem
 
 SNAPSHOT_MODES = ("last", "average")
@@ -376,10 +376,11 @@ class _DenseStep:
     """The iterate x and the direction g held densely: g is grad_B(x), or,
     given ``base``, grad_B(x) - grad_B(anchor) + base.  With
     ``snapshot_anchored`` that is one ``grad_batch`` call given phi' at the
-    anchor, cached with l2 anchor by :meth:`set_anchor`; the recursive
-    direction, whose anchor moves by assignment every step, takes two
-    calls.  A metric step is projected onto the run's feasible set
-    ``proj``."""
+    anchor plus ``offset`` = base - l2 anchor, one d-length pass per step;
+    :meth:`set_anchor` caches both phi' and the offset once per anchor.
+    The recursive direction, whose anchor moves by assignment every step,
+    takes two calls.  A metric step is projected onto the run's feasible
+    set ``proj``."""
 
     def __init__(self, problem: Problem, x: np.ndarray, anchor: np.ndarray, base,
                  snapshot_anchored: bool = False, proj: ProjectionSpec | None = None,
@@ -395,7 +396,7 @@ class _DenseStep:
         self.anchor, self.base = anchor, base
         if self.snapshot_anchored:
             self.anchor_derivs = self.problem.margin_derivs(anchor, margins)
-            self.anchor_l2 = self.problem.l2_reg * anchor
+            self.offset = base - self.problem.l2_reg * anchor
 
     def point(self) -> np.ndarray:
         return self.x
@@ -407,11 +408,11 @@ class _DenseStep:
             return
         if self.snapshot_anchored:
             g = self.problem.grad_batch(self.x, batch, self.anchor_derivs)
-            g -= self.anchor_l2
+            g += self.offset
         else:
             g = self.problem.grad_batch(self.x, batch)
             g -= self.problem.grad_batch(self.anchor, batch)
-        g += self.base
+            g += self.base
         self.g = g
 
     def accumulate(self, state: PrecondState) -> None:
@@ -448,7 +449,7 @@ class _LazyStep:
     dot.  Its coefficient is coeff = phi' - phi'_a,i, with phi' a float
     from :meth:`Problem.example_deriv`, so s = coeff a_i, and s.v, s.base
     and ||s||^2, Python floats, are coeff times the row's dot, (A base)_i
-    and coeff ||a_i||^2.
+    and coeff ||a_i||^2, read from :attr:`~vrkit.problems.Dataset.row_sq_norms`.
     Only a dense step forms s.  At x = a the margin is (A a)_i exactly, so
     the first step from a snapshot lands on a - eta base bit for bit.  The
     margin's rounding differs from the kernel's: three b = 1 goldens were
@@ -505,7 +506,7 @@ class _LazyStep:
         coeff = self.problem.example_deriv(i, z) - self.anchor_derivs.item(i)
         self.coeff, self.s_v, self.s_base = coeff, coeff * dot, coeff * z_base
         # in this order it overflows only where ||s||^2 does
-        self.s_sq = coeff * (coeff * float(self.vals.dot(self.vals)))
+        self.s_sq = coeff * (coeff * self.problem.dataset.row_sq_norms.item(i))
 
     def accumulate(self, state: PrecondState) -> None:
         # ||g||^2 for g = s + l2 c v + k base, k = 1 - l2 beta, s zero off cols
@@ -518,7 +519,7 @@ class _LazyStep:
         x = self.point()
         y = x - eta * (self.l2 * (x - self.a) + self.base)
         y[self.cols] -= eta * (self.coeff * self.vals)
-        if not np.all(np.isfinite(y)):
+        if not all_finite(y):
             raise FloatingPointError("preconditioned step produced a non-finite iterate")
         self._restart(y)
 

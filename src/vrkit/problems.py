@@ -62,7 +62,9 @@ That changes the margin's rounding, so three b = 1 goldens were
 re-blessed, within 1.2e-4 of the 64 T eps tolerance.  Both hand out
 columns as intp, while the CSR stores them as int32, since numpy gathers
 and scatters through int32 index arrays about 4x slower than through intp
-ones at 100 columns.
+ones at 100 columns.  At b = 1 they are views of one intp copy that the
+dataset holds, :attr:`Dataset.columns`, and the just-in-time step reads
+the row's ||a_i||^2 from :attr:`Dataset.row_sq_norms`.
 
 At b = 1 both the kernel and the just-in-time step take phi' of the row's
 margin as a Python float, from :meth:`Problem.example_deriv`: the one loss
@@ -143,6 +145,10 @@ class Dataset:
     converted to one; values are stored as float64, column indices are
     sorted, a row must not repeat a column (LIBSVM cannot store it), and
     features and labels must be finite.
+
+    Per-row constants of the CSR that the b = 1 steps read are formed on
+    first use and held here: :attr:`columns`, ``indices`` as intp, and
+    :attr:`row_sq_norms`, each row's ||a_i||^2.
     """
 
     features: sp.csr_matrix
@@ -191,6 +197,25 @@ class Dataset:
         if feats.nnz == n * d:  # canonical rows: entry (i, j) is data[i * d + j]
             return feats.data.reshape(n, d)
         return feats.toarray()
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """The CSR's ``indices`` as one intp array (nnz x 8 bytes), which
+        :meth:`Problem.csr_row` slices: numpy gathers and scatters through
+        intp index arrays faster than through int32 ones."""
+        columns = self.features.indices.astype(np.intp)
+        columns.flags.writeable = False  # csr_row hands out views of it
+        return columns
+
+    @cached_property
+    def row_sq_norms(self) -> np.ndarray:
+        """The n squared row norms ||a_i||^2, each with the bits of the row's
+        ``vals.dot(vals)`` (BLAS ddot); 0.0 for an empty row."""
+        feats = self.features
+        bounds = feats.indptr.tolist()
+        data = feats.data
+        return np.array([data[lo:hi].dot(data[lo:hi]) for lo, hi in zip(bounds, bounds[1:])],
+                        dtype=np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,11 +396,11 @@ class Problem:
 
     def csr_row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """``(cols, vals)``: the stored columns of CSR row i, as intp (see
-        :meth:`_batch_entries`), and their values, in stored order.  Never
-        charged."""
+        :meth:`_batch_entries`), and their values, in stored order; both
+        are views, ``cols`` of :attr:`Dataset.columns`.  Never charged."""
         feats = self.dataset.features
         lo, hi = feats.indptr.item(i), feats.indptr.item(i + 1)
-        return feats.indices[lo:hi].astype(np.intp, copy=False), feats.data[lo:hi]
+        return self.dataset.columns[lo:hi], feats.data[lo:hi]
 
     def example_deriv(self, i: int, z: float) -> float:
         """phi' of example i at the prediction z, as a float: the loss

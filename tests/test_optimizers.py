@@ -769,6 +769,37 @@ class TestLazySparseStep:
         assert [(r.passes, r.event) for r in lazy.trace.rows] == \
             [(r.passes, r.event) for r in dense.trace.rows]
 
+    @staticmethod
+    def _at_point(x):
+        # a b = 1 step on a nonempty row, restarted from the iterate x
+        problem = _csr_rows()
+        a = np.random.default_rng(2).standard_normal(problem.d)
+        step = optimizers._LazyStep(problem, a, problem.grad_full(a), problem.margins(a))
+        with np.errstate(all="ignore"):
+            step._restart(x)
+        step.direct(np.array([0]))
+        assert step.cols.size > 0
+        return step
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_dense_fallback_raises_on_non_finite(self, bad):
+        x = np.ones(12)
+        x[5] = bad
+        step = self._at_point(x)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            step._dense_step(0.1)
+
+    def test_dense_fallback_keeps_huge_finite_iterate(self):
+        # y . y overflows, so only the entrywise check can pass this iterate
+        x = np.full(12, 1e200)
+        x[::2] *= -3.0
+        step = self._at_point(x)
+        want = x - 0.1 * (step.l2 * (x - step.a) + step.base)
+        want[step.cols] -= 0.1 * (step.coeff * step.vals)
+        with np.errstate(over="ignore"):  # the restart's running ||v||^2
+            step._dense_step(0.1)
+        assert same_bits(step.point(), want)
+
     @pytest.mark.parametrize("kwargs", [
         {"variant": PrecondVariant(kind="diagonal")}, {"proj": ProjectionSpec(radius=1.0)},
         {"snapshot": "average"}, {"direction": "recursive"}, {"loop": "refresh"}, {"dense": True},
@@ -926,13 +957,15 @@ class TestOneMarginProduct:
 
 class TestCachedAnchorDirection:
     """The snapshot-anchored dense step on CSR rows, driven directly: its
-    direction is one ``grad_batch`` call given phi' cached at the anchor.
-    It must equal the same call given phi' formed afresh at the current
-    anchor, minus l2 anchor, plus base, bit for bit, and
+    direction is one ``grad_batch`` call given phi' cached at the anchor,
+    plus base - l2 anchor cached with it.  It must equal the same call
+    given phi' formed afresh at the current anchor, plus base - l2 anchor
+    formed afresh, bit for bit; at l2 = 0 it must also equal that call
+    minus l2 anchor, plus base, bit for bit.  It must equal
     grad_B(x) - grad_B(anchor) + base from two one-point calls within
     64 T eps relative to 1 + |value|, T = 2b, before and after the anchor is
     replaced as a coin-flip refresh replaces it.  A cache that
-    :meth:`set_anchor` leaves stale fails both."""
+    :meth:`set_anchor` leaves stale fails all three."""
 
     @pytest.mark.parametrize("l2", [0.0, 0.05])
     @pytest.mark.parametrize("loss", ["logistic", "squared", "huber"])
@@ -951,9 +984,11 @@ class TestCachedAnchorDirection:
             batch = rng.choice(problem.n, size=b, replace=False)
             it.direct(batch)
             fresh = problem.grad_batch(it.x, batch, problem.margin_derivs(it.anchor))
-            fresh -= problem.l2_reg * it.anchor
-            fresh += it.base
-            assert same_bits(it.g, fresh), (t, batch)
+            assert same_bits(it.g, fresh + (it.base - problem.l2_reg * it.anchor)), (t, batch)
+            if l2 == 0.0:
+                fresh -= problem.l2_reg * it.anchor
+                fresh += it.base
+                assert same_bits(it.g, fresh), (t, batch)
             want = problem.grad_batch(it.x, batch) - problem.grad_batch(it.anchor, batch)
             want += it.base
             tol = 64 * 2 * b * np.finfo(float).eps

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import vrkit
 from vrkit import PrecondState, PrecondVariant, ProjectionSpec, project
-from vrkit.precond import DELTA
+from vrkit.precond import DELTA, VARIANT_KINDS, all_finite
 
 from criterion_helpers import adagrad_bound_sides
 
@@ -42,6 +43,23 @@ class TestAccumulate:
 
     # The offset is the constant DELTA, not a setting: a variant rejects any
     # delta keyword.
+    def test_diagonal_square_has_the_bits_of_the_product(self):
+        # np.square against g * g on 1e5 values over the whole exponent
+        # range, with signed zeros, infinities, NaN and subnormals
+        rng = np.random.default_rng(5)
+        g = np.ldexp(rng.uniform(-2.0, 2.0, 100_000), rng.integers(-1075, 1023, 100_000))
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+                    1.5e-162, 1e154, -1.4e154, 1e155, -1e200, np.finfo(float).max]
+        g[:len(specials)] = specials
+        with np.errstate(all="ignore"):
+            assert np.square(g).tobytes() == (g * g).tobytes()
+            state = PrecondState(diag_variant(), g.size).accumulate(g).accumulate(g[::-1])
+            want = np.full(g.size, DELTA)
+            want += g * g
+            want += g[::-1] * g[::-1]
+        assert state.G.tobytes() == want.tobytes()
+        assert state._root.tobytes() == np.sqrt(want).tobytes()
+
     def test_full_requires_positive_delta(self):
         assert DELTA > 0
         for delta in (0.0, float("nan")):
@@ -319,6 +337,51 @@ class TestStep:
         state.accumulate(g)
         with pytest.raises(FloatingPointError):
             state.step(np.array([np.inf]), g, eta=1.0)
+
+
+class TestFiniteness:
+    """:func:`all_finite`, the one finiteness check of every metric's step,
+    the full-matrix window and the just-in-time step's dense fallback."""
+
+    def test_same_answer_as_isfinite(self):
+        rng = np.random.default_rng(6)
+        big = np.full(12000, 1e200)
+        big[::2] *= -1.0
+        cases = [np.empty(0), rng.standard_normal(12000), big, np.full(3, 1e154),
+                 np.full(4, 5e-324), rng.standard_normal((5, 5)), np.array([-0.0])]
+        for bad in (np.nan, -np.nan, np.inf, -np.inf):
+            for case in (rng.standard_normal(12000), big.copy(), rng.standard_normal((5, 5))):
+                case.ravel()[int(rng.integers(case.size))] = bad
+                cases.append(case)
+        with warnings.catch_warnings():
+            # the sum of squares of big overflows; no warning may escape
+            warnings.simplefilter("error")
+            for case in cases:
+                assert all_finite(case) is bool(np.isfinite(case).all())
+
+    @pytest.mark.parametrize("kind", VARIANT_KINDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_iterate_raises(self, kind, bad):
+        state = PrecondState(PrecondVariant(kind), 4)
+        g = np.array([0.5, -1.0, 2.0, 0.25])
+        state.accumulate(g)
+        x = np.array([1.0, bad, -2.0, 0.0])
+        with pytest.raises(FloatingPointError):
+            state.step(x, g, eta=0.1)
+
+    @pytest.mark.parametrize("kind", VARIANT_KINDS)
+    def test_huge_finite_iterate_does_not_raise(self, kind):
+        # y . y overflows, so only the entrywise check can pass this iterate
+        state = PrecondState(PrecondVariant(kind), 4)
+        g = np.array([0.5, -1.0, 2.0, 0.25])
+        state.accumulate(g)
+        x = np.array([1e200, -3e200, 2e200, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = state.step(x, g, eta=0.1)
+        assert np.isfinite(y).all()
+        with np.errstate(over="ignore"):
+            assert y.dot(y) == np.inf
 
 
 class TestProjection:

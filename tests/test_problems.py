@@ -560,6 +560,48 @@ class TestCounters:
         assert counters.full_grad_evals == 0
 
 
+class TestRowConstants:
+    """The per-row constants the b = 1 steps read from the dataset: the
+    CSR's columns as one intp array, sliced by ``csr_row``, and each row's
+    ||a_i||^2, the bits of its ``vals.dot(vals)``."""
+
+    @staticmethod
+    def _problem() -> Problem:
+        # rows of 0 to 400 entries, values over twelve decades: long rows
+        # sum in BLAS's order, which a pairwise or sequential sum misses
+        rng = np.random.default_rng(41)
+        d = 400
+        lengths = np.array([0, 1, 7, 0, 100, 333, 400, 2, 0, 64])
+        indices = np.concatenate([np.sort(rng.choice(d, size=k, replace=False))
+                                  for k in lengths])
+        data = rng.standard_normal(indices.size) * 10.0 ** rng.integers(-6, 7, indices.size)
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        features = sp.csr_matrix((data, indices, indptr), shape=(lengths.size, d))
+        return Problem(dataset=Dataset(features=features, labels=np.ones(lengths.size)))
+
+    def test_csr_row_slices_one_intp_array(self):
+        problem = self._problem()
+        feats, columns = problem.dataset.features, problem.dataset.columns
+        assert problem.dataset.columns is columns and columns.dtype == np.intp
+        assert not columns.flags.writeable
+        for i in range(problem.n):
+            lo, hi = feats.indptr[i], feats.indptr[i + 1]
+            (cols, vals), (again, _) = problem.csr_row(i), problem.csr_row(i)
+            assert cols.dtype == np.intp and np.array_equal(cols, feats.indices[lo:hi])
+            if hi > lo:
+                assert np.shares_memory(cols, again) and np.shares_memory(cols, columns)
+
+    def test_row_sq_norms_are_each_rows_dot(self):
+        problem = self._problem()
+        norms = problem.dataset.row_sq_norms
+        assert norms.shape == (problem.n,) and norms.dtype == np.float64
+        for i in range(problem.n):
+            vals = problem.csr_row(i)[1]
+            assert norms[i].hex() == float(vals.dot(vals)).hex(), i
+        empty = np.diff(problem.dataset.features.indptr) == 0
+        assert empty.sum() == 3 and same_bits(norms[empty], np.zeros(3))
+
+
 def _dense_inputs():
     rng = np.random.default_rng(12)
     sparse_rows = rng.standard_normal((50, 30)) * (rng.random((50, 30)) < 0.3)
