@@ -41,8 +41,6 @@ class TestAccumulate:
         state.accumulate(np.array([1.0, 0.0]))
         np.testing.assert_allclose(state.G, DELTA + np.array([10.0, 16.0]), rtol=1e-15)
 
-    # The offset is the constant DELTA, not a setting: a variant rejects any
-    # delta keyword.
     def test_diagonal_square_has_the_bits_of_the_product(self):
         # np.square against g * g on 1e5 values over the whole exponent
         # range, with signed zeros, infinities, NaN and subnormals
@@ -60,6 +58,8 @@ class TestAccumulate:
         assert state.G.tobytes() == want.tobytes()
         assert state._root.tobytes() == np.sqrt(want).tobytes()
 
+    # The offset is the constant DELTA, not a setting: a variant rejects any
+    # delta keyword.
     def test_full_requires_positive_delta(self):
         assert DELTA > 0
         for delta in (0.0, float("nan")):

@@ -586,7 +586,7 @@ class TestRowConstants:
         assert not columns.flags.writeable
         for i in range(problem.n):
             lo, hi = feats.indptr[i], feats.indptr[i + 1]
-            (cols, vals), (again, _) = problem.csr_row(i), problem.csr_row(i)
+            cols, again = problem.csr_row(i)[0], problem.csr_row(i)[0]
             assert cols.dtype == np.intp and np.array_equal(cols, feats.indices[lo:hi])
             if hi > lo:
                 assert np.shares_memory(cols, again) and np.shares_memory(cols, columns)
