@@ -25,12 +25,13 @@ inner step x_1 = w_k it equals grad_full(w_k) for every sampled batch, bit
 for bit on CSR rows and within rounding on dense rows.  Such a step costs
 2b, and a plain step grad_B(x_t) costs b.  On both row layouts g_t is one
 ``grad_batch`` call at x_t, given phi' cached at the snapshot, plus
-grad_full(w_k) - l2 w_k, formed once per snapshot.  On CSR rows the rule of
-:func:`_lazy_applies` may give the inner loop the O(nnz) just-in-time step
-of :class:`_LazyStep`, which matches the dense step to rounding.  At b = 1
-it works on the row's scalars, from the snapshot's cached margins and phi'
-and one more uncharged product A grad_full(w_k) per snapshot; three b = 1
-goldens were re-blessed for it, within 1.2e-4 of the 64 T eps tolerance.
+grad_full(w_k) - l2 w_k, formed once per snapshot.  On CSR rows at b = 1
+the rule of :func:`_lazy_applies` may give the inner loop the O(nnz)
+just-in-time step of :class:`_LazyStep`, which works on the sampled row's
+scalars, from the snapshot's cached margins and phi' and one more
+uncharged product A grad_full(w_k) per snapshot.  It stays within 64 T eps
+of the dense step, relative to 1 + |value|, with T the run's per-example
+work; every other inner loop takes the dense step.
 
 Every optimizer is a thin wrapper around one loop, :func:`_engine`, set by
 four choices: the direction (plain, snapshot-anchored as above, or
@@ -56,7 +57,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -362,13 +362,14 @@ class _Phase:
     refreshes: int = 0
 
 
-def _lazy_applies(problem: Problem, direction: str, variant: PrecondVariant | None,
-                  proj: ProjectionSpec | None, snapshot: str, loop: str) -> bool:
+def _lazy_applies(run: _Run, direction: str, snapshot: str, loop: str) -> bool:
     """Whether an inner loop takes :class:`_LazyStep` rather than
-    :class:`_DenseStep`, the reference: a rule on the input, not an option."""
-    return (problem.dataset.dense_rows is None and direction in ("plain", "vr")
-            and loop != "refresh"
-            and (variant is None or variant.kind == "scalar") and proj is None
+    :class:`_DenseStep`, the reference: a rule on the run's b, rows, metric
+    and feasible set and on the loop, not an option."""
+    variant = run.variant
+    return (run.batch_size == 1 and run.problem.dataset.dense_rows is None
+            and direction in ("plain", "vr") and loop != "refresh"
+            and (variant is None or variant.kind == "scalar") and run.proj is None
             and snapshot == "last")
 
 
@@ -427,33 +428,33 @@ class _DenseStep:
 
 
 class _LazyStep:
-    """The just-in-time step on CSR rows, O(nnz) of the batch's rows.
+    """The just-in-time step on CSR rows at b = 1, O(nnz) of the sampled row.
 
     With the anchor a and base = grad_full(a) fixed, the dense part of the
     direction, l2 (x - a) + base, is an affine recurrence, so x is held as
     a + c v - beta base.  A step of size eta sets c <- (1 - eta l2) c and
-    beta <- (1 - eta l2) beta + eta, and moves v only on the batch's columns,
-    by -eta s / c with s the data part of the direction.  A c outside
-    [1e-50, 1e50], 0 included, is folded into v.  The plain direction is
-    a = base = 0.  Running ||v||^2 and v.base give the scalar metric's
-    ||g||^2.  :meth:`point` builds x and restarts from it exactly.  A scalar
-    step whose iterate might overflow (a bound on |x| reaches 1e300) is taken
-    densely and raises ``FloatingPointError`` as :meth:`PrecondState.step` does.
+    beta <- (1 - eta l2) beta + eta, and moves v only on row i's columns,
+    by -eta s / c with s = coeff a_i the data part of the direction.  A c
+    outside [1e-50, 1e50], 0 included, is folded into v.  The plain
+    direction is a = base = 0.  Running ||v||^2 and v.base give the scalar
+    metric's ||g||^2.  :meth:`point` builds x and restarts from it exactly.
+    A scalar step whose iterate might overflow (a bound on |x| reaches
+    1e300) is taken densely and raises ``FloatingPointError`` as
+    :meth:`PrecondState.step` does.
 
-    At b > 1, s comes from :meth:`Problem.sparse_batch_part`.  At b = 1 the
-    step works on row i's scalars.  Per anchor it keeps the n-vectors A a
-    (the engine's ``margins``), phi' there, and A base, one more uncharged
-    CSR product, formed at the anchor's first b = 1 step; all three are
-    zeros on the plain direction.  Row i's margin is then
+    Per anchor it keeps the n-vectors A a (the engine's ``margins``), phi'
+    there, and A base, one more uncharged CSR product; all three are zeros
+    on the plain direction.  Row i's margin is then
     (A a)_i + c (a_i . v) - beta (A base)_i, from one gather of v and one
     dot.  Its coefficient is coeff = phi' - phi'_a,i, with phi' a float
-    from :meth:`Problem.example_deriv`, so s = coeff a_i, and s.v, s.base
-    and ||s||^2, Python floats, are coeff times the row's dot, (A base)_i
-    and coeff ||a_i||^2, read from :attr:`~vrkit.problems.Dataset.row_sq_norms`.
-    Only a dense step forms s.  At x = a the margin is (A a)_i exactly, so
-    the first step from a snapshot lands on a - eta base bit for bit.  The
-    margin's rounding differs from the kernel's: three b = 1 goldens were
-    re-blessed, within 1.2e-4 of the 64 T eps tolerance.
+    from :meth:`Problem.example_deriv`, and s.v, s.base and ||s||^2, Python
+    floats, are coeff times the row's dot, (A base)_i and coeff ||a_i||^2,
+    read from :attr:`~vrkit.problems.Dataset.row_sq_norms`.  Only a dense
+    step forms s.  At x = a the margin is (A a)_i exactly, so the first step
+    from a snapshot lands on a - eta base bit for bit.  Elsewhere the
+    margin's rounding differs from :meth:`Problem.grad_batch`'s, and the
+    run stays within 64 T eps of the dense step's, relative to 1 + |value|,
+    with T the run's per-example work.
     """
 
     def __init__(self, problem: Problem, w: np.ndarray, base: np.ndarray | None,
@@ -467,14 +468,10 @@ class _LazyStep:
             self.a, self.base = w, base
             self.z_a = problem.margins(w) if margins is None else margins
             self.anchor_derivs = problem.margin_derivs(w, self.z_a)
+            self.z_base = problem.margins(base)
         self.base_sq = float(self.base @ self.base)
         self.base_norm, self.a_max = math.sqrt(self.base_sq), float(np.abs(self.a).max(initial=0.0))
         self._restart(w)
-
-    @cached_property
-    def z_base(self) -> np.ndarray:
-        """A base, formed at the first b = 1 step, since b > 1 never reads it."""
-        return self.problem.margins(self.base)
 
     def _restart(self, x: np.ndarray) -> None:
         self.x, self.v, self.c, self.beta = x, x - self.a, 1.0, 0.0
@@ -485,19 +482,7 @@ class _LazyStep:
             self._restart(self.a + self.c * self.v - self.beta * self.base)
         return self.x
 
-    def _gather(self, cols: np.ndarray) -> np.ndarray:
-        # v and base on cols are kept for the running sums of this step
-        self.v_at, self.base_at = self.v[cols], self.base[cols]
-        return self.a[cols] + self.c * self.v_at - self.beta * self.base_at
-
     def direct(self, batch: np.ndarray) -> None:
-        # s = coeff * vals on cols: at b > 1 the kernel's s and 1.0
-        if batch.size > 1:
-            self.cols, s = self.problem.sparse_batch_part(batch, self._gather, self.anchor_derivs)
-            self.vals, self.coeff = s, 1.0
-            self.s_v, self.s_base = float(s @ self.v_at), float(s @ self.base_at)
-            self.s_sq = float(s @ s)
-            return
         i = batch.item(0)
         self.cols, self.vals = self.problem.csr_row(i)
         dot = float(self.vals.dot(self.v[self.cols]))  # BLAS ddot as @, with less overhead
@@ -620,7 +605,7 @@ def _engine(
             if loop == "growth"
             else None
         )
-        if _lazy_applies(problem, direction, variant, proj, snapshot, loop):
+        if _lazy_applies(run, direction, snapshot, loop):
             it = _LazyStep(problem, w, base, z)
         else:
             it = _DenseStep(problem, w.copy(), w, base, snapshot_anchored=direction == "vr",

@@ -39,7 +39,7 @@ one call.  It has two paths, chosen by :attr:`Dataset.dense_rows`:
   result, and the objective within a relative 1e-12.  A batch's margins
   need not match the full product's bits, so at x = a the anchored
   difference is l2 a within that bound, not exactly.
-* CSR rows: one kernel, :meth:`Problem.sparse_batch_part`, reads the
+* CSR rows: one private kernel, ``Problem._csr_grad_batch``, reads the
   batch's rows straight from the CSR arrays ``indptr/indices/data`` and
   keeps scipy's order bit for bit: each prediction is 0.0 + a_0 w_0 +
   a_1 w_1 + ... over a row's stored entries in order (``csr_matvec``), and
@@ -47,30 +47,24 @@ one call.  It has two paths, chosen by :attr:`Dataset.dense_rows`:
   (``csc_matvec`` on the transposed rows).  ``np.bincount`` adds in exactly
   that order.  ``np.sum``, ``np.add.reduce`` and ``@`` add pairwise, in an
   order that depends on the array layout, and would change the last bits.
-  Only the batch's distinct columns are summed; the gradient is
-  :meth:`Problem.l2_term`, l2 w + 0.0 as scipy gives it, plus the data
-  part on those columns.  The full product is ``csr_matvec`` too, so phi'
-  cached at a is phi' of a's batch margins bit for bit, and at x = a the
-  anchored difference is l2 a + 0.0 exactly.  This path is the exact
-  reference for the dense one.
+  The gradient is l2 w + 0.0 as scipy gives it, plus the data part on the
+  batch's distinct columns only.  The full product is ``csr_matvec`` too,
+  so phi' cached at a is phi' of a's batch margins bit for bit, and at
+  x = a the anchored difference is l2 a + 0.0 exactly.  This path is the
+  exact reference for the dense one.
 
-The just-in-time step calls the same kernel for the data part alone, in
-O(nnz) of the batch's rows, at b > 1.  At b = 1 it reads one row through
-:meth:`Problem.csr_row` and forms the row's margin itself, from the
-anchor's margins A a and one more uncharged product A base per anchor.
-That changes the margin's rounding, so three b = 1 goldens were
-re-blessed, within 1.2e-4 of the 64 T eps tolerance.  Both hand out
-columns as intp, while the CSR stores them as int32, since numpy gathers
-and scatters through int32 index arrays about 4x slower than through intp
-ones at 100 columns.  At b = 1 they are views of one intp copy that the
-dataset holds, :attr:`Dataset.columns`, and the just-in-time step reads
-the row's ||a_i||^2 from :attr:`Dataset.row_sq_norms`.
-
-At b = 1 both the kernel and the just-in-time step take phi' of the row's
-margin as a Python float, from :meth:`Problem.example_deriv`: the one loss
-formula, :meth:`Problem._loss_derivs`, applied to one example's floats
-rather than to a batch's arrays, with the same bits.  A one-element array
-would pay numpy's fixed per-call cost on every operation of the step.
+The kernel indexes with intp columns, while the CSR stores them as int32,
+since numpy gathers and scatters through int32 index arrays about 4x
+slower than through intp ones at 100 columns.  At b = 1 it reads one row
+through :meth:`Problem.csr_row`, a view of one intp copy of the columns
+that the dataset holds, :attr:`Dataset.columns`, and takes phi' of the
+row's margin as a Python float, from :meth:`Problem.example_deriv`: the
+one loss formula, :meth:`Problem._loss_derivs`, applied to one example's
+floats rather than to a batch's arrays, with the same bits.  A
+one-element array would pay numpy's fixed per-call cost on every
+operation of the step.  The optimizers' just-in-time step, which runs at
+b = 1 only, reads the row and its phi' the same way, and the row's
+||a_i||^2 from :attr:`Dataset.row_sq_norms`.
 """
 
 from __future__ import annotations
@@ -146,9 +140,11 @@ class Dataset:
     sorted, a row must not repeat a column (LIBSVM cannot store it), and
     features and labels must be finite.
 
-    Per-row constants of the CSR that the b = 1 steps read are formed on
-    first use and held here: :attr:`columns`, ``indices`` as intp, and
-    :attr:`row_sq_norms`, each row's ||a_i||^2.
+    Per-row constants of the CSR that the b = 1 paths read, the CSR
+    kernel of :meth:`Problem.grad_batch` and the optimizers' just-in-time
+    step, which runs at b = 1 only, are formed on first use and held here:
+    :attr:`columns`, ``indices`` as intp, and :attr:`row_sq_norms`, each
+    row's ||a_i||^2.
     """
 
     features: sp.csr_matrix
@@ -348,8 +344,9 @@ class Problem:
         with ``A_B = features[batch]`` and ``anchor_derivs`` from
         :meth:`margin_derivs` (None for none); any shape of it but (n,)
         raises ``ValueError``.  It is formed through BLAS on
-        :attr:`Dataset.dense_rows`, and otherwise bit for bit in the order of
-        scipy's CSR products (see the module docstring).
+        :attr:`Dataset.dense_rows`, and otherwise by
+        :meth:`_csr_grad_batch`, bit for bit in the order of scipy's CSR
+        products (see the module docstring).
         """
         n, d = self.dataset.features.shape
         w = np.asarray(w, dtype=np.float64)
@@ -369,10 +366,7 @@ class Problem:
             raise IndexError(f"batch index out of range [0, {n})")
         dense = self.dataset.dense_rows
         if dense is None:
-            g = self.l2_term(w)
-            cols, s = self.sparse_batch_part(batch, w.__getitem__, anchor_derivs)
-            g[cols] += s
-            return g
+            return self._csr_grad_batch(w, batch, anchor_derivs)
         rows = dense.take(batch, axis=0)  # as dense[batch], in less time
         coeffs = self._loss_derivs(rows @ w, self.dataset.labels.take(batch))
         if anchor_derivs is not None:
@@ -380,13 +374,6 @@ class Problem:
         coeffs /= batch.size
         g = coeffs @ rows
         g += self.l2_reg * w
-        return g
-
-    def l2_term(self, w: np.ndarray) -> np.ndarray:
-        """``l2 w + 0.0``, the L2 term of a batch gradient on CSR rows: scipy
-        adds l2 w to a data part that starts at 0.0, so no -0.0 is left."""
-        g = np.multiply(w, self.l2_reg)
-        g += 0.0
         return g
 
     def margin_derivs(self, w: np.ndarray, margins: np.ndarray | None = None) -> np.ndarray:
@@ -425,34 +412,36 @@ class Problem:
         return (np.repeat(np.arange(batch.size), lengths), feats.data[pos],
                 cols.astype(np.intp, copy=False), slot)
 
-    def sparse_batch_part(self, batch: np.ndarray, gather, anchor_derivs=None):
-        """The one CSR batch kernel: ``(cols, s)``, the distinct columns of
-        the batch's CSR rows and, on them, s = A_B^T (phi'(A_B x) -
-        anchor_derivs[B]) / b, with x on ``cols`` from ``gather(cols)`` and
-        ``anchor_derivs`` from :meth:`margin_derivs` (None for none).  Each
-        row's margin is 0.0 plus its products in order (``csr_matvec``), and
-        each column 0.0 plus its terms in draw order (``csc_matvec``).
-        s + :meth:`l2_term` (x) on ``cols`` is :meth:`grad_batch` there bit
-        for bit; unlike it, this checks neither ``batch`` nor
-        ``anchor_derivs``.  Never charged.
+    def _csr_grad_batch(self, w: np.ndarray, batch: np.ndarray,
+                        anchor_derivs: np.ndarray | None) -> np.ndarray:
+        """:meth:`grad_batch` on CSR rows, bit for bit in scipy's order:
+        l2 w + 0.0, since scipy adds l2 w to a data part that starts at 0.0
+        and so leaves no -0.0, plus the batch's data part on its distinct
+        columns only.  Each row's margin is 0.0 plus its products in order
+        (``csr_matvec``), and each column 0.0 plus its terms in draw order
+        (``csc_matvec``).
 
         At b = 1 the row comes from :meth:`csr_row`, its phi' from
         :meth:`example_deriv` as a float, and each column's one term is
-        taken as is: -0.0 where scipy has 0.0, which adding
-        :meth:`l2_term` (never -0.0) does not show."""
+        added as is: -0.0 where scipy has 0.0, which l2 w + 0.0 does not
+        show."""
+        g = np.multiply(w, self.l2_reg)
+        g += 0.0
         if batch.size == 1:
             i = batch.item(0)
             cols, vals = self.csr_row(i)
-            products = vals * gather(cols)
+            products = vals * w[cols]
             z = np.bincount(np.zeros(vals.size, np.intp), weights=products, minlength=1).item(0)
             coeff = self.example_deriv(i, z)
             if anchor_derivs is not None:
                 coeff -= anchor_derivs.item(i)
-            return cols, coeff * vals
+            g[cols] += coeff * vals
+            return g
         row_of, vals, cols, slot = self._batch_entries(batch)
-        products = vals * gather(cols)[slot]
+        products = vals * w[cols][slot]
         coeffs = self._loss_derivs(np.bincount(row_of, weights=products, minlength=batch.size),
                                    self.dataset.labels[batch])
         if anchor_derivs is not None:
             coeffs = coeffs - anchor_derivs[batch]
-        return cols, np.bincount(slot, weights=(coeffs / batch.size)[row_of] * vals)
+        g[cols] += np.bincount(slot, weights=(coeffs / batch.size)[row_of] * vals)
+        return g

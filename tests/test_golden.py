@@ -7,8 +7,8 @@ Cases on dense rows (every case but the ``sparse-*`` ones) take
 BLAS products in the batch and full gradient oracles, and the full-matrix
 cases an eigendecomposition, so their last bits depend on the BLAS build;
 the ``sparse-*`` cases use the CSR oracle, which sums in scipy's order,
-or, with the Euclidean or scalar metric, the optimizers' just-in-time
-step on the CSR rows.
+or, at b = 1 with the Euclidean or scalar metric, the optimizers'
+just-in-time step on the CSR rows, which runs at b = 1 only.
 """
 
 import importlib.util

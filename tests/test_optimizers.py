@@ -631,42 +631,38 @@ def _csr_rows(loss="logistic", l2=0.05, scale=1.0, seed=21):
 
 def _lazy_cases():
     scalar = PrecondVariant(kind="scalar")
-    cases = {}
-    for b in (1, 4):
-        steps = 10 * 40 // b
-        cases.update({
-            f"svrg-b{b}": lambda b=b: svrg(_csr_rows(), np.zeros(12), 3, None, 0.3,
-                                           batch_size=b, seed=1),
-            f"adasvrg-fixed-b{b}": lambda b=b: adasvrg_fixed(
-                _csr_rows(), np.zeros(12), 3, variant=scalar, eta=0.5, batch_size=b, seed=2),
-            f"adasvrg-adaptive-b{b}": lambda b=b: adasvrg_adaptive(
-                _csr_rows(), np.zeros(12), 3, eta=None, batch_size=b, seed=3),
-            f"hybrid-b{b}": lambda b=b, steps=steps: hybrid_adagrad_adasvrg(
-                _csr_rows(), np.zeros(12), steps, eta=None, batch_size=b, seed=4),
-            f"sgd-b{b}": lambda b=b, steps=steps: sgd(_csr_rows(), np.zeros(12), steps, 0.3,
-                                                      batch_size=b, seed=5),
-            f"svrg-l2-0-b{b}": lambda b=b: svrg(_csr_rows("squared", l2=0.0), np.zeros(12), 3,
-                                                None, 0.1, batch_size=b, seed=6),
-            f"sgd-l2-0-b{b}": lambda b=b, steps=steps: sgd(
-                _csr_rows("squared", l2=0.0), np.zeros(12), steps, 0.1, batch_size=b, seed=7),
-            # eta * l2 == 1 exactly: the scale c of x = a + c v - beta base reaches 0
-            f"svrg-eta-l2-one-b{b}": lambda b=b: svrg(
-                _csr_rows(l2=0.5, scale=0.3), np.zeros(12), 3, None, 2.0, batch_size=b, seed=8),
-            f"sgd-eta-l2-one-b{b}": lambda b=b, steps=steps: sgd(
-                _csr_rows(l2=0.5, scale=0.3), np.zeros(12), steps, 2.0, batch_size=b, seed=9),
-        })
-    # with the cases above, every loss's one-example derivative at b = 1
-    cases["svrg-huber-b1"] = lambda: svrg(_csr_rows("huber"), np.zeros(12), 3, None, 0.3,
-                                          batch_size=1, seed=12)
-    cases["adasvrg-fixed-squared_hinge-b1"] = lambda: adasvrg_fixed(
-        _csr_rows("squared_hinge"), np.zeros(12), 3, variant=scalar, eta=0.5, batch_size=1,
-        seed=13)
-    return cases
+    steps = 10 * 40
+    return {
+        "svrg-b1": lambda: svrg(_csr_rows(), np.zeros(12), 3, None, 0.3, batch_size=1, seed=1),
+        "adasvrg-fixed-b1": lambda: adasvrg_fixed(
+            _csr_rows(), np.zeros(12), 3, variant=scalar, eta=0.5, batch_size=1, seed=2),
+        "adasvrg-adaptive-b1": lambda: adasvrg_adaptive(
+            _csr_rows(), np.zeros(12), 3, eta=None, batch_size=1, seed=3),
+        "hybrid-b1": lambda: hybrid_adagrad_adasvrg(
+            _csr_rows(), np.zeros(12), steps, eta=None, batch_size=1, seed=4),
+        "sgd-b1": lambda: sgd(_csr_rows(), np.zeros(12), steps, 0.3, batch_size=1, seed=5),
+        "svrg-l2-0-b1": lambda: svrg(_csr_rows("squared", l2=0.0), np.zeros(12), 3, None, 0.1,
+                                     batch_size=1, seed=6),
+        "sgd-l2-0-b1": lambda: sgd(_csr_rows("squared", l2=0.0), np.zeros(12), steps, 0.1,
+                                   batch_size=1, seed=7),
+        # eta * l2 == 1 exactly: the scale c of x = a + c v - beta base reaches 0
+        "svrg-eta-l2-one-b1": lambda: svrg(_csr_rows(l2=0.5, scale=0.3), np.zeros(12), 3, None,
+                                           2.0, batch_size=1, seed=8),
+        "sgd-eta-l2-one-b1": lambda: sgd(_csr_rows(l2=0.5, scale=0.3), np.zeros(12), steps, 2.0,
+                                         batch_size=1, seed=9),
+        # with the cases above, every loss's one-example derivative
+        "svrg-huber-b1": lambda: svrg(_csr_rows("huber"), np.zeros(12), 3, None, 0.3,
+                                      batch_size=1, seed=12),
+        "adasvrg-fixed-squared_hinge-b1": lambda: adasvrg_fixed(
+            _csr_rows("squared_hinge"), np.zeros(12), 3, variant=scalar, eta=0.5, batch_size=1,
+            seed=13),
+    }
 
 
 class TestLazySparseStep:
-    """The O(nnz) step on CSR rows against the dense reference step, row by
-    row.  The dense step is forced by patching the one selection rule."""
+    """The O(nnz) b = 1 step on CSR rows against the dense reference step,
+    row by row.  The dense step is forced by patching the one selection
+    rule."""
 
     # Rounding bound, fixed before this test first ran: each step adds a few
     # ulps of the magnitudes in play, so after T steps the two paths may
@@ -678,8 +674,7 @@ class TestLazySparseStep:
 
     @staticmethod
     def _both(monkeypatch, make):
-        calls = []
-        # the dense step's CSR grad_batch calls sparse_batch_part too
+        calls = []  # the lazy step's directions: the dense run takes none
         original = optimizers._LazyStep.direct
         monkeypatch.setattr(optimizers._LazyStep, "direct",
                             lambda self, *a: calls.append(1) or original(self, *a))
@@ -747,7 +742,7 @@ class TestLazySparseStep:
                     assert type(getattr(step, name)) is float, (name, i)
                 step.step(0.3)
 
-    @pytest.mark.parametrize("b", [1, 4])
+    @pytest.mark.parametrize("b", [1])
     def test_divergence_flagged_on_the_same_row(self, monkeypatch, b):
         lazy, dense = self._both(monkeypatch, lambda: svrg(
             _csr_rows(), np.zeros(12), 20, None, 60.0, batch_size=b, seed=10))
@@ -757,7 +752,7 @@ class TestLazySparseStep:
         assert [(r.passes, r.event) for r in lazy.trace.rows] == \
             [(r.passes, r.event) for r in dense.trace.rows]
 
-    @pytest.mark.parametrize("b", [1, 4])
+    @pytest.mark.parametrize("b", [1])
     def test_scalar_step_raises_on_the_same_row(self, monkeypatch, b):
         lazy, dense = self._both(monkeypatch, lambda: adasvrg_fixed(
             _csr_rows(), np.zeros(12), 3, variant=PrecondVariant(kind="scalar"), eta=1e308,
@@ -803,13 +798,18 @@ class TestLazySparseStep:
     @pytest.mark.parametrize("kwargs", [
         {"variant": PrecondVariant(kind="diagonal")}, {"proj": ProjectionSpec(radius=1.0)},
         {"snapshot": "average"}, {"direction": "recursive"}, {"loop": "refresh"}, {"dense": True},
-    ], ids=["diagonal", "projection", "average", "recursive", "coin-flip", "dense-rows"])
+        {"batch_size": 4},
+    ], ids=["diagonal", "projection", "average", "recursive", "coin-flip", "dense-rows", "b4"])
     def test_selection_rule(self, kwargs):
+        def applies(problem, batch_size=1, variant=None, proj=None, **loop):
+            run = optimizers._Run(problem, np.zeros(problem.d), seed=0, batch_size=batch_size,
+                                  variant=variant, proj=proj)
+            loop = {"direction": "vr", "snapshot": "last", "loop": "fixed", **loop}
+            return optimizers._lazy_applies(run, **loop)
+
         problem = make_problem(density=1.0) if kwargs.pop("dense", False) else _csr_rows()
-        args = {"direction": "vr", "variant": None, "proj": None, "snapshot": "last",
-                "loop": "fixed"}
-        assert optimizers._lazy_applies(_csr_rows(), **args)
-        assert not optimizers._lazy_applies(problem, **{**args, **kwargs})
+        assert applies(_csr_rows())
+        assert not applies(problem, **kwargs)
 
 
 def _sampler_run(n, b, seed):

@@ -223,10 +223,7 @@ def _scipy_grad_batch(problem: Problem, w: np.ndarray, batch: np.ndarray,
 def _csr_kernel(problem: Problem, w: np.ndarray, batch: np.ndarray,
                 anchor_derivs: np.ndarray | None = None) -> np.ndarray:
     """``grad_batch`` as it is formed on CSR rows, on either layout."""
-    g = problem.l2_term(w)
-    cols, s = problem.sparse_batch_part(batch, w.__getitem__, anchor_derivs)
-    g[cols] += s
-    return g
+    return problem._csr_grad_batch(w, batch, anchor_derivs)
 
 
 def _random_rows_problem(loss: str, layout: str, seed: int) -> Problem:
@@ -272,14 +269,33 @@ class TestBatchOracleMatchesScipy:
     def test_bitwise_equal_to_scipy(self, loss, layout, size):
         problem = _random_rows_problem(loss, layout, seed=ALL_LOSSES.index(loss))
         assert (problem.dataset.dense_rows is None) == (layout == "sparse")
+        feats = problem.dataset.features
         rng = np.random.default_rng(7)
         b = problem.n if size == "n" else size
-        for trial, batch in enumerate(_batches(problem.n, b, 20, rng)):
+        # on sparse rows at b = 1 also an empty row, and a row whose products
+        # are signed zeros of both signs (w = -0.0 on its columns), plain and
+        # anchored
+        empty = np.flatnonzero(np.diff(feats.indptr) == 0)[:1]
+        zeroed = next(np.array([i]) for i in range(problem.n)
+                      if 0 < np.signbit(feats[i].data).sum() < feats[i].nnz)
+        extra = [empty, zeroed] if layout == "sparse" and b == 1 else []
+        for trial, batch in enumerate(itertools.chain(_batches(problem.n, b, 20, rng), extra)):
             w = rng.standard_normal(problem.d) * 10.0 ** rng.integers(-2, 3)
+            if trial == 21:
+                w[feats[zeroed].indices] = -0.0
             got = problem.grad_batch(w, batch) if layout == "sparse" else _csr_kernel(
                 problem, w, batch)
             assert got.shape == (problem.d,)
             assert same_bits(got, _scipy_grad_batch(problem, w, batch)), (trial, batch)
+            if trial >= 20:
+                a = rng.standard_normal(problem.d)
+                got = problem.grad_batch(w, batch, problem.margin_derivs(a))
+                assert same_bits(got, _scipy_grad_batch(problem, w, batch, a)), (trial, batch)
+            if layout == "sparse" and b > 1:
+                # the kernel indexes with intp columns, the batch's distinct ones
+                cols = problem._batch_entries(batch)[2]
+                assert cols.dtype == np.intp
+                assert np.array_equal(cols, np.unique(feats[batch].indices))
 
     @pytest.mark.parametrize("l2", [0.0, 0.37])
     @pytest.mark.parametrize("loss", ALL_LOSSES)
@@ -326,44 +342,6 @@ class TestBatchOracleMatchesScipy:
                     got = _csr_kernel(problem, x, batch, problem._loss_derivs(
                         problem.dataset.features @ a, problem.dataset.labels))
                 assert same_bits(got, want), (b, batch)
-
-    @pytest.mark.parametrize("loss", ALL_LOSSES)
-    def test_sparse_batch_part_plus_l2_term_equals_scipy(self, loss):
-        # the just-in-time step's data part, plain or anchored, added on its
-        # columns to l2 x + 0.0, is the batch gradient bit for bit, and its
-        # columns are intp
-        problem = _random_rows_problem(loss, "sparse", seed=21)
-        feats = problem.dataset.features
-        empty = np.flatnonzero(np.diff(feats.indptr) == 0)[0]
-        zeroed = np.flatnonzero(np.diff(feats.indptr) >= 2)[0]
-        rng = np.random.default_rng(22)
-        for b in (1, 2, 7, problem.n):
-            # at b = 1 also an empty row, and a row whose products are signed
-            # zeros (x = -0.0 on its columns)
-            extra = [np.array([empty]), np.array([zeroed])] if b == 1 else []
-            for batch in itertools.chain(_batches(problem.n, b, 8, rng), extra):
-                x = rng.standard_normal(problem.d) * 10.0 ** rng.integers(-2, 3)
-                if batch.size == 1 and batch[0] == zeroed:
-                    row = feats[zeroed]
-                    x[row.indices] = -0.0
-                    assert np.signbit(row.data * x[row.indices]).any()
-                    assert not np.signbit(row.data * x[row.indices]).all()
-                want = _scipy_grad_batch(problem, x, batch)
-                cols, s = problem.sparse_batch_part(batch, x.__getitem__)
-                assert cols.dtype == np.intp
-                assert np.array_equal(cols, np.unique(problem.dataset.features[batch].indices))
-                g = problem.l2_reg * x + 0.0
-                g[cols] += s
-                assert same_bits(g, want), (b, batch)
-                # anchored at a second point, as the just-in-time step asks
-                a = rng.standard_normal(problem.d)
-                anchor_cols, s = problem.sparse_batch_part(batch, x.__getitem__,
-                                                           problem.margin_derivs(a))
-                assert anchor_cols.dtype == np.intp
-                assert np.array_equal(anchor_cols, cols)
-                g = problem.l2_term(x)
-                g[cols] += s
-                assert same_bits(g, _scipy_grad_batch(problem, x, batch, a)), (b, batch)
 
 
 def _rounding_bound(problem: Problem, w: np.ndarray, batch: np.ndarray,
