@@ -140,9 +140,9 @@ class Dataset:
     sorted, a row must not repeat a column (LIBSVM cannot store it), and
     features and labels must be finite.
 
-    Per-row constants of the CSR that the b = 1 paths read, the CSR
-    kernel of :meth:`Problem.grad_batch` and the optimizers' just-in-time
-    step, which runs at b = 1 only, are formed on first use and held here:
+    The b = 1 paths, the CSR kernel of :meth:`Problem.grad_batch` and the
+    optimizers' just-in-time step (which runs at b = 1 only), read per-row
+    constants of the CSR that are formed on first use and held here:
     :attr:`columns`, ``indices`` as intp, and :attr:`row_sq_norms`, each
     row's ||a_i||^2.
     """
