@@ -20,6 +20,7 @@ approaches one once gradient noise dominates, at which point the growth of
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass, field, fields
 
@@ -125,40 +126,43 @@ def _parse(text: str) -> float | None:
     return float(text) if text else None
 
 
+# Threshold of the growth test: an inner loop stops once ||G||_*^2 grows by
+# this fraction over a doubling window.
+THETA = 0.5
+
+
 @dataclass
 class PhaseTestState:
-    """State for the relative-growth termination test.
+    """State for the relative-growth termination test at :data:`THETA`.
 
-    ``history[s]`` stores ||G_s||_*^2 for iterations s >= 1 (index 0 is
-    unused).  The ratio is defined only at even t at or past the burn-in
-    threshold, and a zero comparison value yields no decision.
+    ``history`` holds ||G_s||_*^2 for s = 1..t, one value per
+    :meth:`observe` call, so its length is the step t.  The ratio is defined
+    only at even t at or past the burn-in threshold, and a zero comparison
+    value yields no decision.
     """
 
-    theta: float
     burn_in_threshold: int
-    capacity: int
-    history: np.ndarray = field(init=False)
+    history: list[float] = field(default_factory=list, init=False)
     last_R: float | None = field(default=None, init=False)
 
-    def __post_init__(self):
-        self.history = np.full(self.capacity + 1, np.nan)
-
-    def observe(self, t: int, trace_g: float) -> bool:
-        """Record ||G_t||_*^2 and report whether the test fires at t."""
-        self.history[t] = trace_g
+    def observe(self, trace_g: float) -> bool:
+        """Record ||G_t||_*^2 for the next step t and report whether the
+        test fires at t."""
+        self.history.append(trace_g)
+        t = len(self.history)
         if t % 2 != 0 or t < self.burn_in_threshold:
             return False
-        ratio = _growth_ratio(self.history, t)
+        ratio = _growth_ratio(self.history)
         if ratio is None:
             return False
         self.last_R = ratio
-        return self.last_R >= self.theta
+        return ratio >= THETA
 
 
-def _growth_ratio(history: np.ndarray, t: int) -> float | None:
-    """(history[t] - history[t/2]) / history[t/2], or None when the
-    comparison value is not finite and positive."""
-    half = history[t // 2]
-    if not np.isfinite(half) or half <= 0:
+def _growth_ratio(history: list[float] | np.ndarray) -> float | None:
+    """(G_t - G_{t/2}) / G_{t/2} for the series ``history`` = G_1..G_t at
+    even t, or None when the comparison value is not finite and positive."""
+    half = history[len(history) // 2 - 1]
+    if not math.isfinite(half) or half <= 0:
         return None
-    return (history[t] - half) / half
+    return (history[-1] - half) / half

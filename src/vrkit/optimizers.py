@@ -49,8 +49,9 @@ number.  Loop and step counts and inner-loop lengths are checked by
 :func:`_validate_common`.  Only :func:`adasvrg_fixed` takes and checks
 ``snapshot``, and only it and :func:`adasvrg_multistage` take ``proj``.
 What no caller varies is a constant: the growth-test threshold
-:data:`THETA`, its burn-in, the cap :data:`GROWTH_CAP` n/b on its inner
-loops, and the b/n refresh probability (see :func:`_engine`).
+:data:`vrkit.diagnostics.THETA`, its burn-in, the cap :data:`GROWTH_CAP`
+n/b on its inner loops, and the b/n refresh probability (see
+:func:`_engine`).
 """
 
 from __future__ import annotations
@@ -65,10 +66,6 @@ from .precond import PrecondState, PrecondVariant, ProjectionSpec, all_finite
 from .problems import GradOracleCounters, Problem
 
 SNAPSHOT_MODES = ("last", "average")
-
-# Threshold of the growth test: an inner loop stops once ||G||_*^2 grows by
-# this fraction over a doubling window.
-THETA = 0.5
 
 # A growth-tested VR inner loop stops after at most GROWTH_CAP * n/b steps.
 GROWTH_CAP = 10
@@ -558,13 +555,13 @@ def _engine(
     non-constant rule re-estimates the step-size every n/b steps.  A run
     without a metric takes the Euclidean step; otherwise a fresh accumulator
     per outer loop steps (and projects) once it has signal.  With
-    ``loop='growth'`` the growth test at :data:`THETA`, checked before the
-    update since the accumulator already holds the current gradient, ends an
-    inner loop and records the event ``switch`` on the plain direction,
-    ``adaptive_stop`` otherwise; its burn-in is 2n/b on the plain direction
-    and n/b otherwise.  ``loop='fixed'`` runs every inner loop to ``inner``
-    steps.  Outer indices count on from the loops that earlier calls on
-    ``run`` began.  The next snapshot is the last iterate or, with
+    ``loop='growth'`` the growth test at :data:`vrkit.diagnostics.THETA`,
+    checked before the update since the accumulator already holds the
+    current gradient, ends an inner loop and records the event ``switch`` on
+    the plain direction, ``adaptive_stop`` otherwise; its burn-in is 2n/b on
+    the plain direction and n/b otherwise.  ``loop='fixed'`` runs every
+    inner loop to ``inner`` steps.  Outer indices count on from the loops
+    that earlier calls on ``run`` began.  The next snapshot is the last iterate or, with
     ``snapshot='average'``, the mean of the iterates the inner loop stepped
     from.  A record that flags divergence, a ``FloatingPointError`` from a
     step, or a ``LinAlgError`` from an overflowed full-matrix accumulator
@@ -600,11 +597,7 @@ def _engine(
                 if run.diverged:
                     break
         state = PrecondState(variant, d) if variant is not None else None
-        test = (
-            PhaseTestState(theta=THETA, burn_in_threshold=burn_in, capacity=inner)
-            if loop == "growth"
-            else None
-        )
+        test = PhaseTestState(burn_in) if loop == "growth" else None
         if _lazy_applies(run, direction, snapshot, loop):
             it = _LazyStep(problem, w, base, z)
         else:
@@ -640,7 +633,7 @@ def _engine(
                         trace_g = state.trace_G()
                         g_star = math.sqrt(trace_g)
                         out.g_stars.append(g_star)
-                        if test is not None and test.observe(t, trace_g):
+                        if test is not None and test.observe(trace_g):
                             out.stops.append(outer)
                             run.record(it.point(), outer=outer, eta=eta, g_star=g_star,
                                        event=event)
@@ -751,9 +744,9 @@ def adasvrg_adaptive(
 
     Each inner loop runs up to :data:`GROWTH_CAP` n/b steps; at even steps
     past the burn-in n/b the relative growth ratio of ||G||_*^2 over a
-    doubling window is compared against :data:`THETA`, and the loop stops
-    once gradient noise dominates.  The next snapshot is the last iterate.
-    ``eta`` is as in :func:`adasvrg_fixed`.
+    doubling window is compared against :data:`vrkit.diagnostics.THETA`, and
+    the loop stops once gradient noise dominates.  The next snapshot is the
+    last iterate.  ``eta`` is as in :func:`adasvrg_fixed`.
     """
     w0 = _validate_common(problem, w0, batch_size, outer_loops)
     rule = _StepRule(eta)
@@ -785,7 +778,8 @@ def hybrid_adagrad_adasvrg(
 
     With ``eta=None``, the tuning-free heuristic, the phase-1 step-size is
     recomputed from a full gradient every n/b steps; a number is used
-    throughout.  Both phases test against :data:`THETA`.
+    throughout.  Both phases test against
+    :data:`vrkit.diagnostics.THETA`.
     """
     x1 = _validate_common(problem, x1, batch_size, total_steps)
 

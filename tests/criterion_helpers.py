@@ -5,14 +5,14 @@ bound, computed from the gradients alone.  ``svrg_inner_armijo_1d`` is the
 counter-example of criterion 7: an Armijo line search inside a
 variance-reduced inner loop cannot approach the solution.
 ``two_phase_slope_fit`` fits the flat and sqrt-growth phases of
-an accumulator series for criterion 8; it shares the growth ratio of the
-library's stalling test.  ``datasets_equal`` is the exact equality of
-criterion 11's parser round trip.
+an accumulator series for criterion 8; it shares the growth ratio and the
+threshold THETA of the library's stalling test.  ``datasets_equal`` is the
+exact equality of criterion 11's parser round trip.
 """
 
 import numpy as np
 
-from vrkit.diagnostics import _growth_ratio
+from vrkit.diagnostics import THETA, _growth_ratio
 from vrkit.precond import DELTA
 from vrkit.problems import Dataset
 
@@ -106,15 +106,11 @@ def svrg_inner_armijo_1d(
     return trace
 
 
-def two_phase_slope_fit(
-    g_norm_star: np.ndarray,
-    theta: float = 0.5,
-    burn_in: int = 4,
-) -> tuple[float, float]:
+def two_phase_slope_fit(g_norm_star: np.ndarray, burn_in: int = 4) -> tuple[float, float]:
     """Split an accumulator-growth series into flat and sqrt-growth phases.
 
     ``g_norm_star`` holds ||G_t||_* for t = 1..len.  The knee is the first
-    even t >= burn_in where the relative growth ratio reaches ``theta``; if
+    even t >= burn_in where the relative growth ratio reaches THETA; if
     it never does, the best two-piece log-log fit locates the split.
     Returns ``(phase1_growth, phase2_exponent)``: the largest ratio observed
     before the knee and the least-squares log-log slope of the series versus
@@ -124,16 +120,14 @@ def two_phase_slope_fit(
     length = series.shape[0]
     if length < 64:
         raise ValueError("series too short; need at least 64 points")
-    sq = np.empty(length + 1)
-    sq[0] = np.nan
-    sq[1:] = series**2
+    sq = series**2
 
     burn_in = max(4, int(burn_in))
     if burn_in % 2 != 0:
         burn_in += 1
 
-    ratios = {t: _growth_ratio(sq, t) for t in range(burn_in, length + 1, 2)}
-    knee = next((t for t, r in ratios.items() if r is not None and r >= theta), None)
+    ratios = {t: _growth_ratio(sq[:t]) for t in range(burn_in, length + 1, 2)}
+    knee = next((t for t, r in ratios.items() if r is not None and r >= THETA), None)
     if knee is None:
         knee = _best_split(series)
 
@@ -143,7 +137,7 @@ def two_phase_slope_fit(
             phase1_growth = max(phase1_growth, float(ratios[t]))
 
     ts = np.arange(knee + 1, length + 1)
-    vals = sq[knee + 1 :] ** 0.5
+    vals = sq[knee:] ** 0.5
     mask = vals > 0
     if mask.sum() < 2:
         return phase1_growth, float("nan")

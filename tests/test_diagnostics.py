@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,27 +13,34 @@ from criterion_helpers import two_phase_slope_fit
 
 
 class TestPhaseTestState:
+    def test_burn_in_is_the_one_setting(self):
+        # the threshold is diagnostics.THETA and the history grows per step
+        assert tuple(f.name for f in fields(PhaseTestState) if f.init) == ("burn_in_threshold",)
+        for name in ("theta", "capacity"):
+            with pytest.raises(TypeError, match=f"'{name}'"):
+                PhaseTestState(4, **{name: 0.5})
+
     def test_fires_only_at_even_steps_past_burn_in(self):
-        state = PhaseTestState(theta=0.5, burn_in_threshold=4, capacity=10)
-        fired = [state.observe(t, float(t)) for t in range(1, 11)]
+        state = PhaseTestState(4)
+        fired = [state.observe(float(t)) for t in range(1, 11)]
         # linear growth: R = 1 at every even check from t = 4 on
         assert fired == [False, False, False, True, False, True, False, True, False, True]
         assert state.last_R == pytest.approx(1.0)
 
     def test_no_decision_on_zero_comparison(self):
-        state = PhaseTestState(theta=0.1, burn_in_threshold=2, capacity=8)
-        assert not state.observe(1, 0.0)
-        assert not state.observe(2, 5.0)  # comparison value is zero
+        state = PhaseTestState(2)
+        assert not state.observe(0.0)
+        assert not state.observe(5.0)  # comparison value is zero
         assert state.last_R is None
 
     @staticmethod
     def _ratios(history: np.ndarray) -> tuple[dict, list]:
-        """Observe history[t] for t >= 1 with theta = 0.5; returns last_R at
-        each even t and the steps at which the test fired."""
-        state = PhaseTestState(theta=0.5, burn_in_threshold=2, capacity=len(history) - 1)
+        """Observe history[t] for t >= 1 at the threshold THETA; returns
+        last_R at each even t and the steps at which the test fired."""
+        state = PhaseTestState(2)
         ratios, fired = {}, []
         for t in range(1, len(history)):
-            if state.observe(t, history[t]):
+            if state.observe(history[t]):
                 fired.append(t)
             if t % 2 == 0:
                 ratios[t] = state.last_R

@@ -24,7 +24,7 @@ from vrkit import (
     svrg,
     svrg_bb,
 )
-from vrkit import bench, optimizers
+from vrkit import bench, diagnostics, optimizers
 from vrkit.precond import DELTA
 
 from conftest import make_problem, same_bits, single_example_problem
@@ -203,9 +203,9 @@ class TestMultistage:
 
 
 class TestAdaptiveTermination:
-    # The threshold is the constant optimizers.THETA; the two extremes patch it.
+    # The threshold is the constant diagnostics.THETA; the two extremes patch it.
     def test_tiny_threshold_stops_at_first_check(self, monkeypatch):
-        monkeypatch.setattr(optimizers, "THETA", 1e-12)
+        monkeypatch.setattr(diagnostics, "THETA", 1e-12)
         n, b = 6400, 64
         problem = small_synthetic(n=n, d=4, mislabel=0.2, seed=2)
         result = adasvrg_adaptive(
@@ -216,7 +216,7 @@ class TestAdaptiveTermination:
         assert result.counters.per_example_grad_evals == 2 * b * (n // b)
 
     def test_huge_threshold_runs_to_cap(self, monkeypatch):
-        monkeypatch.setattr(optimizers, "THETA", 1e12)
+        monkeypatch.setattr(diagnostics, "THETA", 1e12)
         problem = small_synthetic(n=64, d=4)
         result = adasvrg_adaptive(
             problem, np.zeros(problem.d), 2, eta=0.5, batch_size=8, seed=0,
