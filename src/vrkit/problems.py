@@ -138,7 +138,8 @@ class Dataset:
     ``features`` is an n x d CSR matrix, or a dense 2-D array that is
     converted to one; values are stored as float64, column indices are
     sorted, a row must not repeat a column (LIBSVM cannot store it), and
-    features and labels must be finite.
+    features and labels must be finite.  There must be at least one row
+    and one feature column.
 
     The b = 1 paths, the CSR kernel of :meth:`Problem.grad_batch` and the
     optimizers' just-in-time step (which runs at b = 1 only), read per-row
@@ -164,6 +165,8 @@ class Dataset:
         labels = np.ascontiguousarray(self.labels, dtype=np.float64).ravel()
         if feats.shape[0] < 1:
             raise ValueError("empty dataset")
+        if feats.shape[1] < 1:
+            raise ValueError("dataset has no features")
         if labels.shape[0] != feats.shape[0]:
             raise ValueError(
                 f"labels length {labels.shape[0]} != number of rows {feats.shape[0]}"

@@ -123,6 +123,21 @@ class TestBadConfigValue:
         assert exc.value.code == 2
         assert "line 2: feature index 3000000000 does not fit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algo_flags", [
+        ["--algo", "adasvrg", "--batch-size", "1"],
+        ["--algo", "svrg", "--eta", "0.1"],
+    ], ids=["adasvrg", "svrg"])
+    def test_dataset_without_features_exits_with_usage_error(self, algo_flags, tmp_path,
+                                                             capsys):
+        # a file of labels only parses to d = 0, which Dataset rejects
+        data = tmp_path / "labels.libsvm"
+        data.write_text("+1\n-1\n+1\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--dataset", str(data), *algo_flags, "--epochs", "3",
+                  "--seeds", "1", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "dataset has no features" in capsys.readouterr().err
+
     def test_synthetic_config_key_is_unknown(self, tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"
         cfg.write_text("synthetic_n = 64\n", encoding="utf-8")

@@ -665,6 +665,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             Dataset(features=sp.csr_matrix((0, 4)), labels=np.array([]))
 
+    @pytest.mark.parametrize("features", [sp.csr_matrix((3, 0)), np.empty((3, 0))],
+                             ids=["csr", "dense"])
+    def test_dataset_without_features_rejected(self, features):
+        # d = 0 leaves a constant objective, and the heuristic's probe a zero norm
+        with pytest.raises(ValueError, match="dataset has no features"):
+            Dataset(features=features, labels=np.array([1.0, -1.0, 1.0]))
+        with pytest.raises(ValueError, match="dataset has no features"):
+            parse_libsvm("+1\n-1\n+1\n")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_rejected(self, bad):
         features = np.eye(2)
