@@ -133,14 +133,33 @@ class TestRun:
         assert len(trace.rows) == 1
         assert trace.rows[0].passes == 0.0
 
+    # (per_example_grad_evals, full_grad_evals) at n = 64, b = 8 for budgets
+    # of 0, 1, 2 and 4 passes: the loop counts execute_seed derives from the
+    # budget, including the outer-loop methods' zero loops below 3 passes and
+    # adasvrg-ms's floor of 3 stages
+    EPOCHS = (0, 1, 2, 4)
+    COUNTS = {
+        "sgd": [(0, 0), (64, 0), (128, 0), (256, 0)],
+        "adagrad": [(0, 0), (64, 0), (128, 0), (256, 0)],
+        "svrg": [(0, 0), (0, 0), (0, 0), (128, 1)],
+        "lsvrg": [(0, 0), (32, 1), (80, 1), (160, 1)],
+        "sarah": [(0, 0), (0, 0), (0, 0), (112, 1)],
+        "svrg-bb": [(0, 0), (0, 0), (0, 0), (128, 1)],
+        "adasvrg": [(0, 0), (0, 0), (0, 0), (128, 1)],
+        "adasvrg-ms": [(0, 0), (24384, 21), (24384, 21), (24384, 21)],
+        "adasvrg-at": [(0, 0), (0, 0), (0, 0), (128, 1)],
+        "hybrid": [(0, 0), (64, 0), (128, 0), (384, 2)],
+    }
 
-    def test_every_algorithm_runs(self, synthetic_config):
-        for algo in ("sgd", "adagrad", "svrg", "lsvrg", "sarah", "svrg-bb",
-                     "adasvrg", "adasvrg-ms", "adasvrg-at", "hybrid"):
-            config = synthetic_config(algo=algo, epochs=4, seeds=(0,), eta=0.1)
-            output = run(config)
-            assert output.consistent()
-            assert output.results[0].trace.rows[0].passes == 0.0
+    @pytest.mark.parametrize("epochs", EPOCHS)
+    @pytest.mark.parametrize("algo", bench.ALGORITHMS)
+    def test_every_algorithm_runs(self, synthetic_config, algo, epochs):
+        output = run(synthetic_config(algo=algo, epochs=epochs, seeds=(0,), eta=0.1))
+        assert output.consistent()
+        assert output.results[0].trace.rows[0].passes == 0.0
+        counters = output.results[0].counters
+        assert (counters.per_example_grad_evals, counters.full_grad_evals) == \
+            self.COUNTS[algo][self.EPOCHS.index(epochs)]
 
 
 class TestAggregate:
