@@ -174,8 +174,7 @@ def _bench_cases() -> dict:
 def _diverging_cases() -> dict:
     cases = {}
     for algo in bench.ALGORITHMS:
-        config = RunConfig(dataset="one-example", loss="squared", l2=0.0, algo=algo,
-                           eta=1000.0, batch_size=1, epochs=30, seeds=(0,))
+        config = RunConfig(algo=algo, eta=1000.0, batch_size=1, epochs=30, seeds=(0,))
         cases[f"diverge-{algo}"] = Case(
             _one_example, lambda p, config=config: bench.execute_seed(p, config, 0))
     cases["diverge-adagrad-nonfinite-step"] = Case(

@@ -3,9 +3,10 @@
 A :class:`RunConfig` is the unit of work: a LIBSVM dataset file (the one
 data source; ``vrkit gen-data`` writes synthetic ones), loss, algorithm,
 batch size, a budget in effective passes, and the seeds to repeat over.
-Budgets convert to iteration counts with the cost model one full gradient =
-one pass and one variance-reduced inner step = two batches, so an outer
-loop with n/b inner steps costs about three passes.
+Only :func:`resolve_problem` reads the dataset.  :func:`execute_seed` reads
+``algo``, ``variant``, ``batch_size``, ``epochs`` and ``eta``; its method
+table sets loop counts at one pass per full gradient and two batches per
+variance-reduced step, so an outer loop of n/b steps costs about 3 passes.
 
 Per-seed traces are persisted as CSV, one file per seed; the aggregate
 file is a pure function of those traces and regenerates byte-identically.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,18 +39,21 @@ from .optimizers import (
 )
 from .problems import LOSS_NAMES, Problem
 
-ALGORITHMS = (
-    "sgd",
-    "adagrad",
-    "svrg",
-    "lsvrg",
-    "sarah",
-    "svrg-bb",
-    "adasvrg",
-    "adasvrg-ms",
-    "adasvrg-at",
-    "hybrid",
-)
+# name -> (library function, loop count from budget k and m = n // b, takes the metric)
+_STEPS, _OUTER = (lambda k, m: k * m), (lambda k, m: k // 3)
+_METHODS = {
+    "sgd": (sgd, _STEPS, False),
+    "adagrad": (adagrad, _STEPS, True),
+    "svrg": (svrg, _OUTER, False),
+    "lsvrg": (loopless_svrg, lambda k, m: k * m // 3, False),
+    "sarah": (sarah, _OUTER, False),
+    "svrg-bb": (svrg_bb, _OUTER, False),
+    "adasvrg": (adasvrg_fixed, _OUTER, True),
+    "adasvrg-ms": (partial(adasvrg_multistage, epsilon=0.01), lambda k, m: max(3, k // 3), True),
+    "adasvrg-at": (adasvrg_adaptive, _OUTER, True),
+    "hybrid": (hybrid_adagrad_adasvrg, _STEPS, True),
+}
+ALGORITHMS = tuple(_METHODS)
 
 _VARIANT_NAMES = {"scalar": "scalar", "diag": "diagonal", "full": "full_matrix"}
 
@@ -59,16 +64,18 @@ DEFAULT_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 class RunConfig:
     """One benchmark work item.
 
-    ``dataset``, the path of a LIBSVM file, is required.  ``l2 = None``
-    resolves to 1/n.  ``eta = None`` means the tuning-free heuristic for the
-    adaptive methods and is an error for baselines that need a constant
-    step-size; a given ``eta`` and every ``grid`` value must be finite and
-    > 0, ``grid`` non-empty, ``batch_size`` >= 1, and ``l2`` finite and
-    >= 0.  ``seeds`` may be given as a count (int) or an explicit tuple of
-    seeds.  ``loss`` may spell underscores as hyphens (``squared-hinge``).
-    ``grid`` is the step-size grid of :func:`grid_search`, and ``out`` the
-    one output directory of :func:`run` and :func:`grid_search` (``None``
-    writes nothing).
+    ``dataset``, a LIBSVM file, is required by :func:`resolve_problem`, its
+    one reader; an in-memory run leaves it out, as :func:`execute_seed` reads
+    only ``algo``, ``variant``, ``batch_size``, ``epochs`` and ``eta``.
+    ``l2 = None`` resolves to 1/n.  ``eta = None`` means the tuning-free
+    heuristic for the adaptive methods and is an error for baselines that
+    need a constant step-size; a given ``eta`` and every ``grid`` value must
+    be finite and > 0, ``grid`` non-empty with values distinct in their
+    ``%g`` form, ``batch_size`` >= 1, and ``l2`` finite and >= 0.  ``seeds``
+    may be a count (int) or an explicit tuple.  ``loss`` may spell
+    underscores as hyphens (``squared-hinge``).  ``grid`` is the step-size
+    grid of :func:`grid_search`, and ``out`` the one output directory of
+    :func:`run` and :func:`grid_search` (``None`` writes nothing).
 
     Every other setting is the library's: the last-iterate snapshot and its
     constants (growth-test threshold 0.5, the 10 n/b cap on inner loops,
@@ -97,8 +104,6 @@ class RunConfig:
             raise ValueError(f"unknown algorithm {self.algo!r}; expected one of {ALGORITHMS}")
         if self.variant not in _VARIANT_NAMES:
             raise ValueError(f"unknown variant {self.variant!r}; expected scalar/diag/full")
-        if self.dataset is None:
-            raise ValueError("config needs a dataset path")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if not self.grid:
@@ -110,14 +115,12 @@ class RunConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size!r}")
         if self.l2 is not None and not (math.isfinite(self.l2) and self.l2 >= 0):
             raise ValueError(f"l2 must be finite and >= 0, got {self.l2!r}")
+        if len({f"{eta:g}" for eta in self.grid}) < len(self.grid):
+            raise ValueError(f"grid values must differ in their %g form, got {self.grid}")
         seeds = range(self.seeds) if isinstance(self.seeds, int) else self.seeds
         object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
         if not self.seeds:
             raise ValueError("at least one seed required")
-
-    @property
-    def precond_variant(self) -> PrecondVariant:
-        return PrecondVariant(kind=_VARIANT_NAMES[self.variant])
 
 
 def config_keys() -> dict[str, str]:
@@ -182,6 +185,8 @@ def config_to_text(config: RunConfig) -> str:
 
 
 def resolve_problem(config: RunConfig) -> Problem:
+    if config.dataset is None:
+        raise ValueError("config needs a dataset path")
     dataset = load_libsvm(config.dataset)
     l2 = config.l2 if config.l2 is not None else 1.0 / dataset.n
     return Problem(dataset=dataset, loss=config.loss, l2_reg=l2)
@@ -194,52 +199,21 @@ def execute_seed(problem: Problem, config: RunConfig, seed: int) -> RunResult:
     Overflow and invalid-value warnings are off: a run that blows up is
     flagged ``diverged`` in its trace instead."""
     w0 = np.zeros(problem.d)
-    n, b = problem.n, config.batch_size
-    budget = config.epochs
-    variant = config.precond_variant
-    eta = config.eta
-    outer = budget // 3
-    steps_per_pass = n // b
-    algo = config.algo
-
-    if budget == 0:
-        # zero-pass budget: record the initial point and do no work,
-        # regardless of algorithm
+    b, eta = config.batch_size, config.eta
+    if config.epochs == 0:
+        # zero-pass budget, for every algorithm: record the initial point only
         return sgd(problem, w0, 0, 1.0, batch_size=b, seed=seed)
-    if algo == "sgd":
-        return sgd(problem, w0, budget * steps_per_pass, eta,
-                   batch_size=b, seed=seed)
-    if algo == "adagrad":
-        return adagrad(problem, w0, budget * steps_per_pass, eta,
-                       variant=variant, batch_size=b, seed=seed)
-    if algo == "svrg":
-        return svrg(problem, w0, outer, eta=eta, batch_size=b, seed=seed)
-    if algo == "lsvrg":
-        return loopless_svrg(problem, w0, budget * steps_per_pass // 3,
-                             eta, batch_size=b, seed=seed)
-    if algo == "sarah":
-        return sarah(problem, w0, outer, eta=eta, batch_size=b, seed=seed)
-    if algo == "svrg-bb":
-        return svrg_bb(problem, w0, outer, eta=0.1 if eta is None else eta,
-                       batch_size=b, seed=seed)
-    if algo == "adasvrg":
-        return adasvrg_fixed(problem, w0, outer, variant=variant, eta=eta, batch_size=b,
-                             seed=seed)
-    if algo == "adasvrg-ms":
-        return adasvrg_multistage(problem, w0, max(3, outer), 0.01,
-                                  variant=variant, eta=eta, batch_size=b, seed=seed)
-    if algo == "adasvrg-at":
-        return adasvrg_adaptive(problem, w0, outer, variant=variant, eta=eta,
-                                batch_size=b, seed=seed)
-    if algo == "hybrid":
-        return hybrid_adagrad_adasvrg(problem, w0, budget * steps_per_pass,
-                                      variant=variant, eta=eta, batch_size=b, seed=seed)
-    raise ValueError(f"unknown algorithm {algo!r}")
+    if config.algo == "svrg-bb" and eta is None:
+        eta = 0.1
+    method, loops, takes_metric = _METHODS[config.algo]
+    if takes_metric:
+        method = partial(method, variant=PrecondVariant(kind=_VARIANT_NAMES[config.variant]))
+    return method(problem, w0, loops(config.epochs, problem.n // b), eta=eta, batch_size=b,
+                  seed=seed)
 
 
 @dataclass
 class BenchOutput:
-    config: RunConfig
     results: list[RunResult]
 
     @property
@@ -268,13 +242,12 @@ def run(config: RunConfig) -> BenchOutput:
 
 def _run(config: RunConfig, problem: Problem) -> BenchOutput:
     """:func:`run` on ``problem``, resolved from ``config``."""
-    results = [execute_seed(problem, config, s) for s in config.seeds]
-    output = BenchOutput(config=config, results=results)
+    output = BenchOutput([execute_seed(problem, config, s) for s in config.seeds])
     if config.out is not None:
         out = Path(config.out)
         out.mkdir(parents=True, exist_ok=True)
         _write(out / "config.txt", config_to_text(config))
-        for seed, result in zip(config.seeds, results):
+        for seed, result in zip(config.seeds, output.results):
             _write(out / f"seed{seed}.trace.csv", result.trace.to_csv())
         _write(out / "aggregate.csv", aggregate_to_csv(aggregate(output.traces)))
     return output

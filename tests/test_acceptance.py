@@ -261,9 +261,9 @@ def test_criterion_08_phase_transition(logistic_synthetic):
 
 def test_criterion_09_interpolation_ordering():
     _start()
-    # the protocol's budget of 50 passes at b = 64, as execute_seed spends it;
-    # the problem is in memory, so the dataset name is a placeholder
-    protocol = RunConfig(dataset="in-memory", loss="squared_hinge", batch_size=64, epochs=50)
+    # the protocol's budget of 50 passes at b = 64, as execute_seed spends it
+    # on the in-memory problem
+    protocol = RunConfig(batch_size=64, epochs=50)
     ada_config = replace(protocol, algo="adagrad", eta=1.0)
     vr_config = replace(protocol, algo="adasvrg")
     hyb_config = replace(protocol, algo="hybrid")

@@ -83,9 +83,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             RunConfig(algo="newton", dataset="a.libsvm")
         with pytest.raises(ValueError):
-            RunConfig()  # no dataset at all
-        with pytest.raises(ValueError):
             synthetic_config(seeds=())
+        with pytest.raises(ValueError, match="differ in their %g form"):
+            synthetic_config(grid=(0.1, 0.10000001))
+
+    def test_execute_seed_runs_a_config_without_dataset(self, synthetic_config):
+        problem = bench.resolve_problem(synthetic_config())
+        config = RunConfig(algo="svrg", eta=0.1)
+        result = bench.execute_seed(problem, replace(config, batch_size=8, epochs=4), 0)
+        assert result.counters.full_grad_evals == 1
+
+    @pytest.mark.parametrize("entry", [run, grid_search], ids=["run", "grid_search"])
+    def test_run_and_grid_search_need_a_dataset(self, entry):
+        with pytest.raises(ValueError, match="config needs a dataset path"):
+            entry(RunConfig(algo="svrg", eta=0.1))
 
     def test_echo_roundtrip(self, synthetic_config):
         every_key = RunConfig(

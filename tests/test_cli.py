@@ -138,6 +138,23 @@ class TestBadConfigValue:
         assert exc.value.code == 2
         assert "dataset has no features" in capsys.readouterr().err
 
+    def test_missing_dataset_exits_with_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--algo", "svrg", "--eta", "0.1"])
+        assert exc.value.code == 2
+        assert "config needs a dataset path" in capsys.readouterr().err
+
+    def test_grid_values_that_print_alike_exit_with_usage_error(self, tmp_path, capsys):
+        # 0.1 and 0.10000001 both print eta=0.1 and write out/eta_0.1, the
+        # second run overwriting the first
+        with pytest.raises(SystemExit) as exc:
+            main(["grid", "--dataset", str(DATASETS / "synth_a.libsvm"), "--algo", "svrg",
+                  "--epochs", "1", "--seeds", "1", "--grid", "0.1,0.10000001,0.1",
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "differ in their %g form" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_synthetic_config_key_is_unknown(self, tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"
         cfg.write_text("synthetic_n = 64\n", encoding="utf-8")

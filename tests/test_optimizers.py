@@ -905,7 +905,7 @@ class TestStepCharge:
             return original(self)
 
         monkeypatch.setattr(optimizers._Run, "sample", sample)
-        config = bench.RunConfig(dataset="unused", algo=algo, batch_size=b, epochs=6, eta=0.05)
+        config = bench.RunConfig(algo=algo, batch_size=b, epochs=6, eta=0.05)
         result = bench.execute_seed(problem, config, 0)
         assert result.termination_reason == "budget" and samples
         if algo in ("sgd", "adagrad"):
