@@ -89,8 +89,8 @@ class TestConfig:
 
     def test_execute_seed_runs_a_config_without_dataset(self, synthetic_config):
         problem = bench.resolve_problem(synthetic_config())
-        config = RunConfig(algo="svrg", eta=0.1)
-        result = bench.execute_seed(problem, replace(config, batch_size=8, epochs=4), 0)
+        config = RunConfig(algo="svrg", eta=0.1, batch_size=8, epochs=4)
+        result = bench.execute_seed(problem, config, 0)
         assert result.counters.full_grad_evals == 1
 
     @pytest.mark.parametrize("entry", [run, grid_search], ids=["run", "grid_search"])
