@@ -71,7 +71,9 @@ class RunConfig:
     heuristic for the adaptive methods and is an error for baselines that
     need a constant step-size; a given ``eta`` and every ``grid`` value must
     be finite and > 0, ``grid`` non-empty with values distinct in their
-    ``%g`` form, ``batch_size`` >= 1, and ``l2`` finite and >= 0.  ``seeds``
+    ``%g`` form, ``batch_size`` >= 1, and ``l2`` finite and >= 0.
+    ``variant`` must be ``"scalar"`` for a method that takes no metric
+    (``sgd``, ``svrg``, ``lsvrg``, ``sarah``, ``svrg-bb``).  ``seeds``
     may be a count (int) or an explicit tuple.  ``loss`` may spell
     underscores as hyphens (``squared-hinge``).  ``grid`` is the step-size
     grid of :func:`grid_search`, and ``out`` the one output directory of
@@ -104,6 +106,9 @@ class RunConfig:
             raise ValueError(f"unknown algorithm {self.algo!r}; expected one of {ALGORITHMS}")
         if self.variant not in _VARIANT_NAMES:
             raise ValueError(f"unknown variant {self.variant!r}; expected scalar/diag/full")
+        if self.variant != "scalar" and not _METHODS[self.algo][2]:
+            raise ValueError(f"{self.algo} takes no metric, so variant must be scalar, "
+                             f"got {self.variant!r}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if not self.grid:

@@ -14,7 +14,8 @@ All optimizers share the same conventions:
 * a divergence guard that stops a run and flags the trace once the
   objective is non-finite or grows past 1e3 * f(w0) + 1, once a step
   raises ``FloatingPointError`` (a non-finite preconditioned iterate), or
-  once a full-matrix accumulator overflows (``np.linalg.LinAlgError``).
+  once a full-matrix accumulator overflows or its eigensolver fails to
+  converge (``np.linalg.LinAlgError``).
 
 The variance-reduced methods form the direction
 
@@ -564,8 +565,8 @@ def _engine(
     that earlier calls on ``run`` began.  The next snapshot is the last iterate or, with
     ``snapshot='average'``, the mean of the iterates the inner loop stepped
     from.  A record that flags divergence, a ``FloatingPointError`` from a
-    step, or a ``LinAlgError`` from an overflowed full-matrix accumulator
-    ends the run.
+    step, or a ``LinAlgError`` from a full-matrix accumulator (overflowed,
+    or its eigensolver unconverged) ends the run.
     """
     problem, variant, proj, period = run.problem, run.variant, run.proj, run.period
     d = problem.d

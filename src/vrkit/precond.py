@@ -9,7 +9,10 @@ checks that bound from the gradients each accumulator received.
 
 The full-matrix accumulator after t gradients is held as a thin factor,
 G = DELTA I + F^T F with F of r = min(t, d) orthogonal rows, so one update
-costs O(r^2 d + r^3) instead of a d x d eigendecomposition.
+costs O(r^2 d + r^3) instead of a d x d eigendecomposition.  The small
+eigenproblem goes straight to LAPACK's ``dsyevd``, the routine
+``np.linalg.eigh`` calls, and F lives in two row buffers the state reuses;
+F keeps the bits that ``np.vstack`` and ``np.linalg.eigh`` would give it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dsyevd
 
 VARIANT_KINDS = ("scalar", "diagonal", "full_matrix")
 
@@ -88,7 +92,16 @@ class PrecondState:
     G - DELTA I.  Each :meth:`accumulate` appends g to F and rotates it onto
     the eigenbasis of the (r + 1) x (r + 1) Gram matrix, at O(r^2 d + r^3)
     cost with r = min(t, d) after t gradients; once r would exceed d the row
-    of the smallest mu, zero up to rounding, is dropped.  Then
+    of the smallest mu, zero up to rounding, is dropped.  F is the front
+    rows of one of two buffers the state owns, grown by doubling to at most
+    d + 1 rows: g is copied into the row after F to form the window, the
+    rotation is written into the other buffer, and the two swap.  The
+    eigenpairs come from LAPACK's ``dsyevd`` (scipy's wrapper, lower
+    triangle), which ``np.linalg.eigh`` calls behind a wrapper that costs
+    more than the solve at small windows.  ``accumulate`` raises
+    ``np.linalg.LinAlgError`` when the window is not finite, checked before
+    the solver since LAPACK may hang on inf, and when the solver does not
+    converge; either way F, mu and trace G stay as they were.  Then
 
         A^{-1} g = g / sqrt(DELTA) + F^T (c * (F g)),
         c_i = -1 / (sqrt(DELTA) sqrt(DELTA + mu_i) (sqrt(DELTA) + sqrt(DELTA + mu_i))),
@@ -107,7 +120,10 @@ class PrecondState:
             self._root = np.sqrt(self.G)
             self._work = np.empty(self.d)
         else:
-            self._F = np.empty((0, self.d))
+            # F is the front rows of _rows; _spare receives the next rotation.
+            self._rows = np.empty((0, self.d))
+            self._spare = np.empty((0, self.d))
+            self._F = self._rows[:0]
             self._mu = np.empty(0)
             self._grad_sq_sum = 0.0
 
@@ -115,7 +131,8 @@ class PrecondState:
         """Add one gradient to the accumulator.
 
         Raises ``np.linalg.LinAlgError``, leaving the state as it was, when
-        the full-matrix window is not finite.
+        the full-matrix window is not finite or its eigensolver does not
+        converge.
         """
         g = np.asarray(g, dtype=np.float64).ravel()
         if g.shape[0] != self.d:
@@ -127,19 +144,38 @@ class PrecondState:
             self.G += np.square(g, out=self._work)
             np.sqrt(self.G, out=self._root)
         else:
-            window = np.vstack((self._F, g))
+            r = self._F.shape[0]
+            if r == self._rows.shape[0]:
+                self._grow_rows(r)
+            window = self._rows[:r + 1]
+            window[r] = g
             gram = window @ window.T
             # Checked before the solver: LAPACK may hang rather than fail on inf.
             if not all_finite(gram):
                 raise np.linalg.LinAlgError("full-matrix accumulator is not finite")
-            mu, basis = np.linalg.eigh(gram)  # ascending
+            mu, basis, info = dsyevd(gram, lower=1)  # ascending
+            if info != 0:
+                raise np.linalg.LinAlgError(f"full-matrix eigensolver failed (info {info})")
+            # The rotation's bits depend on the basis's memory order, so it
+            # takes the row order np.linalg.eigh returns, not LAPACK's columns.
+            basis = np.ascontiguousarray(basis)
             if mu.shape[0] > self.d:
                 mu, basis = mu[1:], basis[:, 1:]
-            self._F = basis.T @ window
+            self._F = np.matmul(basis.T, window, out=self._spare[:mu.shape[0]])
+            self._rows, self._spare = self._spare, self._rows
             # G - DELTA I is PSD; rounding can leave mu slightly negative.
             self._mu = np.maximum(mu, 0.0)
             self._grad_sq_sum += float(gram[-1, -1])
         return self
+
+    def _grow_rows(self, r: int) -> None:
+        """Give both row buffers room for the (r + 1)-row window, doubling
+        up to d + 1 rows, with F copied to the front of the new one."""
+        rows = min(max(2 * r, 4), self.d + 1)
+        self._rows = np.empty((rows, self.d))
+        self._rows[:r] = self._F
+        self._F = self._rows[:r]
+        self._spare = np.empty((rows, self.d))
 
     def accumulate_sq_norm(self, sq: float) -> None:
         """The scalar variant's :meth:`accumulate`, from sq = ||g||^2."""

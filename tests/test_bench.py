@@ -86,6 +86,9 @@ class TestConfig:
             synthetic_config(seeds=())
         with pytest.raises(ValueError, match="differ in their %g form"):
             synthetic_config(grid=(0.1, 0.10000001))
+        for algo in ("sgd", "svrg", "lsvrg", "sarah", "svrg-bb"):
+            with pytest.raises(ValueError, match="variant"):
+                RunConfig(algo=algo, variant="diag")
 
     def test_execute_seed_runs_a_config_without_dataset(self, synthetic_config):
         problem = bench.resolve_problem(synthetic_config())
@@ -101,7 +104,7 @@ class TestConfig:
     def test_echo_roundtrip(self, synthetic_config):
         every_key = RunConfig(
             dataset="data.libsvm",
-            loss="huber", l2=0.01, algo="svrg", variant="diag", batch_size=16, epochs=9,
+            loss="huber", l2=0.01, algo="adagrad", variant="diag", batch_size=16, epochs=9,
             seeds=(2, 7), eta=0.25, grid=(0.1, 1.0), out="results",
         )
         echoed = {line.partition(" = ")[0] for line in config_to_text(every_key).splitlines()}

@@ -90,9 +90,11 @@ class TestBadConfigValue:
         (["run", "--delta", "1e-8"], "unrecognized arguments: --delta"),
         (["run", "--snapshot", "last"], "unrecognized arguments: --snapshot"),
         (["switch-search"], "invalid choice"),
+        # a method without a metric would ignore the variant
+        (["run", "--algo", "svrg", "--variant", "full", "--eta", "0.1"], "variant"),
     ], ids=["run-eta", "grid-grid", "grid-empty", "run-batch-size", "run-l2", "run-l2-inf",
             "run-no-jobs", "run-theta", "run-epsilon", "run-p", "run-huber-delta", "run-delta",
-            "run-snapshot", "switch-search"])
+            "run-snapshot", "switch-search", "run-variant-without-metric"])
     def test_bad_step_size_or_theta_exits_with_usage_error(self, argv, shown, capsys):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--dataset", "data.libsvm"])

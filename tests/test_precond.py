@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vrkit
-from vrkit import PrecondState, PrecondVariant, ProjectionSpec, project
+from vrkit import PrecondState, PrecondVariant, ProjectionSpec, precond, project
 from vrkit.precond import DELTA, VARIANT_KINDS, all_finite
 
 from criterion_helpers import adagrad_bound_sides
@@ -128,6 +128,22 @@ class TestFullMatrixFactor:
                                        atol=self.RTOL * np.abs(ainv_g).max())
             assert state.trace_G() == pytest.approx(s * s * np.trace(G), rel=self.RTOL)
 
+    @pytest.mark.parametrize("d", [6, 33, 40])
+    def test_factor_has_the_bits_of_the_numpy_route(self, d):
+        # F from np.vstack and np.linalg.eigh, which call the same LAPACK
+        # routine as the state.  At d = 33 the rotation of a window of 16 or
+        # more rows changes its bits with the memory order of the basis.
+        state = PrecondState(full_variant(), d)
+        F = np.empty((0, d))
+        for g in _gradients(d, d + 2, "random"):
+            window = np.vstack((F, g))
+            mu, basis = np.linalg.eigh(window @ window.T)
+            if mu.shape[0] > d:
+                basis = basis[:, 1:]
+            F = basis.T @ window
+            state.accumulate(g)
+            assert state._F.tobytes() == F.tobytes()
+
     def test_step_with_other_gradient(self):
         # step applies A^{-1} to the gradient it is given
         s = self.SCALE
@@ -235,6 +251,64 @@ def test_non_finite_window_raises_linalg_error(bad):
                           text=True, timeout=10, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "ok"
+
+
+def test_eigensolver_failure_raises_linalg_error(monkeypatch):
+    # LAPACK reports no convergence through info != 0; the state stays as it
+    # was, also when the failing call first grew the row buffers (r = 0, 4)
+    d = 6
+    rng = np.random.default_rng(4)
+    probe = rng.standard_normal(d)
+
+    def observed(state):
+        return state.trace_G(), -state.step(np.zeros(d), probe, 1.0)
+
+    def unconverged(gram, lower):
+        return np.zeros(len(gram)), np.eye(len(gram)), 1
+
+    for finite_first in (0, 1, 4, 7):
+        grads = list(rng.standard_normal((finite_first + 2, d)))
+        state = PrecondState(full_variant(), d)
+        twin = PrecondState(full_variant(), d)
+        for g in grads[:finite_first]:
+            state.accumulate(g)
+            twin.accumulate(g)
+        before = observed(state)
+        with monkeypatch.context() as patch:
+            patch.setattr(precond, "dsyevd", unconverged)
+            with pytest.raises(np.linalg.LinAlgError):
+                state.accumulate(grads[finite_first])
+        after = observed(state)
+        assert after[0] == before[0] and np.array_equal(after[1], before[1])
+        # the next gradient lands as if the failed one was never offered
+        state.accumulate(grads[-1])
+        twin.accumulate(grads[-1])
+        assert observed(state)[1].tobytes() == observed(twin)[1].tobytes()
+
+
+def test_full_matrix_states_own_their_rows():
+    # Two states fed in alternation through one gradient array, which is
+    # overwritten after each call, step bit for bit as each does when fed
+    # alone: through the row-buffer growths (at r = 0, 4 and 8) and past
+    # r = d, where the smallest row is dropped.
+    d = 9
+    rng = np.random.default_rng(12)
+    grads = rng.standard_normal((2, 2 * d + 3, d))
+    probe = rng.standard_normal(d)
+
+    def steps_alone(series):
+        state = PrecondState(full_variant(), d)
+        return [state.accumulate(g).step(np.zeros(d), probe, 1.0).tobytes() for g in series]
+
+    alone = [steps_alone(series) for series in grads]
+    states = [PrecondState(full_variant(), d), PrecondState(full_variant(), d)]
+    shared = np.empty(d)
+    for t in range(grads.shape[1]):
+        for i, state in enumerate(states):
+            shared[:] = grads[i, t]
+            state.accumulate(shared)
+            shared[:] = 1e300
+            assert state.step(np.zeros(d), probe, 1.0).tobytes() == alone[i][t], (i, t)
 
 
 def _g_norm_star(state: PrecondState) -> float:
