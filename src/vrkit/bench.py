@@ -74,10 +74,12 @@ class RunConfig:
     ``%g`` form, ``batch_size`` >= 1, and ``l2`` finite and >= 0.
     ``variant`` must be ``"scalar"`` for a method that takes no metric
     (``sgd``, ``svrg``, ``lsvrg``, ``sarah``, ``svrg-bb``).  ``seeds``
-    may be a count (int) or an explicit tuple.  ``loss`` may spell
-    underscores as hyphens (``squared-hinge``).  ``grid`` is the step-size
-    grid of :func:`grid_search`, and ``out`` the one output directory of
-    :func:`run` and :func:`grid_search` (``None`` writes nothing).
+    may be a count (int) or an explicit tuple of distinct seeds, since
+    each seed's trace is one file and the aggregate reads each once.
+    ``loss`` may spell underscores as hyphens (``squared-hinge``).
+    ``grid`` is the step-size grid of :func:`grid_search`, and ``out`` the
+    one output directory of :func:`run` and :func:`grid_search` (``None``
+    writes nothing).
 
     Every other setting is the library's: the last-iterate snapshot and its
     constants (growth-test threshold 0.5, the 10 n/b cap on inner loops,
@@ -126,6 +128,8 @@ class RunConfig:
         object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
         if not self.seeds:
             raise ValueError("at least one seed required")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"seeds must differ, got {self.seeds}")
 
 
 def config_keys() -> dict[str, str]:
@@ -284,20 +288,17 @@ def aggregate(traces: list[Trace]) -> list[tuple]:
 
 
 def _per_pass(traces: list[Trace], attr: str, points: np.ndarray) -> np.ndarray:
-    """(points x seeds) array of ``trace.value_at_pass(p, attr)`` at each
-    pass p in ``points``, with a missing or non-finite value counted as inf.
-    Each trace is sampled with one ``searchsorted`` over its forward-filled
-    values; each row is C-contiguous, so reductions along ``axis=1`` match
-    those of the per-pass value lists bit for bit."""
+    """(points x seeds) array of each trace's ``value_at_pass(p, attr)`` at
+    each pass p in ``points``, read through :meth:`Trace.last_recorded`,
+    with a missing or non-finite value counted as inf.  Values are copied,
+    not recomputed; each row is C-contiguous, so reductions along
+    ``axis=1`` match those of the per-pass value lists bit for bit."""
     out = np.empty((points.size, len(traces)))
     for j, trace in enumerate(traces):
-        values = [getattr(row, attr) for row in trace.rows]
-        # latest[k]: 1 + index of the last present value among the first k rows, 0 if none
-        latest = np.maximum.accumulate([0] + [i if v is not None else 0
-                                              for i, v in enumerate(values, 1)])
-        filled = np.array([np.inf] + [np.inf if v is None else v for v in values])[latest]
-        passes = np.array([row.passes for row in trace.rows])
-        out[:, j] = filled[np.searchsorted(passes, points, side="right")]
+        # index -1 (nothing recorded yet) reads the appended inf; the None
+        # rows, which the lookup never picks, become NaN
+        values = np.array([getattr(row, attr) for row in trace.rows] + [np.inf], dtype=float)
+        out[:, j] = values[trace.last_recorded(points, attr)]
     out[~np.isfinite(out)] = np.inf
     return out
 

@@ -51,7 +51,10 @@ _json_values = operator.itemgetter(*_JSON_KEYS)
 
 @dataclass
 class Trace:
-    """Per-run time series; rows are strictly increasing in passes."""
+    """Per-run time series; rows are strictly increasing in passes.
+
+    :meth:`last_recorded` is the one lookup of a column at a pass; the
+    aggregate, the final metric and :meth:`value_at_pass` read through it."""
 
     rows: list[TraceRow] = field(default_factory=list)
 
@@ -71,17 +74,22 @@ class Trace:
     def final(self) -> TraceRow:
         return self.rows[-1]
 
-    def value_at_pass(self, p: float, attr: str = "grad_norm") -> float | None:
-        """Step-function lookup: the latest recorded value at pass <= p."""
-        best = None
-        for row in self.rows:
-            if row.passes <= p:
-                value = getattr(row, attr)
-                if value is not None:
-                    best = value
-            else:
-                break
-        return best
+    def last_recorded(self, points: np.ndarray, attr: str) -> np.ndarray:
+        """The trace's one lookup at a pass: for each pass p in ``points``,
+        the index of the last row at pass <= p whose ``attr`` is recorded
+        (not None), or -1 where there is none.  One forward fill over the
+        rows and one ``searchsorted`` over their passes."""
+        # latest[k]: index of the last present value among the first k rows, -1 if none
+        latest = np.maximum.accumulate([-1] + [i if getattr(row, attr) is not None else -1
+                                               for i, row in enumerate(self.rows)])
+        passes = np.array([row.passes for row in self.rows])
+        return latest[np.searchsorted(passes, points, side="right")]
+
+    def value_at_pass(self, p: float, attr: str) -> float | None:
+        """Step-function lookup: the latest recorded value at pass <= p, as
+        recorded, or None before the first one."""
+        i = self.last_recorded(np.array([p]), attr)[0]
+        return None if i < 0 else getattr(self.rows[i], attr)
 
     # -- serialization -------------------------------------------------
 

@@ -44,6 +44,19 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
         [x.hex() for x in a.ravel().tolist()] == [x.hex() for x in b.ravel().tolist()])
 
 
+def scan_value_at_pass(trace, p: float, attr: str):
+    """The latest recorded ``attr`` at pass <= p by a plain scan over the
+    rows, or None: a reference for ``Trace.last_recorded`` that shares no
+    code with it."""
+    best = None
+    for row in trace.rows:
+        if row.passes > p:
+            break
+        if getattr(row, attr) is not None:
+            best = getattr(row, attr)
+    return best
+
+
 def central_difference_gradient(problem: Problem, w: np.ndarray, h: float = 1e-6) -> np.ndarray:
     approx = np.empty_like(w, dtype=float)
     for j in range(w.shape[0]):

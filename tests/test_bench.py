@@ -22,7 +22,7 @@ from vrkit.bench import (
 )
 from vrkit.svgplot import emit_plot
 
-from conftest import FOUR_ROWS
+from conftest import FOUR_ROWS, scan_value_at_pass
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 DATASETS = Path(__file__).resolve().parent.parent / "datasets"
@@ -86,6 +86,9 @@ class TestConfig:
             synthetic_config(seeds=())
         with pytest.raises(ValueError, match="differ in their %g form"):
             synthetic_config(grid=(0.1, 0.10000001))
+        # a repeated seed would count one trace file twice in the aggregate
+        with pytest.raises(ValueError, match="seeds must differ"):
+            synthetic_config(seeds=(0, 0, 1))
         for algo in ("sgd", "svrg", "lsvrg", "sarah", "svrg-bb"):
             with pytest.raises(ValueError, match="variant"):
                 RunConfig(algo=algo, variant="diag")
@@ -195,13 +198,14 @@ class TestAggregate:
 
     @staticmethod
     def _metric(trace, p, attr):
-        value = trace.value_at_pass(p, attr)
+        value = scan_value_at_pass(trace, p, attr)
         return np.inf if value is None or not np.isfinite(value) else float(value)
 
     @classmethod
     def _reference_csv(cls, traces) -> str:
         """The aggregate as defined: per pass, median and std of each trace's
-        ``value_at_pass``, with missing or non-finite values as inf."""
+        latest recorded value, found by a plain scan over the rows, with
+        missing or non-finite values as inf."""
         metric = cls._metric
         last = math.floor(min(t.rows[-1].passes for t in traces))
         rows = []
@@ -212,7 +216,7 @@ class TestAggregate:
                          float(np.median(grad)), float(np.std(grad))))
         return aggregate_to_csv(rows)
 
-    def test_forward_scan_matches_value_at_pass(self):
+    def test_aggregate_matches_a_plain_scan(self):
         # every golden trace alone, and in groups of 2, 5 and 9 (nine seeds
         # take numpy's unrolled summation path in the std)
         traces = [Trace.from_csv(path.read_text(encoding="utf-8"))

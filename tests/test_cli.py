@@ -157,6 +157,17 @@ class TestBadConfigValue:
         assert "differ in their %g form" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_seed_exits_with_usage_error(self, tmp_path, capsys):
+        # a repeated seed would write one seed0.trace.csv and count it twice
+        # in the printed median
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--dataset", str(DATASETS / "synth_a.libsvm"), "--algo", "svrg",
+                  "--eta", "0.1", "--epochs", "3", "--seeds", "0,0,1",
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "seeds must differ" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_synthetic_config_key_is_unknown(self, tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"
         cfg.write_text("synthetic_n = 64\n", encoding="utf-8")

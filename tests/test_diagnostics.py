@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from vrkit import PhaseTestState, Trace, TraceRow
 from vrkit.optimizers import _Run
 
-from conftest import make_problem
+from conftest import make_problem, scan_value_at_pass
 from criterion_helpers import two_phase_slope_fit
 
 
@@ -191,3 +191,39 @@ class TestTraceSerialization:
         assert trace.value_at_pass(0.5, "objective") == pytest.approx(0.6931471805599453)
         assert trace.value_at_pass(2.5, "grad_norm") == pytest.approx(0.09)
         assert trace.value_at_pass(3.0, "grad_norm") == pytest.approx(0.07)
+
+    def test_value_at_pass_is_none_before_the_first_recorded_value(self):
+        # perfbench counts a None at the budget as a failed run
+        trace = self._sample_trace()
+        assert trace.value_at_pass(-0.5, "objective") is None
+        assert trace.value_at_pass(0.5, "g_norm_star") is None
+        assert trace.value_at_pass(1.0, "g_norm_star") == 2.5
+        assert Trace().value_at_pass(3.0, "objective") is None
+
+    @pytest.mark.parametrize("objective", [np.inf, np.nan])
+    def test_value_at_pass_returns_a_diverged_objective_as_recorded(self, objective):
+        # perfbench's "no decrease by the budget" check must see the non-finite value
+        trace = Trace(rows=[TraceRow(0.0, 0.5, 0.1),
+                            TraceRow(1.5, objective, None, event="diverged")])
+        assert trace.value_at_pass(2.0, "objective") is trace.rows[1].objective
+        assert trace.value_at_pass(1.4, "objective") == 0.5
+        assert trace.value_at_pass(2.0, "grad_norm") == 0.1
+
+    def test_lookup_agrees_with_a_plain_scan(self):
+        # rows between integer passes, and a diverged row without grad_norm
+        trace = Trace(rows=[
+            TraceRow(0.0, 0.7, None),
+            TraceRow(0.375, 0.6, 0.3, 1.0, 0.1, 0, "switch"),
+            TraceRow(1.0, 0.5, 0.2, 1.5, 0.1, 1, None),
+            TraceRow(1.625, 0.45, None, 1.75, 0.1, 1, "adaptive_stop"),
+            TraceRow(2.5, 0.4, 0.1, None, None, 2, None),
+            TraceRow(3.125, np.inf, None, None, 0.1, 2, "diverged"),
+        ])
+        trace.validate()
+        points = np.array([-1.0, 0.0, 0.25, 0.375, 0.5, 1.0, 1.5, 1.625, 2.0, 2.5, 3.0,
+                           3.125, 4.0])
+        for attr in ("objective", "grad_norm", "g_norm_star", "step_size"):
+            expected = [scan_value_at_pass(trace, p, attr) for p in points]
+            assert [trace.value_at_pass(p, attr) for p in points] == expected
+            found = trace.last_recorded(points, attr)
+            assert [None if i < 0 else getattr(trace.rows[i], attr) for i in found] == expected

@@ -194,6 +194,29 @@ class TestMultistage:
         boundaries = [e for _, e in result.trace.events() if e == "stage_boundary"]
         assert len(boundaries) == 3
 
+    def test_each_stage_starts_from_the_previous_average(self, monkeypatch):
+        # criteria 5 and 6 still pass when a stage starts from the previous
+        # stage's last iterate instead
+        problem = small_synthetic()
+        w0 = np.zeros(problem.d)
+        stages = []
+
+        def engine(run, w, *args, **kwargs):
+            start = w.copy()
+            stage = real_engine(run, w, *args, **kwargs)
+            stages.append((start, stage.averaged.copy(), stage.w.copy()))
+            return stage
+
+        real_engine = optimizers._engine
+        monkeypatch.setattr(optimizers, "_engine", engine)
+        result = adasvrg_multistage(problem, w0, 3, 1.0 / 8.0, eta=0.5, batch_size=4, seed=0)
+        assert len(stages) == 3
+        assert same_bits(stages[0][0], w0)
+        for (_, averaged, last), (start, _, _) in zip(stages, stages[1:]):
+            assert not same_bits(averaged, last)  # so the two candidate starts differ
+            assert same_bits(start, averaged)
+        assert same_bits(result.averaged_iterate, stages[-1][1])
+
     def test_preconditions(self):
         problem = small_synthetic()
         with pytest.raises(ValueError):
