@@ -235,8 +235,12 @@ class _Run:
     def due(self) -> bool:
         """Whether :meth:`record` writes a row without ``force`` or an event:
         no divergence, and a pass since the last row."""
-        rows = self.trace.rows
-        return not self.diverged and (not rows or self.passes - rows[-1].passes >= 1.0)
+        if self.diverged:
+            return False
+        rows, counters, n = self.trace.rows, self.counters, self.n
+        # self.passes, inline: the same integer sum and one division
+        return not rows or ((counters.per_example_grad_evals + n * counters.full_grad_evals) / n
+                            - rows[-1].passes >= 1.0)
 
     def result(self, x, *, averaged=None, g_star_steps=None, notes=None) -> RunResult:
         """Finish the run at ``x``, recorded as the closing trace row with
@@ -606,6 +610,7 @@ def _engine(
                             proj=proj, margins=z)
         x_sum = np.zeros(d)
         t = 0
+        sample, charge, due = run.sample, run.counters.charge_batch, run.due
         try:
             for t in range(1, inner + 1):
                 if loop == "refresh" and run.rng.random() < refresh_p:
@@ -619,8 +624,8 @@ def _engine(
                 if direction == "recursive" and t == 1:
                     it.g = it.base
                 else:
-                    it.direct(run.sample())
-                    run.counters.charge_batch(step_cost)
+                    it.direct(sample())
+                    charge(step_cost)
                 if direction == "recursive":
                     it.anchor, it.base = it.x, it.g
                 if average:
@@ -641,7 +646,7 @@ def _engine(
                             break
                     if state.has_signal():
                         it.step(eta, state)
-                if run.due():
+                if due():
                     if state is not None and g_star is None:
                         g_star = math.sqrt(state.trace_G())  # a step leaves G as it was
                     run.record(it.point(), outer=outer, eta=eta, g_star=g_star)

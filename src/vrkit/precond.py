@@ -28,6 +28,10 @@ VARIANT_KINDS = ("scalar", "diagonal", "full_matrix")
 # Initial offset G = DELTA I of the diagonal and full-matrix accumulators.
 DELTA = 1e-8
 
+# The dtype of a gradient that accumulate uses as given; numpy's builtin
+# dtypes are singletons, so an identity test suffices.
+_FLOAT64 = np.dtype(np.float64)
+
 # The diagonal-metric projection stops once | ||x|| - radius | is at most this.
 PROJECTION_TOL = 1e-10
 
@@ -130,16 +134,23 @@ class PrecondState:
     def accumulate(self, g: np.ndarray) -> "PrecondState":
         """Add one gradient to the accumulator.
 
+        A 1-D C-contiguous float64 ``g``, as the optimizers pass it, is used
+        as given; any other ``g`` is first converted to a flat float64
+        array, so it leaves the state that its float64 values leave.  The
+        state keeps no reference to ``g``.
+
         Raises ``np.linalg.LinAlgError``, leaving the state as it was, when
         the full-matrix window is not finite or its eigensolver does not
         converge.
         """
-        g = np.asarray(g, dtype=np.float64).ravel()
+        if not (type(g) is np.ndarray and g.dtype is _FLOAT64 and g.ndim == 1
+                and g.flags.c_contiguous):
+            g = np.asarray(g, dtype=np.float64).ravel()
         if g.shape[0] != self.d:
             raise ValueError(f"gradient has dimension {g.shape[0]}, expected {self.d}")
         kind = self.variant.kind
         if kind == "scalar":
-            self.G += float(g @ g)
+            self.G += float(g.dot(g))
         elif kind == "diagonal":
             self.G += np.square(g, out=self._work)
             np.sqrt(self.G, out=self._root)

@@ -53,6 +53,14 @@ one call.  It has two paths, chosen by :attr:`Dataset.dense_rows`:
   x = a the anchored difference is l2 a + 0.0 exactly.  This path is the
   exact reference for the dense one.
 
+Each oracle takes one point of shape (d,), and any other shape raises
+``ValueError``.  :meth:`Problem.grad_batch` uses a 1-D C-contiguous intp
+batch, the form the optimizers' sampler returns, as given, and converts
+any other batch to it.  The dense products go through ``ndarray.dot``,
+which dispatches faster than ``@``; on the fresh C-contiguous operands the
+oracles form, the two give the same bits (``tests/test_problems.py``
+checks this over the shapes the oracles see).
+
 The kernel indexes with intp columns, while the CSR stores them as int32,
 since numpy gathers and scatters through int32 index arrays about 4x
 slower than through intp ones at 100 columns.  At b = 1 it reads one row
@@ -82,6 +90,10 @@ LOSS_NAMES = ("logistic", "squared", "huber", "squared_hinge")
 # Losses whose labels must be -1/+1.  Squared and Huber act on the residual
 # <a_i, w> - y_i and accept arbitrary real targets.
 _CLASSIFICATION_LOSSES = ("logistic", "squared_hinge")
+
+# The dtype of a batch that grad_batch uses as given; numpy's builtin
+# dtypes are singletons, so an identity test suffices.
+_INTP = np.dtype(np.intp)
 
 # The Huber loss is quadratic for residuals of magnitude up to HUBER_DELTA
 # and linear beyond.
@@ -284,9 +296,13 @@ class Problem:
         return -2.0 * y * np.maximum(0.0, 1.0 - y * z)
 
     def _check_dim(self, w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=np.float64).ravel()
-        if w.shape[0] != self.d:
-            raise ValueError(f"iterate has dimension {w.shape[0]}, expected {self.d}")
+        """``w`` as a float64 array, which must be one point: shape (d,).
+        Any other shape, (1, d), (d, 1) and a (k, d) stack included, raises
+        ``ValueError``."""
+        w = np.asarray(w, dtype=np.float64)
+        d = self.dataset.features.shape[1]
+        if w.shape != (d,):
+            raise ValueError(f"iterate has shape {w.shape}, expected one point of dimension {d}")
         return w
 
     # -- oracles ---------------------------------------------------------
@@ -295,8 +311,9 @@ class Problem:
         """The predictions <a_i, w> of every example, A w: one product with
         :attr:`Dataset.dense_rows`, or with the CSR features when there are
         none.  Never charged."""
+        w = self._check_dim(w)
         rows = self.dataset.dense_rows
-        return (self.dataset.features if rows is None else rows) @ self._check_dim(w)
+        return self.dataset.features @ w if rows is None else rows.dot(w)
 
     def _margins_at(self, w: np.ndarray, margins: np.ndarray | None) -> np.ndarray:
         """``margins``, checked to hold n predictions, or :meth:`margins` (w)
@@ -314,8 +331,9 @@ class Problem:
         is read, not written, and any shape but (n,) raises ``ValueError``."""
         w = self._check_dim(w)
         z = self._margins_at(w, margins)
-        value = float(self._loss_values(z, self.dataset.labels).mean())
-        return value + 0.5 * self.l2_reg * float(w @ w)
+        # np.mean's own pairwise sum and division, without its Python wrapper
+        value = float(np.add.reduce(self._loss_values(z, self.dataset.labels)) / self.n)
+        return value + 0.5 * self.l2_reg * float(w.dot(w))
 
     def grad_full(self, w: np.ndarray, counters: GradOracleCounters | None = None,
                   margins: np.ndarray | None = None) -> np.ndarray:
@@ -331,7 +349,7 @@ class Problem:
         if rows is None:
             g = self.dataset.features.T @ coeffs + self.l2_reg * w
         else:
-            g = coeffs @ rows + self.l2_reg * w
+            g = coeffs.dot(rows) + self.l2_reg * w
         if counters is not None:
             counters.charge_full()
         return np.asarray(g)
@@ -343,6 +361,11 @@ class Problem:
 
         ``w`` is one point, of shape (d,); any other shape, a (k, d) stack
         included, raises ``ValueError``.  ``batch`` holds integer indices.
+        A batch that is already a 1-D C-contiguous intp ndarray, as the
+        optimizers' sampler returns, is used as given; any other batch is
+        converted (``np.asarray``, a check that it is integer, then intp
+        and flattened), with the same bits and errors either way.  Both
+        are checked to be nonempty and within [0, n).
         The result is ``A_B^T (phi'(A_B w) - anchor_derivs[B]) / b + l2 w``
         with ``A_B = features[batch]`` and ``anchor_derivs`` from
         :meth:`margin_derivs` (None for none); any shape of it but (n,)
@@ -351,17 +374,17 @@ class Problem:
         :meth:`_csr_grad_batch`, bit for bit in the order of scipy's CSR
         products (see the module docstring).
         """
-        n, d = self.dataset.features.shape
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape != (d,):
-            raise ValueError(f"iterate has shape {w.shape}, expected one point of dimension {d}")
+        w = self._check_dim(w)
+        n = self.dataset.features.shape[0]
         if anchor_derivs is not None and np.shape(anchor_derivs) != (n,):
             raise ValueError(
                 f"anchor_derivs have shape {np.shape(anchor_derivs)}, expected ({n},)")
-        batch = np.asarray(batch)
-        if batch.dtype.kind not in "iu":
-            raise ValueError(f"batch indices must be integers, got dtype {batch.dtype}")
-        batch = batch.astype(np.intp, copy=False).ravel()
+        if not (type(batch) is np.ndarray and batch.dtype is _INTP and batch.ndim == 1
+                and batch.flags.c_contiguous):
+            batch = np.asarray(batch)
+            if batch.dtype.kind not in "iu":
+                raise ValueError(f"batch indices must be integers, got dtype {batch.dtype}")
+            batch = batch.astype(np.intp, copy=False).ravel()
         if batch.size == 0:
             raise ValueError("empty batch")
         # one reduction: read as unsigned, a negative index is beyond any n
@@ -371,11 +394,11 @@ class Problem:
         if dense is None:
             return self._csr_grad_batch(w, batch, anchor_derivs)
         rows = dense.take(batch, axis=0)  # as dense[batch], in less time
-        coeffs = self._loss_derivs(rows @ w, self.dataset.labels.take(batch))
+        coeffs = self._loss_derivs(rows.dot(w), self.dataset.labels.take(batch))
         if anchor_derivs is not None:
             coeffs -= anchor_derivs.take(batch)
         coeffs /= batch.size
-        g = coeffs @ rows
+        g = coeffs.dot(rows)
         g += self.l2_reg * w
         return g
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from vrkit import (
     svrg_bb,
 )
 from vrkit import bench, diagnostics, optimizers
-from vrkit.precond import DELTA
+from vrkit.precond import DELTA, PrecondState
 
 from conftest import make_problem, same_bits, single_example_problem
 from criterion_helpers import _armijo_max_step_1d, svrg_inner_armijo_1d
@@ -37,6 +38,8 @@ def small_synthetic(n=64, d=6, mislabel=0.1, seed=3, loss="logistic"):
 
 
 FULL = PrecondVariant(kind="full_matrix")
+
+DATASETS = Path(__file__).resolve().parent.parent / "datasets"
 
 
 class TestVarianceReducedDirection:
@@ -1083,3 +1086,43 @@ class TestReusedPairBuffer:
             assert result.termination_reason == "budget", name
             assert len(anchors) == steps, name
             assert len(set(anchors)) > 2, name
+
+
+class TestCanonicalArrays:
+    """The engine hands ``Problem.grad_batch`` a 1-D C-contiguous intp batch
+    and ``PrecondState.accumulate`` and ``step`` 1-D C-contiguous float64
+    vectors: the inputs each uses as given, without converting them."""
+
+    @staticmethod
+    def _canonical(a, dtype) -> bool:
+        return (type(a) is np.ndarray and a.dtype == dtype and a.ndim == 1
+                and a.flags.c_contiguous)
+
+    @pytest.mark.parametrize("algo", bench.ALGORITHMS)
+    def test_protocol_config_passes_canonical_arrays(self, monkeypatch, algo):
+        problem = bench.resolve_problem(bench.RunConfig(dataset=str(DATASETS / "synth_a.libsvm")))
+        seen = {"grad_batch": 0, "accumulate": 0, "step": 0}
+
+        def spy(owner, name, check):
+            original = getattr(owner, name)
+
+            def spied(self, *args):
+                assert check(*args), name
+                seen[name] += 1
+                return original(self, *args)
+
+            monkeypatch.setattr(owner, name, spied)
+
+        spy(Problem, "grad_batch", lambda w, batch, derivs=None: (
+            self._canonical(w, np.float64) and self._canonical(batch, np.intp)))
+        spy(PrecondState, "accumulate", lambda g: self._canonical(g, np.float64))
+        spy(PrecondState, "step", lambda x, g, eta, proj=None: (
+            self._canonical(x, np.float64) and self._canonical(g, np.float64)))
+        # perfbench's protocol_dense: its constant steps, b = 64, the scalar variant
+        eta = {"sgd": 0.1, "adagrad": 1.0, "svrg": 0.1, "lsvrg": 0.1, "sarah": 0.1,
+               "svrg-bb": 0.1}.get(algo)
+        config = bench.RunConfig(algo=algo, batch_size=64, epochs=6, variant="scalar", eta=eta)
+        assert bench.execute_seed(problem, config, 0).termination_reason == "budget"
+        takes_metric = bench._METHODS[algo][2]
+        assert seen["grad_batch"] > 0
+        assert (seen["accumulate"] > 0, seen["step"] > 0) == (takes_metric, takes_metric)

@@ -58,6 +58,30 @@ class TestAccumulate:
         assert state.G.tobytes() == want.tobytes()
         assert state._root.tobytes() == np.sqrt(want).tobytes()
 
+    @pytest.mark.parametrize("kind", VARIANT_KINDS)
+    def test_other_gradient_forms_give_the_float64_state(self, kind):
+        # a 1-D C-contiguous float64 gradient is used as given; float32
+        # values, a list, a (1, d) row or a strided view are converted, to
+        # the state their float64 values give (a strided BLAS dot would
+        # add in another order)
+        d = 12
+        rng = np.random.default_rng(4)
+        grads = rng.standard_normal((2 * d, d))
+        probe = rng.standard_normal(d)
+        forms = {"float32": lambda g: (g.astype(np.float32), g.astype(np.float32).astype(float)),
+                 "list": lambda g: (g.tolist(), g), "row": lambda g: (g.reshape(1, d), g),
+                 "strided": lambda g: (np.repeat(g, 2)[::2], g)}
+
+        def states(given):
+            state = PrecondState(PrecondVariant(kind), d)
+            for g in grads:
+                state.accumulate(given(g))
+                yield state.trace_G(), state.step(np.zeros(d), probe, 1.0).tobytes()
+
+        for name, form in forms.items():
+            assert (list(states(lambda g: form(g)[0]))
+                    == list(states(lambda g: form(g)[1]))), name
+
     # The offset is the constant DELTA, not a setting: a variant rejects any
     # delta keyword.
     def test_full_requires_positive_delta(self):

@@ -682,3 +682,123 @@ class TestValidation:
             Dataset(features=sp.csr_matrix(features), labels=np.array([1.0, -1.0]))
         with pytest.raises(ValueError, match="non-finite"):
             Dataset(features=sp.csr_matrix(np.eye(2)), labels=np.array([1.0, bad]))
+
+
+class TestOnePointShape:
+    """Every oracle takes one point of shape (d,); a (1, d) row, a (d, 1)
+    column or a (2, d/2) block holds d numbers but is not one point."""
+
+    ORACLES = {
+        "margins": lambda p, w: p.margins(w),
+        "loss_value": lambda p, w: p.loss_value(w),
+        "grad_full": lambda p, w: p.grad_full(w),
+        "margin_derivs": lambda p, w: p.margin_derivs(w),
+        "grad_batch": lambda p, w: p.grad_batch(w, np.array([0, 2])),
+    }
+
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    @pytest.mark.parametrize("oracle", ORACLES)
+    def test_only_shape_d_is_one_point(self, oracle, layout):
+        problem = make_problem(d=4, density=1.0 if layout == "dense" else 0.5, seed=2)
+        assert (problem.dataset.dense_rows is not None) == (layout == "dense")
+        call = self.ORACLES[oracle]
+        w = np.random.default_rng(1).standard_normal(4)
+        call(problem, w)
+        for shape in ((1, 4), (4, 1), (2, 2)):
+            with pytest.raises(ValueError, match=rf"iterate has shape \({shape[0]}, {shape[1]}\), "
+                                                 r"expected one point of dimension 4"):
+                call(problem, w.reshape(shape))
+
+
+def _canonical(indices) -> np.ndarray:
+    return np.array(indices, dtype=np.intp)
+
+
+class TestCanonicalInputs:
+    """``grad_batch`` uses a 1-D C-contiguous intp batch as given; any other
+    batch is converted as before, to the same bits and the same errors."""
+
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    @pytest.mark.parametrize("indices", [[5], [0, 3, 3, 17, 69], list(range(0, 70, 3))])
+    def test_other_batch_forms_give_the_canonical_bits(self, layout, indices):
+        problem = _random_rows_problem("logistic", layout, seed=6)
+        assert (problem.dataset.dense_rows is None) == (layout == "sparse")
+        rng = np.random.default_rng(9)
+        w = rng.standard_normal(problem.d)
+        derivs = problem.margin_derivs(rng.standard_normal(problem.d))
+        batch = _canonical(indices)
+        strided = np.repeat(batch, 2)[::2]
+        assert batch.size == 1 or not strided.flags.c_contiguous  # one element is contiguous
+        forms = {"list": list(indices), "int32": batch.astype(np.int32),
+                 "uint64": batch.astype(np.uint64), "row": batch.reshape(1, -1),
+                 "strided": strided}
+        for anchor in (None, derivs):
+            want = problem.grad_batch(w, batch, anchor)
+            for name, form in forms.items():
+                assert problem.grad_batch(w, form, anchor).tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    def test_bad_batches_keep_their_errors(self, layout):
+        problem = _random_rows_problem("logistic", layout, seed=6)
+        n, w = problem.n, np.zeros(problem.d)
+        out_of_range = rf"batch index out of range \[0, {n}\)"
+        cases = [
+            (_canonical([-1]), IndexError, out_of_range),
+            (_canonical([2, -5, 1]), IndexError, out_of_range),
+            (_canonical([n]), IndexError, out_of_range),
+            ([0, n], IndexError, out_of_range),
+            (np.array([0.0, 1.0]), ValueError, "batch indices must be integers, got dtype float64"),
+            ([0.5], ValueError, "batch indices must be integers, got dtype float64"),
+            (_canonical([]), ValueError, "empty batch"),
+            (np.zeros((1, 0), dtype=np.int32), ValueError, "empty batch"),
+            ([], ValueError, "batch indices must be integers, got dtype float64"),
+        ]
+        for batch, error, message in cases:
+            with pytest.raises(error, match=message):
+                problem.grad_batch(w, batch)
+
+
+class TestDotKeepsMatmulBits:
+    """The dense oracles multiply through ``ndarray.dot``, which dispatches
+    faster than ``@``; on the operands they pass, fresh C-contiguous arrays
+    and rows gathered by ``take``, both give the same bits."""
+
+    @pytest.mark.parametrize("d", [1, 30, 40, 160])
+    @pytest.mark.parametrize("n", [64, 2000])
+    def test_dot_gives_the_bits_of_matmul(self, n, d):
+        rng = np.random.default_rng(n + d)
+        features = rng.standard_normal((n, d))
+        w = rng.standard_normal(d)
+        for b in sorted({1, 2, 7, 64, n}):
+            batch = np.sort(rng.choice(n, size=b, replace=False))
+            rows = features.take(batch, axis=0)
+            coeffs = rng.standard_normal(b)
+            assert rows.dot(w).tobytes() == (rows @ w).tobytes(), b
+            assert coeffs.dot(rows).tobytes() == (coeffs @ rows).tobytes(), b
+        coeffs = rng.standard_normal(n)
+        assert features.dot(w).tobytes() == (features @ w).tobytes()
+        assert coeffs.dot(features).tobytes() == (coeffs @ features).tobytes()
+        assert w.dot(w) == w @ w
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 1500, 2001])
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_oracles_keep_the_bits_of_the_matmul_and_mean_forms(self, n, layout):
+        problem = make_problem(n=n, d=5, density=1.0 if layout == "dense" else 0.4, seed=n)
+        assert (problem.dataset.dense_rows is not None) == (layout == "dense")
+        rng = np.random.default_rng(3)
+        w = rng.standard_normal(problem.d)
+        labels, l2 = problem.dataset.labels, problem.l2_reg
+        a = problem.dataset.features if layout == "csr" else problem.dataset.dense_rows
+        z = a @ w
+        assert problem.margins(w).tobytes() == z.tobytes()
+        want = float(problem._loss_values(z, labels).mean()) + 0.5 * l2 * float(w @ w)
+        assert problem.loss_value(w) == want
+        if layout == "dense":
+            coeffs = problem._loss_derivs(z, labels) / n
+            assert problem.grad_full(w).tobytes() == (coeffs @ a + l2 * w).tobytes()
+            batch = np.sort(rng.choice(n, size=min(n, 7), replace=False))
+            rows = a[batch]
+            coeffs = problem._loss_derivs(rows @ w, labels[batch]) / batch.size
+            want = coeffs @ rows
+            want += l2 * w
+            assert problem.grad_batch(w, batch).tobytes() == want.tobytes()

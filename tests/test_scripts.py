@@ -2,7 +2,9 @@
 the tolerance fraction that ``scripts/bless_goldens.py --compare`` prints."""
 
 import importlib.util
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -65,3 +67,27 @@ def test_compare_prints_the_fraction_of_64_T_eps(tmp_path, monkeypatch, capsys):
     fraction = abs(row.objective - new) / (1.0 + abs(new)) / (64 * work * np.finfo(float).eps)
     assert 0.1 < fraction < 1.0
     assert f"({fraction:.2g} of 64 T eps, T = {work}); " in line
+
+
+def test_ab_on_two_copies_of_one_tree(tmp_path, monkeypatch, capsys):
+    # scripts/ab.py at one round on two configs: both copies write the same
+    # traces, and the table has a row per config plus the overall row
+    for side in ("a", "b"):
+        shutil.copytree(ROOT / "src" / "vrkit", tmp_path / side / "src" / "vrkit",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("ab", ROOT / "scripts" / "ab.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    table = ab.main(["--parent", str(tmp_path / "a"), "--change", str(tmp_path / "b"),
+                     "--workload", "protocol_dense", "--configs", "1", "--rounds", "1"])
+    assert list(table["rows"]) == ["protocol_dense/synth_a/sgd", "protocol_dense/synth_b/sgd",
+                                   "protocol_dense/overall"]
+    for row in table["rows"].values():
+        assert row["identical"] and row["won"] in (0, 1)
+        assert row["parent_ms"] > 0 and row["change_ms"] > 0
+        assert row["ratio_q1"] == row["ratio"] == row["ratio_q3"]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and lines[0].startswith("config")
+    assert [line.split()[0] for line in lines[1:4]] == list(table["rows"])
+    assert json.loads(lines[-1]) == table
