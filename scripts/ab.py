@@ -15,8 +15,9 @@ that round's optimizer seeds, and compares the two traces' CSV and JSON lines
 by bytes.  Times are CPU seconds of this process.  Per config, and per
 workload over the sum of its configs, it prints each side's median ms per
 pass, the median change/parent ratio, its quartiles, the rounds the change
-won, and whether every trace was identical; the last line is the same table
-as one JSON object.
+won, each side's median final objective (the closing trace row's, over all
+of its runs), and whether every trace was identical; the last line is the
+same table as one JSON object.
 """
 
 from __future__ import annotations
@@ -61,14 +62,17 @@ def load_side(name: str, root: Path):
     return package, workloads
 
 
-def summary(ms: dict, identical: bool) -> dict:
-    """One table row from each side's ms per pass, round by round."""
+def summary(ms: dict, objectives: dict, identical: bool) -> dict:
+    """One table row from each side's ms per pass, round by round, and its
+    runs' final objectives."""
     ratios = [c / p for p, c in zip(ms["parent"], ms["change"])]
     q1, ratio, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
     return {"parent_ms": statistics.median(ms["parent"]),
             "change_ms": statistics.median(ms["change"]),
             "ratio": ratio, "ratio_q1": q1, "ratio_q3": q3,
             "won": sum(c < p for p, c in zip(ms["parent"], ms["change"])),
+            "parent_objective": statistics.median(objectives["parent"]),
+            "change_objective": statistics.median(objectives["change"]),
             "identical": identical}
 
 
@@ -93,12 +97,14 @@ def main(argv=None) -> dict:
                      for side, (_, workloads) in loaded.items()}
             seeds = built["parent"].sweep_seeds(args.seed, args.rounds)
             work = {side: [[0.0, 0.0] for _ in range(args.rounds)] for side in sides}
+            finals = {side: [] for side in sides}
             index, same = 0, True
             for inputs in zip(*(w.inputs for w in built.values())):
                 problems = {side: inp.setup() for side, inp in zip(sides, inputs)}
                 configs = list(zip(*(inp.configs for inp in inputs)))
                 for column, pair in enumerate(configs[:args.configs], start=index):
                     ms = {side: [] for side in sides}
+                    objectives = {side: [] for side in sides}
                     identical = True
                     for r in range(args.rounds):
                         order = list(zip(sides, pair))
@@ -116,18 +122,25 @@ def main(argv=None) -> dict:
                             work[side][r][1] += passes
                             traces[side] = [(result.trace.to_csv(), result.trace.to_jsonl())
                                             for result in results]
+                            objectives[side] += [result.trace.final().objective
+                                                 for result in results]
                         identical &= traces["parent"] == traces["change"]
-                    rows[f"{name}/{inputs[0].label}/{pair[0].algo}"] = summary(ms, identical)
+                    rows[f"{name}/{inputs[0].label}/{pair[0].algo}"] = summary(
+                        ms, objectives, identical)
+                    for side in sides:
+                        finals[side] += objectives[side]
                     same &= identical
                 index += len(configs)
             rows[f"{name}/overall"] = summary(
-                {side: [1e3 * cpu / passes for cpu, passes in work[side]] for side in sides}, same)
+                {side: [1e3 * cpu / passes for cpu, passes in work[side]] for side in sides},
+                finals, same)
     table = {"rounds": args.rounds, "rows": rows}
     print(f"{'config':44s} {'parent':>8s} {'change':>8s} {'ratio':>6s} {'q1':>6s} {'q3':>6s} "
-          f"{'won':>7s} traces")
+          f"{'won':>7s} {'parent f':>12s} {'change f':>12s} traces")
     for key, row in rows.items():
         print(f"{key:44s} {row['parent_ms']:8.4f} {row['change_ms']:8.4f} {row['ratio']:6.3f} "
               f"{row['ratio_q1']:6.3f} {row['ratio_q3']:6.3f} {row['won']:3d}/{args.rounds:<3d} "
+              f"{row['parent_objective']:12.6e} {row['change_objective']:12.6e} "
               f"{'identical' if row['identical'] else 'DIFFER'}")
     print(json.dumps(table))
     return table

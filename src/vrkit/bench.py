@@ -15,6 +15,7 @@ file is a pure function of those traces and regenerates byte-identically.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -71,7 +72,8 @@ class RunConfig:
     heuristic for the adaptive methods and is an error for baselines that
     need a constant step-size; a given ``eta`` and every ``grid`` value must
     be finite and > 0, ``grid`` non-empty with values distinct in their
-    ``%g`` form, ``batch_size`` >= 1, and ``l2`` finite and >= 0.
+    ``%g`` form, ``epochs`` and ``batch_size`` integers (Python or numpy),
+    ``batch_size`` >= 1, and ``l2`` finite and >= 0.
     ``variant`` must be ``"scalar"`` for a method that takes no metric
     (``sgd``, ``svrg``, ``lsvrg``, ``sarah``, ``svrg-bb``).  ``seeds``
     may be a count (int) or an explicit tuple of distinct seeds, since
@@ -111,6 +113,9 @@ class RunConfig:
         if self.variant != "scalar" and not _METHODS[self.algo][2]:
             raise ValueError(f"{self.algo} takes no metric, so variant must be scalar, "
                              f"got {self.variant!r}")
+        for name, count in (("epochs", self.epochs), ("batch_size", self.batch_size)):
+            if not isinstance(count, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if not self.grid:

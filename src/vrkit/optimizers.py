@@ -58,6 +58,7 @@ n/b on its inner loops, and the b/n refresh probability (see
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,14 +102,19 @@ def _draw_block(rng: np.random.Generator, n: int, b: int) -> np.ndarray:
     rows = rng.integers(n, size=(m, b), dtype=dtype)
     rows.sort(axis=1)
     flat, spare = rows.ravel(), np.empty(0, dtype)
-    while (repeats := np.flatnonzero(rows[:, 1:] == rows[:, :-1])).size:
+    while True:
+        # equal neighbours in the flat block; a row's last index and the
+        # next row's first are no repeat
+        same = flat[1:] == flat[:-1]
+        same[b - 1::b] = False
+        repeats = np.flatnonzero(same)
+        if not repeats.size:
+            return rows.astype(np.intp)
         if spare.size < repeats.size:
             spare = rng.integers(n, size=2 * repeats.size + 8, dtype=dtype)
-        # the later element of each equal pair of neighbours, as a flat position
-        flat[repeats + repeats // (b - 1) + 1] = spare[:repeats.size]
+        flat[repeats + 1] = spare[:repeats.size]  # the later of each equal pair
         spare = spare[repeats.size:]
         rows.sort(axis=1)
-    return rows.astype(np.intp)
 
 
 class _Run:
@@ -333,11 +339,15 @@ def _validate_common(
 ) -> np.ndarray:
     """The one check of the arguments every optimizer shares: the dimension
     of ``w0``, ``batch_size`` in [1, n], ``loops``, the outer-loop or step
-    count, >= 0, and ``inner_loops`` None or >= 1.  Returns ``w0`` as a flat
-    float array."""
+    count, >= 0, and ``inner_loops`` None or >= 1; each count an integer (a
+    Python or numpy one).  Returns ``w0`` as a flat float array."""
     w0 = np.asarray(w0, dtype=np.float64).ravel()
     if w0.shape[0] != problem.d:
         raise ValueError(f"w0 has dimension {w0.shape[0]}, expected {problem.d}")
+    for name, count in (("batch_size", batch_size), ("outer_loops and total_steps", loops),
+                        ("inner_loops", inner_loops)):
+        if count is not None and not isinstance(count, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     if not 1 <= batch_size <= problem.n:
         raise ValueError(f"batch_size must be in [1, {problem.n}]")
     if loops < 0:

@@ -28,8 +28,8 @@ VARIANT_KINDS = ("scalar", "diagonal", "full_matrix")
 # Initial offset G = DELTA I of the diagonal and full-matrix accumulators.
 DELTA = 1e-8
 
-# The dtype of a gradient that accumulate uses as given; numpy's builtin
-# dtypes are singletons, so an identity test suffices.
+# The dtype of a gradient and an iterate that accumulate and step use as
+# given; numpy's builtin dtypes are singletons, so an identity test suffices.
 _FLOAT64 = np.dtype(np.float64)
 
 # The diagonal-metric projection stops once | ||x|| - radius | is at most this.
@@ -224,10 +224,17 @@ class PrecondState:
         """One preconditioned step x - eta * A^{-1} g, projected if requested.
 
         Requires :meth:`accumulate` to have been called with this step's
-        gradient, so A already includes it.
+        gradient, so A already includes it.  A float64 ndarray ``x`` or
+        ``g``, as the optimizers pass them, is used as given; anything else
+        is first converted with ``np.asarray(..., dtype=np.float64)``, so
+        every input steps as its float64 array does, to the same bits or
+        the same error.  The step reads ``x`` and ``g`` and writes neither;
+        it returns a fresh iterate.
         """
-        x = np.asarray(x, dtype=np.float64)
-        g = np.asarray(g, dtype=np.float64)
+        if not (type(x) is np.ndarray and x.dtype is _FLOAT64):
+            x = np.asarray(x, dtype=np.float64)
+        if not (type(g) is np.ndarray and g.dtype is _FLOAT64):
+            g = np.asarray(g, dtype=np.float64)
         kind = self.variant.kind
         if kind == "scalar":
             if self.G <= 0:

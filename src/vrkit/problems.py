@@ -53,13 +53,31 @@ one call.  It has two paths, chosen by :attr:`Dataset.dense_rows`:
   x = a the anchored difference is l2 a + 0.0 exactly.  This path is the
   exact reference for the dense one.
 
+Each loss's label sign is applied once per problem.  The logistic loss
+and its phi' read y only through -y, so :class:`Problem` keeps one private
+label array, ``_signed_labels``: -y for the logistic loss (one extra
+n-vector) and the dataset's ``labels`` themselves for the other losses,
+which read y as it is.  :meth:`Problem._loss_values`,
+:meth:`Problem._loss_derivs` and every oracle take their labels from it,
+and the logistic phi', ys expit(ys z) with ys = -y, is formed in place in
+the fresh array of ys z.  Each loss has one formula, for a batch's arrays
+and for one example's floats alike.
+
 Each oracle takes one point of shape (d,), and any other shape raises
-``ValueError``.  :meth:`Problem.grad_batch` uses a 1-D C-contiguous intp
-batch, the form the optimizers' sampler returns, as given, and converts
-any other batch to it.  The dense products go through ``ndarray.dot``,
-which dispatches faster than ``@``; on the fresh C-contiguous operands the
-oracles form, the two give the same bits (``tests/test_problems.py``
-checks this over the shapes the oracles see).
+``ValueError``.  A point that is already a 1-D C-contiguous float64 ndarray
+of shape (d,), as the optimizers pass it, is used as given; any other is
+converted with ``np.asarray`` and, when strided, copied, since a strided
+BLAS dot adds in another order.  ``margins`` and ``anchor_derivs``, one
+value per example, are used as given when they are an ndarray and
+converted with ``np.asarray`` otherwise; either way only shape (n,) is
+accepted.  :meth:`Problem.grad_batch` uses a 1-D C-contiguous intp batch,
+the form the optimizers' sampler returns, as given, and converts any other
+batch to it.  Every input gives the bits of its canonical form and keeps
+its errors.  :attr:`Dataset.n` and :attr:`Dataset.d` are plain attributes,
+so no oracle call reads scipy's ``shape``.  The dense products go through
+``ndarray.dot``, which dispatches faster than ``@``; on the fresh
+C-contiguous operands the oracles form, the two give the same bits
+(``tests/test_problems.py`` checks this over the shapes the oracles see).
 
 The kernel indexes with intp columns, while the CSR stores them as int32,
 since numpy gathers and scatters through int32 index arrays about 4x
@@ -91,9 +109,10 @@ LOSS_NAMES = ("logistic", "squared", "huber", "squared_hinge")
 # <a_i, w> - y_i and accept arbitrary real targets.
 _CLASSIFICATION_LOSSES = ("logistic", "squared_hinge")
 
-# The dtype of a batch that grad_batch uses as given; numpy's builtin
-# dtypes are singletons, so an identity test suffices.
+# The dtypes of a batch and of a point that the oracles use as given;
+# numpy's builtin dtypes are singletons, so an identity test suffices.
 _INTP = np.dtype(np.intp)
+_FLOAT64 = np.dtype(np.float64)
 
 # The Huber loss is quadratic for residuals of magnitude up to HUBER_DELTA
 # and linear beyond.
@@ -153,6 +172,9 @@ class Dataset:
     features and labels must be finite.  There must be at least one row
     and one feature column.
 
+    ``n`` and ``d``, the numbers of rows and of feature columns, are plain
+    attributes set at construction.
+
     The b = 1 paths, the CSR kernel of :meth:`Problem.grad_batch` and the
     optimizers' just-in-time step (which runs at b = 1 only), read per-row
     constants of the CSR that are formed on first use and held here:
@@ -187,14 +209,8 @@ class Dataset:
             raise ValueError("non-finite feature value or label")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.features.shape[1]
+        object.__setattr__(self, "n", feats.shape[0])
+        object.__setattr__(self, "d", feats.shape[1])
 
     @cached_property
     def dense_rows(self) -> np.ndarray | None:
@@ -234,7 +250,9 @@ class Problem:
     """A loss family with L2 regularization over a :class:`Dataset`.
 
     Immutable after construction and safe to share across threads; oracle
-    counters are owned by individual runs, not by the problem.
+    counters are owned by individual runs, not by the problem.  It keeps
+    the labels with the loss's sign applied, ``_signed_labels`` (see the
+    module docstring).
     """
 
     dataset: Dataset
@@ -246,10 +264,10 @@ class Problem:
             raise ValueError(f"unknown loss {self.loss!r}; expected one of {LOSS_NAMES}")
         if not (math.isfinite(self.l2_reg) and self.l2_reg >= 0):
             raise ValueError(f"l2_reg must be finite and >= 0, got {self.l2_reg!r}")
-        if self.loss in _CLASSIFICATION_LOSSES:
-            labels = self.dataset.labels
-            if not np.all(np.isin(labels, (-1.0, 1.0))):
-                raise ValueError(f"{self.loss} loss requires labels in {{-1, +1}}")
+        labels = self.dataset.labels
+        if self.loss in _CLASSIFICATION_LOSSES and not np.all(np.isin(labels, (-1.0, 1.0))):
+            raise ValueError(f"{self.loss} loss requires labels in {{-1, +1}}")
+        object.__setattr__(self, "_signed_labels", -labels if self.loss == "logistic" else labels)
 
     @property
     def n(self) -> int:
@@ -261,10 +279,13 @@ class Problem:
 
     # -- loss primitives -------------------------------------------------
 
-    def _loss_values(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def _loss_values(self, z: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The loss at the predictions z, given the signed labels ys, the
+        matching entries of ``_signed_labels``."""
         if self.loss == "logistic":
-            # log(1 + exp(m)) as max(m, 0) + log1p(exp(-|m|)), in place on fresh arrays
-            m = -y * z
+            # log(1 + exp(m)), m = ys z = -y z, as max(m, 0) + log1p(exp(-|m|)),
+            # in place on fresh arrays
+            m = ys * z
             tail = np.abs(m)
             np.negative(tail, out=tail)
             np.exp(tail, out=tail)
@@ -273,37 +294,58 @@ class Problem:
             m += tail
             return m
         if self.loss == "squared":
-            return 0.5 * (z - y) ** 2
+            return 0.5 * (z - ys) ** 2
         if self.loss == "huber":
-            r = z - y
+            r = z - ys
             return np.where(np.abs(r) <= HUBER_DELTA, 0.5 * r * r,
                             HUBER_DELTA * (np.abs(r) - 0.5 * HUBER_DELTA))
         # squared_hinge
-        return np.maximum(0.0, 1.0 - y * z) ** 2
+        return np.maximum(0.0, 1.0 - ys * z) ** 2
 
-    def _loss_derivs(self, z: np.ndarray | float, y: np.ndarray | float):
-        """Derivative of the loss with respect to the prediction z, for a
-        batch's arrays or for one example's floats, with the same bits on
-        both; on floats the result is a float or a numpy scalar."""
+    def _loss_derivs(self, z: np.ndarray | float, ys: np.ndarray | float):
+        """Derivative of the loss with respect to the prediction z, given
+        the signed labels ys as in :meth:`_loss_values`, for a batch's
+        arrays or for one example's floats, with the same bits on both; on
+        floats the result is a float or a numpy scalar."""
         if self.loss == "logistic":
-            y = -y
-            return y * expit(y * z)
+            # ys expit(ys z), in place on a batch's fresh array; one example's
+            # float has no buffer (and out=None would be slow on it)
+            m = ys * z
+            m = expit(m, out=m) if type(m) is np.ndarray else expit(m)
+            m *= ys
+            return m
         if self.loss == "squared":
-            return z - y
+            return z - ys
         if self.loss == "huber":
             # clip's bits, NaN and -0.0 included; np.clip is slow on a scalar
-            return np.minimum(np.maximum(z - y, -HUBER_DELTA), HUBER_DELTA)
-        return -2.0 * y * np.maximum(0.0, 1.0 - y * z)
+            return np.minimum(np.maximum(z - ys, -HUBER_DELTA), HUBER_DELTA)
+        return -2.0 * ys * np.maximum(0.0, 1.0 - ys * z)
 
     def _check_dim(self, w: np.ndarray) -> np.ndarray:
-        """``w`` as a float64 array, which must be one point: shape (d,).
-        Any other shape, (1, d), (d, 1) and a (k, d) stack included, raises
-        ``ValueError``."""
+        """``w`` as a C-contiguous float64 array, which must be one point:
+        shape (d,).  Such an ndarray is returned as given.  Anything else
+        goes through ``np.asarray`` and, when strided, a copy, since a
+        strided BLAS dot adds in another order.  Any other shape, (1, d),
+        (d, 1) and a (k, d) stack included, raises ``ValueError``."""
+        d = self.dataset.d
+        if (type(w) is np.ndarray and w.dtype is _FLOAT64 and w.shape == (d,)
+                and w.flags.c_contiguous):
+            return w
         w = np.asarray(w, dtype=np.float64)
-        d = self.dataset.features.shape[1]
         if w.shape != (d,):
             raise ValueError(f"iterate has shape {w.shape}, expected one point of dimension {d}")
-        return w
+        return np.ascontiguousarray(w)
+
+    def _per_example(self, values, name: str) -> np.ndarray:
+        """``values``, ``margins`` or ``anchor_derivs``, checked to hold one
+        value per example: an ndarray as given, anything else through
+        ``np.asarray``; any shape but (n,) raises ``ValueError``."""
+        if type(values) is not np.ndarray:
+            values = np.asarray(values, dtype=np.float64)
+        n = self.dataset.n
+        if values.shape != (n,):
+            raise ValueError(f"{name} have shape {values.shape}, expected ({n},)")
+        return values
 
     # -- oracles ---------------------------------------------------------
 
@@ -320,9 +362,7 @@ class Problem:
         when it is None."""
         if margins is None:
             return self.margins(w)
-        if np.shape(margins) != (self.n,):
-            raise ValueError(f"margins have shape {np.shape(margins)}, expected ({self.n},)")
-        return margins
+        return self._per_example(margins, "margins")
 
     def loss_value(self, w: np.ndarray, margins: np.ndarray | None = None) -> float:
         """Full objective including the L2 term.  Never charged.
@@ -332,7 +372,7 @@ class Problem:
         w = self._check_dim(w)
         z = self._margins_at(w, margins)
         # np.mean's own pairwise sum and division, without its Python wrapper
-        value = float(np.add.reduce(self._loss_values(z, self.dataset.labels)) / self.n)
+        value = float(np.add.reduce(self._loss_values(z, self._signed_labels)) / self.dataset.n)
         return value + 0.5 * self.l2_reg * float(w.dot(w))
 
     def grad_full(self, w: np.ndarray, counters: GradOracleCounters | None = None,
@@ -344,7 +384,7 @@ class Problem:
         bit for bit with or without it."""
         w = self._check_dim(w)
         z = self._margins_at(w, margins)
-        coeffs = self._loss_derivs(z, self.dataset.labels) / self.n
+        coeffs = self._loss_derivs(z, self._signed_labels) / self.dataset.n
         rows = self.dataset.dense_rows
         if rows is None:
             g = self.dataset.features.T @ coeffs + self.l2_reg * w
@@ -360,7 +400,8 @@ class Problem:
         plus the L2 term, anchored at cached phi' when given.  Never charged.
 
         ``w`` is one point, of shape (d,); any other shape, a (k, d) stack
-        included, raises ``ValueError``.  ``batch`` holds integer indices.
+        included, raises ``ValueError`` (see :meth:`_check_dim`).  ``batch``
+        holds integer indices.
         A batch that is already a 1-D C-contiguous intp ndarray, as the
         optimizers' sampler returns, is used as given; any other batch is
         converted (``np.asarray``, a check that it is integer, then intp
@@ -368,17 +409,17 @@ class Problem:
         are checked to be nonempty and within [0, n).
         The result is ``A_B^T (phi'(A_B w) - anchor_derivs[B]) / b + l2 w``
         with ``A_B = features[batch]`` and ``anchor_derivs`` from
-        :meth:`margin_derivs` (None for none); any shape of it but (n,)
-        raises ``ValueError``.  It is formed through BLAS on
+        :meth:`margin_derivs` (None for none), an ndarray read as given or
+        anything else converted; any shape of it but (n,) raises
+        ``ValueError``.  It is formed through BLAS on
         :attr:`Dataset.dense_rows`, and otherwise by
         :meth:`_csr_grad_batch`, bit for bit in the order of scipy's CSR
         products (see the module docstring).
         """
         w = self._check_dim(w)
-        n = self.dataset.features.shape[0]
-        if anchor_derivs is not None and np.shape(anchor_derivs) != (n,):
-            raise ValueError(
-                f"anchor_derivs have shape {np.shape(anchor_derivs)}, expected ({n},)")
+        n = self.dataset.n
+        if anchor_derivs is not None:
+            anchor_derivs = self._per_example(anchor_derivs, "anchor_derivs")
         if not (type(batch) is np.ndarray and batch.dtype is _INTP and batch.ndim == 1
                 and batch.flags.c_contiguous):
             batch = np.asarray(batch)
@@ -388,13 +429,13 @@ class Problem:
         if batch.size == 0:
             raise ValueError("empty batch")
         # one reduction: read as unsigned, a negative index is beyond any n
-        if batch.view(np.uintp).max() >= n:
+        if np.maximum.reduce(batch.view(np.uintp)) >= n:
             raise IndexError(f"batch index out of range [0, {n})")
         dense = self.dataset.dense_rows
         if dense is None:
             return self._csr_grad_batch(w, batch, anchor_derivs)
         rows = dense.take(batch, axis=0)  # as dense[batch], in less time
-        coeffs = self._loss_derivs(rows.dot(w), self.dataset.labels.take(batch))
+        coeffs = self._loss_derivs(rows.dot(w), self._signed_labels.take(batch))
         if anchor_derivs is not None:
             coeffs -= anchor_derivs.take(batch)
         coeffs /= batch.size
@@ -405,7 +446,7 @@ class Problem:
     def margin_derivs(self, w: np.ndarray, margins: np.ndarray | None = None) -> np.ndarray:
         """phi' at every example's prediction <a_i, w>, from ``margins``,
         :meth:`margins` (w), when given.  Never charged."""
-        return self._loss_derivs(self._margins_at(w, margins), self.dataset.labels)
+        return self._loss_derivs(self._margins_at(w, margins), self._signed_labels)
 
     def csr_row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """``(cols, vals)``: the stored columns of CSR row i, as intp (see
@@ -419,7 +460,7 @@ class Problem:
         """phi' of example i at the prediction z, as a float: the loss
         formula of every other oracle, on one example's floats.  Never
         charged."""
-        return float(self._loss_derivs(z, self.dataset.labels.item(i)))
+        return float(self._loss_derivs(z, self._signed_labels.item(i)))
 
     def _batch_entries(self, batch: np.ndarray):
         """``(row_of, vals, cols, slot)``: the stored entries of the rows of a
@@ -466,7 +507,7 @@ class Problem:
         row_of, vals, cols, slot = self._batch_entries(batch)
         products = vals * w[cols][slot]
         coeffs = self._loss_derivs(np.bincount(row_of, weights=products, minlength=batch.size),
-                                   self.dataset.labels[batch])
+                                   self._signed_labels[batch])
         if anchor_derivs is not None:
             coeffs = coeffs - anchor_derivs[batch]
         g[cols] += np.bincount(slot, weights=(coeffs / batch.size)[row_of] * vals)

@@ -38,6 +38,18 @@ def single_example_problem(a, y, loss="squared", l2=0.0) -> Problem:
     return Problem(dataset=dataset, loss=loss, l2_reg=l2)
 
 
+class Subclass(np.ndarray):
+    """An ndarray subclass: an input form that is no plain ndarray."""
+
+
+def input_forms(values: np.ndarray) -> dict:
+    """``values`` (float64) in the other forms a call converts: a list,
+    float32, int64 (rounded), a strided view and an ndarray subclass."""
+    return {"list": values.tolist(), "float32": values.astype(np.float32),
+            "int64": np.rint(values).astype(np.int64), "strided": np.repeat(values, 2)[::2],
+            "subclass": values.view(Subclass)}
+
+
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal values and equal ``float.hex`` spellings (which tell -0.0 from 0.0)."""
     return np.array_equal(a, b) and (

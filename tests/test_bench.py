@@ -93,6 +93,22 @@ class TestConfig:
             with pytest.raises(ValueError, match="variant"):
                 RunConfig(algo=algo, variant="diag")
 
+    def test_counts_must_be_integers(self, synthetic_config):
+        # an in-memory float epochs or batch_size once ran into a TypeError
+        # deep in range or rng.integers; numpy integers run as Python ones do
+        for field, value in (("epochs", 2.5), ("epochs", 3.0), ("batch_size", 64.0),
+                             ("batch_size", 8.5)):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"{field} must be an integer, got {value!r}")):
+                RunConfig(algo="svrg", eta=0.1, **{field: value})
+        problem = bench.resolve_problem(synthetic_config())
+        want = bench.execute_seed(problem, RunConfig(algo="svrg", eta=0.1, batch_size=8,
+                                                     epochs=4), 0)
+        got = bench.execute_seed(problem, RunConfig(algo="svrg", eta=0.1,
+                                                    batch_size=np.int64(8),
+                                                    epochs=np.int32(4)), 0)
+        assert got.trace.to_csv() == want.trace.to_csv()
+
     def test_execute_seed_runs_a_config_without_dataset(self, synthetic_config):
         problem = bench.resolve_problem(synthetic_config())
         config = RunConfig(algo="svrg", eta=0.1, batch_size=8, epochs=4)

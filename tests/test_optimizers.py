@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -557,7 +558,8 @@ class TestSingleChecks:
         args = (kwargs.pop("epsilon", 0.5),) if fn is adasvrg_multistage else ()
         kwargs["eta"] = kwargs.pop("eta", 0.1)
         w0 = np.zeros(problem.d) if w0 is None else w0
-        return fn(problem, w0, count, *args, batch_size=4, seed=0, **kwargs)
+        kwargs.setdefault("batch_size", 4)
+        return fn(problem, w0, count, *args, seed=0, **kwargs)
 
     @pytest.mark.parametrize("fn", OPTIMIZERS, ids=lambda fn: fn.__name__)
     def test_each_setting_checked(self, fn):
@@ -579,6 +581,23 @@ class TestSingleChecks:
         if fn in self.GONE:
             with pytest.raises(TypeError, match=f"'{self.GONE[fn]}'"):
                 self._call(fn, **{self.GONE[fn]: 0.5})
+        # a count that is no integer, even an integral float, is refused by
+        # the same check rather than a TypeError deep in range or rng.integers;
+        # numpy integers run as Python ones do
+        bad = [({"count": 2.5}, "outer_loops and total_steps must be an integer, got 2.5"),
+               ({"count": 3.0}, "outer_loops and total_steps must be an integer, got 3.0"),
+               ({"batch_size": 4.0}, "batch_size must be an integer, got 4.0")]
+        integers = {"count": np.int64(3), "batch_size": np.int32(4)}
+        if fn in (svrg, svrg_bb, sarah, adasvrg_fixed):
+            bad.append(({"inner_loops": 2.0}, "inner_loops must be an integer, got 2.0"))
+            integers["inner_loops"] = np.int64(3)
+        for kwargs, message in bad:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                self._call(fn, **kwargs)
+        want = self._call(fn, **{k: int(v) for k, v in integers.items()})
+        got = self._call(fn, **integers)
+        assert got.trace.to_csv() == want.trace.to_csv()
+        assert same_bits(got.final_iterate, want.final_iterate)
         if fn in (svrg, svrg_bb, sarah):
             # nor has their step size a default
             problem = small_synthetic(n=16, d=3)
@@ -844,9 +863,48 @@ def _sampler_run(n, b, seed):
     return optimizers._Run(problem, np.zeros(1), seed=seed, batch_size=b)
 
 
+def _draw_block_2d(rng: np.random.Generator, n: int, b: int) -> np.ndarray:
+    """A frozen copy of ``optimizers._draw_block`` as it was when it found
+    repeats on 2-D slices of the block and mapped them to flat positions
+    with ``repeats // (b - 1)``: the reference for the random stream."""
+    m = n // b
+    if 6 * (b - 1) > n:
+        while True:
+            keys = rng.random((m, n))
+            cut = np.partition(keys, b - 1, axis=1)[:, b - 1:b]
+            picked = np.flatnonzero(keys <= cut)
+            if picked.size == m * b:
+                return (picked % n).reshape(m, b)
+    dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    rows = rng.integers(n, size=(m, b), dtype=dtype)
+    rows.sort(axis=1)
+    flat, spare = rows.ravel(), np.empty(0, dtype)
+    while (repeats := np.flatnonzero(rows[:, 1:] == rows[:, :-1])).size:
+        if spare.size < repeats.size:
+            spare = rng.integers(n, size=2 * repeats.size + 8, dtype=dtype)
+        flat[repeats + repeats // (b - 1) + 1] = spare[:repeats.size]
+        spare = spare[repeats.size:]
+        rows.sort(axis=1)
+    return rows.astype(np.intp)
+
+
 class TestBlockSampler:
     """``_Run.sample`` hands out uniform b-subsets, independent across
     batches, in ascending order, a block of n // b at a time."""
+
+    # b = 1, 2 and 64, the largest b that draws and redraws integers,
+    # n // 6 + 1 (6(b - 1) <= n), the next one, which takes the smallest
+    # keys, and b = n
+    @pytest.mark.parametrize("n, b", [(n, b) for n in (130, 2000)
+                                      for b in (1, 2, 64, n // 6 + 1, n // 6 + 2, n)])
+    def test_stream_matches_the_2d_reference(self, n, b):
+        for seed in range(50):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                got, want = optimizers._draw_block(rng, n, b), _draw_block_2d(reference, n, b)
+                assert got.dtype == want.dtype == np.intp and got.shape == (n // b, b)
+                assert np.array_equal(got, want), seed
+            assert rng.bit_generator.state == reference.bit_generator.state, seed
 
     # Each chi-square statistic must stay below this quantile of its
     # distribution under a uniform, independent sampler; fixed before the
@@ -1089,8 +1147,10 @@ class TestReusedPairBuffer:
 
 
 class TestCanonicalArrays:
-    """The engine hands ``Problem.grad_batch`` a 1-D C-contiguous intp batch
-    and ``PrecondState.accumulate`` and ``step`` 1-D C-contiguous float64
+    """The engine hands ``Problem.grad_batch`` a 1-D C-contiguous intp batch,
+    every oracle a 1-D C-contiguous float64 point and per-example vectors
+    (``margins``, ``anchor_derivs``) as float64 ndarrays, and
+    ``PrecondState.accumulate`` and ``step`` 1-D C-contiguous float64
     vectors: the inputs each uses as given, without converting them."""
 
     @staticmethod
@@ -1101,20 +1161,33 @@ class TestCanonicalArrays:
     @pytest.mark.parametrize("algo", bench.ALGORITHMS)
     def test_protocol_config_passes_canonical_arrays(self, monkeypatch, algo):
         problem = bench.resolve_problem(bench.RunConfig(dataset=str(DATASETS / "synth_a.libsvm")))
-        seen = {"grad_batch": 0, "accumulate": 0, "step": 0}
+        seen = {"grad_batch": 0, "accumulate": 0, "step": 0, "margins": 0, "loss_value": 0,
+                "grad_full": 0, "margin_derivs": 0}
 
         def spy(owner, name, check):
             original = getattr(owner, name)
 
-            def spied(self, *args):
-                assert check(*args), name
+            def spied(self, *args, **kwargs):
+                assert check(*args, **kwargs), name
                 seen[name] += 1
-                return original(self, *args)
+                return original(self, *args, **kwargs)
 
             monkeypatch.setattr(owner, name, spied)
 
+        def point(w):
+            return self._canonical(w, np.float64) and w.shape == (problem.d,)
+
+        def per_example(values):
+            return values is None or (self._canonical(values, np.float64)
+                                      and values.shape == (problem.n,))
+
         spy(Problem, "grad_batch", lambda w, batch, derivs=None: (
-            self._canonical(w, np.float64) and self._canonical(batch, np.intp)))
+            point(w) and self._canonical(batch, np.intp) and per_example(derivs)))
+        spy(Problem, "margins", point)
+        spy(Problem, "loss_value", lambda w, margins=None: point(w) and per_example(margins))
+        spy(Problem, "grad_full", lambda w, counters=None, margins=None: (
+            point(w) and per_example(margins)))
+        spy(Problem, "margin_derivs", lambda w, margins=None: point(w) and per_example(margins))
         spy(PrecondState, "accumulate", lambda g: self._canonical(g, np.float64))
         spy(PrecondState, "step", lambda x, g, eta, proj=None: (
             self._canonical(x, np.float64) and self._canonical(g, np.float64)))
@@ -1124,5 +1197,7 @@ class TestCanonicalArrays:
         config = bench.RunConfig(algo=algo, batch_size=64, epochs=6, variant="scalar", eta=eta)
         assert bench.execute_seed(problem, config, 0).termination_reason == "budget"
         takes_metric = bench._METHODS[algo][2]
-        assert seen["grad_batch"] > 0
+        assert seen["grad_batch"] > 0 and seen["margins"] > 0 and seen["loss_value"] > 0
+        assert seen["grad_full"] > 0
+        assert seen["margin_derivs"] > 0 or algo in ("sgd", "adagrad", "sarah")
         assert (seen["accumulate"] > 0, seen["step"] > 0) == (takes_metric, takes_metric)

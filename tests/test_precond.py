@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import vrkit
 from vrkit import PrecondState, PrecondVariant, ProjectionSpec, precond, project
 from vrkit.precond import DELTA, VARIANT_KINDS, all_finite
 
+from conftest import input_forms
 from criterion_helpers import adagrad_bound_sides
 
 
@@ -435,6 +437,47 @@ class TestStep:
         state.accumulate(g)
         with pytest.raises(FloatingPointError):
             state.step(np.array([np.inf]), g, eta=1.0)
+
+    @staticmethod
+    def _outcome(step):
+        """A step's result (type, shape and bytes) or its error (type and
+        message)."""
+        try:
+            y = step()
+        except (ValueError, FloatingPointError, NotImplementedError) as error:
+            return type(error), str(error)
+        return type(y), y.shape, y.tobytes()
+
+    @pytest.mark.parametrize("kind", VARIANT_KINDS)
+    def test_other_forms_step_as_their_float64_arrays(self, kind):
+        # a float64 ndarray x or g is used as given; any other form steps as
+        # np.asarray(form, dtype=np.float64) does, to the same bits or the
+        # same error, and no input is written
+        d = 6
+        rng = np.random.default_rng(21)
+        state = PrecondState(PrecondVariant(kind), d)
+        for _ in range(3):
+            state.accumulate(rng.standard_normal(d))
+
+        def forms(values):
+            return {"canonical": values, **input_forms(values),
+                    "row": values.reshape(1, d), "column": values.reshape(d, 1),
+                    "stack": np.stack((values, values, values)), "short": values[:-1],
+                    "long": np.append(values, 1.0)}
+
+        xs, gs = forms(3 * rng.standard_normal(d)), forms(rng.standard_normal(d))
+        projections = [None] if kind == "full_matrix" else [None, ProjectionSpec(0.5)]
+        for proj in projections:
+            for (xname, x), (gname, g) in itertools.product(xs.items(), gs.items()):
+                kept = [np.array(x, dtype=np.float64), np.array(g, dtype=np.float64)]
+                want = self._outcome(lambda: state.step(np.asarray(x, dtype=np.float64),
+                                                        np.asarray(g, dtype=np.float64),
+                                                        0.3, proj))
+                got = self._outcome(lambda: state.step(x, g, 0.3, proj))
+                assert got == want, (xname, gname, proj)
+                assert np.array_equal(kept[0], x) and np.array_equal(kept[1], g)
+            assert self._outcome(lambda: state.step(xs["canonical"], gs["canonical"], 0.3,
+                                                    proj))[:2] == (np.ndarray, (d,))
 
 
 class TestFiniteness:

@@ -6,12 +6,14 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from vrkit import Dataset, GradOracleCounters, Problem
 from vrkit.data import parse_libsvm, serialize_libsvm
 from vrkit.problems import HUBER_DELTA
 
-from conftest import central_difference_gradient, make_problem, same_bits, single_example_problem
+from conftest import (Subclass, central_difference_gradient, input_forms, make_problem, same_bits,
+                      single_example_problem)
 from criterion_helpers import datasets_equal
 
 ALL_LOSSES = ("logistic", "squared", "huber", "squared_hinge")
@@ -55,12 +57,12 @@ class TestLossValue:
         labels = np.full(z.size, y)
         problem = make_problem(loss="logistic")
         with np.errstate(over="raise", invalid="raise"):
-            got = problem._loss_values(z, labels)
+            got = problem._loss_values(z, -labels)  # the logistic loss's signed labels
         want = np.logaddexp(0.0, -y * z)
         bound = 4 * np.finfo(np.float64).eps * np.abs(want) + 2.0**-1074
         assert np.all(np.abs(got - want) <= bound), got - want
         both = np.array([np.inf, -np.inf])
-        np.testing.assert_array_equal(problem._loss_values(both, np.full(2, y)),
+        np.testing.assert_array_equal(problem._loss_values(both, np.full(2, -y)),
                                       np.logaddexp(0.0, -y * both))
 
     @pytest.mark.parametrize("layout", ["dense", "csr"])
@@ -109,6 +111,63 @@ class TestOneExampleDeriv:
         if loss == "huber":
             assert {1.0, -1.0} <= set(got)
         assert np.isnan(want).any() and (want == 0.0).any()
+
+
+def _raw_loss(loss: str, z, y):
+    """Each loss at predictions z, written with the raw labels y."""
+    if loss == "logistic":
+        m = -y * z
+        return np.maximum(m, 0.0) + np.log1p(np.exp(-np.abs(m)))
+    if loss == "squared":
+        return 0.5 * (z - y) ** 2
+    if loss == "huber":
+        r = z - y
+        return np.where(np.abs(r) <= HUBER_DELTA, 0.5 * r * r,
+                        HUBER_DELTA * (np.abs(r) - 0.5 * HUBER_DELTA))
+    return np.maximum(0.0, 1.0 - y * z) ** 2
+
+
+def _raw_deriv(loss: str, z, y):
+    """phi' of each loss at predictions z, written with the raw labels y."""
+    if loss == "logistic":
+        return -y * expit(-y * z)
+    if loss == "squared":
+        return z - y
+    if loss == "huber":
+        return np.minimum(np.maximum(z - y, -HUBER_DELTA), HUBER_DELTA)
+    return -2.0 * y * np.maximum(0.0, 1.0 - y * z)
+
+
+class TestSignedLabels:
+    """Each loss's label sign is applied once per problem: the signed
+    labels are -y for the logistic loss and the dataset's labels themselves
+    otherwise, and the oracles that read them give the bits of formulas
+    written with the raw labels."""
+
+    @pytest.mark.parametrize("loss", ALL_LOSSES)
+    def test_signed_once_and_raw_formulas_kept(self, loss):
+        for layout in ("dense", "csr"):
+            problem = make_problem(loss=loss, n=40, d=7,
+                                   density=1.0 if layout == "dense" else 0.4, seed=12)
+            y = problem.dataset.labels
+            if loss == "logistic":
+                assert same_bits(problem._signed_labels, -y)
+            else:
+                assert problem._signed_labels is y
+            rng = np.random.default_rng(13)
+            w = 2.0 * rng.standard_normal(problem.d)
+            z = problem.margins(w)
+            n, l2 = problem.n, problem.l2_reg
+            want = float(np.add.reduce(_raw_loss(loss, z, y)) / n) + 0.5 * l2 * float(w.dot(w))
+            assert problem.loss_value(w).hex() == want.hex(), layout
+            coeffs = _raw_deriv(loss, z, y) / n
+            rows = problem.dataset.dense_rows
+            want = (problem.dataset.features.T @ coeffs if rows is None
+                    else coeffs.dot(rows)) + l2 * w
+            assert problem.grad_full(w).tobytes() == want.tobytes(), layout
+            for i, (zi, yi) in enumerate(zip(z.tolist(), y.tolist())):
+                got = problem.example_deriv(i, zi)
+                assert got.hex() == float(_raw_deriv(loss, zi, yi)).hex(), (layout, i)
 
 
 class TestGradients:
@@ -168,9 +227,12 @@ class TestGradients:
             problem.grad_batch(w, np.array([problem.n]))
         with pytest.raises(IndexError):
             problem.grad_batch(w, np.array([-1]))
-        # one point only: a (k, d) stack is not one
-        for wrong in (np.zeros(problem.d + 1), np.zeros((2, problem.d)), np.zeros((1, problem.d))):
-            with pytest.raises(ValueError, match="dimension"):
+        # one point only: a (k, d) stack is not one, whatever its form
+        d = problem.d
+        for wrong in (np.zeros(d + 1), np.zeros(d - 1), np.zeros((2, d)), np.zeros((1, d)),
+                      np.zeros((d, 1)), [0.0] * (d + 1), [[0.0] * d], np.zeros((1, d), np.float32),
+                      np.zeros(2 * d)[::2][:-1]):
+            with pytest.raises(ValueError, match=rf"iterate has shape \({np.shape(wrong)[0]},"):
                 problem.grad_batch(wrong, np.array([0]))
         # a float is not truncated to row 0, nor a mask read as rows 1, 0, 1
         with pytest.raises(ValueError, match="integers"):
@@ -213,7 +275,7 @@ def _scipy_grad_batch(problem: Problem, w: np.ndarray, batch: np.ndarray,
                       anchor: np.ndarray | None = None) -> np.ndarray:
     """Reference batch oracle: scipy's CSR row slice and sparse products,
     A_B^T (phi'(A_B w) - phi'(A_B anchor)) / b + l2 w with an anchor."""
-    rows, labels = problem.dataset.features[batch], problem.dataset.labels[batch]
+    rows, labels = problem.dataset.features[batch], problem._signed_labels[batch]
     coeffs = problem._loss_derivs(rows @ w, labels)
     if anchor is not None:
         coeffs = coeffs - problem._loss_derivs(rows @ anchor, labels)
@@ -340,7 +402,7 @@ class TestBatchOracleMatchesScipy:
                     got = problem.grad_batch(x, batch, problem.margin_derivs(a))
                 else:
                     got = _csr_kernel(problem, x, batch, problem._loss_derivs(
-                        problem.dataset.features @ a, problem.dataset.labels))
+                        problem.dataset.features @ a, problem._signed_labels))
                 assert same_bits(got, want), (b, batch)
 
 
@@ -356,7 +418,7 @@ def _rounding_bound(problem: Problem, w: np.ndarray, batch: np.ndarray,
     phi' at the anchor's margins, and its magnitudes enter too."""
     rows = abs(problem.dataset.features[batch].toarray())
     b = batch.size
-    labels = problem.dataset.labels[batch]
+    labels = problem._signed_labels[batch]
     coeffs = np.zeros(b)
     for point in (w,) if anchor is None else (w, anchor):
         z = problem.dataset.features[batch] @ point
@@ -392,7 +454,7 @@ class TestDenseRowOracle:
     @pytest.mark.parametrize("loss", ALL_LOSSES)
     def test_full_oracles_within_rounding_bound(self, loss):
         problem = _random_rows_problem(loss, "dense", seed=ALL_LOSSES.index(loss))
-        feats, labels = problem.dataset.features, problem.dataset.labels
+        feats, labels = problem.dataset.features, problem._signed_labels
         everything = np.arange(problem.n)
         rng = np.random.default_rng(9)
         for _ in range(20):
@@ -704,14 +766,20 @@ class TestOnePointShape:
         call = self.ORACLES[oracle]
         w = np.random.default_rng(1).standard_normal(4)
         call(problem, w)
-        for shape in ((1, 4), (4, 1), (2, 2)):
-            with pytest.raises(ValueError, match=rf"iterate has shape \({shape[0]}, {shape[1]}\), "
-                                                 r"expected one point of dimension 4"):
-                call(problem, w.reshape(shape))
+        wide = np.random.default_rng(2).standard_normal((3, 4))
+        for wrong in (w.reshape(1, 4), w.reshape(4, 1), w.reshape(2, 2), wide,
+                      w.reshape(1, 4).astype(np.float32), w.reshape(1, 4).tolist(),
+                      w.reshape(4, 1).view(Subclass), w[:3], np.append(w, 0.0), w[::2],
+                      np.zeros(5, dtype=np.int64)):
+            shape = ", ".join(map(str, np.shape(wrong))) + ("," if np.ndim(wrong) == 1 else "")
+            with pytest.raises(ValueError, match=rf"iterate has shape \({shape}\), "
+                                                 r"expected one point of dimension 4$"):
+                call(problem, wrong)
 
 
 def _canonical(indices) -> np.ndarray:
     return np.array(indices, dtype=np.intp)
+
 
 
 class TestCanonicalInputs:
@@ -736,6 +804,58 @@ class TestCanonicalInputs:
             want = problem.grad_batch(w, batch, anchor)
             for name, form in forms.items():
                 assert problem.grad_batch(w, form, anchor).tobytes() == want.tobytes(), name
+
+    POINT_CALLS = {
+        "margins": lambda p, w, aux: p.margins(w),
+        "loss_value": lambda p, w, aux: np.float64(p.loss_value(w)),
+        "grad_full": lambda p, w, aux: p.grad_full(w),
+        "margin_derivs": lambda p, w, aux: p.margin_derivs(w),
+        "grad_batch": lambda p, w, aux: p.grad_batch(w, aux["batch"]),
+        "grad_batch_anchored": lambda p, w, aux: p.grad_batch(w, aux["batch"], aux["derivs"]),
+    }
+
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    @pytest.mark.parametrize("call", POINT_CALLS)
+    def test_other_point_forms_give_the_canonical_bits(self, call, layout):
+        # d = 40, where a strided BLAS dot adds in another order than a
+        # contiguous one; every form is converted to the canonical array
+        problem = make_problem(n=70, d=40, density=1.0 if layout == "dense" else 0.3, seed=5)
+        assert (problem.dataset.dense_rows is None) == (layout == "sparse")
+        rng = np.random.default_rng(10)
+        aux = {"batch": _canonical([0, 3, 17, 64]),
+               "derivs": problem.margin_derivs(rng.standard_normal(problem.d))}
+        w = (3 * rng.standard_normal(problem.d)).astype(np.float32).astype(np.float64)
+        forms = input_forms(w)
+        for name, form in forms.items():
+            canonical = np.ascontiguousarray(np.asarray(form, dtype=np.float64))
+            assert canonical.shape == (problem.d,)
+            want = self.POINT_CALLS[call](problem, canonical, aux)
+            got = self.POINT_CALLS[call](problem, form, aux)
+            assert type(got) is type(want) and got.tobytes() == want.tobytes(), name
+        assert not forms["strided"].flags.c_contiguous
+
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    @pytest.mark.parametrize("loss", ALL_LOSSES)
+    def test_other_per_example_forms_give_the_canonical_bits(self, loss, layout):
+        # margins= of loss_value, grad_full and margin_derivs, and
+        # anchor_derivs of grad_batch, at b = 1 and b > 1
+        problem = make_problem(loss=loss, n=70, d=40,
+                               density=1.0 if layout == "dense" else 0.3, seed=6)
+        rng = np.random.default_rng(11)
+        w = rng.standard_normal(problem.d)
+        calls = {
+            "loss_value": lambda v: np.float64(problem.loss_value(w, margins=v)),
+            "grad_full": lambda v: problem.grad_full(w, margins=v),
+            "margin_derivs": lambda v: problem.margin_derivs(w, v),
+            "grad_batch_b1": lambda v: problem.grad_batch(w, _canonical([7]), v),
+            "grad_batch": lambda v: problem.grad_batch(w, _canonical([2, 7, 30, 69]), v),
+        }
+        values = (4 * rng.standard_normal(problem.n)).astype(np.float32).astype(np.float64)
+        for name, form in input_forms(values).items():
+            canonical = np.asarray(form, dtype=np.float64)
+            for call, oracle in calls.items():
+                want, got = oracle(canonical), oracle(form)
+                assert type(got) is type(want) and got.tobytes() == want.tobytes(), (name, call)
 
     @pytest.mark.parametrize("layout", ["dense", "sparse"])
     def test_bad_batches_keep_their_errors(self, layout):
@@ -787,7 +907,7 @@ class TestDotKeepsMatmulBits:
         assert (problem.dataset.dense_rows is not None) == (layout == "dense")
         rng = np.random.default_rng(3)
         w = rng.standard_normal(problem.d)
-        labels, l2 = problem.dataset.labels, problem.l2_reg
+        labels, l2 = problem._signed_labels, problem.l2_reg
         a = problem.dataset.features if layout == "csr" else problem.dataset.dense_rows
         z = a @ w
         assert problem.margins(w).tobytes() == z.tobytes()

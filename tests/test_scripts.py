@@ -3,6 +3,7 @@ the tolerance fraction that ``scripts/bless_goldens.py --compare`` prints."""
 
 import importlib.util
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -71,7 +72,8 @@ def test_compare_prints_the_fraction_of_64_T_eps(tmp_path, monkeypatch, capsys):
 
 def test_ab_on_two_copies_of_one_tree(tmp_path, monkeypatch, capsys):
     # scripts/ab.py at one round on two configs: both copies write the same
-    # traces, and the table has a row per config plus the overall row
+    # traces and reach the same median final objective, and the table has a
+    # row per config plus the overall row
     for side in ("a", "b"):
         shutil.copytree(ROOT / "src" / "vrkit", tmp_path / side / "src" / "vrkit",
                         ignore=shutil.ignore_patterns("__pycache__"))
@@ -87,6 +89,8 @@ def test_ab_on_two_copies_of_one_tree(tmp_path, monkeypatch, capsys):
         assert row["identical"] and row["won"] in (0, 1)
         assert row["parent_ms"] > 0 and row["change_ms"] > 0
         assert row["ratio_q1"] == row["ratio"] == row["ratio_q3"]
+        assert math.isfinite(row["parent_objective"])
+        assert row["parent_objective"] == row["change_objective"]
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 5 and lines[0].startswith("config")
     assert [line.split()[0] for line in lines[1:4]] == list(table["rows"])
